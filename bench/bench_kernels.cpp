@@ -7,25 +7,20 @@
 // Besides the interactive google-benchmark tables, the binary writes a
 // machine-readable summary (name, wall_ms, flops per entry) to
 // BENCH_kernels.json — override the path with --json=PATH — so the perf
-// trajectory can be tracked across PRs. The summary includes the PEtot_F
-// engine scaling probe: wall time at n_workers = 1 vs 4 on an 8-fragment
-// division, plus the resulting speedup (>= 1.5x expected on >= 4 cores;
-// on a single-core host it reports ~1.0), and the batched-vs-looped
-// probes for the fused kernels (gemm_batched, fft_many, petot_f batched
-// at width 4 — the tentpole target is >= 1.5x over looped per-fragment
-// solves on >= 4 cores, >= 1.0x on one, always with bit-identical
-// densities), and the sharded-grid probes: the distributed-transpose FFT
-// round trip (with the transpose's share of the wall time) and sharded
-// vs dense GENPOT with the bit-identity flag CI asserts, and the
-// barrier-free iteration probes: phased vs overlapped solve() on a
-// skewed division, the measured overlap fraction, and the
-// overlap-vs-phased bit-identity flag (both asserted in CI), plus the
-// adaptive-runtime probes: donated-lane vs fixed-lane iterations (events
-// > 0 and bit-identity asserted), the fp32-vs-fp64 batched Davidson
-// speedup, and the mixed-precision convergence flag on the Fig. 6 alloy,
-// plus the crash-safety probes: solve() wall time with every-2 snapshots
-// vs checkpoint-free (< 5% overhead asserted in CI) and the
-// resume-after-crash bit-identity flag.
+// trajectory can be tracked across PRs. The summary includes the
+// batched-vs-looped probes for the fused kernels (gemm_batched,
+// fft_many) and the batched PEtot_F dispatch at width 4, the sharded-grid
+// probes: the distributed-transpose FFT round trip (with the transpose's
+// share of the wall time) and sharded vs dense GENPOT with the
+// bit-identity flag CI asserts, the solve-loop probes on a skewed
+// division: s/iteration of the barrier-free chain DAG, its measured
+// overlap fraction and its lane-donation events (both asserted > 0 in
+// CI), the fp32-vs-fp64 batched Davidson speedup and the mixed-precision
+// convergence flag on the Fig. 6 alloy, plus the crash-safety probes:
+// solve() wall time with every-2 snapshots vs checkpoint-free (< 5%
+// overhead asserted in CI) and the resume-after-crash bit-identity flag.
+// Bit-identity of the solve itself is pinned by the golden-reference
+// suite (tests/golden_refs.h), not here.
 //
 // When built with LS3DF_WITH_MPI the binary also self-launches
 // `mpirun -np 4 bench_kernels --mpi-child` and folds the child's report
@@ -340,8 +335,7 @@ double time_best_ms(int reps, Fn&& fn) {
 // An 8-fragment LS3DF problem: H2 chain, division 1x1x4 (four cells
 // along z gives four size-2 and four size-1 fragments; a 2x2x2 division
 // is structurally degenerate in LS3DF and rejected by the solver).
-// batch_width 0 is the looped per-fragment dispatch; > 0 groups
-// same-size-class fragments into lockstep batches.
+// batch_width caps the same-size-class lockstep batches.
 Ls3dfOptions petot_options(int workers, int batch_width) {
   Ls3dfOptions lo;
   lo.division = {1, 1, 4};
@@ -367,7 +361,7 @@ Structure petot_structure() {
 
 // A warmed PEtot_F probe at the given worker count and batch width.
 // Warming runs the allocation iteration; the engine is deterministic, so
-// every configuration times bit-identical work per sweep.
+// every sweep times bit-identical work.
 struct PetotProbe {
   Structure s = petot_structure();
   Ls3dfSolver solver;
@@ -579,28 +573,21 @@ std::vector<JsonEntry> kernel_summary() {
   }
 
   {
-    // Barrier-free vs phased full iterations on the skewed 1x1x4
+    // Full iterations of the barrier-free chain DAG on the skewed 1x1x4
     // division (two size classes with ~2x cost skew — the LPT tail the
-    // chains overlap). Both drivers run the same deterministic work, so
-    // the patched densities must agree bit for bit (CI asserts the
-    // flag). The overlap fraction is reported twice: at the multi-worker
-    // lane count (real concurrency on multi-core hosts) and on a single
-    // lane, where the depth-first chain schedule interleaves phase
-    // windows structurally — positive on any core count, asserted > 0
-    // in CI.
+    // chains overlap). The overlap fraction is reported twice: at the
+    // multi-worker lane count (real concurrency on multi-core hosts) and
+    // on a single lane, where the depth-first chain schedule interleaves
+    // phase windows structurally — positive on any core count, asserted
+    // > 0 in CI. The two size-class batches are two solve chains, so the
+    // first to retire donates its lanes every iteration: the donation
+    // count is deterministic (> 0 asserted in CI) on any core count.
     Structure s = petot_structure();
     Ls3dfOptions lo = petot_options(std::min(4, default_workers()), 4);
     lo.max_iterations = 2;
     lo.l1_tol = 0.0;
     lo.compute_energy = false;
 
-    lo.overlap = false;
-    Ls3dfSolver phased(s, lo);
-    Timer tp;
-    const Ls3dfResult rp = phased.solve();
-    const double phased_ms = tp.seconds() * 1e3 / rp.iterations;
-
-    lo.overlap = true;
     Ls3dfSolver overlapped(s, lo);
     Timer to;
     const Ls3dfResult ro = overlapped.solve();
@@ -610,105 +597,20 @@ std::vector<JsonEntry> kernel_summary() {
     Ls3dfSolver overlapped_w1(s, lo);
     const Ls3dfResult r1 = overlapped_w1.solve();
 
-    bool identical = rp.rho.size() == ro.rho.size() &&
-                     rp.conv_history.size() == ro.conv_history.size() &&
-                     r1.rho.size() == rp.rho.size();
-    for (std::size_t i = 0; identical && i < rp.conv_history.size(); ++i)
-      identical = rp.conv_history[i] == ro.conv_history[i] &&
-                  rp.conv_history[i] == r1.conv_history[i];
-    for (std::size_t i = 0; identical && i < rp.rho.size(); ++i)
-      identical = rp.rho[i] == ro.rho[i] && rp.rho[i] == r1.rho[i];
-
-    out.push_back({"ls3df_iter_phased_1x1x4", phased_ms, 0});
     out.push_back({"ls3df_iter_overlap_1x1x4", overlap_ms, 0});
     out.push_back({"ls3df_overlap_fraction_1x1x4", ro.overlap_fraction, 0});
     out.push_back(
         {"ls3df_overlap_fraction_w1_1x1x4", r1.overlap_fraction, 0});
-    out.push_back(
-        {"overlap_bit_identical_to_phased", identical ? 1.0 : 0.0, 0});
-  }
-
-  // PEtot_F probes. Looped per-fragment dispatch at 1 and 4 workers (the
-  // cross-PR trajectory entries), then the batched path at width 4: the
-  // tentpole target is >= 1.5x over the looped 1-worker sweep on >= 4
-  // cores (>= 1.0x on one core), with a bit-identical patched density.
-  // The three configurations time the same deterministic work and are
-  // swept in an interleaved round-robin so slow-machine drift hits all
-  // of them equally instead of biasing whichever ran last.
-  const int wmax = std::min(4, default_workers());
-  PetotProbe looped_w1(1, 0), looped_w4(4, 0), batched_b4(wmax, 4);
-  for (int rep = 0; rep < 5; ++rep) {
-    looped_w1.timed_sweep();
-    looped_w4.timed_sweep();
-    batched_b4.timed_sweep();
-  }
-  const double w1 = looped_w1.best_ms;
-  const double w4 = looped_w4.best_ms;
-  const double b4 = batched_b4.best_ms;
-  out.push_back({"petot_f_1x1x4_w1", w1, 0});
-  out.push_back({"petot_f_1x1x4_w4", w4, 0});
-  out.push_back({"petot_f_1x1x4_speedup_w4_over_w1", w4 > 0 ? w1 / w4 : 0,
-                 0});
-  out.push_back({"petot_f_1x1x4_batched_b4", b4, 0});
-  out.push_back({"petot_f_batched_b4_speedup_over_looped_w1",
-                 b4 > 0 ? w1 / b4 : 0, 0});
-  // Both paths advanced through the same number of deterministic sweeps
-  // (warm + 5): their patched densities must agree bit for bit.
-  const FieldR rho_looped = looped_w1.solver.gen_dens();
-  const FieldR rho_batched = batched_b4.solver.gen_dens();
-  bool identical = rho_looped.size() == rho_batched.size();
-  for (std::size_t i = 0; identical && i < rho_looped.size(); ++i)
-    identical = rho_looped[i] == rho_batched[i];
-  out.push_back(
-      {"petot_f_batched_bit_identical_to_looped", identical ? 1.0 : 0.0, 0});
-
-  {
-    // Live lane donation vs the fixed inner split on the skewed 1x1x4
-    // division. 4 logical lanes over the two size-class batches make two
-    // LPT holders; the short batch retires first and donates its lanes,
-    // so every PEtot_F round produces donation events deterministically
-    // (holders - 1 per round, even on one core). Donation is an A/B
-    // toggle over bit-identical arithmetic, so CI asserts events > 0,
-    // wall <= the fixed-lane run (within timing-noise headroom on shared
-    // runners), and the bit-identity flag. solve() rebuilds its initial
-    // state every call, so both solvers are warmed once (arenas, FFT
-    // plans) and then re-solved interleaved best-of-3 over identical
-    // deterministic work.
-    Structure s = petot_structure();
-    Ls3dfOptions lo = petot_options(4, 4);
-    lo.max_iterations = 2;
-    lo.l1_tol = 0.0;
-    lo.compute_energy = false;
-    lo.donate = false;
-    Ls3dfSolver fixed_lane(s, lo);
-    lo.donate = true;
-    Ls3dfSolver donating(s, lo);
-    Ls3dfResult r_fixed = fixed_lane.solve();  // warm
-    Ls3dfResult r_donate = donating.solve();   // warm
-    double fixed_ms = 1e300, donate_ms = 1e300;
-    for (int rep = 0; rep < 3; ++rep) {
-      Timer tf;
-      r_fixed = fixed_lane.solve();
-      fixed_ms = std::min(fixed_ms, tf.seconds() * 1e3 / r_fixed.iterations);
-      Timer td;
-      r_donate = donating.solve();
-      donate_ms =
-          std::min(donate_ms, td.seconds() * 1e3 / r_donate.iterations);
-    }
-    const long donate_events = donating.donated_lane_events();
-    bool same = r_fixed.rho.size() == r_donate.rho.size() &&
-                r_fixed.conv_history.size() == r_donate.conv_history.size();
-    for (std::size_t i = 0; same && i < r_fixed.conv_history.size(); ++i)
-      same = r_fixed.conv_history[i] == r_donate.conv_history[i];
-    for (std::size_t i = 0; same && i < r_fixed.rho.size(); ++i)
-      same = r_fixed.rho[i] == r_donate.rho[i];
-    out.push_back({"ls3df_iter_fixedlane_1x1x4", fixed_ms, 0});
-    out.push_back({"ls3df_iter_donate_1x1x4", donate_ms, 0});
     out.push_back({"ls3df_donated_lane_events",
-                   static_cast<double>(donate_events), 0});
-    out.push_back(
-        {"donate_bit_identical_to_fixed", same ? 1.0 : 0.0, 0});
+                   static_cast<double>(overlapped.donated_lane_events()),
+                   0});
   }
+
+  // PEtot_F probe: the petot_f() hook's LPT batch dispatch at width 4
+  // (the cross-PR trajectory entry), best of five warm sweeps.
+  PetotProbe batched_b4(std::min(4, default_workers()), 4);
+  for (int rep = 0; rep < 5; ++rep) batched_b4.timed_sweep();
+  out.push_back({"petot_f_1x1x4_batched_b4", batched_b4.best_ms, 0});
 
   {
     // Checkpoint overhead + resume fidelity on the skewed 1x1x4
@@ -878,7 +780,7 @@ std::vector<JsonEntry> kernel_summary() {
 
   {
     // Tracing overhead + coverage on the skewed 1x1x4 division, with the
-    // barrier-free overlapped driver (the densest span stream: node
+    // barrier-free chain DAG (the densest span stream: node
     // spans from the TaskGraph observer, pool lane spans, Davidson
     // sweeps). Tracing is an A/B toggle over bit-identical arithmetic,
     // so CI asserts overhead < 2% (interleaved best-of-4 over identical
@@ -893,7 +795,6 @@ std::vector<JsonEntry> kernel_summary() {
     lo.max_iterations = 2;
     lo.l1_tol = 0.0;
     lo.compute_energy = false;
-    lo.overlap = true;
 
     Ls3dfSolver plain(s, lo);
     TraceRecorder rec(std::size_t{1} << 18);

@@ -96,12 +96,10 @@ std::vector<BenchJob> job_mix() {
     lo.batch_width = 2;
     jobs.push_back({h2_chain(3), lo, 0, false});
   }
-  for (int i = 0; i < 2; ++i) {  // heavy overlapped tail
+  for (int i = 0; i < 2; ++i) {  // heavy sharded tail
     Ls3dfOptions lo = base_options(4);
     lo.n_workers = 2;
     lo.n_shards = 2;
-    lo.overlap = true;
-    lo.donate = true;
     lo.max_iterations = 3;
     jobs.push_back({h2_chain(4), lo, 0, false});
   }

@@ -327,16 +327,6 @@ void Fingerprint::mix_double(double v) {
 
 // --- field routing -----------------------------------------------------
 
-void write_dense_field(SnapshotWriter& w, const std::string& name,
-                       const Field3D<double>& f) {
-  w.add_f64(name, f.data(), f.size());
-}
-
-void read_dense_field(const SnapshotReader& r, const std::string& name,
-                      Field3D<double>& f) {
-  r.read_f64(name, f.data(), f.size());
-}
-
 void write_sharded_field(SnapshotWriter* w, const std::string& name,
                          const ShardedField3D<double>& f, ShardComm& comm) {
   // One slab in flight at a time: rank r's slab crosses the transport

@@ -41,7 +41,7 @@
 //
 // == Shard-record routing ==
 //
-// On the sharded path every distributed field is stored as one record
+// Every distributed field is stored as one record
 // per rank ("<name>/slab<r>"), routed through the Transport seam one
 // slab at a time (ShardComm::gather_one): the writer's staging buffer
 // holds at most one slab, so no rank — and no writer — materializes the
@@ -67,8 +67,6 @@ namespace ls3df {
 
 class FaultPlan;
 class ShardComm;
-template <typename T>
-class Field3D;
 template <typename T>
 class ShardedField3D;
 
@@ -233,10 +231,5 @@ void write_sharded_field(SnapshotWriter* w, const std::string& name,
 // file and restricts it).
 void read_sharded_field(const SnapshotReader& r, const std::string& name,
                         ShardedField3D<double>& f);
-// Dense twin (payload = the field's contiguous z-fastest data).
-void write_dense_field(SnapshotWriter& w, const std::string& name,
-                       const Field3D<double>& f);
-void read_dense_field(const SnapshotReader& r, const std::string& name,
-                      Field3D<double>& f);
 
 }  // namespace ls3df

@@ -16,9 +16,4 @@ std::uint64_t FlopCounter::fft3d(std::uint64_t n1, std::uint64_t n2,
   return n2 * n3 * fft(n1) + n1 * n3 * fft(n2) + n1 * n2 * fft(n3);
 }
 
-FlopCounter& global_flops() {
-  static FlopCounter counter;
-  return counter;
-}
-
 }  // namespace ls3df

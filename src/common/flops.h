@@ -33,9 +33,4 @@ class FlopCounter {
   std::uint64_t flops_ = 0;
 };
 
-// Process-global counter used by default; individual solvers may carry
-// their own. Single-threaded accumulation; worker threads keep local
-// counters and merge.
-FlopCounter& global_flops();
-
 }  // namespace ls3df

@@ -93,18 +93,15 @@ struct Ls3dfSolver::ShardState {
         v_out(grid, n_shards, comm.local_rank()) {}
 };
 
-// Mid-SCF state carried from load_resume() to the driver that consumes
-// it. The dense fields are used on the dense path only; the sharded
-// slabs restore straight into ShardState, so only the mixer's DIIS
-// stack travels here on the sharded path.
+// Mid-SCF state carried from load_resume() to the solve loop. V_in and
+// the density restore straight into the ShardState slabs; only the
+// scalars and the mixer's DIIS stack travel here.
 struct Ls3dfSolver::ResumeState {
   int iterations = 0;
   bool converged = false;
   double charge_patch_error = 0;
   std::vector<double> conv_history;
-  FieldR v_in, rho;                             // dense path
-  std::vector<FieldR> mix_v, mix_r;             // dense DIIS stack
-  std::vector<ShardedFieldR> mix_v_s, mix_r_s;  // sharded DIIS stack
+  std::vector<ShardedFieldR> mix_v, mix_r;
 };
 
 struct Ls3dfSolver::FragmentContext {
@@ -153,25 +150,39 @@ int smooth_uniform_buffer(int p, int m, int b_max) {
   return 0;
 }
 
-}  // namespace
-
-Ls3dfSolver::Ls3dfSolver(const Structure& s, const Ls3dfOptions& opt)
-    : structure_(s), opt_(opt), decomp_(opt.division), rng_(opt.seed) {
-  // Route all construction work (potential setup FFTs, shard state)
-  // through this instance's observability context.
-  ObsContextScope obs_scope(obs_ctx());
-  const Vec3i m = opt.division;
+// Typed rejection of option values the solver cannot run, before any
+// member is built from them (the decomposition is constructed from the
+// division in the initializer list).
+const Ls3dfOptions& validated(const Ls3dfOptions& opt) {
+  const auto reject = [](const char* what) {
+    throw std::invalid_argument(std::string("Ls3dfOptions::") + what);
+  };
   // A division of exactly 2 along an axis is structurally degenerate: the
   // size-2 fragments wrap the whole axis and carry no artificial boundary,
   // so the negative size-1 fragments' boundary effects have nothing to
   // cancel against. LS3DF needs m_i == 1 (undivided) or m_i >= 3; the
   // paper's smallest production division is 3 x 3 x 3.
   for (int i = 0; i < 3; ++i)
-    if (m[i] == 2)
-      throw std::invalid_argument(
-          "Ls3dfOptions::division must have m_i == 1 or m_i >= 3 per axis");
+    if (opt.division[i] < 1 || opt.division[i] == 2)
+      reject("division must have m_i == 1 or m_i >= 3 per axis");
+  if (opt.points_per_cell < 4) reject("points_per_cell must be >= 4");
+  if (opt.batch_width < 1) reject("batch_width must be >= 1");
+  if (opt.n_shards < 0) reject("n_shards must be >= 0");
+  if (!opt.overlap) reject("overlap must be true (the only solve driver)");
+  if (!opt.donate) reject("donate must be true (live lane donation)");
+  return opt;
+}
+
+}  // namespace
+
+Ls3dfSolver::Ls3dfSolver(const Structure& s, const Ls3dfOptions& opt)
+    : structure_(s), opt_(validated(opt)), decomp_(opt.division),
+      rng_(opt.seed) {
+  // Route all construction work (potential setup FFTs, shard state)
+  // through this instance's observability context.
+  ObsContextScope obs_scope(obs_ctx());
+  const Vec3i m = opt.division;
   const int p = opt.points_per_cell;
-  assert(p >= 4);
   global_grid_ = {m.x * p, m.y * p, m.z * p};
   vion_ = build_local_potential(structure_, global_grid_);
 
@@ -283,23 +294,26 @@ Ls3dfSolver::Ls3dfSolver(const Structure& s, const Ls3dfOptions& opt)
   measured_seconds_.assign(contexts_.size(), -1.0);
   measured_seconds_f32_.assign(contexts_.size(), -1.0);
   // Phase hooks (gen_vf, petot_f, ...) are callable outside solve():
-  // give them the full configured width until a driver's iteration
+  // give them the full configured width until the solve loop's iteration
   // boundary consults the live allowance.
   live_workers_ = std::max(1, opt_.n_workers);
 
-  if (opt_.n_shards > 0) {
-    // Clamp to the grid's x extent and (without a factory) to the
-    // backend's rank ceiling (the proc transport's fixed worker table).
-    int n = std::min(opt_.n_shards, global_grid_.x);
-    if (!opt_.transport_factory)
-      n = std::min(n, transport_max_ranks(opt_.transport));
+  {
+    // The global grid always lives on shards. n_shards 0 is one
+    // in-process shard (transport and factory ignored); otherwise clamp
+    // to the grid's x extent and (without a factory) to the backend's
+    // rank ceiling (the proc transport's fixed worker table).
+    const bool one_inproc = opt_.n_shards == 0;
+    const TransportKind kind =
+        one_inproc ? TransportKind::kInProc : opt_.transport;
+    const bool factory = opt_.transport_factory && !one_inproc;
+    int n = std::min(std::max(1, opt_.n_shards), global_grid_.x);
+    if (!factory) n = std::min(n, transport_max_ranks(kind));
     const int nw = std::max(1, opt_.n_workers);
+    const std::size_t arena = transport_arena_bytes(global_grid_);
     std::unique_ptr<Transport> t =
-        opt_.transport_factory
-            ? opt_.transport_factory(n, nw,
-                                     transport_arena_bytes(global_grid_))
-            : make_transport(opt_.transport, n, nw,
-                             transport_arena_bytes(global_grid_));
+        factory ? opt_.transport_factory(n, nw, arena)
+                : make_transport(kind, n, nw, arena);
     // Explicit check (not assert): a factory/shard-count mismatch under
     // SPMD would desynchronize collectives, never a tolerable state.
     if (!t || t->n_ranks() != n)
@@ -428,7 +442,7 @@ Ls3dfSolver::Ls3dfSolver(const Structure& s, const Ls3dfOptions& opt)
   // Batch composition depends only on the decomposition (and, under
   // SPMD, on this rank's owned range — batches never cross ranks), so
   // batches and their workspaces are stable across outer iterations.
-  if (opt_.batch_width > 0 && own_end_ > own_begin_) {
+  if (own_end_ > own_begin_) {
     std::vector<int> class_of(static_cast<std::size_t>(own_end_ - own_begin_));
     std::map<std::array<int, 5>, int> ids;
     for (int f = own_begin_; f < own_end_; ++f) {
@@ -498,9 +512,8 @@ bool Ls3dfSolver::mixed_precision_available() const {
   // under SPMD a rank may own zero fragments (empty batches_) while
   // others don't, and a per-rank answer here would desynchronize the
   // precision policy — and with it the convergence latch — across ranks.
-  // Outside SPMD the condition is equivalent to the old batches_.empty().
   return opt_.precision == Precision::kMixed && opt_.all_band &&
-         opt_.batch_width > 0 && !contexts_.empty();
+         !contexts_.empty();
 }
 
 void Ls3dfSolver::update_precision_policy(
@@ -565,78 +578,9 @@ void Ls3dfSolver::reset_state() {
 
 void Ls3dfSolver::petot_f() {
   ObsContextScope obs_scope(obs_ctx());
-  const int n_own = own_end_ - own_begin_;
-  if (n_own == 0) return;
-  if (opt_.batch_width > 0 && !batches_.empty()) {
-    petot_f_batched(
-        std::max(1, std::min(live_workers_,
-                             static_cast<int>(batches_.size()))));
-  } else {
-    petot_f_per_fragment(std::max(1, std::min(live_workers_, n_own)));
-  }
-}
-
-void Ls3dfSolver::petot_f_per_fragment(int n_groups) {
-  const int n_frag = static_cast<int>(contexts_.size());
-  const int n_own = own_end_ - own_begin_;
-  // The paper's dispatch, in miniature: LPT-schedule fragments onto
-  // Ng = min(n_workers, n_frag) groups using the same cost model the
-  // performance simulator uses, then run one engine task per group.
-  // Each group executes its fragments in ascending order with its own
-  // persistent arena; a fragment's solve depends only on the fragment
-  // state, so the grouping (and hence the worker count) cannot change
-  // the numbers.
-  std::vector<double> costs = fragment_costs();
-  if (spmd_)
-    costs.assign(costs.begin() + own_begin_, costs.begin() + own_end_);
-  assignment_ = assign_fragments(costs, n_groups);
-  executed_group_of_.assign(n_frag, -1);
-  if (static_cast<int>(workspaces_.size()) < n_groups)
-    workspaces_.resize(n_groups);
-
-  // Presize every arena to the largest owned fragment: once measured
-  // costs feed the scheduler, any owned fragment may land on any group
-  // in a later iteration, and the steady state must still allocate
-  // nothing.
-  int ng_max = 0, nb_max = 0;
-  for (int f = own_begin_; f < own_end_; ++f) {
-    ng_max = std::max(ng_max, contexts_[f]->n_basis);
-    nb_max = std::max(nb_max, contexts_[f]->n_bands);
-  }
-  for (EigenWorkspace& ws : workspaces_)
-    ws.reserve(ng_max, nb_max, opt_.all_band);
-
-  std::vector<std::vector<int>> members(n_groups);
-  for (int i = 0; i < n_own; ++i)
-    members[assignment_.group_of[i]].push_back(own_begin_ + i);
-
-  std::vector<double> busy(n_groups, 0.0);
-  const auto run_group = [&](int g) {
-    Timer timer;
-    for (int f : members[g]) {
-      executed_group_of_[f] = g;
-      Timer ft;
-      solve_fragment(f, workspaces_[g]);
-      record_measured(f, ft.seconds());
-    }
-    busy[g] = timer.seconds();
-  };
-
-  if (n_groups == 1) {
-    run_group(0);
-  } else {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(n_groups);
-    for (int g = 0; g < n_groups; ++g)
-      tasks.emplace_back([&run_group, g]() { run_group(g); });
-    shared_pool().run_batch(std::move(tasks));
-  }
-
-  // Aggregate per-group busy time: parallel efficiency of this phase is
-  // busy / (n_groups * wall), the quantity behind the paper's 95.8%.
-  double total_busy = 0;
-  for (double b : busy) total_busy += b;
-  profile_.add("PEtot_F.workers", total_busy);
+  if (batches_.empty()) return;  // this rank owns no fragment
+  petot_f_batched(std::max(
+      1, std::min(live_workers_, static_cast<int>(batches_.size()))));
 }
 
 void Ls3dfSolver::prepare_batch_workspaces() {
@@ -665,7 +609,7 @@ void Ls3dfSolver::prepare_batch_workspaces() {
   }
 }
 
-void Ls3dfSolver::solve_batch(int b, int group, int inner,
+void Ls3dfSolver::solve_batch(int b, int group,
                               const std::vector<double>& analytic) {
   if (opt_.on_batch_solve) opt_.on_batch_solve(b);
   const FragmentBatch& batch = batches_[b];
@@ -678,19 +622,19 @@ void Ls3dfSolver::solve_batch(int b, int group, int inner,
     items.reserve(k_members);
     for (int f : batch.members)
       items.push_back({contexts_[f]->h.get(), &contexts_[f]->psi});
-    // Live inner-lane width: with donation on, the lockstep driver
-    // re-reads the budget's allowance at every sweep boundary, so lanes
-    // donated by retiring holders widen this solve mid-flight. The
-    // kernels are worker-count-invariant, so the width schedule cannot
-    // change results.
-    std::function<int()> live_lanes;
-    if (opt_.donate)
-      live_lanes = [this]() { return lane_budget_.allowance(); };
+    // Live inner-lane width: the lockstep driver re-reads the budget's
+    // allowance at every sweep boundary, so lanes donated by retiring
+    // holders widen this solve mid-flight. The kernels are
+    // worker-count-invariant, so the width schedule cannot change
+    // results.
+    const std::function<int()> live_lanes = [this]() {
+      return lane_budget_.allowance();
+    };
     std::vector<EigensolverResult> rs =
-        use_fp32_iter_
-            ? solve_all_band_batched_f32(items, opt_.eig, bw, inner,
-                                         live_lanes)
-            : solve_all_band_batched(items, opt_.eig, bw, inner, live_lanes);
+        use_fp32_iter_ ? solve_all_band_batched_f32(items, opt_.eig, bw,
+                                                    live_lanes(), live_lanes)
+                       : solve_all_band_batched(items, opt_.eig, bw,
+                                                live_lanes(), live_lanes);
     for (int k = 0; k < k_members; ++k)
       contexts_[batch.members[k]]->eigenvalues = std::move(rs[k].eigenvalues);
     // Densities member by member, each member's band stack swept by
@@ -698,8 +642,7 @@ void Ls3dfSolver::solve_batch(int b, int group, int inner,
     // lanes go to the FFTs, not the member loop — bit-identical
     // either way, so the density sweep may also use donated width).
     for (int k = 0; k < k_members; ++k)
-      finish_fragment(batch.members[k],
-                      opt_.donate ? lane_budget_.allowance() : inner);
+      finish_fragment(batch.members[k], lane_budget_.allowance());
   } else {
     // Band-by-band has no lockstep driver; members still share the
     // batch's schedulable unit and per-member arenas.
@@ -741,22 +684,19 @@ void Ls3dfSolver::petot_f_batched(int n_groups) {
     members[ba.batches.group_of[b]].push_back(b);
 
   // Lanes not consumed by batch-level parallelism drive the batched
-  // kernels' internal work grids (fused GEMM tiles, many-FFT sweeps).
-  // With donation on, `inner` is only the opening width: the budget's
-  // allowance starts at exactly total/holders = inner and widens as
-  // groups retire.
-  const int inner = std::max(1, live_workers_ / n_groups);
+  // kernels' internal work grids (fused GEMM tiles, many-FFT sweeps):
+  // the budget's allowance opens at total/holders and widens as groups
+  // retire.
   lane_budget_.reset(live_workers_, n_groups);
   const std::vector<double> analytic = analytic_costs();
 
   std::vector<double> busy(n_groups, 0.0);
   const auto run_group = [&](int g) {
     Timer timer;
-    for (int b : members[g]) solve_batch(b, g, inner, analytic);
+    for (int b : members[g]) solve_batch(b, g, analytic);
     // This group's solves are done: donate its inner lanes so the
-    // makespan-tail groups widen. With donation off the budget is never
-    // consulted nor retired, so donated_lane_events() stays flat.
-    if (opt_.donate) lane_budget_.retire(g);
+    // makespan-tail groups widen.
+    lane_budget_.retire(g);
     busy[g] = timer.seconds();
   };
 
@@ -776,34 +716,9 @@ void Ls3dfSolver::petot_f_batched(int n_groups) {
 }
 
 FieldR Ls3dfSolver::gen_dens() const {
-  if (shards_) {
-    gen_dens_sharded();
-    return spmd_ ? gather_dense(shards_->rho, shards_->comm)
-                 : shards_->rho.to_dense();
-  }
-  FieldR rho(global_grid_);
-  const int p = opt_.points_per_cell;
-  // Slab-parallel patching: each task owns a contiguous range of global
-  // x planes and accumulates every fragment's window restricted to its
-  // slab, in fragment order. Points are written by exactly one task and
-  // always in the same order, so the patched density is bit-identical
-  // for any worker count.
-  const int nx = global_grid_.x;
-  const int slabs = std::max(1, std::min(live_workers_, nx));
-  parallel_for(slabs, slabs, [&](int s, int /*worker*/) {
-    const int x0 = static_cast<int>(static_cast<long>(nx) * s / slabs);
-    const int x1 = static_cast<int>(static_cast<long>(nx) * (s + 1) / slabs);
-    for (const auto& ctx : contexts_) {
-      const Vec3i region{ctx->frag.size.x * p, ctx->frag.size.y * p,
-                         ctx->frag.size.z * p};
-      rho.accumulate_window_slab(
-          {ctx->frag.corner.x * p, ctx->frag.corner.y * p,
-           ctx->frag.corner.z * p},
-          ctx->rho, ctx->buffer, region,
-          static_cast<double>(ctx->frag.sign), x0, x1);
-    }
-  });
-  return rho;
+  gen_dens_sharded();
+  return spmd_ ? gather_dense(shards_->rho, shards_->comm)
+               : shards_->rho.to_dense();
 }
 
 void Ls3dfSolver::gen_dens_sharded() const {
@@ -813,8 +728,8 @@ void Ls3dfSolver::gen_dens_sharded() const {
     // Rank-local patching: ship the RAW interior-window values of this
     // rank's owned fragments (not pre-folded partials) and let each
     // destination fold them locally in ascending global fragment order —
-    // exactly the dense accumulate order, so the patched density is
-    // bit-identical to every other path (see spmd_apply_windows).
+    // exactly the in-process accumulate order, so the patched density is
+    // bit-identical for any transport (see spmd_apply_windows).
     spmd_size_window_lanes();
     for (int f = own_begin_; f < own_end_; ++f) spmd_pack_fragment(f);
     s.comm.transport().alltoallv();
@@ -823,8 +738,9 @@ void Ls3dfSolver::gen_dens_sharded() const {
   }
   // Owner-computes patching: each shard scans the fragment list and
   // accumulates every window restricted to its slab, in fragment order —
-  // the same per-point arithmetic as the dense slab split, so the
-  // patched density is bit-identical for any shard and worker count. No
+  // the same per-point arithmetic as the solve chains' ordered commits,
+  // so the patched density is bit-identical for any shard and worker
+  // count. No
   // global staging buffer exists; fragments land directly in owning
   // shards. (Under MPI this phase becomes the reduce_scatter seam of
   // parallel/shard_comm.h.)
@@ -858,42 +774,10 @@ void Ls3dfSolver::genpot_sharded(const ShardedFieldR& rho,
 }
 
 FieldR Ls3dfSolver::genpot(const FieldR& rho) const {
-  if (shards_) {
-    ShardState& s = *shards_;
-    s.rho.from_dense(rho);
-    genpot_sharded(s.rho, s.v_scratch);
-    return spmd_ ? gather_dense(s.v_scratch, s.comm)
-                 : s.v_scratch.to_dense();
-  }
-  return effective_potential(vion_, rho, structure_.lattice());
-}
-
-void Ls3dfSolver::gen_vf_sharded(const ShardedFieldR& v) {
-  if (spmd_) {
-    // The field holds one resident slab; pull the off-rank planes owned
-    // fragments straddle into the halo buffer first, then restrict each
-    // owned fragment from (own slab + halo). Plane copies only — the
-    // restricted values are bit-identical to dense extract_into.
-    spmd_fill_halo(v);
-    parallel_for(own_end_ - own_begin_, live_workers_,
-                 [&](int i, int /*worker*/) {
-                   FragmentContext& ctx = *contexts_[own_begin_ + i];
-                   spmd_extract(v, ctx.global_offset, ctx.vf);
-                   ctx.vf += ctx.wall;
-                   ctx.h->set_local_potential(ctx.vf);
-                 });
-    return;
-  }
-  // Fragment boxes straddle shard boundaries, so the restriction gathers
-  // rows from every slab it overlaps (the halo seam); reads only, so the
-  // fragment fan-out runs concurrently against the shared slabs.
-  parallel_for(static_cast<int>(contexts_.size()), live_workers_,
-               [&](int f, int /*worker*/) {
-                 FragmentContext& ctx = *contexts_[f];
-                 v.extract_into(ctx.global_offset, ctx.vf);
-                 ctx.vf += ctx.wall;
-                 ctx.h->set_local_potential(ctx.vf);
-               });
+  ShardState& s = *shards_;
+  s.rho.from_dense(rho);
+  genpot_sharded(s.rho, s.v_scratch);
+  return spmd_ ? gather_dense(s.v_scratch, s.comm) : s.v_scratch.to_dense();
 }
 
 int Ls3dfSolver::fragment_owner(int f) const {
@@ -981,8 +865,8 @@ void Ls3dfSolver::spmd_size_window_lanes() const {
   ShardState::Spmd& sp = *s.spmd;
   const int n = s.comm.n_ranks();
   const int self = s.comm.local_rank();
-  // Size every lane once, then cache raw pointers: the overlapped driver
-  // packs fragments from concurrent pool tasks, and send_box itself is
+  // Size every lane once, then cache raw pointers: the solve chains pack
+  // fragments from concurrent pool tasks, and send_box itself is
   // not concurrency-safe. Pack targets are disjoint geometry-fixed
   // offsets (win_off), so concurrent packs never touch the same bytes.
   for (int dst = 0; dst < n; ++dst)
@@ -1054,28 +938,19 @@ void Ls3dfSolver::spmd_apply_windows() const {
 }
 
 int Ls3dfSolver::active_shards() const {
-  return shards_ ? shards_->comm.n_ranks() : 0;
+  return shards_->comm.n_ranks();
 }
 
 long Ls3dfSolver::shard_allocations() const {
-  return shards_ ? shards_->comm.allocations() : 0;
+  return shards_->comm.allocations();
 }
 
 const char* Ls3dfSolver::shard_transport() const {
-  return shards_ ? shards_->comm.transport().name() : "none";
+  return shards_->comm.transport().name();
 }
 
 Transport* Ls3dfSolver::shard_transport_object() const {
-  return shards_ ? &shards_->comm.transport() : nullptr;
-}
-
-bool Ls3dfSolver::overlap_active() const {
-  // Rank-uniform by construction: under SPMD every rank must take the
-  // same driver (collectives pair up positionally), and batches_.empty()
-  // differs per rank (a rank may own zero fragments) — so the decision
-  // keys on options and the global fragment count only. Outside SPMD
-  // this is equivalent to the old batches_.empty() test.
-  return opt_.overlap && opt_.batch_width > 0 && !contexts_.empty();
+  return &shards_->comm.transport();
 }
 
 bool Ls3dfSolver::fragment_touches_planes(int f, int x_begin,
@@ -1094,7 +969,6 @@ bool Ls3dfSolver::fragment_touches_planes(int f, int x_begin,
 }
 
 std::size_t Ls3dfSolver::shard_rank_footprint(int r) const {
-  if (!shards_) return 0;
   const ShardState& s = *shards_;
   // Double-equivalents held by rank r across the persistent sharded
   // state: real field slabs, the FFT's complex slab/pencil/line scratch,
@@ -1123,8 +997,8 @@ double Ls3dfSolver::fold_fragment_sum(const std::vector<double>& part) const {
   // — worker-count invariant, and under SPMD also rank-count invariant:
   // the allgatherv table concatenates rank blocks in rank order, and
   // contiguous ownership makes that exactly ascending fragment order, so
-  // every rank folds the same values in the same order as the dense
-  // paths do.
+  // every rank folds the same values in the same order as an in-process
+  // run does.
   if (spmd_) {
     ShardComm& comm = shards_->comm;
     const int n = comm.n_ranks();
@@ -1188,7 +1062,6 @@ double Ls3dfSolver::patched_nonlocal_energy() const {
 
 long Ls3dfSolver::workspace_allocations() const {
   long total = 0;
-  for (const auto& ws : workspaces_) total += ws.allocations();
   for (const auto& bw : batch_workspaces_) total += bw->allocations();
   return total;
 }
@@ -1264,10 +1137,10 @@ std::uint64_t Ls3dfSolver::state_fingerprint() const {
   }
   // Every option that shapes the numerical trajectory. Deliberately
   // absent: max_iterations (resuming with a higher cap is the point),
-  // n_workers, batch_width, transport, overlap, donate, lane_allowance,
-  // trace, progress, on_batch_solve and the checkpoint settings
-  // themselves — all bit-invariant execution knobs, so a resume may run
-  // on a different machine configuration.
+  // n_workers, batch_width, transport, lane_allowance, trace, progress,
+  // on_batch_solve and the checkpoint settings themselves — all
+  // bit-invariant execution knobs, so a resume may run on a different
+  // machine configuration.
   fp.mix_i64(opt_.division.x);
   fp.mix_i64(opt_.division.y);
   fp.mix_i64(opt_.division.z);
@@ -1290,14 +1163,13 @@ std::uint64_t Ls3dfSolver::state_fingerprint() const {
   fp.mix_i64(static_cast<int>(opt_.precision));
   fp.mix_double(opt_.promote_factor);
   // Shard records are per-slab, so the snapshot binds to the clamped
-  // shard count (0 = dense records).
+  // shard count.
   fp.mix_i64(active_shards());
   return fp.value();
 }
 
-void Ls3dfSolver::maybe_write_checkpoint(
-    const Ls3dfResult& result, const FieldR* v_in_dense,
-    const PotentialMixer* mixer_d, const ShardedPotentialMixer* mixer_s) {
+void Ls3dfSolver::maybe_write_checkpoint(const Ls3dfResult& result,
+                                         const ShardedPotentialMixer& mixer) {
   const CheckpointOptions& ck = opt_.checkpoint;
   if (ck.path.empty()) return;
   const int every = std::max(1, ck.every);
@@ -1316,8 +1188,7 @@ void Ls3dfSolver::maybe_write_checkpoint(
     w = std::make_unique<SnapshotWriter>(ck.path, state_fingerprint(),
                                          ck.fault);
 
-  const std::size_t depth =
-      shards_ ? mixer_s->v_history().size() : mixer_d->v_history().size();
+  const std::size_t depth = mixer.v_history().size();
   const std::uint64_t meta[8] = {
       static_cast<std::uint64_t>(result.iterations),
       result.converged ? 1u : 0u,
@@ -1375,25 +1246,14 @@ void Ls3dfSolver::maybe_write_checkpoint(
     w->add_f64("occ/" + std::to_string(f), ctx.occ.data(), ctx.occ.size());
   }
 
-  if (shards_) {
-    ShardState& s = *shards_;
-    write_sharded_field(w.get(), "v_in", s.v_in, s.comm);
-    write_sharded_field(w.get(), "rho", s.rho, s.comm);
-    for (std::size_t i = 0; i < depth; ++i) {
-      write_sharded_field(w.get(), "mixer/v" + std::to_string(i),
-                          mixer_s->v_history()[i], s.comm);
-      write_sharded_field(w.get(), "mixer/r" + std::to_string(i),
-                          mixer_s->r_history()[i], s.comm);
-    }
-  } else {
-    write_dense_field(*w, "v_in", *v_in_dense);
-    write_dense_field(*w, "rho", result.rho);
-    for (std::size_t i = 0; i < depth; ++i) {
-      write_dense_field(*w, "mixer/v" + std::to_string(i),
-                        mixer_d->v_history()[i]);
-      write_dense_field(*w, "mixer/r" + std::to_string(i),
-                        mixer_d->r_history()[i]);
-    }
+  ShardState& s = *shards_;
+  write_sharded_field(w.get(), "v_in", s.v_in, s.comm);
+  write_sharded_field(w.get(), "rho", s.rho, s.comm);
+  for (std::size_t i = 0; i < depth; ++i) {
+    write_sharded_field(w.get(), "mixer/v" + std::to_string(i),
+                        mixer.v_history()[i], s.comm);
+    write_sharded_field(w.get(), "mixer/r" + std::to_string(i),
+                        mixer.r_history()[i], s.comm);
   }
   if (w) {
     w->commit();
@@ -1453,31 +1313,17 @@ void Ls3dfSolver::load_resume(const SnapshotReader& r) {
     r.read_f64("occ/" + std::to_string(f), ctx.occ.data(), ctx.occ.size());
   }
 
-  if (shards_) {
-    ShardState& s = *shards_;
-    read_sharded_field(r, "v_in", s.v_in);
-    read_sharded_field(r, "rho", s.rho);
-    const int n = s.comm.n_ranks();
-    for (std::size_t i = 0; i < depth; ++i) {
-      ShardedFieldR v(global_grid_, n, s.comm.local_rank()),
-          res(global_grid_, n, s.comm.local_rank());
-      read_sharded_field(r, "mixer/v" + std::to_string(i), v);
-      read_sharded_field(r, "mixer/r" + std::to_string(i), res);
-      rs->mix_v_s.push_back(std::move(v));
-      rs->mix_r_s.push_back(std::move(res));
-    }
-  } else {
-    rs->v_in = FieldR(global_grid_);
-    rs->rho = FieldR(global_grid_);
-    read_dense_field(r, "v_in", rs->v_in);
-    read_dense_field(r, "rho", rs->rho);
-    for (std::size_t i = 0; i < depth; ++i) {
-      FieldR v(global_grid_), res(global_grid_);
-      read_dense_field(r, "mixer/v" + std::to_string(i), v);
-      read_dense_field(r, "mixer/r" + std::to_string(i), res);
-      rs->mix_v.push_back(std::move(v));
-      rs->mix_r.push_back(std::move(res));
-    }
+  ShardState& s = *shards_;
+  read_sharded_field(r, "v_in", s.v_in);
+  read_sharded_field(r, "rho", s.rho);
+  const int n = s.comm.n_ranks();
+  for (std::size_t i = 0; i < depth; ++i) {
+    ShardedFieldR v(global_grid_, n, s.comm.local_rank()),
+        res(global_grid_, n, s.comm.local_rank());
+    read_sharded_field(r, "mixer/v" + std::to_string(i), v);
+    read_sharded_field(r, "mixer/r" + std::to_string(i), res);
+    rs->mix_v.push_back(std::move(v));
+    rs->mix_r.push_back(std::move(res));
   }
 
   // The precision-policy latches travel with the trajectory: the policy
@@ -1503,15 +1349,7 @@ Ls3dfResult Ls3dfSolver::resume(const std::string& snapshot_path) {
     result.converged = true;
     result.conv_history = std::move(resume_->conv_history);
     result.charge_patch_error = resume_->charge_patch_error;
-    if (shards_) {
-      result.v_eff = spmd_ ? gather_dense(shards_->v_in, shards_->comm)
-                           : shards_->v_in.to_dense();
-      result.rho = spmd_ ? gather_dense(shards_->rho, shards_->comm)
-                         : shards_->rho.to_dense();
-    } else {
-      result.v_eff = std::move(resume_->v_in);
-      result.rho = std::move(resume_->rho);
-    }
+    gather_result_fields(result);
     resume_.reset();
     if (opt_.compute_energy) compute_patched_energy(result);
     finalize_observability(result);
@@ -1519,16 +1357,14 @@ Ls3dfResult Ls3dfSolver::resume(const std::string& snapshot_path) {
     return result;
   }
 
-  if (overlap_active()) return solve_overlap();
-  return shards_ ? solve_sharded() : solve_dense();
+  return solve_overlap();
 }
 
 Ls3dfResult Ls3dfSolver::solve() {
   ObsContextScope obs_scope(obs_ctx());
   fp64_promoted_ = false;  // re-arm the kMixed promotion latch
   resume_.reset();         // a plain solve never consumes stale resume state
-  if (overlap_active()) return solve_overlap();
-  return shards_ ? solve_sharded() : solve_dense();
+  return solve_overlap();
 }
 
 // The observability context this solver installs around every entry
@@ -1545,7 +1381,7 @@ ObsContext Ls3dfSolver::obs_ctx() const {
   return ctx;
 }
 
-// Per-outer-iteration bookkeeping shared by all three drivers: metric
+// Per-outer-iteration bookkeeping of the solve loop: metric
 // series, iteration counters, and the user progress callback. The band
 // energy is the RANK-LOCAL signed partial sum over owned fragments
 // (sum_f sign_F * sum_b occ_b * eps_b) — deliberately communication-
@@ -1606,8 +1442,9 @@ void Ls3dfSolver::record_iteration(const Ls3dfResult& result, double l1,
   }
 }
 
-// End-of-solve gauges + the result's metrics snapshot. Called by every
-// driver (and the resume short-circuit) just before the result returns.
+// End-of-solve gauges + the result's metrics snapshot. Called by the
+// solve loop (and the resume short-circuit) just before the result
+// returns.
 void Ls3dfSolver::finalize_observability(Ls3dfResult& result) {
   metrics_.set("solver.donated_lane_events",
                static_cast<double>(donated_lane_events()));
@@ -1615,229 +1452,38 @@ void Ls3dfSolver::finalize_observability(Ls3dfResult& result) {
   metrics_.set("solver.fp64_promoted", fp64_promoted_ ? 1.0 : 0.0);
   metrics_.set("fft.thread_plan_count",
                static_cast<double>(plan_cache_.thread_plan_count()));
-  if (shards_) {
-    Transport& t = shards_->comm.transport();
-    metrics_.set("transport.respawn_events",
-                 static_cast<double>(t.respawn_events()));
-    metrics_.set("transport.allocations",
-                 static_cast<double>(t.allocations()));
-  }
+  Transport& t = shards_->comm.transport();
+  metrics_.set("transport.respawn_events",
+               static_cast<double>(t.respawn_events()));
+  metrics_.set("transport.allocations", static_cast<double>(t.allocations()));
   result.metrics = metrics_.snapshot();
 }
 
-Ls3dfResult Ls3dfSolver::solve_dense() {
-  const Lattice& lat = structure_.lattice();
-  const double point_vol =
-      lat.volume() / static_cast<double>(vion_.size());
-  const double n_electrons = structure_.num_electrons();
-
-  Ls3dfResult result;
-  FieldR v_in;
-  PotentialMixer mixer(opt_.mixer, opt_.mix_alpha, lat, global_grid_);
-  int iter0 = 0;
-  if (resume_) {
-    // Continue where the snapshot left off: the restored V_in is the
-    // next iteration's input and the DIIS stack already contains the
-    // checkpointed iteration's update.
-    iter0 = resume_->iterations;
-    result.iterations = iter0;
-    result.conv_history = std::move(resume_->conv_history);
-    result.charge_patch_error = resume_->charge_patch_error;
-    result.rho = std::move(resume_->rho);
-    v_in = std::move(resume_->v_in);
-    mixer.restore_history(std::move(resume_->mix_v),
-                          std::move(resume_->mix_r));
-    resume_.reset();
-  } else {
-    FieldR rho0 = build_initial_density(structure_, global_grid_);
-    v_in = genpot(rho0);
-  }
-
-  for (int iter = iter0; iter < opt_.max_iterations; ++iter) {
-    result.iterations = iter + 1;
-    update_precision_policy(result.conv_history);
-    refresh_live_lanes();
-    Timer iter_timer;
-    const std::map<std::string, double> prof0 = profile_.totals();
-    double l1 = 0;
-    {
-      TraceSpan iter_span("iter", TraceCat::kSolver,
-                          static_cast<std::uint64_t>(iter + 1));
-      {
-        ScopedPhase sp(profile_, "Gen_VF");
-        TraceSpan ts("Gen_VF", TraceCat::kPhase);
-        gen_vf(v_in);
-      }
-      {
-        ScopedPhase sp(profile_, "PEtot_F");
-        TraceSpan ts("PEtot_F", TraceCat::kPhase);
-        petot_f();
-      }
-      FieldR rho;
-      {
-        ScopedPhase sp(profile_, "Gen_dens");
-        TraceSpan ts("Gen_dens", TraceCat::kPhase);
-        rho = gen_dens();
-        // Normalize the patched charge to the exact electron count (the
-        // patching cancellation leaves a small residual). Plane-blocked
-        // sum: the deterministic reduction shared with the sharded path.
-        const double total = plane_sum(rho) * point_vol;
-        result.charge_patch_error = std::abs(total - n_electrons);
-        if (total > 0) rho *= n_electrons / total;
-      }
-      FieldR v_out;
-      {
-        ScopedPhase sp(profile_, "GENPOT");
-        TraceSpan ts("GENPOT", TraceCat::kPhase);
-        v_out = genpot(rho);
-      }
-      l1 = plane_l1(v_out, v_in) * point_vol;
-      result.conv_history.push_back(l1);
-      result.rho = std::move(rho);
-      // Never latch convergence from an fp32 iteration: the residual must
-      // be confirmed by the fp64 solver (the policy switches to fp64 next
-      // iteration once l1 is this small).
-      if (l1 < opt_.l1_tol && !use_fp32_iter_) {
-        result.converged = true;
-        result.v_eff = v_in;
-      } else {
-        TraceSpan ts("Mix", TraceCat::kPhase);
-        v_in = mixer.mix(v_in, v_out);
-      }
-      // The end-of-iteration sequence point: V_in now carries the next
-      // iteration's input (or the converged potential) and the mixer
-      // holds this iteration's DIIS update.
-      maybe_write_checkpoint(result, &v_in, &mixer, nullptr);
-    }
-    record_iteration(result, l1, iter_timer.seconds(), use_fp32_iter_,
-                     prof0);
-    if (result.converged) break;
-  }
-  if (!result.converged) result.v_eff = v_in;
-
-  if (opt_.compute_energy) compute_patched_energy(result);
-  finalize_observability(result);
-  result.profile = profile_;
-  return result;
-}
-
-// The sharded driver: the same loop with every global field living as
-// x-slabs — no step of the pipeline materializes the full grid; the
-// dense result fields are gathered once, after the loop. Bit-identical
-// to solve_dense() for any shard and worker count: the FFT matches by
-// construction (fft/dist_fft3d.h), pointwise layers trivially, and all
-// scalar reductions are plane-blocked in both drivers.
-Ls3dfResult Ls3dfSolver::solve_sharded() {
+// Dense result boundary: V_in (the converged, or last mixed, potential)
+// and the latest patched density, gathered once after the loop.
+void Ls3dfSolver::gather_result_fields(Ls3dfResult& result) const {
   ShardState& s = *shards_;
-  const Lattice& lat = structure_.lattice();
-  const double point_vol =
-      lat.volume() / static_cast<double>(vion_.size());
-  const double n_electrons = structure_.num_electrons();
-
-  Ls3dfResult result;
-  ShardedFieldR& v_in = s.v_in;
-  ShardedFieldR& v_out = s.v_out;
-  ShardedPotentialMixer mixer(opt_.mixer, opt_.mix_alpha, lat, s.fft);
-  int iter0 = 0;
-  if (resume_) {
-    // V_in and rho restored straight into the shard slabs by
-    // load_resume; only the DIIS stack and scalars travel here.
-    iter0 = resume_->iterations;
-    result.iterations = iter0;
-    result.conv_history = std::move(resume_->conv_history);
-    result.charge_patch_error = resume_->charge_patch_error;
-    mixer.restore_history(std::move(resume_->mix_v_s),
-                          std::move(resume_->mix_r_s));
-    resume_.reset();
-  } else {
-    // The initial guess is built slab-locally (G-space pencils through
-    // the distributed inverse FFT, pseudo/pseudopotential.h) — with it,
-    // no step of the sharded pipeline materializes the dense grid:
-    // from_dense appears only at the user-density and result boundaries
-    // of the public API, and shard_rank_footprint() probes the ~global/N
-    // contract.
-    build_initial_density_sharded(structure_, s.fft, s.comm, s.rho);
-    genpot_sharded(s.rho, v_in);
-  }
-
-  for (int iter = iter0; iter < opt_.max_iterations; ++iter) {
-    result.iterations = iter + 1;
-    update_precision_policy(result.conv_history);
-    refresh_live_lanes();
-    Timer iter_timer;
-    const std::map<std::string, double> prof0 = profile_.totals();
-    double l1 = 0;
-    {
-      TraceSpan iter_span("iter", TraceCat::kSolver,
-                          static_cast<std::uint64_t>(iter + 1));
-      {
-        ScopedPhase sp(profile_, "Gen_VF");
-        TraceSpan ts("Gen_VF", TraceCat::kPhase);
-        gen_vf_sharded(v_in);
-      }
-      {
-        ScopedPhase sp(profile_, "PEtot_F");
-        TraceSpan ts("PEtot_F", TraceCat::kPhase);
-        petot_f();
-      }
-      {
-        ScopedPhase sp(profile_, "Gen_dens");
-        TraceSpan ts("Gen_dens", TraceCat::kPhase);
-        gen_dens_sharded();
-        const double total = plane_sum(s.rho, s.comm) * point_vol;
-        result.charge_patch_error = std::abs(total - n_electrons);
-        if (total > 0) {
-          const double scale = n_electrons / total;
-          s.comm.each_rank([&](int r) { s.rho.slab(r) *= scale; });
-        }
-      }
-      {
-        ScopedPhase sp(profile_, "GENPOT");
-        TraceSpan ts("GENPOT", TraceCat::kPhase);
-        genpot_sharded(s.rho, v_out);
-      }
-      l1 = plane_l1(v_out, v_in, s.comm) * point_vol;
-      result.conv_history.push_back(l1);
-      // As in solve_dense: convergence only latches from an fp64
-      // iteration.
-      if (l1 < opt_.l1_tol && !use_fp32_iter_) {
-        result.converged = true;
-      } else {
-        TraceSpan ts("Mix", TraceCat::kPhase);
-        v_in = mixer.mix(v_in, v_out);
-      }
-      maybe_write_checkpoint(result, nullptr, nullptr, &mixer);
-    }
-    record_iteration(result, l1, iter_timer.seconds(), use_fp32_iter_,
-                     prof0);
-    if (result.converged) break;
-  }
-  result.v_eff =
-      spmd_ ? gather_dense(v_in, s.comm) : v_in.to_dense();
+  result.v_eff = spmd_ ? gather_dense(s.v_in, s.comm) : s.v_in.to_dense();
   if (result.iterations > 0)
     result.rho = spmd_ ? gather_dense(s.rho, s.comm) : s.rho.to_dense();
-
-  if (opt_.compute_energy) compute_patched_energy(result);
-  finalize_observability(result);
-  result.profile = profile_;
-  return result;
 }
 
-// The barrier-free driver (see the architecture block in ls3df.h): each
-// outer iteration is one TaskGraph of per-batch restrict -> solve ->
+// The solve loop (see the architecture block in ls3df.h): each outer
+// iteration is one TaskGraph of per-batch restrict -> solve ->
 // ordered-patch-commit chains, followed by the normalization, GENPOT and
-// mixing nodes. Determinism: per destination slab, patch commits form a
-// dependency chain in ascending fragment order, so every grid point
-// accumulates its signed contributions in exactly the phased path's
-// fragment order regardless of solve completion order — which is what
-// makes the overlapped solve bit-identical to solve_dense() /
-// solve_sharded() for any batch width, worker count, shard count and
-// transport. The charge-normalization scalar is the one surviving
-// global sequence point: it needs every slab's plane partials, so the
-// GENPOT transpose pipeline starts only after the last patch commits
-// (the per-rank partial-sum nodes, armed per slab, are what overlaps the
-// solve tail across the GENPOT seam).
+// mixing nodes, with every global field on shard slabs. Determinism: per
+// destination slab, patch commits form a dependency chain in ascending
+// fragment order, so every grid point accumulates its signed
+// contributions in exactly fragment order regardless of solve completion
+// order — which is what makes the result bit-identical for any batch
+// width, worker count, shard count and transport. The
+// charge-normalization scalar is the one surviving global sequence
+// point: it needs every slab's plane partials, so the GENPOT transpose
+// pipeline starts only after the last patch commits (the per-rank
+// partial-sum nodes, armed per slab, are what overlaps the solve tail
+// across the GENPOT seam).
 Ls3dfResult Ls3dfSolver::solve_overlap() {
+  ShardState& sh = *shards_;
   const Lattice& lat = structure_.lattice();
   const double point_vol =
       lat.volume() / static_cast<double>(vion_.size());
@@ -1845,88 +1491,42 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
   const int p = opt_.points_per_cell;
   const int n_frag = static_cast<int>(contexts_.size());
   const int n_batches = static_cast<int>(batches_.size());
-  ShardState* sh = shards_.get();
 
   Ls3dfResult result;
   result.chain_times.assign(n_batches, {});
 
-  // Backend state, initialized exactly like the phased drivers.
-  FieldR v_in_d, v_out_d, rho_d;
-  std::unique_ptr<PotentialMixer> mixer_d;
-  std::unique_ptr<ShardedPotentialMixer> mixer_s;
-  if (sh) {
-    if (!resume_) {
-      build_initial_density_sharded(structure_, sh->fft, sh->comm, sh->rho);
-      genpot_sharded(sh->rho, sh->v_in);
-    }
-    mixer_s = std::make_unique<ShardedPotentialMixer>(
-        opt_.mixer, opt_.mix_alpha, lat, sh->fft);
-    if (resume_)
-      mixer_s->restore_history(std::move(resume_->mix_v_s),
-                               std::move(resume_->mix_r_s));
-  } else {
-    if (resume_) {
-      v_in_d = std::move(resume_->v_in);
-      result.rho = std::move(resume_->rho);
-    } else {
-      FieldR rho0 = build_initial_density(structure_, global_grid_);
-      v_in_d = genpot(rho0);
-    }
-    mixer_d = std::make_unique<PotentialMixer>(opt_.mixer, opt_.mix_alpha,
-                                               lat, global_grid_);
-    if (resume_)
-      mixer_d->restore_history(std::move(resume_->mix_v),
-                               std::move(resume_->mix_r));
-  }
+  // Initial state: the slab-local guess (G-space pencils through the
+  // distributed inverse FFT, pseudo/pseudopotential.h) and its GENPOT, or
+  // a snapshot — V_in and rho were restored straight into the slabs by
+  // load_resume; the DIIS stack and scalars travel in resume_.
+  ShardedPotentialMixer mixer(opt_.mixer, opt_.mix_alpha, lat, sh.fft);
   int iter0 = 0;
   if (resume_) {
     iter0 = resume_->iterations;
     result.iterations = iter0;
     result.conv_history = std::move(resume_->conv_history);
     result.charge_patch_error = resume_->charge_patch_error;
+    mixer.restore_history(std::move(resume_->mix_v),
+                          std::move(resume_->mix_r));
     resume_.reset();
+  } else {
+    build_initial_density_sharded(structure_, sh.fft, sh.comm, sh.rho);
+    genpot_sharded(sh.rho, sh.v_in);
   }
 
   prepare_batch_workspaces();
   executed_group_of_.assign(n_frag, -1);
   const std::vector<double> analytic = analytic_costs();
-  // Graph topology (slab split, chain shape) and the donate-off inner
-  // width are fixed at entry from the live allowance; per-iteration
-  // liveness flows through the LaneBudget reset below (and, with donate
-  // on, the kernels' per-sweep allowance re-reads).
-  refresh_live_lanes();
-  const int inner = std::max(
-      1, live_workers_ / std::max(1, std::min(n_batches, live_workers_)));
 
   std::vector<int> batch_of(n_frag, -1);
   for (int b = 0; b < n_batches; ++b)
     for (int f : batches_[b].members) batch_of[f] = b;
 
-  // Destination slabs of the ordered commit chains: shard-owned slabs on
-  // the sharded path (rank >= 0), the phased Gen_dens split otherwise.
-  struct Slab {
-    int x0, x1, rank;
-  };
-  std::vector<Slab> slabs;
-  if (sh) {
-    for (int r = 0; r < sh->comm.n_ranks(); ++r)
-      slabs.push_back({sh->rho.x0(r), sh->rho.x1(r), r});
-  } else {
-    const int nx = global_grid_.x;
-    const int ns = std::max(1, std::min(live_workers_, nx));
-    for (int t = 0; t < ns; ++t)
-      slabs.push_back({static_cast<int>(static_cast<long>(nx) * t / ns),
-                       static_cast<int>(static_cast<long>(nx) * (t + 1) / ns),
-                       -1});
-  }
-  const int n_slabs = static_cast<int>(slabs.size());
-
-  // Per-plane charge partials (sharded normalization): rank r's sum node
-  // fills planes [x0(r), x1(r)) the moment its slab is fully patched;
-  // the normalize node combines them in plane order — the plane_sum
-  // arithmetic, split at the slab boundary so the partials overlap the
-  // solve tail.
-  std::vector<double> plane_partials(sh ? global_grid_.x : 0, 0.0);
+  // Per-plane charge partials: rank r's sum node fills planes
+  // [x0(r), x1(r)) the moment its slab is fully patched; the normalize
+  // node combines them in plane order — the plane_sum arithmetic, split
+  // at the slab boundary so the partials overlap the solve tail.
+  std::vector<double> plane_partials(global_grid_.x, 0.0);
 
   enum Phase { kGenVf = 0, kPetot, kGenDens, kGenpot, kMix, kNumPhases };
   static const char* const kPhaseName[kNumPhases] = {
@@ -1958,32 +1558,31 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
   // single spine halo -> exch -> apply -> norm -> hartree -> mix, so all
   // ranks execute the identical collective sequence.
   int halo_node = -1;
-  if (sh && spmd_) {
-    halo_node = tag(g.add([this, sh]() {
-                      spmd_fill_halo(sh->v_in);
+  if (spmd_) {
+    halo_node = tag(g.add([this, &sh]() {
+                      spmd_fill_halo(sh.v_in);
                       spmd_size_window_lanes();
                     }),
                     kGenVf, -1);
   }
 
-  // restrict -> solve chain heads.
+  // restrict -> solve chain heads. Fragment boxes straddle slab
+  // boundaries, so the restriction gathers rows from every slab it
+  // overlaps (reads only); under SPMD from the own slab + halo.
   std::vector<int> solve_node(n_batches, -1);
   for (int b = 0; b < n_batches; ++b) {
     std::vector<int> rdeps;
     if (halo_node >= 0) rdeps.push_back(halo_node);
     const int rb = tag(g.add(
-                           [this, b, sh, &v_in_d]() {
+                           [this, b, &sh]() {
                              for (int f : batches_[b].members) {
                                FragmentContext& ctx = *contexts_[f];
-                               if (sh && spmd_)
-                                 spmd_extract(sh->v_in, ctx.global_offset,
+                               if (spmd_)
+                                 spmd_extract(sh.v_in, ctx.global_offset,
                                               ctx.vf);
-                               else if (sh)
-                                 sh->v_in.extract_into(ctx.global_offset,
-                                                       ctx.vf);
                                else
-                                 v_in_d.extract_into(ctx.global_offset,
-                                                     ctx.vf);
+                                 sh.v_in.extract_into(ctx.global_offset,
+                                                      ctx.vf);
                                ctx.vf += ctx.wall;
                                ctx.h->set_local_potential(ctx.vf);
                              }
@@ -1991,19 +1590,19 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
                            rdeps),
                        kGenVf, b);
     solve_node[b] =
-        tag(g.add([this, b, inner, &analytic]() {
-              solve_batch(b, b, inner, analytic);
+        tag(g.add([this, b, &analytic]() {
+              solve_batch(b, b, analytic);
               // Chain b's solve retired: donate its inner lanes to the
               // still-running chains (holders are batches here, not LPT
               // groups — the patch tail is cheap and lane-free).
-              if (opt_.donate) lane_budget_.retire(b);
+              lane_budget_.retire(b);
             },
                   {rb}),
             kPetot, b);
   }
 
   int norm = -1;
-  if (sh && spmd_) {
+  if (spmd_) {
     // Rank-local Gen_dens: per batch, one pack node writes its members'
     // raw windows at geometry-fixed lane offsets as the solves retire
     // (concurrently safe — disjoint ranges of lanes sized by the halo
@@ -2023,41 +1622,43 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
     std::vector<int> edeps = packs;
     edeps.push_back(halo_node);  // lanes sized there (zero-owned ranks)
     const int exch =
-        tag(g.add([sh]() { sh->comm.transport().alltoallv(); }, edeps),
+        tag(g.add([&sh]() { sh.comm.transport().alltoallv(); }, edeps),
             kGenDens, -1);
     const int apply =
         tag(g.add([this]() { spmd_apply_windows(); }, {exch}), kGenDens,
             -1);
     norm = tag(g.add(
-                   [this, sh, point_vol, n_electrons, &result]() {
+                   [&sh, point_vol, n_electrons, &result]() {
                      const double total =
-                         plane_sum(sh->rho, sh->comm) * point_vol;
+                         plane_sum(sh.rho, sh.comm) * point_vol;
                      result.charge_patch_error =
                          std::abs(total - n_electrons);
                      if (total > 0) {
                        const double scale = n_electrons / total;
-                       sh->comm.each_rank(
-                           [&](int r) { sh->rho.slab(r) *= scale; });
+                       sh.comm.each_rank(
+                           [&](int r) { sh.rho.slab(r) *= scale; });
                      }
                    },
                    {apply}),
                kGenDens, -1);
   } else {
-    // Ordered patch commits: per slab, one node per touching fragment,
-    // chained in ascending fragment order (the determinism rule). The
-    // solve edge is per fragment, so a slab whose owed batches finished
-    // early commits while other chains still solve.
-    std::vector<int> chain_tail;  // per-slab last commit (or zero) node
-    for (int si = 0; si < n_slabs; ++si) {
-      const Slab sl = slabs[si];
+    // Ordered patch commits: per shard slab, one node per touching
+    // fragment, chained in ascending fragment order (the determinism
+    // rule); the first commit zeroes the slab. The solve edge is per
+    // fragment, so a slab whose owed batches finished early commits
+    // while other chains still solve. A per-rank plane-partials node
+    // follows each slab's last commit.
+    std::vector<int> norm_deps;
+    for (int r = 0; r < sh.comm.n_ranks(); ++r) {
+      const int x0 = sh.rho.x0(r), x1 = sh.rho.x1(r);
       int prev = -1;
       for (int f = 0; f < n_frag; ++f) {
-        if (!fragment_touches_planes(f, sl.x0, sl.x1)) continue;
+        if (!fragment_touches_planes(f, x0, x1)) continue;
         std::vector<int> deps{solve_node[batch_of[f]]};
         if (prev >= 0) deps.push_back(prev);
-        const bool zero_first = prev < 0 && sh != nullptr;
+        const bool zero_first = prev < 0;
         prev = tag(g.add(
-                       [this, sh, sl, f, p, zero_first, &rho_d]() {
+                       [this, &sh, r, f, p, zero_first]() {
                          FragmentContext& ctx = *contexts_[f];
                          const Vec3i corner{ctx.frag.corner.x * p,
                                             ctx.frag.corner.y * p,
@@ -2065,134 +1666,95 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
                          const Vec3i region{ctx.frag.size.x * p,
                                             ctx.frag.size.y * p,
                                             ctx.frag.size.z * p};
-                         const double w =
-                             static_cast<double>(ctx.frag.sign);
-                         if (sh) {
-                           if (zero_first) sh->rho.slab(sl.rank).fill(0.0);
-                           sh->rho.accumulate_window_shard(
-                               sl.rank, corner, ctx.rho, ctx.buffer, region,
-                               w);
-                         } else {
-                           rho_d.accumulate_window_slab(corner, ctx.rho,
-                                                        ctx.buffer, region,
-                                                        w, sl.x0, sl.x1);
-                         }
+                         if (zero_first) sh.rho.slab(r).fill(0.0);
+                         sh.rho.accumulate_window_shard(
+                             r, corner, ctx.rho, ctx.buffer, region,
+                             static_cast<double>(ctx.frag.sign));
                        },
                        deps),
                    kGenDens, batch_of[f]);
       }
-      if (prev < 0 && sh) {
+      if (prev < 0) {
         // No fragment window touches this slab (cannot happen for a
         // covering decomposition, but keep the zero): clear it anyway.
-        prev = tag(g.add([sh, sl]() { sh->rho.slab(sl.rank).fill(0.0); }),
+        prev = tag(g.add([&sh, r]() { sh.rho.slab(r).fill(0.0); }),
                    kGenDens, -1);
       }
-      if (prev >= 0) chain_tail.push_back(prev);
-    }
-
-    // Per-rank plane partials, armed as each slab finishes patching.
-    std::vector<int> norm_deps;
-    if (sh) {
-      for (int si = 0; si < n_slabs; ++si) {
-        const Slab sl = slabs[si];
-        norm_deps.push_back(
-            tag(g.add([this, sh, sl, &plane_partials]() {
-                  const FieldR& slab = sh->rho.slab(sl.rank);
-                  const std::size_t plane =
-                      static_cast<std::size_t>(global_grid_.y) *
-                      global_grid_.z;
-                  for (int lx = 0; lx < sl.x1 - sl.x0; ++lx) {
-                    const double* base =
-                        slab.data() + static_cast<std::size_t>(lx) * plane;
-                    double acc = 0;
-                    for (std::size_t i = 0; i < plane; ++i) acc += base[i];
-                    plane_partials[sl.x0 + lx] = acc;
-                  }
-                },
-                      {chain_tail[si]}),
-                kGenDens, -1));
-      }
-    } else {
-      norm_deps = chain_tail;
+      norm_deps.push_back(
+          tag(g.add([this, &sh, r, x0, x1, &plane_partials]() {
+                const FieldR& slab = sh.rho.slab(r);
+                const std::size_t plane =
+                    static_cast<std::size_t>(global_grid_.y) *
+                    global_grid_.z;
+                for (int lx = 0; lx < x1 - x0; ++lx) {
+                  const double* base =
+                      slab.data() + static_cast<std::size_t>(lx) * plane;
+                  double acc = 0;
+                  for (std::size_t i = 0; i < plane; ++i) acc += base[i];
+                  plane_partials[x0 + lx] = acc;
+                }
+              },
+                    {prev}),
+              kGenDens, -1));
     }
 
     // Normalize: the global sequence point (needs every slab's planes).
-    norm = tag(
-        g.add(
-            [this, sh, point_vol, n_electrons, &plane_partials, &rho_d,
-             &result]() {
-              double total;
-              if (sh) {
-                double acc = 0;
-                for (int ix = 0; ix < global_grid_.x; ++ix)
-                  acc += plane_partials[ix];
-                total = acc * point_vol;
-              } else {
-                total = plane_sum(rho_d) * point_vol;
-              }
-              result.charge_patch_error = std::abs(total - n_electrons);
-              if (total > 0) {
-                const double scale = n_electrons / total;
-                if (sh)
-                  sh->comm.each_rank(
-                      [&](int r) { sh->rho.slab(r) *= scale; });
-                else
-                  rho_d *= scale;
-              }
-            },
-            norm_deps),
-        kGenDens, -1);
+    norm = tag(g.add(
+                   [this, &sh, point_vol, n_electrons, &plane_partials,
+                    &result]() {
+                     double acc = 0;
+                     for (int ix = 0; ix < global_grid_.x; ++ix)
+                       acc += plane_partials[ix];
+                     const double total = acc * point_vol;
+                     result.charge_patch_error =
+                         std::abs(total - n_electrons);
+                     if (total > 0) {
+                       const double scale = n_electrons / total;
+                       sh.comm.each_rank(
+                           [&](int r) { sh.rho.slab(r) *= scale; });
+                     }
+                   },
+                   norm_deps),
+               kGenDens, -1);
   }
 
-  // GENPOT over ShardComm's phased collectives (forward + Coulomb
-  // kernel + inverse, then the slab-local xc assembly), or the dense
-  // assembly in one node.
-  int genpot_done;
-  if (sh) {
-    const int hart = tag(g.add(
-                             [this, sh, &lat]() {
-                               // Drop transpose time accumulated by the
-                               // mixer since the last genpot so the
-                               // sample below is exactly this call's
-                               // all-to-all cost.
-                               sh->fft.take_transpose_seconds();
-                               sharded_hartree(sh->fft, sh->rho, lat,
-                                               sh->vh);
-                             },
-                             {norm}),
-                         kGenpot, -1);
-    genpot_done = tag(g.add(
-                          [this, sh]() {
-                            sharded_assemble_potential(
-                                sh->vion, sh->rho, sh->vh, sh->vxc,
-                                sh->v_out, sh->comm);
-                            profile_.add("GENPOT.transpose",
-                                         sh->fft.take_transpose_seconds());
-                          },
-                          {hart}),
-                      kGenpot, -1);
-  } else {
-    genpot_done = tag(
-        g.add([this, &v_out_d, &rho_d]() { v_out_d = genpot(rho_d); },
-              {norm}),
-        kGenpot, -1);
-  }
+  // GENPOT over ShardComm's phased collectives: forward transform +
+  // Coulomb kernel + inverse, then the slab-local xc assembly.
+  const int hart = tag(g.add(
+                           [&sh, &lat]() {
+                             // Drop transpose time accumulated by the
+                             // mixer since the last genpot so the sample
+                             // below is exactly this call's all-to-all
+                             // cost.
+                             sh.fft.take_transpose_seconds();
+                             sharded_hartree(sh.fft, sh.rho, lat, sh.vh);
+                           },
+                           {norm}),
+                       kGenpot, -1);
+  const int genpot_done = tag(g.add(
+                                  [this, &sh]() {
+                                    sharded_assemble_potential(
+                                        sh.vion, sh.rho, sh.vh, sh.vxc,
+                                        sh.v_out, sh.comm);
+                                    profile_.add(
+                                        "GENPOT.transpose",
+                                        sh.fft.take_transpose_seconds());
+                                  },
+                                  {hart}),
+                              kGenpot, -1);
 
   // Convergence metric + mixer update: the graph's final node.
   tag(g.add(
-          [this, sh, point_vol, &l1, &converged, &v_in_d, &v_out_d,
-           &mixer_d, &mixer_s, &result]() {
-            l1 = sh ? plane_l1(sh->v_out, sh->v_in, sh->comm) * point_vol
-                    : plane_l1(v_out_d, v_in_d) * point_vol;
+          [this, &sh, point_vol, &l1, &converged, &mixer, &result]() {
+            l1 = plane_l1(sh.v_out, sh.v_in, sh.comm) * point_vol;
             result.conv_history.push_back(l1);
-            // fp32 iterations never latch convergence (solve_dense rule).
-            if (l1 < opt_.l1_tol && !use_fp32_iter_) {
+            // Never latch convergence from an fp32 iteration: the
+            // residual must be confirmed by the fp64 solver (the policy
+            // switches to fp64 next iteration once l1 is this small).
+            if (l1 < opt_.l1_tol && !use_fp32_iter_)
               converged = true;
-            } else if (sh) {
-              sh->v_in = mixer_s->mix(sh->v_in, sh->v_out);
-            } else {
-              v_in_d = mixer_d->mix(v_in_d, v_out_d);
-            }
+            else
+              sh.v_in = mixer.mix(sh.v_in, sh.v_out);
           },
           {genpot_done}),
       kMix, -1);
@@ -2219,24 +1781,21 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
     result.iterations = iter + 1;
     update_precision_policy(result.conv_history);
     // Arm the lane budget for this round from the LIVE width: every
-    // solve chain is a holder, opening at allowance == live / n_batches
-    // (== the fixed `inner` above when no allowance is installed),
+    // solve chain is a holder, opening at allowance == live / n_batches,
     // widening as chains retire — and, across jobs, as other service
     // jobs finish and this one's allowance grows.
     const int live = refresh_live_lanes();
     lane_budget_.reset(live, std::max(1, n_batches));
     Timer iter_timer;
     const std::map<std::string, double> prof0 = profile_.totals();
-    if (!sh) rho_d = FieldR(global_grid_);  // fresh (zeroed) patch target
     std::fill(times.begin(), times.end(), std::make_pair(0.0, -1.0));
     if (opt_.trace) graph_epoch_us = opt_.trace->now_us();
     g.run(shared_pool(), live);
 
-    if (!sh) result.rho = std::move(rho_d);
     if (converged) result.converged = true;
-    // Same sequence point as the phased drivers: the mix node has
-    // already updated V_in (or convergence latched with it unmixed).
-    maybe_write_checkpoint(result, &v_in_d, mixer_d.get(), mixer_s.get());
+    // The end-of-iteration sequence point: the mix node has already
+    // updated V_in (or convergence latched with it unmixed).
+    maybe_write_checkpoint(result, mixer);
     if (opt_.trace)
       opt_.trace->emit("iter", TraceCat::kSolver, graph_epoch_us,
                        opt_.trace->now_us(),
@@ -2276,9 +1835,9 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
     record_iteration(result, l1, wall, use_fp32_iter_, prof0);
 
     // Overlap fraction: how much of the phase windows' combined length
-    // exceeds their union, relative to the iteration wall. Phased
-    // execution has disjoint windows (0); interleaved chains score > 0
-    // even on one core.
+    // exceeds their union, relative to the iteration wall. Back-to-back
+    // phases would score 0; interleaved chains score > 0 even on one
+    // core.
     std::vector<std::pair<double, double>> windows;
     double span_sum = 0;
     for (int ph = 0; ph < kNumPhases; ++ph)
@@ -2303,15 +1862,7 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
 
   if (result.iterations > 0)
     result.overlap_fraction = overlap_sum / result.iterations;
-  if (sh) {
-    result.v_eff =
-        spmd_ ? gather_dense(sh->v_in, sh->comm) : sh->v_in.to_dense();
-    if (result.iterations > 0)
-      result.rho =
-          spmd_ ? gather_dense(sh->rho, sh->comm) : sh->rho.to_dense();
-  } else {
-    result.v_eff = v_in_d;
-  }
+  gather_result_fields(result);
 
   if (opt_.compute_energy) compute_patched_energy(result);
   finalize_observability(result);

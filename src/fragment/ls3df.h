@@ -14,69 +14,70 @@
 // Self-consistency is measured by  int |V_out - V_in| d3r  (Fig. 6).
 //
 // Fragments are independent given V_in, so all four phases run on the
-// persistent execution engine (src/parallel/thread_pool.h): PEtot_F
-// dispatches one task per LPT-scheduled group — the single-node analogue
-// of the paper's processor groups — while Gen_VF fans out per fragment
-// and Gen_dens per global-density slab. With batch_width > 0, PEtot_F's
-// schedulable unit is a *batch* of same-size-class fragments (cost = sum
-// of member costs): each batch runs the lockstep batched eigensolver
-// (dft/eigensolver.h), fusing the members' Hamiltonian applications and
-// subspace GEMMs into strided batched kernels whose internal work grids
-// fan out over the batch's share of the worker lanes. Every batch owns a
-// persistent BatchWorkspace, so the steady state (after the first outer
-// iteration) allocates no fragment workspace memory at all, and results
-// are bit-identical for any batch width and worker count.
+// persistent execution engine (src/parallel/thread_pool.h). PEtot_F's
+// schedulable unit is a *batch* of same-size-class fragments (at most
+// batch_width members, cost = sum of member costs): each batch runs the
+// lockstep batched eigensolver (dft/eigensolver.h), fusing the members'
+// Hamiltonian applications and subspace GEMMs into strided batched
+// kernels whose internal work grids fan out over the batch's share of
+// the worker lanes. Every batch owns a persistent BatchWorkspace, so the
+// steady state (after the first outer iteration) allocates no fragment
+// workspace memory at all, and results are bit-identical for any batch
+// width and worker count.
 //
-// == Barrier-free iteration (Ls3dfOptions::overlap, default on) ==
+// == Global grid on shards ==
 //
-// solve()'s inner iteration is a TaskGraph, not a phase sequence: each
-// fragment batch b becomes a chain
+// The global density, potentials and mixer state always live as x-slabs
+// on a ShardComm (grid/sharded_field.h) — one in-process shard by
+// default, n_shards slabs over the selected transport otherwise. Gen_dens
+// accumulates fragment windows directly into owning shards, and GENPOT is
+// a distributed-transpose pipeline (DistFft3D + per-shard Poisson/xc +
+// shard-local mixing) in which no step materializes the full grid — the
+// single-node analogue of the paper's multi-group machine layout, and the
+// MPI seam for it. Under an SPMD transport (MPI, or the thread-SPMD test
+// transport) each rank holds one slab and owns a contiguous range of
+// fragments. The plane-blocked reductions of grid/sharded_field.h serve
+// the charge normalization, the L1 convergence metric and the Pulay dots,
+// so results are bit-identical for any shard count and transport.
+//
+// == The solve loop: a barrier-free chain DAG ==
+//
+// solve() runs each outer SCF iteration as one TaskGraph, not a phase
+// sequence: each fragment batch b becomes a chain
 //
 //   restrict(b) -> solve(b) -> patch(s, f) for every slab s and member f
 //
 // so the Gen_VF restriction of batch B overlaps the eigensolve of batch
 // A, and Gen_dens patching of finished batches overlaps still-running
-// solves — the LPT tail that idled whole phases becomes overlapped work.
-// Determinism is kept by the *ordered-commit rule*: per destination
+// solves — the LPT tail that would idle whole phases becomes overlapped
+// work. Determinism is kept by the *ordered-commit rule*: per destination
 // slab, patch commits form a dependency chain in ascending fragment
 // order (fragments whose interior window does not touch the slab are
-// skipped — they contribute nothing there), so every grid point still
-// receives its signed contributions in exactly the dense fragment order,
-// whatever order solves finish in. The result is bit-identical to the
-// phased path (opt.overlap = false, kept for A/B) and to the dense
-// reference for any batch width, worker count and shard count.
+// skipped — they contribute nothing there), so every grid point receives
+// its signed contributions in exactly fragment order, whatever order
+// solves finish in. Under SPMD the same order is enforced by the window
+// fold of the rank-local Gen_dens exchange instead.
 //
-// On the sharded path the graph extends across the GENPOT seam: each
-// rank's per-plane charge partials are graph nodes armed the moment that
-// rank's slab has received all owed patches (overlapping tail solves),
-// and GENPOT itself runs as chained nodes over ShardComm's phased
-// collectives (forward transform + Coulomb kernel + inverse, then the
-// slab-local xc assembly). The one surviving global sequence point is
-// the charge normalization scalar: every slab's partials feed one
-// plane-ordered sum whose scale multiplies the density before the
-// forward transform, so the transpose pipeline cannot start before the
-// last patch commits without changing bits. The L1 metric and the mixer
-// update are the graph's final nodes.
+// The graph extends across the GENPOT seam: each rank's per-plane charge
+// partials are graph nodes armed the moment that rank's slab has
+// received all owed patches (overlapping tail solves), and GENPOT itself
+// runs as chained nodes over ShardComm's phased collectives (forward
+// transform + Coulomb kernel + inverse, then the slab-local xc
+// assembly). The one global sequence point is the charge normalization
+// scalar: every slab's partials feed one plane-ordered sum whose scale
+// multiplies the density before the forward transform, so the transpose
+// pipeline cannot start before the last patch commits without changing
+// bits. The L1 metric and the mixer update are the graph's final nodes.
+// Retiring solve chains donate their inner lanes to the still-running
+// ones (parallel/scheduler.h, LaneBudget); every batched kernel is
+// worker-count-invariant, so donation cannot change a bit.
 //
-// Profiling under overlap: phase windows are no longer disjoint, so the
-// four phase keys carry *attributed* per-node busy time (one sample per
-// iteration, summing to the iteration wall on one lane), "Mix" holds the
+// Profiling: phase windows are not disjoint, so the four phase keys
+// carry *attributed* per-node busy time (one sample per iteration,
+// summing to the iteration wall on one lane), "Mix" holds the
 // convergence-metric + mixer tail, "Iter.wall" the measured iteration
 // wall, and Ls3dfResult::overlap_fraction / chain_times report the
 // measured phase-window overlap and the per-chain breakdown.
-//
-// With Ls3dfOptions::n_shards > 0 the *global* grid is sharded too: the
-// density, potentials and mixer state live as x-slabs on a ShardComm
-// (grid/sharded_field.h), Gen_dens accumulates fragment windows directly
-// into owning shards, and GENPOT becomes a distributed-transpose
-// pipeline (DistFft3D + per-shard Poisson/xc + shard-local mixing) in
-// which no step materializes the full grid — the single-node analogue of
-// the paper's multi-group machine layout, and the MPI seam for it. The
-// sharded solve() is bit-identical to the dense path for any shard and
-// worker count; n_shards = 0 keeps the legacy dense pipeline for A/B
-// comparison. Both paths use the plane-blocked reductions of
-// grid/sharded_field.h for the charge normalization, the L1 convergence
-// metric and the Pulay dots, which is what makes the equality exact.
 #pragma once
 
 #include <cstdint>
@@ -114,7 +115,7 @@ class TraceRecorder;   // obs/trace.h
 // is atomic (tmp + rename) and keeps one previous generation as a
 // corruption fallback. Ls3dfSolver::resume() reconstructs the mid-SCF
 // state from a snapshot and continues *bit-identically* to the
-// uninterrupted run, on the dense and sharded paths alike.
+// uninterrupted run, for any shard count and transport.
 struct CheckpointOptions {
   std::string path;  // empty = checkpointing off
   int every = 1;     // snapshot cadence in completed outer iterations
@@ -131,9 +132,9 @@ enum class Precision {
 };
 
 // Per-outer-iteration progress report (Ls3dfOptions::progress), emitted
-// at the end-of-iteration sequence point of every solve driver — the
-// same point that writes checkpoints, after the mixer has produced the
-// next iteration's input. All fields are observations of work already
+// at the end-of-iteration sequence point of the solve loop — the same
+// point that writes checkpoints, after the mixer has produced the next
+// iteration's input. All fields are observations of work already
 // done; the callback cannot perturb the trajectory.
 struct Ls3dfProgress {
   int iteration = 0;     // 1-based completed outer iteration
@@ -146,13 +147,13 @@ struct Ls3dfProgress {
   double band_energy = 0;
   bool fp32 = false;     // this iteration ran the fp32 fast path
   double wall_s = 0;     // measured iteration wall seconds
-  // Per-phase seconds attributed to this iteration (profiler deltas;
-  // under overlap these are the attributed per-node busy sums).
+  // Per-phase seconds attributed to this iteration: profiler deltas of
+  // the attributed per-node busy sums of the iteration's chain DAG.
   double gen_vf_s = 0;
   double petot_s = 0;
   double gen_dens_s = 0;
   double genpot_s = 0;
-  double mix_s = 0;       // overlap driver only; 0 on the phased paths
+  double mix_s = 0;       // L1 metric + mixer update node
   double checkpoint_s = 0;
 };
 
@@ -185,44 +186,36 @@ struct Ls3dfOptions {
 
   std::uint64_t seed = 2718;
   int n_workers = 1;                // threads for PEtot_F
-  // Max fragments per same-size-class batch in PEtot_F. A batch is the
-  // schedulable unit: one fused Hamiltonian application / GEMM sweep
-  // serves all members (bit-identical to per-fragment solves). 0 disables
-  // batching and restores the per-fragment LPT dispatch.
+  // Max fragments per same-size-class batch in PEtot_F (>= 1). A batch
+  // is the schedulable unit: one fused Hamiltonian application / GEMM
+  // sweep serves all members (bit-identical to per-fragment solves);
+  // width 1 solves every fragment on its own.
   int batch_width = 4;
   // x-slab shards for the global grid (density, potentials, mixing,
-  // GENPOT FFT). 0 = legacy dense path (full grid on one node); > 0 is
+  // GENPOT FFT). 0 (default) and 1 both mean one shard — 0 always
+  // in-process, with transport and transport_factory ignored; > 0 is
   // clamped to the global x extent and to the selected transport's rank
-  // ceiling (transport_max_ranks). Results are bit-identical either
-  // way.
+  // ceiling (transport_max_ranks). Results are bit-identical for any
+  // value.
   int n_shards = 0;
   // Exchange backend for the sharded collectives (transport/transport.h):
-  // kInProc (default) keeps today's zero-copy logical ranks; kProc runs
-  // one forked worker process per shard over POSIX shared memory (true
+  // kInProc (default) keeps zero-copy logical ranks; kProc runs one
+  // forked worker process per shard over POSIX shared memory (true
   // multi-process LS3DF on one node, bit-identical to kInProc); kMpi
   // requires LS3DF_WITH_MPI and an SPMD launch. Ignored when n_shards
   // is 0.
   TransportKind transport = TransportKind::kInProc;
   bool compute_energy = true;
-  // Barrier-free inner iteration: run each outer SCF iteration as a
-  // TaskGraph of per-batch restrict -> solve -> patch chains with
-  // ordered slab commits (see the architecture block above). Requires
-  // batching (batch_width > 0) and a non-SPMD transport; otherwise the
-  // phased path runs. false keeps the phased loop for A/B — results are
-  // bit-identical either way.
+  // Retired toggles, accepted only as true (the constructor throws
+  // std::invalid_argument otherwise): the barrier-free chain DAG is the
+  // only solve loop and live lane donation is always on (see the
+  // architecture block above). Neither shapes results, so neither is
+  // part of the state fingerprint or the service's warm-instance key.
   bool overlap = true;
-  // Live inner-lane donation (parallel/scheduler.h, LaneBudget): batched
-  // PEtot_F solves draw their inner-lane width from a live budget shared
-  // by the dispatch round's groups (phased) or solve chains (overlap);
-  // a holder that retires donates its lanes, so tail solves widen
-  // mid-flight instead of grinding at the fixed n_workers / n_groups
-  // split. Every batched kernel is worker-count-invariant, so results
-  // are bit-identical with donation on or off — false keeps the fixed
-  // split for A/B (the equivalence suite draws both).
   bool donate = true;
   // Eigensolver precision policy (see Precision above). kMixed runs the
-  // fp32 fast path only on the batched all-band path (all_band &&
-  // batch_width > 0) and only while the previous iteration's L1 residual
+  // fp32 fast path only on the all-band solver (all_band) and only
+  // while the previous iteration's L1 residual
   // exceeds promote_factor * l1_tol; convergence is never declared from
   // an fp32 iteration, and the fp64 fixed point erases the fp32 rounding
   // history. NOT bit-identical to kDouble — guarded by the trajectory
@@ -241,16 +234,17 @@ struct Ls3dfOptions {
   // of the PEtot_F cost lives anyway (the L1 falls orders of magnitude
   // in the first few iterations, Fig. 6).
   double promote_factor = 400.0;
-  // Test seam: invoked at the start of every batch solve (phased and
-  // overlapped dispatch) with the batch index. A throw propagates as a
-  // clean latched error from solve(); the failure-propagation suite uses
-  // it to inject eigensolver faults and worker kills. Null in production.
+  // Test seam: invoked at the start of every batch solve (the solve
+  // loop's chains and the petot_f() hook) with the batch index. A throw
+  // propagates as a clean latched error from solve(); the
+  // failure-propagation suite uses it to inject eigensolver faults and
+  // worker kills. Null in production.
   std::function<void(int batch)> on_batch_solve;
-  // SPMD seam: when set, the sharded state adopts this caller-built
-  // transport instead of make_transport(transport). This is how a
-  // thread-SPMD rank receives its instance of a make_thread_spmd_group
-  // (transport/thread_transport.h) and how tests hand in custom MPI
-  // communicators. The factory is called once, with the clamped shard
+  // SPMD seam: when set (and n_shards > 0), the sharded state adopts
+  // this caller-built transport instead of make_transport(transport).
+  // This is how a thread-SPMD rank receives its instance of a
+  // make_thread_spmd_group (transport/thread_transport.h) and how tests
+  // hand in custom MPI communicators. The factory is called once, with the clamped shard
   // count, the worker count and the solver's arena-size hint; the
   // returned transport's n_ranks must match. A bit-invariant execution
   // knob — never part of the state fingerprint.
@@ -288,11 +282,10 @@ struct Ls3dfOptions {
   // Execution width is arithmetically invisible everywhere it is
   // consumed (ordered reductions, ordered-commit patching, worker-
   // invariant batched kernels), so a mid-run change of allowance cannot
-  // change a bit of any result; in the overlapped driver the graph
-  // topology is built once from n_workers and the live value flows
-  // through the per-iteration LaneBudget reset (and, with donate on,
-  // the per-sweep allowance re-reads). An execution knob: never part of
-  // the state fingerprint. Null keeps the fixed n_workers width.
+  // change a bit of any result; the live value flows through the
+  // per-iteration LaneBudget reset and the per-sweep allowance
+  // re-reads. An execution knob: never part of the state fingerprint.
+  // Null keeps the fixed n_workers width.
   std::function<int()> lane_allowance;
 };
 
@@ -304,25 +297,23 @@ struct Ls3dfResult {
   int iterations = 0;
   bool converged = false;
   double charge_patch_error = 0;     // |int rho_patched - N_e| before rescale
-  // Gen_VF / PEtot_F / Gen_dens / GENPOT, plus the GENPOT.transpose
-  // sub-phase (the all-to-all cost) on the sharded path. Under overlap
-  // the four phase keys hold attributed per-node busy time (disjoint
-  // windows no longer exist), plus "Mix" (L1 metric + mixer update) and
-  // "Iter.wall" (measured iteration wall) — on one worker lane the
-  // attributed keys sum to Iter.wall.
+  // Gen_VF / PEtot_F / Gen_dens / GENPOT as attributed per-node busy
+  // time (the chain DAG has no disjoint phase windows), plus "Mix" (L1
+  // metric + mixer update), "Iter.wall" (measured iteration wall) and the
+  // GENPOT.transpose sub-phase (the all-to-all cost) — on one worker lane
+  // the attributed keys sum to Iter.wall.
   PhaseProfiler profile;
-  // Per-chain attribution (overlap mode; empty when phased): chain b is
-  // batch b's restrict -> solve -> ordered-patch-commit chain, seconds
-  // summed across outer iterations.
+  // Per-chain attribution, one entry per PEtot_F batch: chain b is batch
+  // b's restrict -> solve -> ordered-patch-commit chain, seconds summed
+  // across outer iterations.
   struct ChainTimes {
     double restrict_s = 0, solve_s = 0, patch_s = 0;
   };
   std::vector<ChainTimes> chain_times;
   // Measured phase overlap, averaged over iterations: (sum of phase
-  // window lengths - their union) / iteration wall. 0 when phases run
-  // back to back (the phased path); > 0 when chains interleave phase
-  // windows — even on one core, where the win is structural, not wall
-  // time.
+  // window lengths - their union) / iteration wall. Back-to-back phases
+  // would score 0; interleaved chains score > 0 — even on one core,
+  // where the win is structural, not wall time.
   double overlap_fraction = 0;
   // Snapshot of the solver's MetricsRegistry at the end of solve():
   // transport bytes and phase-wait histograms, deadline margins,
@@ -361,30 +352,32 @@ class Ls3dfSolver {
   Ls3dfResult resume(const std::string& snapshot_path);
 
   // FNV-1a fingerprint over the physical problem and every option that
-  // shapes the numerical trajectory. Snapshots embed it; resume()
-  // refuses a snapshot whose fingerprint differs. Bit-invariant knobs
-  // (worker count, batch width, transport, overlap, donation, iteration
-  // cap, checkpoint settings) are deliberately excluded so a resume may
-  // run on a different execution configuration.
+  // shapes the numerical trajectory, plus the clamped shard count (the
+  // snapshot's slab records). Snapshots embed it; resume() refuses a
+  // snapshot whose fingerprint differs. Bit-invariant knobs (worker
+  // count, batch width, transport, iteration cap, checkpoint settings)
+  // are deliberately excluded so a resume may run on a different
+  // execution configuration.
   std::uint64_t state_fingerprint() const;
 
-  // Individual phases, exposed for tests and benchmarks. gen_vf must be
-  // called before petot_f; petot_f before gen_dens. With n_shards > 0
-  // gen_dens and genpot run the sharded pipeline internally and gather
-  // the result densely (the dense return is the hook's contract; the
-  // solve() loop itself never gathers).
+  // Individual phases, exposed for tests and benchmarks: dense-in /
+  // dense-out wrappers over the shard state. gen_vf must be called
+  // before petot_f; petot_f (the phased LPT batch dispatch) before
+  // gen_dens. gen_dens and genpot run the sharded pipeline internally
+  // and gather the result densely (the dense return is the hook's
+  // contract; the solve() loop itself never gathers).
   void gen_vf(const FieldR& v_global);
   void petot_f();
   FieldR gen_dens() const;
   // V_out = V_ion + V_H[rho] + V_xc[rho] on the global grid.
   FieldR genpot(const FieldR& rho) const;
 
-  // Sharded-path introspection. active_shards() is the clamped shard
-  // count (0 on the dense path); shard_allocations() counts capacity
+  // Shard introspection. active_shards() is the clamped shard count (1
+  // for the default n_shards = 0); shard_allocations() counts capacity
   // growths of the shard exchange buffers (transport lanes + reduction
   // tables, uniform per backend) — flat after the first exchange, probed
   // in tests. shard_transport() names the active exchange backend
-  // ("none" on the dense path). shard_rank_footprint(r) is rank r's
+  // ("inproc" by default). shard_rank_footprint(r) is rank r's
   // persistent sharded-state size in double-equivalents (field slabs +
   // FFT slab/pencil scratch + exchange lanes): every term is
   // slab-proportional, so the probe asserting it scales as ~1/N is the
@@ -393,13 +386,9 @@ class Ls3dfSolver {
   long shard_allocations() const;
   const char* shard_transport() const;
   std::size_t shard_rank_footprint(int r) const;
-  // The live transport object (null on the dense path). Test seam: the
-  // failure-propagation suite downcasts it to kill a proc worker
-  // mid-solve.
+  // The live transport object. Test seam: the failure-propagation suite
+  // downcasts it to kill a proc worker mid-solve.
   Transport* shard_transport_object() const;
-  // Whether solve() will run the barrier-free TaskGraph iteration (the
-  // overlap option gated on batching and a non-SPMD transport).
-  bool overlap_active() const;
 
   // Patched quantum-mechanical energies (kinetic + nonlocal), valid after
   // petot_f().
@@ -421,7 +410,7 @@ class Ls3dfSolver {
 
   // Scheduling introspection (tests, benches). last_assignment() is the
   // LPT fragment-to-group assignment computed by the latest petot_f()
-  // (flattened from the batch-level assignment when batching is on);
+  // (flattened from the batch-level assignment);
   // executed_group_of()[f] is the group whose task actually solved
   // fragment f — by construction these agree, and the scheduler
   // integration test asserts it.
@@ -429,8 +418,8 @@ class Ls3dfSolver {
   const std::vector<int>& executed_group_of() const {
     return executed_group_of_;
   }
-  // Same-size-class batches PEtot_F schedules (empty when batch_width
-  // is 0); stable across outer iterations.
+  // Same-size-class batches PEtot_F schedules (empty on an SPMD rank
+  // that owns no fragment); stable across outer iterations.
   const std::vector<FragmentBatch>& batches() const { return batches_; }
   // Measured per-fragment solve seconds (EMA; < 0 before first measure).
   // The fp64 model; under Precision::kMixed a second EMA tracks fp32
@@ -442,14 +431,13 @@ class Ls3dfSolver {
     return measured_seconds_f32_;
   }
   // Cumulative lane-donation events across all solve() calls (a retiring
-  // batch/group left live holders to widen; parallel/scheduler.h). 0
-  // when opt.donate is false or batching is off.
+  // batch/group left live holders to widen; parallel/scheduler.h).
   long donated_lane_events() const;
   // Whether the NEXT petot_f() call would run the fp32 fast path
   // (reflects the most recent precision-policy update).
   bool fp32_iteration_active() const { return use_fp32_iter_; }
-  // Capacity-growth events across the per-group eigensolver arenas. The
-  // count is flat after the first outer iteration: the steady state
+  // Capacity-growth events across the per-batch eigensolver workspaces.
+  // The count is flat after the first outer iteration: the steady state
   // solves every fragment with zero workspace heap traffic.
   long workspace_allocations() const;
   // Live view of the solver's metrics registry (Ls3dfResult::metrics is
@@ -490,54 +478,55 @@ class Ls3dfSolver {
   struct ShardState;
   struct ResumeState;
 
+  // Band-by-band solve of one fragment in the given arena (the members
+  // of a batch when all_band is off).
   void solve_fragment(int f, EigenWorkspace& ws);
-  // Occupations + density of a solved fragment (shared tail of the
-  // per-fragment and batched paths). n_workers drives the density FFT
-  // sweep (the batched dispatch passes its inner lanes).
+  // Occupations + density of a solved fragment (shared tail of both
+  // eigensolver flavours). n_workers drives the density FFT sweep (the
+  // batched solve passes its live lane allowance).
   void finish_fragment(int f, int n_workers = 1);
-  void petot_f_per_fragment(int n_groups);
+  // The petot_f() hook's phased dispatch: LPT over batches onto n_groups
+  // engine tasks.
   void petot_f_batched(int n_groups);
   // Mixed-precision policy: is the fp32 fast path available at all, and
   // should the upcoming outer iteration use it (conv_history empty, or
-  // last L1 still above the promotion threshold)? Called by the solve()
-  // drivers at the top of every outer iteration.
+  // last L1 still above the promotion threshold)? Called by the solve
+  // loop at the top of every outer iteration.
   bool mixed_precision_available() const;
   void update_precision_policy(const std::vector<double>& conv_history);
   // One batch's lockstep solve + densities + measured-cost bookkeeping:
-  // the body shared by the phased batched dispatch and the overlap
-  // chains' solve nodes. `group` is the executed_group_of marker (the
-  // LPT group when phased, the chain/batch id under overlap); `inner`
-  // drives the batched kernels' internal work grids; `analytic`
-  // apportions the measured batch time over members.
-  void solve_batch(int b, int group, int inner,
-                   const std::vector<double>& analytic);
+  // the body shared by the petot_f() dispatch and the solve chains'
+  // solve nodes. `group` is the executed_group_of marker (the LPT group
+  // under petot_f(), the chain/batch id in the solve loop); `analytic`
+  // apportions the measured batch time over members. The batched
+  // kernels' internal width is the live lane budget's allowance.
+  void solve_batch(int b, int group, const std::vector<double>& analytic);
   // Presize every batch workspace to its members' solve extents (the
   // steady state allocates nothing afterwards).
   void prepare_batch_workspaces();
   std::vector<double> analytic_costs() const;
   void record_measured(int f, double seconds);
   // Does fragment f's interior window (the Gen_dens commit region) touch
-  // any global x plane in [x_begin, x_end)? Pure geometry — the overlap
+  // any global x plane in [x_begin, x_end)? Pure geometry — the solve
   // chains use it to skip no-op slab commits (and their solve edges).
   bool fragment_touches_planes(int f, int x_begin, int x_end) const;
 
-  // The three solve() drivers; identical results, bit for bit.
-  Ls3dfResult solve_dense();
-  Ls3dfResult solve_sharded();
-  // The barrier-free driver (dense and sharded): per-batch TaskGraph
-  // chains with ordered slab commits, graph-extended GENPOT on shards.
+  // The solve loop behind solve() and resume(): per-batch TaskGraph
+  // chains with ordered slab commits and a graph-extended GENPOT.
   Ls3dfResult solve_overlap();
-  // Sharded phase bodies (n_shards > 0). gen_dens_sharded patches into
+  // Gathers V_in and (after at least one iteration) the patched density
+  // into the result's dense fields.
+  void gather_result_fields(Ls3dfResult& result) const;
+  // Phase bodies behind the public hooks. gen_dens_sharded patches into
   // the internal sharded density; genpot_sharded assembles V_out on
   // slabs and records the GENPOT.transpose sub-phase.
-  void gen_vf_sharded(const ShardedFieldR& v);
   void gen_dens_sharded() const;
   void genpot_sharded(const ShardedFieldR& rho, ShardedFieldR& v_out) const;
   // --- rank-local (SPMD) phase bodies -----------------------------------
   // Under an SPMD transport each rank holds one slab and owns the
   // contiguous fragment range [own_begin_, own_end_); the cross-rank
   // reads the dense-per-process phases do implicitly become two explicit
-  // exchanges (both bit-identical to their dense counterparts):
+  // exchanges (both bit-identical to their in-process counterparts):
   //   Gen_VF  halo: every rank receives the global x planes its owned
   //           fragment boxes need beyond its own slab (one alltoallv),
   //           then extracts fragment boxes from slab + halo — a pure
@@ -551,9 +540,9 @@ class Ls3dfSolver {
   int fragment_owner(int f) const;  // rank owning fragment f (SPMD)
   void spmd_fill_halo(const ShardedFieldR& v) const;
   void spmd_extract(const ShardedFieldR& v, Vec3i offset, FieldR& out) const;
-  // Window exchange, split for the overlapped driver: size (and cache)
-  // the send lanes once per iteration, pack fragments as their solves
-  // retire, exchange, apply in order. The phased path calls them
+  // Window exchange, split for the solve chains: size (and cache) the
+  // send lanes once per iteration, pack fragments as their solves
+  // retire, exchange, apply in order. The gen_dens() hook calls them
   // back-to-back.
   void spmd_size_window_lanes() const;
   void spmd_pack_fragment(int f) const;
@@ -561,20 +550,17 @@ class Ls3dfSolver {
   // Signed per-fragment sum folded in ascending global fragment order
   // (allgatherv of the owned block under SPMD).
   double fold_fragment_sum(const std::vector<double>& part) const;
-  // Patched-energy epilogue shared by both drivers (uses result.rho).
+  // Patched-energy epilogue of solve() and resume() (uses result.rho).
   void compute_patched_energy(Ls3dfResult& result) const;
 
   // Checkpoint/restart internals. maybe_write_checkpoint runs at the
-  // end-of-iteration sequence point in every driver (and at the
-  // convergence break); exactly one of {mixer_d, mixer_s} is non-null,
-  // matching the active path, and v_in_dense carries the dense V_in
-  // (unused on shards — slabs are read from shards_). load_resume
-  // validates the fingerprint and fills resume_; the drivers consume it
-  // via their iter-0 setup and start the loop at the saved iteration.
+  // end-of-iteration sequence point of the solve loop (and at the
+  // convergence break); V_in and the density are read from the shard
+  // slabs. load_resume validates the fingerprint, restores the slabs and
+  // fills resume_; the solve loop consumes it in its setup and starts at
+  // the saved iteration.
   void maybe_write_checkpoint(const Ls3dfResult& result,
-                              const FieldR* v_in_dense,
-                              const PotentialMixer* mixer_d,
-                              const ShardedPotentialMixer* mixer_s);
+                              const ShardedPotentialMixer& mixer);
   void load_resume(const SnapshotReader& r);
 
   // --- observability internals (obs/) ----------------------------------
@@ -583,7 +569,7 @@ class Ls3dfSolver {
   // options' trace recorder, this instance's metrics registry and FFT
   // plan cache, and the local SPMD rank (0 otherwise).
   ObsContext obs_ctx() const;
-  // End-of-iteration bookkeeping shared by the three drivers: pushes
+  // End-of-iteration bookkeeping of the solve loop: pushes
   // the per-iteration metrics series (residual, band energy, wall) and
   // invokes the progress callback with phase-time deltas against
   // `prof0`, the profiler totals captured at iteration start.
@@ -600,14 +586,9 @@ class Ls3dfSolver {
   Vec3i global_grid_;
   FieldR vion_;  // global bare ionic potential
   std::vector<std::unique_ptr<FragmentContext>> contexts_;
-  // Persistent per-group scratch arenas (per-fragment path); presized to
-  // the largest fragment so adaptive re-grouping can never grow them.
-  // workspaces_[g] is only ever touched by the task executing group g,
-  // and survives across outer iterations and solve() calls.
-  std::vector<EigenWorkspace> workspaces_;
-  // Batched path: the same-size-class batches (stable across iterations)
-  // and one persistent workspace per batch, touched only by the task
-  // executing that batch.
+  // The same-size-class batches (stable across iterations) and one
+  // persistent workspace per batch, touched only by the task executing
+  // that batch.
   std::vector<FragmentBatch> batches_;
   std::vector<std::unique_ptr<BatchWorkspace>> batch_workspaces_;
   // Measured per-fragment solve seconds (EMA), fed back into
@@ -618,8 +599,9 @@ class Ls3dfSolver {
   std::vector<double> measured_seconds_;
   std::vector<double> measured_seconds_f32_;
   // Live inner-lane budget of the current PEtot_F dispatch round
-  // (parallel/scheduler.h): holders are LPT groups when phased, solve
-  // chains under overlap. Donation events accumulate across solve()s.
+  // (parallel/scheduler.h): holders are solve chains in the solve loop,
+  // LPT groups under petot_f(). Donation events accumulate across
+  // solve()s.
   LaneBudget lane_budget_;
   // Effective lane count for the current outer iteration:
   // min(n_workers, lane_allowance()) — refreshed at every iteration
@@ -635,7 +617,7 @@ class Ls3dfSolver {
   bool fp64_promoted_ = false;
   GroupAssignment assignment_;
   std::vector<int> executed_group_of_;
-  // Sharded-grid state (null on the dense path): ShardComm + DistFft3D +
+  // Sharded-grid state, built by the constructor: ShardComm + DistFft3D +
   // persistent sharded fields. Scratch inside is reused across phases and
   // iterations; only the first exchange grows buffers.
   std::unique_ptr<ShardState> shards_;
@@ -657,8 +639,8 @@ class Ls3dfSolver {
   // drawing from it — and the determinism probes that do today —
   // inherits crash-safety for free.
   Rng rng_;
-  // Pending restore state between resume() and the driver that consumes
-  // it (null outside a resume).
+  // Pending restore state between resume() and the solve loop that
+  // consumes it (null outside a resume).
   std::unique_ptr<ResumeState> resume_;
   // Per-instance observability and plan state (the SolverService
   // prerequisite: nothing this solver accumulates is global). The

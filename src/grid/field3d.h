@@ -113,24 +113,11 @@ class Field3D {
   // cells, excluding the buffer) is accumulated into the global density.
   void accumulate_window(Vec3i offset, const Field3D& sub, Vec3i sub_offset,
                          Vec3i region, T weight) {
-    accumulate_window_slab(offset, sub, sub_offset, region, weight, 0,
-                           shape_.x);
-  }
-
-  // accumulate_window restricted to destination x planes in
-  // [x_begin, x_end). Slab-parallel Gen_dens: each task owns a disjoint
-  // x range of this field, so concurrent calls never touch the same
-  // point, and every point still receives its contributions in fragment
-  // order — results are bit-identical for any slab count.
-  void accumulate_window_slab(Vec3i offset, const Field3D& sub,
-                              Vec3i sub_offset, Vec3i region, T weight,
-                              int x_begin, int x_end) {
     assert(sub_offset.x >= 0 && sub_offset.x + region.x <= sub.shape().x);
     assert(sub_offset.y >= 0 && sub_offset.y + region.y <= sub.shape().y);
     assert(sub_offset.z >= 0 && sub_offset.z + region.z <= sub.shape().z);
     for (int ix = 0; ix < region.x; ++ix) {
       const int gx = pmod(offset.x + ix, shape_.x);
-      if (gx < x_begin || gx >= x_end) continue;
       for (int iy = 0; iy < region.y; ++iy) {
         const int gy = pmod(offset.y + iy, shape_.y);
         for (int iz = 0; iz < region.z; ++iz) {

@@ -48,7 +48,7 @@
 // combined in plane order. plane_sum/plane_dot/plane_l1 below compute it
 // for dense fields, and the sharded overloads reproduce the identical
 // bits via a ShardComm all_gather of the per-plane partials — for any
-// shard count, including the dense path itself.
+// shard count, a single shard included.
 #pragma once
 
 #include <cassert>
@@ -168,10 +168,10 @@ class ShardedField3D {
   }
 
   // --- Gen_dens primitive: signed window accumulation into one shard --
-  // The sharded twin of Field3D::accumulate_window_slab with
-  // [x_begin, x_end) = this shard's slab: same loop order, same per-point
-  // arithmetic, so the patched slab is bit-identical to the dense path's
-  // plane range for any shard count. Call from rank r only.
+  // Field3D::accumulate_window restricted to this shard's x planes: same
+  // loop order, same per-point arithmetic, so the patched slab is
+  // bit-identical to the dense accumulation's plane range for any shard
+  // count. Call from rank r only.
   void accumulate_window_shard(int r, Vec3i offset, const Field3D<T>& sub,
                                Vec3i sub_offset, Vec3i region, T weight) {
     assert(sub_offset.x >= 0 && sub_offset.x + region.x <= sub.shape().x);

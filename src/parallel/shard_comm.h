@@ -42,7 +42,7 @@
 // worker processes over POSIX shared memory (true multi-process LS3DF on
 // one node), a thread-SPMD group (transport/thread_transport.h), and MPI
 // under LS3DF_WITH_MPI. All backends are bit-identical to each other and
-// to the dense path (the ordered-reduction contract in
+// to the dense-field arithmetic (the ordered-reduction contract in
 // transport/transport.h). Under an SPMD transport (threads, MPI) each
 // process/thread owns one rank: each_rank runs the body only for the
 // local rank (local_rank() >= 0), and distributed containers allocate

@@ -31,10 +31,11 @@ bool file_exists(const std::string& path) {
 // Exact warm-instance cache key: the structure plus every option baked
 // into construction or the solve loop. Rebindable per-job hooks (trace,
 // progress, lane_allowance, checkpoint) are deliberately absent — they
-// are what set_* re-points on reuse. hexfloat round-trips doubles
-// exactly, so equal keys mean equal configurations (no hash-collision
-// false positives: a stale match here would be a correctness bug, not a
-// cache miss).
+// are what set_* re-points on reuse — and so are the retired overlap and
+// donate toggles, which the solver accepts only as true. hexfloat
+// round-trips doubles exactly, so equal keys mean equal configurations
+// (no hash-collision false positives: a stale match here would be a
+// correctness bug, not a cache miss).
 std::string instance_key(const Structure& s, const Ls3dfOptions& o) {
   std::ostringstream k;
   k << std::hexfloat;
@@ -55,7 +56,6 @@ std::string instance_key(const Structure& s, const Ls3dfOptions& o) {
     << o.mix_alpha << '|' << o.seed << '|' << o.n_workers << '|'
     << o.batch_width << '|' << o.n_shards << '|'
     << static_cast<int>(o.transport) << '|' << o.compute_energy << '|'
-    << o.overlap << '|' << o.donate << '|'
     << static_cast<int>(o.precision) << '|' << o.promote_factor;
   return k.str();
 }
@@ -289,7 +289,16 @@ struct SolverService::Impl {
 
   bool run_job(Job& job, std::string& error) {
     lanes.join();
-    std::unique_ptr<Ls3dfSolver> solver = acquire(job);
+    std::unique_ptr<Ls3dfSolver> solver;
+    try {
+      solver = acquire(job);
+    } catch (const std::exception& e) {
+      // Options the solver rejects at construction (or a transport that
+      // cannot start) fail this job only; the driver thread lives on.
+      error = e.what();
+      lanes.leave();
+      return false;
+    }
     const std::uint64_t fp = solver->state_fingerprint();
     job.fingerprint.store(fp, std::memory_order_relaxed);
 

@@ -4,7 +4,7 @@
 // fallback, the option-fingerprint refusal, torn-write fault injection,
 // and the headline contract — a solve killed mid-SCF and resumed from
 // its snapshot finishes bit-identical to one that was never
-// interrupted, on the dense, sharded and proc-transport paths.
+// interrupted, on one shard, several shards and the proc transport.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -295,9 +295,8 @@ TEST(CheckpointResume, FingerprintCoversPhysicsNotExecutionKnobs) {
   // different machine configuration or iteration cap).
   Ls3dfOptions knobs = base;
   knobs.n_workers = 7;
-  knobs.batch_width = 0;
-  knobs.overlap = false;
-  knobs.donate = false;
+  knobs.batch_width = 1;
+  knobs.n_shards = 1;  // the same single in-process shard as the default
   knobs.max_iterations = 99;
   knobs.checkpoint.path = tmp_path("fp.snap");
   knobs.checkpoint.every = 5;
@@ -344,8 +343,8 @@ TEST(CheckpointResume, ResumeRefusesFingerprintMismatch) {
   remove_snapshot(path);
 }
 
-TEST(CheckpointResume, DenseKillAndResumeIsBitIdentical) {
-  const std::string path = tmp_path("dense_kill.snap");
+TEST(CheckpointResume, SingleShardKillAndResumeIsBitIdentical) {
+  const std::string path = tmp_path("single_shard_kill.snap");
   remove_snapshot(path);
   Structure s = h2_chain(3);
   Ls3dfOptions lo = small_options();

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -65,13 +66,42 @@ ScfResult direct_reference(const Structure& s, const Ls3dfSolver& solver,
   return run_scf(h, vion, effective_potential(vion, rho0, s.lattice()), so);
 }
 
-TEST(Ls3df, RejectsDegenerateDivisionOfTwo) {
-  Structure s = h2_chain(2);
+TEST(Ls3df, RejectsInvalidOptionsAtConstruction) {
+  // Every option value the solver cannot run is a typed
+  // std::invalid_argument from the constructor — never a hang (a zero
+  // division or grid spacing), a std::length_error (a negative
+  // division), a silently accepted sub-minimum grid, or a retired
+  // toggle that would be ignored. A division of exactly 2 is
+  // structurally degenerate for LS3DF (see the constructor).
+  Structure s = h2_chain(3);
+  struct Case {
+    const char* what;
+    std::function<void(Ls3dfOptions&)> set;
+  };
+  const Case cases[] = {
+      {"division 2x1x1", [](Ls3dfOptions& o) { o.division = {2, 1, 1}; }},
+      {"division 1x2x1", [](Ls3dfOptions& o) { o.division = {1, 2, 1}; }},
+      {"division 0x1x1", [](Ls3dfOptions& o) { o.division = {0, 1, 1}; }},
+      {"division -3x1x1", [](Ls3dfOptions& o) { o.division = {-3, 1, 1}; }},
+      {"points_per_cell 0", [](Ls3dfOptions& o) { o.points_per_cell = 0; }},
+      {"points_per_cell 3", [](Ls3dfOptions& o) { o.points_per_cell = 3; }},
+      {"batch_width 0", [](Ls3dfOptions& o) { o.batch_width = 0; }},
+      {"batch_width -1", [](Ls3dfOptions& o) { o.batch_width = -1; }},
+      {"n_shards -1", [](Ls3dfOptions& o) { o.n_shards = -1; }},
+      {"overlap false", [](Ls3dfOptions& o) { o.overlap = false; }},
+      {"donate false", [](Ls3dfOptions& o) { o.donate = false; }},
+  };
+  for (const Case& c : cases) {
+    Ls3dfOptions lo = chain_options();
+    c.set(lo);
+    EXPECT_THROW(Ls3dfSolver(s, lo), std::invalid_argument) << c.what;
+  }
+  // The boundary values themselves are valid.
   Ls3dfOptions lo = chain_options();
-  lo.division = {2, 1, 1};
-  EXPECT_THROW(Ls3dfSolver(s, lo), std::invalid_argument);
-  lo.division = {1, 2, 1};
-  EXPECT_THROW(Ls3dfSolver(s, lo), std::invalid_argument);
+  lo.points_per_cell = 4;
+  lo.batch_width = 1;
+  lo.n_shards = 0;
+  EXPECT_NO_THROW(Ls3dfSolver(s, lo));
 }
 
 TEST(Ls3df, SingleFragmentLimitIsExactlyDirectDft) {
@@ -296,32 +326,34 @@ TEST(Ls3df, BitIdenticalAcrossWorkerCountsWithZeroSteadyStateAllocs) {
 }
 
 TEST(Ls3df, ExecutorRunsExactlyTheLptAssignment) {
-  // The scheduler integration contract: what assign_fragments computes
-  // is what the engine executes — every fragment runs in the group LPT
-  // assigned it to, and the recorded assignment matches an independent
-  // recomputation from the same costs. Costs are captured *before* the
-  // dispatch: petot_f records measured solve times that feed the next
-  // iteration's costs.
+  // The scheduler integration contract: what assign_batches computes is
+  // what the engine executes — every fragment runs in the group LPT
+  // assigned its batch to, and the recorded assignment matches an
+  // independent recomputation from the same batch costs (petot_f stores
+  // the costs it scheduled on in batches(); the measured solve times it
+  // records only feed the next dispatch). Width 1 makes every fragment
+  // its own schedulable unit.
   Structure s = h2_chain(3);
   Ls3dfOptions lo = chain_options();
   lo.n_workers = 3;
-  lo.batch_width = 0;  // per-fragment dispatch path
+  lo.batch_width = 1;
   Ls3dfSolver solver(s, lo);
 
   FieldR v = solver.genpot(build_initial_density(s, solver.global_grid()));
   solver.gen_vf(v);
-  const std::vector<double> costs_used = solver.fragment_costs();
   solver.petot_f();
 
   const int n_frag = solver.num_fragments();
-  const GroupAssignment recomputed =
-      assign_fragments(costs_used, lo.n_workers);
+  ASSERT_EQ(static_cast<int>(solver.batches().size()), n_frag);
+  const std::vector<int> recomputed =
+      assign_batches(solver.batches(), n_frag, lo.n_workers)
+          .fragment_group_of;
   const GroupAssignment& used = solver.last_assignment();
   const std::vector<int>& executed = solver.executed_group_of();
   ASSERT_EQ(static_cast<int>(executed.size()), n_frag);
   ASSERT_EQ(static_cast<int>(used.group_of.size()), n_frag);
   for (int f = 0; f < n_frag; ++f) {
-    EXPECT_EQ(used.group_of[f], recomputed.group_of[f]) << f;
+    EXPECT_EQ(used.group_of[f], recomputed[f]) << f;
     EXPECT_EQ(executed[f], used.group_of[f])
         << "fragment " << f << " ran outside its LPT group";
   }
@@ -367,10 +399,11 @@ TEST(Ls3df, BatchedExecutorRunsExactlyTheBatchAssignment) {
       EXPECT_EQ(analytic[f], analytic[b.members.front()]) << f;
 }
 
-TEST(Ls3df, BatchedBitIdenticalToPerFragmentAcrossWidthsAndWorkers) {
-  // The tentpole contract: the batched PEtot_F path produces the same
-  // patched density — bit for bit — as the per-fragment path, for any
-  // batch width and worker count.
+TEST(Ls3df, BatchedBitIdenticalAcrossWidthsAndWorkers) {
+  // The batching contract: fused lockstep solves of same-size-class
+  // batches produce the same patched density — bit for bit — as solving
+  // every fragment on its own (width 1), for any batch width and worker
+  // count.
   Structure s = h2_chain(3);
   Ls3dfOptions lo = chain_options();
   lo.max_iterations = 2;
@@ -378,7 +411,7 @@ TEST(Ls3df, BatchedBitIdenticalToPerFragmentAcrossWidthsAndWorkers) {
 
   std::vector<double> reference;
   {
-    lo.batch_width = 0;
+    lo.batch_width = 1;
     lo.n_workers = 1;
     Ls3dfSolver solver(s, lo);
     Ls3dfResult r = solver.solve();
@@ -386,6 +419,7 @@ TEST(Ls3df, BatchedBitIdenticalToPerFragmentAcrossWidthsAndWorkers) {
   }
   for (int width : {1, 2, 4}) {
     for (int workers : {1, 4}) {
+      if (width == 1 && workers == 1) continue;  // the reference itself
       lo.batch_width = width;
       lo.n_workers = workers;
       Ls3dfSolver solver(s, lo);
@@ -489,11 +523,12 @@ TEST(Ls3df, ThreadedPetotFMatchesSerial) {
   EXPECT_LT(max_diff, 1e-12);
 }
 
-TEST(Ls3df, ShardedSolveBitIdenticalToDenseAcrossShardsAndWorkers) {
-  // The tentpole contract: with the global grid sharded into x-slabs —
+TEST(Ls3df, ShardedSolveBitIdenticalAcrossShardsAndWorkers) {
+  // The sharding contract: with the global grid split into x-slabs —
   // Gen_dens patching into owning shards, GENPOT through the distributed
-  // transpose, mixing shard-local — solve() reproduces the dense path
-  // bit for bit, for any shard count and worker count.
+  // transpose, mixing shard-local — solve() reproduces the default
+  // single in-process shard bit for bit, for any shard count and worker
+  // count.
   Structure s = h2_chain(3);
   Ls3dfOptions lo = chain_options();
   lo.max_iterations = 3;
@@ -504,11 +539,13 @@ TEST(Ls3df, ShardedSolveBitIdenticalToDenseAcrossShardsAndWorkers) {
     lo.n_shards = 0;
     lo.n_workers = 1;
     Ls3dfSolver solver(s, lo);
+    EXPECT_EQ(solver.active_shards(), 1);
+    EXPECT_STREQ(solver.shard_transport(), "inproc");
     ref = solver.solve();
   }
   // Transport × shards × workers: the proc backend (one forked worker
   // process per shard over shared memory) must reproduce the same bits
-  // as the in-process mailboxes — and both must match the dense path.
+  // as the in-process mailboxes — and both must match the reference.
   for (TransportKind kind : {TransportKind::kInProc, TransportKind::kProc}) {
     for (int shards : {1, 2, 4}) {
       for (int workers :
@@ -591,16 +628,18 @@ TEST(Ls3df, NoRankMaterializesTheDenseGridOnTheShardedPath) {
 }
 
 TEST(Ls3df, ShardedPhasesBitIdenticalToDense) {
-  // Phase-level contract through the public hooks: gen_dens and genpot
-  // run the sharded pipeline internally when n_shards > 0 and must
-  // reproduce the dense phases bit for bit.
+  // Phase-level contract through the public hooks: genpot runs the
+  // sharded pipeline internally and must reproduce the dense direct-DFT
+  // effective_potential bit for bit; gen_dens must patch the same bits
+  // for any shard and worker count.
   Structure s = h2_chain(3);
   Ls3dfOptions lo = chain_options();
 
   lo.n_shards = 0;
   Ls3dfSolver dense(s, lo);
   const FieldR rho0 = build_initial_density(s, dense.global_grid());
-  const FieldR v_dense = dense.genpot(rho0);
+  const FieldR v_dense =
+      effective_potential(dense.ionic_potential(), rho0, s.lattice());
   dense.gen_vf(v_dense);
   dense.petot_f();
   const FieldR rho_dense = dense.gen_dens();
@@ -698,30 +737,22 @@ TEST(Ls3df, ShardExchangeBuffersSteadyStateAllocatesNothing) {
   }
 }
 
-TEST(Ls3df, OverlapBitIdenticalToPhasedWithChainAttribution) {
-  // The tentpole contract: the barrier-free TaskGraph iteration (per-
-  // batch restrict -> solve -> ordered-patch-commit chains) reproduces
-  // the phased loop bit for bit, for any worker count — and reports the
-  // per-chain attribution the phased path cannot have.
+TEST(Ls3df, ChainDagBitIdenticalAcrossWorkersWithChainAttribution) {
+  // The ordered-commit contract: the barrier-free TaskGraph iteration
+  // (per-batch restrict -> solve -> ordered-patch-commit chains) lands
+  // on the same bits for any worker count, however the chains
+  // interleave — and reports the per-chain attribution.
   Structure s = h2_chain(3);
   Ls3dfOptions lo = chain_options();
   lo.max_iterations = 3;
   lo.l1_tol = 0.0;  // fixed number of outer iterations
 
-  lo.overlap = false;
   lo.n_workers = 1;
-  Ls3dfSolver phased(s, lo);
-  EXPECT_FALSE(phased.overlap_active());
-  Ls3dfResult ref = phased.solve();
-  EXPECT_TRUE(ref.chain_times.empty());
-  EXPECT_EQ(ref.overlap_fraction, 0.0);
-  EXPECT_EQ(ref.profile.count("Iter.wall"), 0);
+  const Ls3dfResult ref = Ls3dfSolver(s, lo).solve();
 
   for (int workers : {1, 2, 4}) {
-    lo.overlap = true;
     lo.n_workers = workers;
     Ls3dfSolver solver(s, lo);
-    EXPECT_TRUE(solver.overlap_active());
     Ls3dfResult r = solver.solve();
     ASSERT_EQ(r.iterations, ref.iterations);
     ASSERT_EQ(r.conv_history.size(), ref.conv_history.size());
@@ -750,24 +781,21 @@ TEST(Ls3df, OverlapBitIdenticalToPhasedWithChainAttribution) {
   }
 }
 
-TEST(Ls3df, OverlapShardedBitIdenticalToPhasedSharded) {
+TEST(Ls3df, GraphExtendedGenpotBitIdenticalAcrossShardsAndTransports) {
   // The graph-extended GENPOT seam (per-rank partial sums + chained
-  // collectives) must not change a bit of the sharded pipeline, on
-  // either in-process transport.
+  // collectives) must not change a bit when the slabs split three ways,
+  // on either non-SPMD transport.
   Structure s = h2_chain(3);
   Ls3dfOptions lo = chain_options();
   lo.max_iterations = 2;
   lo.l1_tol = 0.0;
-  lo.n_shards = 3;
   lo.n_workers = 2;
 
-  lo.overlap = false;
-  Ls3dfResult ref = Ls3dfSolver(s, lo).solve();
+  const Ls3dfResult ref = Ls3dfSolver(s, lo).solve();  // one shard
+  lo.n_shards = 3;
   for (TransportKind kind : {TransportKind::kInProc, TransportKind::kProc}) {
-    lo.overlap = true;
     lo.transport = kind;
     Ls3dfSolver solver(s, lo);
-    EXPECT_TRUE(solver.overlap_active());
     Ls3dfResult r = solver.solve();
     ASSERT_EQ(r.conv_history.size(), ref.conv_history.size());
     for (std::size_t i = 0; i < ref.conv_history.size(); ++i)
@@ -782,11 +810,10 @@ TEST(Ls3df, OverlapShardedBitIdenticalToPhasedSharded) {
   }
 }
 
-TEST(Ls3df, ThreadSpmdSolveBitIdenticalToDense) {
+TEST(Ls3df, ThreadSpmdSolveBitIdenticalToInProcess) {
   // The rank-local SPMD contract: N OS threads, each owning one rank of
   // a make_thread_spmd_group and holding only ~global/N of every sharded
-  // container, reproduce the dense path bit for bit — on the phased loop
-  // and on the barrier-free overlapped iteration.
+  // container, reproduce the single in-process shard bit for bit.
   Structure s = h2_chain(3);
   Ls3dfOptions lo = chain_options();
   lo.max_iterations = 3;
@@ -796,66 +823,60 @@ TEST(Ls3df, ThreadSpmdSolveBitIdenticalToDense) {
   Vec3i g;
   {
     Ls3dfOptions d = lo;
-    d.n_shards = 0;
     d.n_workers = 1;
-    d.overlap = false;
     Ls3dfSolver solver(s, d);
     g = solver.global_grid();
     ref = solver.solve();
   }
-  for (bool overlap : {false, true}) {
-    for (int shards : {2, 4}) {
-      auto group = make_thread_spmd_group(shards);
-      std::vector<Ls3dfResult> res(shards);
-      std::vector<std::size_t> fp(shards, 0);
-      std::vector<std::thread> threads;
-      for (int r = 0; r < shards; ++r)
-        threads.emplace_back([&, r]() {
-          Ls3dfOptions o = lo;
-          o.overlap = overlap;
-          o.n_shards = shards;
-          o.n_workers = 1;
-          o.transport = TransportKind::kThreads;
-          o.transport_factory = [&group, r, shards](int n_ranks, int,
-                                                    std::size_t) {
-            EXPECT_EQ(n_ranks, shards);
-            return std::move(group[r]);
-          };
-          Ls3dfSolver solver(s, o);
-          res[r] = solver.solve();
-          fp[r] = solver.shard_rank_footprint(r);
-        });
-      for (auto& t : threads) t.join();
+  for (int shards : {2, 4}) {
+    auto group = make_thread_spmd_group(shards);
+    std::vector<Ls3dfResult> res(shards);
+    std::vector<std::size_t> fp(shards, 0);
+    std::vector<std::thread> threads;
+    for (int r = 0; r < shards; ++r)
+      threads.emplace_back([&, r]() {
+        Ls3dfOptions o = lo;
+        o.n_shards = shards;
+        o.n_workers = 1;
+        o.transport = TransportKind::kThreads;
+        o.transport_factory = [&group, r, shards](int n_ranks, int,
+                                                  std::size_t) {
+          EXPECT_EQ(n_ranks, shards);
+          return std::move(group[r]);
+        };
+        Ls3dfSolver solver(s, o);
+        res[r] = solver.solve();
+        fp[r] = solver.shard_rank_footprint(r);
+      });
+    for (auto& t : threads) t.join();
 
-      const std::size_t slab_ceil =
-          static_cast<std::size_t>((g.x + shards - 1) / shards) * g.y * g.z;
-      for (int r = 0; r < shards; ++r) {
-        SCOPED_TRACE(std::string("overlap=") + (overlap ? "on" : "off") +
-                     " shards=" + std::to_string(shards) + " rank=" +
-                     std::to_string(r));
-        ASSERT_EQ(res[r].iterations, ref.iterations);
-        ASSERT_EQ(res[r].conv_history.size(), ref.conv_history.size());
-        for (std::size_t i = 0; i < ref.conv_history.size(); ++i)
-          ASSERT_EQ(res[r].conv_history[i], ref.conv_history[i])
-              << "L1 metric differs at iteration " << i;
-        ASSERT_EQ(res[r].charge_patch_error, ref.charge_patch_error);
-        ASSERT_EQ(res[r].rho.size(), ref.rho.size());
-        for (std::size_t i = 0; i < ref.rho.size(); ++i)
-          ASSERT_EQ(res[r].rho[i], ref.rho[i])
-              << "density differs at point " << i;
-        for (std::size_t i = 0; i < ref.v_eff.size(); ++i)
-          ASSERT_EQ(res[r].v_eff[i], ref.v_eff[i])
-              << "potential differs at point " << i;
-        ASSERT_EQ(res[r].energy.total, ref.energy.total);
-        // True rank-local residency: resident doubles stay
-        // slab-proportional — no thread ever held a dense-grid-sized
-        // sharded state. The overlapped iteration keeps the Gen_VF halo
-        // lanes and the Gen_dens window lanes posted concurrently, so
-        // its budget sits a few slab-equivalents above the phased
-        // path's 16.
-        EXPECT_GT(fp[r], 0u);
-        EXPECT_LE(fp[r], 20 * slab_ceil);
-      }
+    const std::size_t slab_ceil =
+        static_cast<std::size_t>((g.x + shards - 1) / shards) * g.y * g.z;
+    for (int r = 0; r < shards; ++r) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) + " rank=" +
+                   std::to_string(r));
+      ASSERT_EQ(res[r].iterations, ref.iterations);
+      ASSERT_EQ(res[r].conv_history.size(), ref.conv_history.size());
+      for (std::size_t i = 0; i < ref.conv_history.size(); ++i)
+        ASSERT_EQ(res[r].conv_history[i], ref.conv_history[i])
+            << "L1 metric differs at iteration " << i;
+      ASSERT_EQ(res[r].charge_patch_error, ref.charge_patch_error);
+      ASSERT_EQ(res[r].rho.size(), ref.rho.size());
+      for (std::size_t i = 0; i < ref.rho.size(); ++i)
+        ASSERT_EQ(res[r].rho[i], ref.rho[i])
+            << "density differs at point " << i;
+      for (std::size_t i = 0; i < ref.v_eff.size(); ++i)
+        ASSERT_EQ(res[r].v_eff[i], ref.v_eff[i])
+            << "potential differs at point " << i;
+      ASSERT_EQ(res[r].energy.total, ref.energy.total);
+      // True rank-local residency: resident doubles stay
+      // slab-proportional — no thread ever held a dense-grid-sized
+      // sharded state. The chain DAG keeps the Gen_VF halo lanes and
+      // the Gen_dens window lanes posted concurrently, so its budget
+      // sits a few slab-equivalents above the 16 of the non-SPMD
+      // footprint probe.
+      EXPECT_GT(fp[r], 0u);
+      EXPECT_LE(fp[r], 20 * slab_ceil);
     }
   }
 }
@@ -877,7 +898,6 @@ TEST(Ls3df, ThreadSpmdCheckpointBytesMatchDenseAndResumeContinues) {
   lo.max_iterations = 2;
   lo.l1_tol = 0.0;
   lo.n_shards = 2;
-  lo.overlap = false;
 
   // Dense-per-process reference run, checkpointing every iteration.
   Ls3dfOptions dl = lo;

@@ -20,6 +20,7 @@
 
 #include "atoms/builders.h"
 #include "fragment/ls3df.h"
+#include "golden_refs.h"
 #include "obs/trace.h"
 #include "service/solver_service.h"
 #include "transport/proc_transport.h"
@@ -65,8 +66,8 @@ void expect_bitwise_equal(const Ls3dfResult& r, const Ls3dfResult& ref) {
 }
 
 // The four heterogeneous configurations the service tests multiplex:
-// dense batched, sharded overlapped with donation, per-fragment phased
-// with a different eigensolver budget, and proc-transport sharded.
+// one shard at batch width 2, two in-process shards, one shard with a
+// different eigensolver budget, and proc-transport sharded.
 std::vector<std::pair<Structure, Ls3dfOptions>> job_mix() {
   std::vector<std::pair<Structure, Ls3dfOptions>> jobs;
   {
@@ -79,8 +80,6 @@ std::vector<std::pair<Structure, Ls3dfOptions>> job_mix() {
     Ls3dfOptions lo = base_options(4);
     lo.n_workers = 2;
     lo.n_shards = 2;
-    lo.overlap = true;
-    lo.donate = true;
     jobs.emplace_back(h2_chain(4), lo);
   }
   {
@@ -112,8 +111,6 @@ TEST(Service, TwoSolversOnTwoThreadsMatchSequentialBitwise) {
   Ls3dfOptions ob = base_options(4);
   ob.n_workers = 2;
   ob.n_shards = 2;
-  ob.overlap = true;
-  ob.donate = true;
 
   const Ls3dfResult ref_a = Ls3dfSolver(sa, oa).solve();
   const Ls3dfResult ref_b = Ls3dfSolver(sb, ob).solve();
@@ -178,6 +175,42 @@ TEST(Service, ConcurrentHeterogeneousJobsBitIdenticalToStandalone) {
   EXPECT_GE(service.lane_donation_events(), 1);
   EXPECT_EQ(service.queue_depth(), 0);
   EXPECT_EQ(service.running(), 0);
+}
+
+TEST(Service, RejectedJobSpecFailsItsJobNotTheService) {
+  // A JobSpec the solver rejects at construction (here the structurally
+  // degenerate division 2x1x1) must end its own job kFailed with the
+  // constructor's message — not escape the driver thread and terminate
+  // the process — while a good job in the same service completes on the
+  // golden bits.
+  SolverServiceOptions so;
+  so.total_lanes = 2;
+  so.max_concurrent = 2;
+  SolverService service(so);
+
+  JobSpec bad;
+  bad.options = base_options(3);
+  bad.options.division = {2, 1, 1};
+  const SolverService::JobId bad_id = service.submit(h2_chain(2), bad);
+  JobSpec good;
+  good.options = base_options(3);
+  good.options.n_workers = 2;
+  const SolverService::JobId good_id = service.submit(h2_chain(3), good);
+  service.drain();
+
+  const JobStatus bs = service.status(bad_id);
+  EXPECT_EQ(bs.state, JobState::kFailed);
+  EXPECT_NE(bs.error.find("division"), std::string::npos) << bs.error;
+  const JobStatus gs = service.status(good_id);
+  ASSERT_EQ(gs.state, JobState::kDone) << gs.error;
+  EXPECT_EQ(golden::mismatch(service.result(good_id),
+                             golden::h2_reference(3)),
+            "");
+
+  // The service keeps serving after the rejection.
+  const SolverService::JobId again = service.submit(h2_chain(3), good);
+  service.drain();
+  EXPECT_EQ(service.status(again).state, JobState::kDone);
 }
 
 TEST(Service, DispatchOrderIsPriorityThenLptThenFifo) {
