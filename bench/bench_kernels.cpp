@@ -9,7 +9,9 @@
 // BENCH_kernels.json — override the path with --json=PATH — so the perf
 // trajectory can be tracked across PRs. The summary includes the
 // batched-vs-looped probes for the fused kernels (gemm_batched,
-// fft_many) and the batched PEtot_F dispatch at width 4, the sharded-grid
+// fft_many), the G-sphere-pruned wavefunction FFT sweep against the full
+// one on the same stack (with the bit-identity flag CI asserts), the
+// batched PEtot_F dispatch at width 4, the sharded-grid
 // probes: the distributed-transpose FFT round trip (with the transpose's
 // share of the wall time) and sharded vs dense GENPOT with the
 // bit-identity flag CI asserts, the solve-loop probes on a skewed
@@ -51,6 +53,7 @@
 #include "fft/fft.h"
 #include "fft/fft3d.h"
 #include "fragment/ls3df.h"
+#include "grid/gvectors.h"
 #include "grid/sharded_field.h"
 #include "linalg/blas.h"
 #include "obs/metrics.h"
@@ -219,6 +222,70 @@ struct FftManyFixture {
   }
   static double flops() {
     return static_cast<double>(FlopCounter::fft3d(kN, kN, kN)) * kCount;
+  }
+};
+
+// FftManyFixture's stack and shape, scattered from a real G sphere: the
+// wavefunction round trip of the Hamiltonian apply (scatter, inverse,
+// forward), run G-sphere pruned or full.
+struct FftSphereManyFixture {
+  static constexpr int kN = FftManyFixture::kN,
+                       kCount = FftManyFixture::kCount;
+  Fft3D plan{{kN, kN, kN}};
+  // 1 bohr spacing and ecut 1.2 Ha: the sphere spans about half of each
+  // axis, the default_fft_grid proportion of the fragment solver.
+  GVectors gv{Lattice::cubic(kN), {kN, kN, kN}, 1.2};
+  std::vector<cplx> coeff, stack;
+  std::vector<const FftLines*> lines;
+  FftSphereManyFixture()
+      : coeff(static_cast<std::size_t>(gv.count()) * kCount),
+        stack(plan.size() * kCount),
+        lines(kCount, &gv.fft_lines()) {
+    Rng rng(6);
+    for (auto& v : coeff) v = cplx(rng.uniform(-1, 1), rng.uniform(-1, 1));
+  }
+  FftSphereManyFixture(const FftSphereManyFixture&) = delete;
+  cplx* grid(int g) { return stack.data() + g * plan.size(); }
+  void scatter() {
+    for (int g = 0; g < kCount; ++g)
+      gv.scatter(coeff.data() + g * gv.count(), grid(g));
+  }
+  void run(bool pruned, int workers) {
+    scatter();
+    if (pruned) {
+      plan.inverse_many(stack.data(), kCount, lines.data(), workers);
+      plan.forward_many(stack.data(), kCount, lines.data(), workers);
+    } else {
+      plan.inverse_many(stack.data(), kCount, workers);
+      plan.forward_many(stack.data(), kCount, workers);
+    }
+  }
+  // Pruned inverse equals the full one over every grid point, and the
+  // pruned forward of that equals the full forward on the sphere points.
+  bool bit_identical(int workers) {
+    scatter();
+    std::vector<cplx> full = stack;
+    plan.inverse_many(full.data(), kCount, workers);
+    plan.inverse_many(stack.data(), kCount, lines.data(), workers);
+    bool same = std::memcmp(full.data(), stack.data(),
+                            full.size() * sizeof(cplx)) == 0;
+    plan.forward_many(full.data(), kCount, workers);
+    plan.forward_many(stack.data(), kCount, lines.data(), workers);
+    std::vector<cplx> a(gv.count()), b(gv.count());
+    for (int g = 0; g < kCount; ++g) {
+      gv.gather(full.data() + g * plan.size(), a.data());
+      gv.gather(grid(g), b.data());
+      same = same && std::memcmp(a.data(), b.data(),
+                                 a.size() * sizeof(cplx)) == 0;
+    }
+    return same;
+  }
+  double flops(bool pruned) const {
+    const FftLines& l = gv.fft_lines();
+    const std::uint64_t one =
+        pruned ? FlopCounter::fft3d_lines(kN, kN, kN, l.yz.size(), l.z.size())
+               : FlopCounter::fft3d(kN, kN, kN);
+    return 2.0 * static_cast<double>(one) * kCount;
   }
 };
 
@@ -438,6 +505,17 @@ std::vector<JsonEntry> kernel_summary() {
     out.push_back({"fft_many_16x24", many, fx.flops()});
     out.push_back(
         {"fft_many_speedup_over_looped", many > 0 ? looped / many : 0, 0});
+  }
+  {
+    // G-sphere-pruned vs full wavefunction round trip on the same stack.
+    FftSphereManyFixture fx;
+    const int workers = std::min(4, default_workers());
+    const double full = time_best_ms(5, [&]() { fx.run(false, workers); });
+    const double pruned = time_best_ms(5, [&]() { fx.run(true, workers); });
+    out.push_back({"fft_sphere_full_many_16x24", full, fx.flops(false)});
+    out.push_back({"fft_sphere_many_16x24", pruned, fx.flops(true)});
+    out.push_back({"fft_sphere_bit_identical_to_full",
+                   fx.bit_identical(workers) ? 1.0 : 0.0, 0});
   }
 
   {

@@ -16,4 +16,10 @@ std::uint64_t FlopCounter::fft3d(std::uint64_t n1, std::uint64_t n2,
   return n2 * n3 * fft(n1) + n1 * n3 * fft(n2) + n1 * n2 * fft(n3);
 }
 
+std::uint64_t FlopCounter::fft3d_lines(std::uint64_t n1, std::uint64_t n2,
+                                       std::uint64_t n3, std::uint64_t n_yz,
+                                       std::uint64_t n_z) {
+  return n_yz * fft(n1) + n1 * n_z * fft(n2) + n1 * n2 * fft(n3);
+}
+
 }  // namespace ls3df

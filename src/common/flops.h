@@ -28,6 +28,11 @@ class FlopCounter {
   static std::uint64_t fft(std::uint64_t n);
   static std::uint64_t fft3d(std::uint64_t n1, std::uint64_t n2,
                              std::uint64_t n3);
+  // A G-sphere-pruned 3D FFT (fft/fft3d.h) that runs x-lines on n_yz
+  // columns and y-lines on n_z planes of every x, plus every z-line.
+  static std::uint64_t fft3d_lines(std::uint64_t n1, std::uint64_t n2,
+                                   std::uint64_t n3, std::uint64_t n_yz,
+                                   std::uint64_t n_z);
 
  private:
   std::uint64_t flops_ = 0;

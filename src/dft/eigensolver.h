@@ -19,9 +19,9 @@
 //
 //   one batched H application      Hamiltonian::apply_batched — every
 //                                  band of every member scattered into a
-//                                  contiguous grid stack, one
-//                                  inverse/forward many-transform sweep
-//                                  (Fft3D::forward_many), one fused
+//                                  contiguous grid stack, one G-sphere-
+//                                  pruned inverse/forward many-transform
+//                                  sweep (Fft3D::forward_many), one fused
 //                                  nonlocal GEMM grid (gemm_batched);
 //   K small Rayleigh-Ritz solves   subspace G = V^H HV and the Ritz
 //                                  rotations run as batched GEMMs; the

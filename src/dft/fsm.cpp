@@ -131,7 +131,7 @@ FieldR band_density(const Hamiltonian& h, const cd* band) {
   FieldC work(basis.grid_shape());
   basis.scatter(band, work);
   const Fft3D& fft = fft_plan(basis.grid_shape());
-  fft.inverse(work.raw());
+  fft.inverse(work.data(), basis.fft_lines());
   FieldR rho(basis.grid_shape());
   double total = 0;
   for (std::size_t i = 0; i < work.size(); ++i) {
@@ -184,7 +184,7 @@ double inverse_participation_ratio(const Hamiltonian& h, const cd* band) {
   FieldC work(basis.grid_shape());
   basis.scatter(band, work);
   const Fft3D& fft = fft_plan(basis.grid_shape());
-  fft.inverse(work.raw());
+  fft.inverse(work.data(), basis.fft_lines());
   double sum2 = 0, sum4 = 0;
   for (std::size_t i = 0; i < work.size(); ++i) {
     const double p = std::norm(work[i]);

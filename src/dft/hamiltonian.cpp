@@ -67,7 +67,7 @@ MatCF& ApplyBatchWorkspace::proj_f32(int member, int rows, int cols) {
 void ApplyBatchWorkspace::note_dispatch_capacity() {
   const std::size_t cap = off.capacity() + member_of.capacity() +
                           nl_members.capacity() + overlap_items.capacity() +
-                          accum_items.capacity() +
+                          grid_lines.capacity() + accum_items.capacity() +
                           overlap_items_f32.capacity() +
                           accum_items_f32.capacity();
   if (cap > dispatch_peak_) {
@@ -75,6 +75,18 @@ void ApplyBatchWorkspace::note_dispatch_capacity() {
     ++allocs_;
   }
 }
+
+namespace {
+
+// Flops of one G-sphere-pruned wavefunction FFT on `basis`' grid.
+std::uint64_t wavefunction_fft_flops(const GVectors& basis) {
+  const Vec3i g = basis.grid_shape();
+  const FftLines& lines = basis.fft_lines();
+  return FlopCounter::fft3d_lines(g.x, g.y, g.z, lines.yz.size(),
+                                  lines.z.size());
+}
+
+}  // namespace
 
 Vec3i default_fft_grid(const Lattice& lat, double ecut_hartree) {
   const double gmax = std::sqrt(2.0 * ecut_hartree);
@@ -126,15 +138,14 @@ void Hamiltonian::ensure_f32_mirrors() const {
 }
 
 void Hamiltonian::apply_local(const cd* in, cd* out) const {
+  const FftLines& lines = basis_->fft_lines();
   basis_->scatter(in, work_);
-  fft_.inverse(work_.raw());
+  fft_.inverse(work_.data(), lines);
   for (std::size_t i = 0; i < work_.size(); ++i) work_[i] *= vloc_[i];
-  fft_.forward(work_.raw());
+  fft_.forward(work_.data(), lines);
   basis_->gather(work_, out);
-  if (flops_) {
-    const Vec3i g = basis_->grid_shape();
-    flops_->add(2 * FlopCounter::fft3d(g.x, g.y, g.z) + 6 * work_.size());
-  }
+  if (flops_)
+    flops_->add(2 * wavefunction_fft_flops(*basis_) + 6 * work_.size());
 }
 
 void Hamiltonian::apply(const MatC& psi, MatC& hpsi) const {
@@ -182,25 +193,32 @@ void Hamiltonian::apply_batched(const std::vector<ApplyItem>& items,
   if (total == 0) return;
   cd* stack = ws.grid_stack(static_cast<std::size_t>(total) * gsize);
   std::vector<int>& member_of = ws.member_of;
+  std::vector<const FftLines*>& grid_lines = ws.grid_lines;
   member_of.assign(total, 0);
+  grid_lines.assign(total, nullptr);
   for (int t = 0; t < k_members; ++t)
-    for (int u = off[t]; u < off[t + 1]; ++u) member_of[u] = t;
+    for (int u = off[t]; u < off[t + 1]; ++u) {
+      member_of[u] = t;
+      grid_lines[u] = &items[t].h->basis().fft_lines();
+    }
 
   // Local potential, batched: scatter every band, one inverse sweep,
-  // multiply by each member's V_loc, one forward sweep, gather. The
-  // per-band sequence is exactly apply_local()'s.
+  // multiply by each member's V_loc, one forward sweep, gather. Each
+  // grid is pruned with its own member's line table. The per-band
+  // sequence is exactly apply_local()'s.
   parallel_for(total, n_workers, [&](int u, int /*worker*/) {
     const int t = member_of[u];
     const ApplyItem& it = items[t];
     it.h->basis().scatter(it.psi->col(u - off[t]), stack + u * gsize);
   });
-  fft_inverse_many(shape, stack, total, n_workers);
+  const Fft3D& plan = fft_plan(shape);
+  plan.inverse_many(stack, total, grid_lines.data(), n_workers);
   parallel_for(total, n_workers, [&](int u, int /*worker*/) {
     const FieldR& vloc = items[member_of[u]].h->local_potential();
     cd* grid = stack + u * gsize;
     for (std::size_t i = 0; i < gsize; ++i) grid[i] *= vloc[i];
   });
-  fft_forward_many(shape, stack, total, n_workers);
+  plan.forward_many(stack, total, grid_lines.data(), n_workers);
   parallel_for(total, n_workers, [&](int u, int /*worker*/) {
     const int t = member_of[u];
     const ApplyItem& it = items[t];
@@ -253,7 +271,7 @@ void Hamiltonian::apply_batched(const std::vector<ApplyItem>& items,
     if (!it.h->flops_) continue;
     const int ng = it.h->basis().count(), nb = it.psi->cols();
     it.h->flops_->add(static_cast<unsigned long long>(nb) *
-                      (2 * FlopCounter::fft3d(shape.x, shape.y, shape.z) +
+                      (2 * wavefunction_fft_flops(it.h->basis()) +
                        6 * gsize));
     it.h->flops_->add(4ull * ng * nb);
     it.h->flops_->add(
@@ -289,24 +307,30 @@ void Hamiltonian::apply_batched_f32(const std::vector<ApplyItemF32>& items,
   if (total == 0) return;
   cf* stack = ws.grid_stack_f32(static_cast<std::size_t>(total) * gsize);
   std::vector<int>& member_of = ws.member_of;
+  std::vector<const FftLines*>& grid_lines = ws.grid_lines;
   member_of.assign(total, 0);
+  grid_lines.assign(total, nullptr);
   for (int t = 0; t < k_members; ++t)
-    for (int u = off[t]; u < off[t + 1]; ++u) member_of[u] = t;
+    for (int u = off[t]; u < off[t + 1]; ++u) {
+      member_of[u] = t;
+      grid_lines[u] = &items[t].h->basis().fft_lines();
+    }
 
-  // Local potential: same scatter / inverse / multiply / forward / gather
-  // sweep as the double path, on single-precision plans and grids.
+  // Local potential: same pruned scatter / inverse / multiply / forward /
+  // gather sweep as the double path, on single-precision plans and grids.
   parallel_for(total, n_workers, [&](int u, int /*worker*/) {
     const int t = member_of[u];
     const ApplyItemF32& it = items[t];
     it.h->basis().scatter(it.psi->col(u - off[t]), stack + u * gsize);
   });
-  fft_inverse_many(shape, stack, total, n_workers);
+  const Fft3DF& plan = fft_plan_f32(shape);
+  plan.inverse_many(stack, total, grid_lines.data(), n_workers);
   parallel_for(total, n_workers, [&](int u, int /*worker*/) {
     const std::vector<float>& vloc = items[member_of[u]].h->vloc_f32_;
     cf* grid = stack + u * gsize;
     for (std::size_t i = 0; i < gsize; ++i) grid[i] *= vloc[i];
   });
-  fft_forward_many(shape, stack, total, n_workers);
+  plan.forward_many(stack, total, grid_lines.data(), n_workers);
   parallel_for(total, n_workers, [&](int u, int /*worker*/) {
     const int t = member_of[u];
     const ApplyItemF32& it = items[t];
@@ -358,7 +382,7 @@ void Hamiltonian::apply_batched_f32(const std::vector<ApplyItemF32>& items,
     if (!it.h->flops_) continue;
     const int ng = it.h->basis().count(), nb = it.psi->cols();
     it.h->flops_->add(static_cast<unsigned long long>(nb) *
-                      (2 * FlopCounter::fft3d(shape.x, shape.y, shape.z) +
+                      (2 * wavefunction_fft_flops(it.h->basis()) +
                        6 * gsize));
     it.h->flops_->add(4ull * ng * nb);
     it.h->flops_->add(
@@ -406,7 +430,7 @@ FieldR Hamiltonian::kinetic_energy_density(
       const cd* p = psi.col(j);
       for (int g = 0; g < ng; ++g) grad[g] = cd(0, 1) * basis_->g(g)[dim] * p[g];
       basis_->scatter(grad.data(), work);
-      fft_.inverse(work.raw());
+      fft_.inverse(work.data(), basis_->fft_lines());
       // Same normalization as density(): grid value = (1/N) sum_G (...),
       // so |grad psi(r)|^2 = N^2 |work(r)|^2 / V.
       const double scale = 0.5 * occ[j] * inv_vol *
@@ -429,10 +453,9 @@ FieldR Hamiltonian::density(const MatC& psi,
 void Hamiltonian::density_into(const MatC& psi,
                                const std::vector<double>& occ,
                                FieldR& rho, int n_workers) const {
-  const Vec3i shape = basis_->grid_shape();
   const int nb = psi.cols();
   assert(static_cast<int>(occ.size()) == nb);
-  assert(rho.shape() == shape);
+  assert(rho.shape() == basis_->grid_shape());
   rho.fill(0.0);
   const std::size_t ngrid = fft_.size();
   // Occupied bands only drive the transforms.
@@ -452,10 +475,7 @@ void Hamiltonian::density_into(const MatC& psi,
                          static_cast<double>(ngrid);
     for (std::size_t i = 0; i < rho.size(); ++i)
       rho[i] += scale * std::norm(grid[i]);
-    if (flops_) {
-      const Vec3i g = shape;
-      flops_->add(FlopCounter::fft3d(g.x, g.y, g.z) + 3 * rho.size());
-    }
+    if (flops_) flops_->add(wavefunction_fft_flops(*basis_) + 3 * rho.size());
   };
 
   if (n_workers <= 1) {
@@ -464,7 +484,7 @@ void Hamiltonian::density_into(const MatC& psi,
     FieldC& work = work_;
     for (int j : bands) {
       basis_->scatter(psi.col(j), work);
-      fft_.inverse(work.raw());
+      fft_.inverse(work.data(), basis_->fft_lines());
       accumulate_band(j, work.data());
     }
     return;
@@ -479,8 +499,9 @@ void Hamiltonian::density_into(const MatC& psi,
     density_stack_.resize(bands.size() * ngrid);
   for (std::size_t k = 0; k < bands.size(); ++k)
     basis_->scatter(psi.col(bands[k]), density_stack_.data() + k * ngrid);
+  const std::vector<const FftLines*> lines(bands.size(), &basis_->fft_lines());
   fft_.inverse_many(density_stack_.data(), static_cast<int>(bands.size()),
-                    n_workers);
+                    lines.data(), n_workers);
   for (std::size_t k = 0; k < bands.size(); ++k)
     accumulate_band(bands[k], density_stack_.data() + k * ngrid);
 }

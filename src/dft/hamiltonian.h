@@ -3,6 +3,16 @@
 // real space via FFTs — the standard planewave-code structure shared by
 // PEtot, PARATEC and Qbox (Sec. IV).
 //
+// Every wavefunction FFT here — the local apply (apply, apply_band,
+// apply_batched, apply_batched_f32), density/density_into and
+// kinetic_energy_density — is G-sphere pruned: it runs only the 1D lines
+// the basis' line table (GVectors::fft_lines) names, skipping x-lines on
+// empty (iy,iz) columns and y-lines on empty iz planes (fft/fft3d.h).
+// The pruned transforms are bit-identical to the full ones on scattered
+// input and gathered output, so pruning changes no bit of any result;
+// the flop counts charge only the lines that run
+// (FlopCounter::fft3d_lines).
+//
 // Both application paths of the paper's optimization study are provided:
 //   apply()       all bands at once (BLAS-3 nonlocal, batched FFTs)
 //   apply_band()  one band at a time (BLAS-2 nonlocal), the original
@@ -53,12 +63,14 @@ class ApplyBatchWorkspace {
   long allocations() const { return allocs_; }
 
   // Dispatch-control scratch hoisted out of apply_batched: band offsets,
-  // the band -> member map, and the batched-GEMM item lists. Tiny, but a
-  // fresh heap allocation per dispatch would keep the steady-state
-  // allocation probes from ever going flat. Grow-only (assign/clear keep
+  // the band -> member map, each grid's pruned-FFT line table, and the
+  // batched-GEMM item lists. Tiny, but a fresh heap allocation per
+  // dispatch would keep the steady-state allocation probes from ever
+  // going flat. Grow-only (assign/clear keep
   // capacity); capacity growth is folded into allocations() once per
   // dispatch via note_dispatch_capacity().
   std::vector<int> off, member_of, nl_members;
+  std::vector<const FftLines*> grid_lines;
   std::vector<GemmBatchItem> overlap_items, accum_items;
   std::vector<GemmBatchItemF> overlap_items_f32, accum_items_f32;
 
@@ -113,11 +125,12 @@ class Hamiltonian {
   // Batched application across a stack of same-size-class fragments (all
   // members must share the FFT grid shape; basis tables are per member).
   // The local part scatters every band of every member into one
-  // contiguous grid stack and runs a single inverse/forward many-
-  // transform sweep; the nonlocal part runs two batched GEMMs. Per-band
-  // arithmetic is exactly apply()'s, so a batched call is bit-identical
-  // to the member-by-member loop for any n_workers — batching only
-  // changes scheduling and cache behaviour. This is the seam a GPU
+  // contiguous grid stack and runs a single pruned inverse/forward many-
+  // transform sweep, each grid pruned with its own member's line table;
+  // the nonlocal part runs two batched GEMMs. Per-band arithmetic is
+  // exactly apply()'s, so a batched call is bit-identical to the
+  // member-by-member loop for any n_workers — batching only changes
+  // scheduling and cache behaviour. This is the seam a GPU
   // backend slots into: the grid stack and the fused GEMM grid are the
   // device-friendly units.
   static void apply_batched(const std::vector<ApplyItem>& items,
@@ -161,7 +174,7 @@ class Hamiltonian {
   // Same, accumulated into a caller-owned field of the FFT-grid shape
   // (overwritten). With n_workers > 1 (the batched fragment dispatch
   // passes its inner lanes) all occupied bands are scattered into one
-  // contiguous grid stack and moved to real space by a single
+  // contiguous grid stack and moved to real space by a single pruned
   // Fft3D::inverse_many sweep — the batched-kernel shape of the fragment
   // solver; the stack is a grow-only internal arena, so the steady state
   // allocates nothing. With n_workers <= 1 the bands stream through the

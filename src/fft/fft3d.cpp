@@ -33,12 +33,15 @@ void BasicFft3D<Real>::transform_z(Cplx* data, bool inv) const {
 }
 
 template <typename Real>
-void BasicFft3D<Real>::transform_y(Cplx* data, bool inv) const {
+void BasicFft3D<Real>::transform_y(Cplx* data, bool inv,
+                                   const std::vector<int>* z) const {
   const int n1 = shape_.x, n2 = shape_.y, n3 = shape_.z;
-  // Axis y: stride n3 within each x-slab.
+  // Axis y: stride n3 within each x-slab; only the planes in `z` if given.
   std::vector<Cplx>& buf = scratch_;
+  const int nz = z ? static_cast<int>(z->size()) : n3;
   for (int ix = 0; ix < n1; ++ix)
-    for (int iz = 0; iz < n3; ++iz) {
+    for (int k = 0; k < nz; ++k) {
+      const int iz = z ? (*z)[k] : k;
       Cplx* base = data + static_cast<std::size_t>(ix) * n2 * n3 + iz;
       for (int iy = 0; iy < n2; ++iy) buf[iy] = base[static_cast<std::size_t>(iy) * n3];
       if (inv)
@@ -50,38 +53,43 @@ void BasicFft3D<Real>::transform_y(Cplx* data, bool inv) const {
 }
 
 template <typename Real>
-void BasicFft3D<Real>::transform_x(Cplx* data, bool inv) const {
+void BasicFft3D<Real>::transform_x(Cplx* data, bool inv,
+                                   const std::vector<int>* yz) const {
   const int n1 = shape_.x, n2 = shape_.y, n3 = shape_.z;
-  // Axis x: stride n2*n3.
+  // Axis x: stride n2*n3; only the (iy,iz) columns in `yz` if given.
   std::vector<Cplx>& buf = scratch_;
   const std::size_t sx = static_cast<std::size_t>(n2) * n3;
-  for (int iy = 0; iy < n2; ++iy)
-    for (int iz = 0; iz < n3; ++iz) {
-      Cplx* base = data + static_cast<std::size_t>(iy) * n3 + iz;
-      for (int ix = 0; ix < n1; ++ix) buf[ix] = base[ix * sx];
-      if (inv)
-        fx_.inverse(buf.data());
-      else
-        fx_.forward(buf.data());
-      for (int ix = 0; ix < n1; ++ix) base[ix * sx] = buf[ix];
-    }
+  const int ncol = yz ? static_cast<int>(yz->size()) : n2 * n3;
+  for (int k = 0; k < ncol; ++k) {
+    Cplx* base = data + (yz ? (*yz)[k] : k);
+    for (int ix = 0; ix < n1; ++ix) buf[ix] = base[ix * sx];
+    if (inv)
+      fx_.inverse(buf.data());
+    else
+      fx_.forward(buf.data());
+    for (int ix = 0; ix < n1; ++ix) base[ix * sx] = buf[ix];
+  }
 }
 
 template <typename Real>
-void BasicFft3D<Real>::transform(Cplx* data, bool inv) const {
+void BasicFft3D<Real>::transform(Cplx* data, bool inv,
+                                 const FftLines* lines) const {
   // Forward applies z, y, x; inverse undoes them in reverse (x, y, z).
   // The mirrored order is what lets the slab-distributed transform
   // (fft/dist_fft3d.h) stay bit-identical to this dense path with a
   // single pencil transpose per direction: the x axis — the one that
   // crosses shard boundaries — always sits on the transposed side.
+  // A pruned transform keeps the order and drops lines (see header).
+  const std::vector<int>* yz = lines ? &lines->yz : nullptr;
+  const std::vector<int>* z = lines ? &lines->z : nullptr;
   if (inv) {
-    transform_x(data, true);
-    transform_y(data, true);
+    transform_x(data, true, yz);
+    transform_y(data, true, z);
     transform_z(data, true);
   } else {
     transform_z(data, false);
-    transform_y(data, false);
-    transform_x(data, false);
+    transform_y(data, false, z);
+    transform_x(data, false, yz);
   }
 }
 
@@ -99,50 +107,58 @@ const BasicFft3D<float>& cached_plan<float>(Vec3i shape) {
   return fft_plan_f32(shape);
 }
 
+}  // namespace
+
+// `lines` null: full transforms; else grid g is pruned with *lines[g].
 template <typename Real>
-void transform_many(const BasicFft3D<Real>& self, std::complex<Real>* stack,
-                    int count, bool inv, int n_workers) {
+void BasicFft3D<Real>::transform_many(Cplx* stack, int count,
+                                      const FftLines* const* lines, bool inv,
+                                      int n_workers) const {
   if (count <= 0) return;
-  const std::size_t stride = self.size();
+  const auto run = [&](const BasicFft3D& plan, int g) {
+    plan.transform(stack + static_cast<std::size_t>(g) * size(), inv,
+                   lines ? lines[g] : nullptr);
+  };
   if (n_workers <= 1 || count == 1) {
-    for (int g = 0; g < count; ++g) {
-      std::complex<Real>* grid = stack + static_cast<std::size_t>(g) * stride;
-      if (inv)
-        self.inverse(grid);
-      else
-        self.forward(grid);
-    }
+    for (int g = 0; g < count; ++g) run(*this, g);
     return;
   }
-  const Vec3i shape = self.shape();
   // Each lane transforms through its own thread-local plan so the
   // strided-axis scratch is never shared between concurrent grids; the
   // cache lookup happens once per lane, not once per grid.
-  std::vector<const BasicFft3D<Real>*> lane_plan(std::min(n_workers, count),
-                                                 nullptr);
+  std::vector<const BasicFft3D*> lane_plan(std::min(n_workers, count),
+                                           nullptr);
   parallel_for(count, n_workers, [&](int g, int worker) {
-    const BasicFft3D<Real>*& plan = lane_plan[worker];
-    if (!plan) plan = &cached_plan<Real>(shape);
-    std::complex<Real>* grid = stack + static_cast<std::size_t>(g) * stride;
-    if (inv)
-      plan->inverse(grid);
-    else
-      plan->forward(grid);
+    const BasicFft3D*& plan = lane_plan[worker];
+    if (!plan) plan = &cached_plan<Real>(shape_);
+    run(*plan, g);
   });
 }
-
-}  // namespace
 
 template <typename Real>
 void BasicFft3D<Real>::forward_many(Cplx* stack, int count,
                                     int n_workers) const {
-  transform_many(*this, stack, count, false, n_workers);
+  transform_many(stack, count, nullptr, false, n_workers);
 }
 
 template <typename Real>
 void BasicFft3D<Real>::inverse_many(Cplx* stack, int count,
                                     int n_workers) const {
-  transform_many(*this, stack, count, true, n_workers);
+  transform_many(stack, count, nullptr, true, n_workers);
+}
+
+template <typename Real>
+void BasicFft3D<Real>::forward_many(Cplx* stack, int count,
+                                    const FftLines* const* lines,
+                                    int n_workers) const {
+  transform_many(stack, count, lines, false, n_workers);
+}
+
+template <typename Real>
+void BasicFft3D<Real>::inverse_many(Cplx* stack, int count,
+                                    const FftLines* const* lines,
+                                    int n_workers) const {
+  transform_many(stack, count, lines, true, n_workers);
 }
 
 template class BasicFft3D<double>;

@@ -14,6 +14,24 @@
 // per x-slab and crossing the single pencil transpose for the x axis, in
 // both directions.
 //
+// Pruned transforms: a wavefunction's coefficients fill only the
+// |G|^2/2 <= ecut sphere of its grid, so most 1D lines of a wavefunction
+// transform are all zero going in or thrown away coming out. The pruned
+// inverse/forward take an FftLines table (built by GVectors) and keep the
+// same axis order while skipping those lines:
+//   inverse  x-lines only for the occupied (iy,iz) columns, y-lines only
+//            for the occupied iz planes, then every z-line;
+//   forward  every z-line, y-lines only for the occupied iz planes, then
+//            x-lines only for the occupied (iy,iz) columns.
+// The result is bit-identical to the full transform where it is defined:
+// every skipped inverse line has all-zero input, so its transform is
+// exact zeros, and every skipped forward line feeds only outputs off the
+// sphere; the surviving lines run the same plans on the same data. The
+// caller's contract: the inverse input must be zero outside the sphere
+// (a GVectors::scatter guarantees it), and forward outputs are valid only
+// on the sphere points (read them with GVectors::gather). Dense fields —
+// densities, potentials, GENPOT's Poisson solve — use the full transform.
+//
 // Like the 1D planner, the 3D transform is templated over the real type:
 // BasicFft3D<double> (alias Fft3D) is the bit-exact engine path,
 // BasicFft3D<float> (alias Fft3DF) the single-precision plan behind the
@@ -33,6 +51,13 @@
 
 namespace ls3df {
 
+// The 1D lines a pruned transform runs (see "Pruned transforms" above).
+// Both lists are ascending.
+struct FftLines {
+  std::vector<int> yz;  // occupied columns iy*n3 + iz: the x-lines
+  std::vector<int> z;   // occupied planes iz: the y-lines of every ix
+};
+
 template <typename Real>
 class BasicFft3D {
  public:
@@ -51,6 +76,14 @@ class BasicFft3D {
   void forward(std::vector<Cplx>& v) const { forward(v.data()); }
   void inverse(std::vector<Cplx>& v) const { inverse(v.data()); }
 
+  // Pruned transforms over the lines of `lines` (same scaling as above).
+  void forward(Cplx* data, const FftLines& lines) const {
+    transform(data, false, &lines);
+  }
+  void inverse(Cplx* data, const FftLines& lines) const {
+    transform(data, true, &lines);
+  }
+
   // Many-transform sweep over a contiguous stack of `count` grids of this
   // shape (stack[g * size() .. (g+1) * size())). Transforms are
   // independent, so the sweep fans out over min(n_workers, count) lanes
@@ -58,15 +91,27 @@ class BasicFft3D {
   // thread-local cached plan (fft/plan_cache.h), so no scratch is shared
   // and each grid's arithmetic is exactly what a serial forward()/
   // inverse() call would produce — results are bit-identical for any
-  // n_workers. This is the transform shape the batched fragment solver
-  // feeds: one sweep serves every band of every fragment in a batch.
+  // n_workers.
   void forward_many(Cplx* stack, int count, int n_workers = 1) const;
   void inverse_many(Cplx* stack, int count, int n_workers = 1) const;
 
+  // Pruned many-transform sweeps: grid g is transformed with the table
+  // *lines[g]. This is the transform shape the batched fragment solver
+  // feeds: one sweep serves every band of every fragment in a batch, each
+  // pruned with its own member's sphere. Bit-identical to `count` serial
+  // pruned transforms for any n_workers.
+  void forward_many(Cplx* stack, int count, const FftLines* const* lines,
+                    int n_workers = 1) const;
+  void inverse_many(Cplx* stack, int count, const FftLines* const* lines,
+                    int n_workers = 1) const;
+
  private:
-  void transform(Cplx* data, bool inv) const;
-  void transform_x(Cplx* data, bool inv) const;
-  void transform_y(Cplx* data, bool inv) const;
+  // A null `lines` is the full transform.
+  void transform(Cplx* data, bool inv, const FftLines* lines = nullptr) const;
+  void transform_many(Cplx* stack, int count, const FftLines* const* lines,
+                      bool inv, int n_workers) const;
+  void transform_x(Cplx* data, bool inv, const std::vector<int>* yz) const;
+  void transform_y(Cplx* data, bool inv, const std::vector<int>* z) const;
   void transform_z(Cplx* data, bool inv) const;
 
   Vec3i shape_;

@@ -91,22 +91,6 @@ const Fft3DF& fft_plan_f32(Vec3i shape) {
 
 const Fft1D& fft1d_plan(int n) { return active_cache().plan_1d(n); }
 
-void fft_forward_many(Vec3i shape, cplx* stack, int count, int n_workers) {
-  fft_plan(shape).forward_many(stack, count, n_workers);
-}
-
-void fft_inverse_many(Vec3i shape, cplx* stack, int count, int n_workers) {
-  fft_plan(shape).inverse_many(stack, count, n_workers);
-}
-
-void fft_forward_many(Vec3i shape, cplxf* stack, int count, int n_workers) {
-  fft_plan_f32(shape).forward_many(stack, count, n_workers);
-}
-
-void fft_inverse_many(Vec3i shape, cplxf* stack, int count, int n_workers) {
-  fft_plan_f32(shape).inverse_many(stack, count, n_workers);
-}
-
 int fft_plan_cache_size() { return active_cache().thread_plan_count(); }
 
 }  // namespace ls3df

@@ -80,18 +80,6 @@ const Fft3DF& fft_plan_f32(Vec3i shape);
 // executes it — the 1D analogue of the Fft3D cache above.
 const Fft1D& fft1d_plan(int n);
 
-// Many-transform sweep over a contiguous stack of `count` same-shape
-// grids through the cached plans: the calling thread's plan drives the
-// sweep and each worker lane transforms via its own thread-local plan
-// (see Fft3D::forward_many). Results are bit-identical to `count` serial
-// single-grid transforms for any n_workers.
-void fft_forward_many(Vec3i shape, cplx* stack, int count, int n_workers = 1);
-void fft_inverse_many(Vec3i shape, cplx* stack, int count, int n_workers = 1);
-
-// Single-precision many-transform sweeps through the fp32 plan cache.
-void fft_forward_many(Vec3i shape, cplxf* stack, int count, int n_workers = 1);
-void fft_inverse_many(Vec3i shape, cplxf* stack, int count, int n_workers = 1);
-
 // Number of distinct 3D plans cached by the calling thread in the
 // active cache (diagnostics).
 int fft_plan_cache_size();

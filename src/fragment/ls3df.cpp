@@ -166,6 +166,15 @@ const Ls3dfOptions& validated(const Ls3dfOptions& opt) {
     if (opt.division[i] < 1 || opt.division[i] == 2)
       reject("division must have m_i == 1 or m_i >= 3 per axis");
   if (opt.points_per_cell < 4) reject("points_per_cell must be >= 4");
+  // A non-positive or non-finite cutoff leaves the wavefunction basis
+  // empty: no G = 0 and no pruned-FFT lines.
+  if (!std::isfinite(opt.ecut) || opt.ecut <= 0)
+    reject("ecut must be finite and > 0");
+  if (opt.buffer_points < 0) reject("buffer_points must be >= 0");
+  if (opt.extra_bands < 0) reject("extra_bands must be >= 0");
+  if (opt.max_iterations < 0) reject("max_iterations must be >= 0");
+  if (!std::isfinite(opt.mix_alpha) || opt.mix_alpha <= 0)
+    reject("mix_alpha must be finite and > 0");
   if (opt.batch_width < 1) reject("batch_width must be >= 1");
   if (opt.n_shards < 0) reject("n_shards must be >= 0");
   if (!opt.overlap) reject("overlap must be true (the only solve driver)");

@@ -11,6 +11,9 @@ GVectors::GVectors(const Lattice& lattice, Vec3i grid_shape,
     : lattice_(lattice), grid_shape_(grid_shape), ecut_(ecut_hartree) {
   const Vec3d b = lattice.reciprocal();
   const int n1 = grid_shape.x, n2 = grid_shape.y, n3 = grid_shape.z;
+  // Occupancy of each (iy,iz) column and iz plane, compressed into the
+  // pruned-FFT line tables after the scan.
+  std::vector<char> col(static_cast<std::size_t>(n2) * n3, 0), plane(n3, 0);
   for (int i1 = 0; i1 < n1; ++i1) {
     const int h = freq(i1, n1);
     for (int i2 = 0; i2 < n2; ++i2) {
@@ -27,10 +30,16 @@ GVectors::GVectors(const Lattice& lattice, Vec3i grid_shape,
           miller_.push_back({h, k, l});
           fft_index_.push_back(
               (static_cast<std::size_t>(i1) * n2 + i2) * n3 + i3);
+          col[static_cast<std::size_t>(i2) * n3 + i3] = 1;
+          plane[i3] = 1;
         }
       }
     }
   }
+  for (int c = 0; c < n2 * n3; ++c)
+    if (col[c]) lines_.yz.push_back(c);
+  for (int i3 = 0; i3 < n3; ++i3)
+    if (plane[i3]) lines_.z.push_back(i3);
   assert(g0_ >= 0);
 }
 

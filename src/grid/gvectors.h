@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/vec3.h"
+#include "fft/fft3d.h"
 #include "grid/field3d.h"
 #include "grid/lattice.h"
 
@@ -36,6 +37,15 @@ class GVectors {
 
   // Index of the G = 0 element (always present).
   int g0_index() const { return g0_; }
+
+  // The 1D lines a wavefunction FFT on this basis must run: yz lists the
+  // grid columns (iy,iz), as iy*n3 + iz, that hold at least one basis
+  // element (the x-lines), z the planes iz that do (the y-lines of every
+  // ix). Both ascending, built in the constructor's sphere scan. Pass it
+  // to the pruned Fft3D::inverse/forward (fft/fft3d.h), which are bit-
+  // identical to the full transforms on scattered input and on the
+  // gathered output.
+  const FftLines& fft_lines() const { return lines_; }
 
   // Scatter compact coefficients onto a zeroed FFT grid.
   void scatter(const std::complex<double>* coeff, FieldC& grid) const;
@@ -69,6 +79,7 @@ class GVectors {
   std::vector<double> g2_;
   std::vector<std::size_t> fft_index_;
   std::vector<Vec3i> miller_;
+  FftLines lines_;
 };
 
 }  // namespace ls3df

@@ -210,6 +210,13 @@ TEST(FlopCounter, KernelCounts) {
   // 3D = sum over pencils.
   const auto f = FlopCounter::fft3d(8, 8, 8);
   EXPECT_EQ(f, 3ull * 64 * FlopCounter::fft(8));
+  // Pruned 3D: x-lines on n_yz columns, y-lines on n_z planes of every x,
+  // every z-line; full tables are the full transform.
+  EXPECT_EQ(FlopCounter::fft3d_lines(16, 8, 8, 9, 3),
+            9 * FlopCounter::fft(16) + 16ull * 3 * FlopCounter::fft(8) +
+                16ull * 8 * FlopCounter::fft(8));
+  EXPECT_EQ(FlopCounter::fft3d_lines(12, 10, 6, 10 * 6, 6),
+            FlopCounter::fft3d(12, 10, 6));
 }
 
 TEST(FlopCounter, Accumulates) {

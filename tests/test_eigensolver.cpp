@@ -186,6 +186,53 @@ TEST(Hamiltonian, FlopCounterAccumulates) {
   EXPECT_EQ(fc.total(), 2 * after_one);
 }
 
+TEST(Hamiltonian, FlopCounterChargesOnlyPrunedFftLines) {
+  // Every wavefunction FFT is G-sphere pruned, so the counts charge
+  // fft3d_lines over the basis' line table, not the full-grid fft3d.
+  Structure s = build_zincblende(Species::kZn, Species::kTe, 9.0, {1, 1, 1});
+  const Vec3i shape{12, 12, 12};
+  GVectors gv(s.lattice(), shape, 1.5);
+  Hamiltonian h(s, gv);
+  const int nb = 3;
+  MatC psi = random_wavefunctions(gv, nb, 1);
+  const FftLines& lines = gv.fft_lines();
+  const std::uint64_t fft = FlopCounter::fft3d_lines(
+      shape.x, shape.y, shape.z, lines.yz.size(), lines.z.size());
+  ASSERT_LT(fft, FlopCounter::fft3d(shape.x, shape.y, shape.z));
+  const std::uint64_t ng = gv.count(), gsize = 12 * 12 * 12;
+  const std::uint64_t apply =
+      nb * (2 * fft + 6 * gsize) + 4 * ng * nb +
+      2 * FlopCounter::zgemm(h.nonlocal().num_projectors(), nb, ng);
+
+  FlopCounter fc;
+  h.set_flop_counter(&fc);
+  MatC hpsi;
+  h.apply(psi, hpsi);
+  EXPECT_EQ(fc.total(), apply);
+
+  fc.clear();
+  ApplyBatchWorkspace ws;
+  Hamiltonian::apply_batched({{&h, &psi, &hpsi}}, ws, 2);
+  EXPECT_EQ(fc.total(), apply);
+
+  fc.clear();
+  MatCF psi_f(psi.rows(), nb), hpsi_f;
+  for (int j = 0; j < nb; ++j)
+    for (int g = 0; g < psi.rows(); ++g)
+      psi_f(g, j) = std::complex<float>(psi(g, j));
+  Hamiltonian::apply_batched_f32({{&h, &psi_f, &hpsi_f}}, ws, 2);
+  EXPECT_EQ(fc.total(), apply);
+
+  // Density: one inverse transform per occupied band, serial or swept.
+  const std::vector<double> occ{2.0, 2.0, 0.0};
+  FieldR rho(shape);
+  for (int workers : {1, 2}) {
+    fc.clear();
+    h.density_into(psi, occ, rho, workers);
+    EXPECT_EQ(fc.total(), 2 * (fft + 3 * gsize)) << "workers=" << workers;
+  }
+}
+
 TEST(DefaultFftGrid, HoldsDensityFrequencies) {
   Lattice lat = Lattice::cubic(10.0);
   const double ecut = 2.0;

@@ -1,18 +1,20 @@
 // FFT tests: analytic DFTs, round trips, Parseval, linearity, shift
 // theorem, smooth and non-smooth (Bluestein) sizes, and the 3D transform
 // on the grid shapes the DFT engine uses (including the paper's 40^3 and
-// 32^3 per-cell grids).
+// 32^3 per-cell grids), and the G-sphere-pruned transforms against the
+// full ones bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <vector>
 
 #include "common/constants.h"
 #include "common/rng.h"
 #include "fft/fft.h"
 #include "fft/fft3d.h"
-#include "fft/plan_cache.h"
+#include "grid/gvectors.h"
 
 namespace ls3df {
 namespace {
@@ -333,18 +335,127 @@ TEST(Fft3DMany, BitIdenticalToSingleTransforms) {
   }
 }
 
-TEST(Fft3DMany, PlanCacheWrappersMatchMethods) {
-  const Vec3i shape{4, 4, 6};
+// --- G-sphere-pruned transforms ---------------------------------------
+
+// A wavefunction basis on `shape` with 1 bohr grid spacing and a cutoff
+// whose sphere spans about half of every axis — the default_fft_grid
+// proportions of the fragment solver.
+GVectors sphere_basis(Vec3i shape, double ecut = 1.2) {
+  return GVectors(Lattice({1.0 * shape.x, 1.0 * shape.y, 1.0 * shape.z}),
+                  shape, ecut);
+}
+
+template <typename Real>
+std::vector<std::complex<Real>> random_block(std::size_t n,
+                                             std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::complex<Real>> x(n);
+  for (auto& v : x)
+    v = std::complex<Real>(static_cast<Real>(rng.uniform(-1, 1)),
+                           static_cast<Real>(rng.uniform(-1, 1)));
+  return x;
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+// Pruned inverse == full inverse over the whole grid (scattered input);
+// pruned forward == full forward on the sphere points (dense input).
+template <typename Real>
+void check_pruned_matches_full(Vec3i shape) {
+  using C = std::complex<Real>;
+  const GVectors gv = sphere_basis(shape);
+  const FftLines& lines = gv.fft_lines();
+  // The sphere must actually leave lines out, or nothing is tested.
+  ASSERT_LT(lines.yz.size(), static_cast<std::size_t>(shape.y) * shape.z);
+  ASSERT_LT(lines.z.size(), static_cast<std::size_t>(shape.z));
+  const BasicFft3D<Real> plan(shape);
+
+  const auto coeff = random_block<Real>(gv.count(), 31);
+  std::vector<C> full(plan.size());
+  gv.scatter(coeff.data(), full.data());
+  std::vector<C> pruned = full;
+  plan.inverse(full.data());
+  plan.inverse(pruned.data(), lines);
+  EXPECT_TRUE(same_bits(full, pruned)) << "inverse " << shape;
+
+  full = random_block<Real>(plan.size(), 37);
+  pruned = full;
+  plan.forward(full.data());
+  plan.forward(pruned.data(), lines);
+  std::vector<C> c_full(gv.count()), c_pruned(gv.count());
+  gv.gather(full.data(), c_full.data());
+  gv.gather(pruned.data(), c_pruned.data());
+  EXPECT_TRUE(same_bits(c_full, c_pruned)) << "forward " << shape;
+}
+
+// Alloy fragment grids (smooth), 7-smooth 21, Bluestein 11, and the
+// sheet's size class.
+const Vec3i kPrunedShapes[] = {{16, 8, 8},  {24, 8, 8},   {11, 11, 11},
+                               {21, 11, 5}, {16, 14, 14}, {22, 14, 14}};
+
+TEST(Fft3DPruned, MatchesFullTransformFp64) {
+  for (const Vec3i& shape : kPrunedShapes)
+    check_pruned_matches_full<double>(shape);
+}
+
+TEST(Fft3DPruned, MatchesFullTransformFp32) {
+  for (const Vec3i& shape : kPrunedShapes)
+    check_pruned_matches_full<float>(shape);
+}
+
+TEST(Fft3DPruned, ManySweepBitIdenticalToSerial) {
+  // Two spheres on one grid shape, alternating grid by grid: the sweep
+  // must prune each grid with its own table, for any worker count.
+  const Vec3i shape{16, 14, 14};
+  const GVectors small = sphere_basis(shape, 0.8), big = sphere_basis(shape);
+  ASSERT_NE(small.fft_lines().yz, big.fft_lines().yz);
   Fft3D plan(shape);
-  const int count = 3;
-  auto a = random_signal(static_cast<int>(plan.size()) * count, 101);
-  auto b = a;
-  plan.forward_many(a.data(), count, 1);
-  fft_forward_many(shape, b.data(), count, 1);
-  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
-  plan.inverse_many(a.data(), count, 1);
-  fft_inverse_many(shape, b.data(), count, 1);
-  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
+  const int count = 7;
+  std::vector<const FftLines*> lines(count);
+  std::vector<cplx> stack0(plan.size() * count);
+  for (int g = 0; g < count; ++g) {
+    const GVectors& gv = g % 2 ? big : small;
+    lines[g] = &gv.fft_lines();
+    const auto coeff = random_block<double>(gv.count(), 50 + g);
+    gv.scatter(coeff.data(), stack0.data() + g * plan.size());
+  }
+  std::vector<cplx> serial = stack0;
+  for (int g = 0; g < count; ++g)
+    plan.inverse(serial.data() + g * plan.size(), *lines[g]);
+  std::vector<cplx> serial_fwd = serial;
+  for (int g = 0; g < count; ++g)
+    plan.forward(serial_fwd.data() + g * plan.size(), *lines[g]);
+  for (int workers : {1, 2, 4}) {
+    std::vector<cplx> many = stack0;
+    plan.inverse_many(many.data(), count, lines.data(), workers);
+    EXPECT_TRUE(same_bits(many, serial)) << "inverse workers=" << workers;
+    plan.forward_many(many.data(), count, lines.data(), workers);
+    EXPECT_TRUE(same_bits(many, serial_fwd)) << "forward workers=" << workers;
+  }
+  // fp32 sweep against fp32 serial transforms.
+  Fft3DF plan_f(shape);
+  std::vector<cplxf> stack_f(stack0.size());
+  for (std::size_t i = 0; i < stack0.size(); ++i)
+    stack_f[i] = cplxf(stack0[i]);
+  std::vector<cplxf> serial_f = stack_f;
+  for (int g = 0; g < count; ++g)
+    plan_f.inverse(serial_f.data() + g * plan_f.size(), *lines[g]);
+  std::vector<cplxf> serial_fwd_f = serial_f;
+  for (int g = 0; g < count; ++g)
+    plan_f.forward(serial_fwd_f.data() + g * plan_f.size(), *lines[g]);
+  for (int workers : {1, 2, 4}) {
+    std::vector<cplxf> many = stack_f;
+    plan_f.inverse_many(many.data(), count, lines.data(), workers);
+    EXPECT_TRUE(same_bits(many, serial_f))
+        << "fp32 inverse workers=" << workers;
+    plan_f.forward_many(many.data(), count, lines.data(), workers);
+    EXPECT_TRUE(same_bits(many, serial_fwd_f))
+        << "fp32 forward workers=" << workers;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
 #include "common/constants.h"
 #include "common/rng.h"
@@ -217,6 +218,37 @@ TEST(GVectors, ScatterGatherRoundTrip) {
   double on_energy = 0;
   for (const auto& v : c) on_energy += std::norm(v);
   EXPECT_NEAR(off_energy, on_energy, 1e-12);
+}
+
+TEST(GVectors, FftLineTablesMatchBruteForceScan) {
+  // The pruned-FFT line tables are exactly the columns (iy,iz) and planes
+  // iz that hold a basis element, recovered here from fft_index alone.
+  struct Case {
+    Lattice lat;
+    Vec3i shape;
+    double ecut;
+  };
+  const Case cases[] = {
+      {Lattice({10.0, 7.0, 5.0}), {20, 14, 10}, 1.5},  // orthorhombic
+      {Lattice({16.0, 8.0, 8.0}), {16, 8, 8}, 1.2},    // non-cubic grid
+      {Lattice({21.0, 11.0, 5.0}), {21, 11, 5}, 1.2},  // odd extents
+  };
+  for (const Case& c : cases) {
+    GVectors gv(c.lat, c.shape, c.ecut);
+    std::set<int> yz, z;
+    for (int i = 0; i < gv.count(); ++i) {
+      const std::size_t idx = gv.fft_index(i);
+      const int iz = static_cast<int>(idx % c.shape.z);
+      const int iy = static_cast<int>((idx / c.shape.z) % c.shape.y);
+      yz.insert(iy * c.shape.z + iz);
+      z.insert(iz);
+    }
+    const FftLines& lines = gv.fft_lines();
+    EXPECT_EQ(lines.yz, std::vector<int>(yz.begin(), yz.end())) << c.shape;
+    EXPECT_EQ(lines.z, std::vector<int>(z.begin(), z.end())) << c.shape;
+    // A real cutoff leaves lines out on every case here.
+    EXPECT_LT(lines.yz.size(), static_cast<std::size_t>(c.shape.y) * c.shape.z);
+  }
 }
 
 TEST(GVectors, FreqConvention) {

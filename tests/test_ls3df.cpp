@@ -90,6 +90,16 @@ TEST(Ls3df, RejectsInvalidOptionsAtConstruction) {
       {"n_shards -1", [](Ls3dfOptions& o) { o.n_shards = -1; }},
       {"overlap false", [](Ls3dfOptions& o) { o.overlap = false; }},
       {"donate false", [](Ls3dfOptions& o) { o.donate = false; }},
+      {"max_iterations -1", [](Ls3dfOptions& o) { o.max_iterations = -1; }},
+      {"ecut 0", [](Ls3dfOptions& o) { o.ecut = 0; }},
+      {"ecut -1", [](Ls3dfOptions& o) { o.ecut = -1; }},
+      {"ecut NaN", [](Ls3dfOptions& o) { o.ecut = std::nan(""); }},
+      {"ecut inf", [](Ls3dfOptions& o) { o.ecut = HUGE_VAL; }},
+      {"extra_bands -50", [](Ls3dfOptions& o) { o.extra_bands = -50; }},
+      {"buffer_points -2", [](Ls3dfOptions& o) { o.buffer_points = -2; }},
+      {"mix_alpha 0", [](Ls3dfOptions& o) { o.mix_alpha = 0; }},
+      {"mix_alpha NaN", [](Ls3dfOptions& o) { o.mix_alpha = std::nan(""); }},
+      {"mix_alpha inf", [](Ls3dfOptions& o) { o.mix_alpha = HUGE_VAL; }},
   };
   for (const Case& c : cases) {
     Ls3dfOptions lo = chain_options();
@@ -101,6 +111,9 @@ TEST(Ls3df, RejectsInvalidOptionsAtConstruction) {
   lo.points_per_cell = 4;
   lo.batch_width = 1;
   lo.n_shards = 0;
+  lo.max_iterations = 0;
+  lo.extra_bands = 0;
+  lo.buffer_points = 0;
   EXPECT_NO_THROW(Ls3dfSolver(s, lo));
 }
 
