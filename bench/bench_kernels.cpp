@@ -426,26 +426,6 @@ Structure petot_structure() {
   return s;
 }
 
-// A warmed PEtot_F probe at the given worker count and batch width.
-// Warming runs the allocation iteration; the engine is deterministic, so
-// every sweep times bit-identical work.
-struct PetotProbe {
-  Structure s = petot_structure();
-  Ls3dfSolver solver;
-  double best_ms = 1e300;
-  PetotProbe(int workers, int batch_width)
-      : solver(s, petot_options(workers, batch_width)) {
-    FieldR v = solver.genpot(build_initial_density(s, solver.global_grid()));
-    solver.gen_vf(v);
-    solver.petot_f();  // warm: arenas and FFT plans allocate here
-  }
-  void timed_sweep() {
-    Timer t;
-    solver.petot_f();
-    best_ms = std::min(best_ms, t.seconds() * 1e3);
-  }
-};
-
 std::vector<JsonEntry> kernel_summary() {
   std::vector<JsonEntry> out;
 
@@ -683,12 +663,6 @@ std::vector<JsonEntry> kernel_summary() {
                    static_cast<double>(overlapped.donated_lane_events()),
                    0});
   }
-
-  // PEtot_F probe: the petot_f() hook's LPT batch dispatch at width 4
-  // (the cross-PR trajectory entry), best of five warm sweeps.
-  PetotProbe batched_b4(std::min(4, default_workers()), 4);
-  for (int rep = 0; rep < 5; ++rep) batched_b4.timed_sweep();
-  out.push_back({"petot_f_1x1x4_batched_b4", batched_b4.best_ms, 0});
 
   {
     // Checkpoint overhead + resume fidelity on the skewed 1x1x4

@@ -54,7 +54,6 @@ struct Ls3dfSolver::ShardState {
   ShardedFieldR vion;
   mutable ShardedFieldR rho;       // latest patched (then normalized) density
   mutable ShardedFieldR vh, vxc;   // GENPOT assembly scratch
-  mutable ShardedFieldR v_scratch; // public-hook genpot target
   ShardedFieldR v_in, v_out;       // solve loop potentials
 
   // Rank-local (SPMD) exchange plans, computed once at construction from
@@ -88,7 +87,6 @@ struct Ls3dfSolver::ShardState {
         rho(grid, n_shards, comm.local_rank()),
         vh(grid, n_shards, comm.local_rank()),
         vxc(grid, n_shards, comm.local_rank()),
-        v_scratch(grid, n_shards, comm.local_rank()),
         v_in(grid, n_shards, comm.local_rank()),
         v_out(grid, n_shards, comm.local_rank()) {}
 };
@@ -107,7 +105,7 @@ struct Ls3dfSolver::ResumeState {
 struct Ls3dfSolver::FragmentContext {
   // Light metadata (pass 1): present for EVERY fragment on every rank —
   // the geometry, costs and record extents all ranks must agree on
-  // (exchange layouts, LPT costs, checkpoint framing) are derived from
+  // (exchange layouts, the cost partition, checkpoint framing) are derived from
   // these without communication.
   Fragment frag;
   Vec3i buffer;         // buffer thickness in grid points per side
@@ -171,8 +169,21 @@ const Ls3dfOptions& validated(const Ls3dfOptions& opt) {
   if (!std::isfinite(opt.ecut) || opt.ecut <= 0)
     reject("ecut must be finite and > 0");
   if (opt.buffer_points < 0) reject("buffer_points must be >= 0");
+  // A NaN wall poisons every fragment potential; a zero width divides
+  // the Gaussian by zero and silently drops the wall. A zero height
+  // (no wall) is a valid choice.
+  if (!std::isfinite(opt.wall_height) || opt.wall_height < 0)
+    reject("wall_height must be finite and >= 0");
+  if (!std::isfinite(opt.wall_width) || opt.wall_width <= 0)
+    reject("wall_width must be finite and > 0");
+  if (opt.eig.max_iterations < 1)
+    reject("eig.max_iterations must be >= 1");
   if (opt.extra_bands < 0) reject("extra_bands must be >= 0");
   if (opt.max_iterations < 0) reject("max_iterations must be >= 0");
+  // NaN or a negative tolerance can never be met; 0 is the
+  // fixed-iteration idiom (run exactly max_iterations).
+  if (!std::isfinite(opt.l1_tol) || opt.l1_tol < 0)
+    reject("l1_tol must be finite and >= 0");
   if (!std::isfinite(opt.mix_alpha) || opt.mix_alpha <= 0)
     reject("mix_alpha must be finite and > 0");
   if (opt.batch_width < 1) reject("batch_width must be >= 1");
@@ -300,13 +311,6 @@ Ls3dfSolver::Ls3dfSolver(const Structure& s, const Ls3dfOptions& opt)
     ++findex;
   }
 
-  measured_seconds_.assign(contexts_.size(), -1.0);
-  measured_seconds_f32_.assign(contexts_.size(), -1.0);
-  // Phase hooks (gen_vf, petot_f, ...) are callable outside solve():
-  // give them the full configured width until the solve loop's iteration
-  // boundary consults the live allowance.
-  live_workers_ = std::max(1, opt_.n_workers);
-
   {
     // The global grid always lives on shards. n_shards 0 is one
     // in-process shard (transport and factory ignored); otherwise clamp
@@ -344,7 +348,7 @@ Ls3dfSolver::Ls3dfSolver(const Structure& s, const Ls3dfOptions& opt)
   own_end_ = static_cast<int>(contexts_.size());
   if (spmd_) {
     const int n = shards_->comm.n_ranks();
-    const std::vector<double> costs = analytic_costs();
+    const std::vector<double> costs = fragment_costs();
     std::vector<double> prefix(costs.size() + 1, 0.0);
     for (std::size_t f = 0; f < costs.size(); ++f)
       prefix[f + 1] = prefix[f] + costs[f];
@@ -471,58 +475,12 @@ Ls3dfSolver::Ls3dfSolver(const Structure& s, const Ls3dfOptions& opt)
 
 Ls3dfSolver::~Ls3dfSolver() = default;
 
-void Ls3dfSolver::gen_vf(const FieldR& v_global) {
-  ObsContextScope obs_scope(obs_ctx());
-  assert(v_global.shape() == global_grid_);
-  // Fragment restrictions are independent: fan out on the engine. Owned
-  // fragments only — the rest have no solve state on this rank.
-  parallel_for(own_end_ - own_begin_, live_workers_,
-               [&](int i, int /*worker*/) {
-                 FragmentContext& ctx = *contexts_[own_begin_ + i];
-                 v_global.extract_into(ctx.global_offset, ctx.vf);
-                 ctx.vf += ctx.wall;
-                 ctx.h->set_local_potential(ctx.vf);
-               });
-}
-
-void Ls3dfSolver::finish_fragment(int f, int n_workers) {
-  FragmentContext& ctx = *contexts_[f];
-  // Each fragment is filled to local neutrality; with smearing,
-  // degenerate shells are occupied fractionally. (A shared global
-  // chemical potential in the spirit of Yang's divide-and-conquer
-  // was evaluated during development but patched worse than local
-  // neutrality for the gapped systems LS3DF targets.)
-  if (opt_.fragment_smearing > 0.0 && !ctx.eigenvalues.empty())
-    ctx.occ = smeared_occupations(ctx.eigenvalues, ctx.electrons,
-                                  opt_.fragment_smearing);
-  ctx.h->density_into(ctx.psi, ctx.occ, ctx.rho, n_workers);
-}
-
-void Ls3dfSolver::solve_fragment(int f, EigenWorkspace& ws) {
-  FragmentContext& ctx = *contexts_[f];
-  EigensolverResult r =
-      opt_.all_band ? solve_all_band(*ctx.h, ctx.psi, opt_.eig, ws)
-                    : solve_band_by_band(*ctx.h, ctx.psi, opt_.eig, ws);
-  ctx.eigenvalues = std::move(r.eigenvalues);
-  finish_fragment(f);
-}
-
-void Ls3dfSolver::record_measured(int f, double seconds) {
-  // Route into the EMA of the precision that produced the timing: the
-  // fp32 fast path is ~2x faster per iteration, and mixing its samples
-  // into the fp64 model would skew LPT for both.
-  double& m =
-      use_fp32_iter_ ? measured_seconds_f32_[f] : measured_seconds_[f];
-  m = m < 0 ? seconds : 0.5 * m + 0.5 * seconds;
-}
-
 bool Ls3dfSolver::mixed_precision_available() const {
   // Keyed on options and the global fragment count, NOT on batches_:
   // under SPMD a rank may own zero fragments (empty batches_) while
   // others don't, and a per-rank answer here would desynchronize the
   // precision policy — and with it the convergence latch — across ranks.
-  return opt_.precision == Precision::kMixed && opt_.all_band &&
-         !contexts_.empty();
+  return opt_.precision == Precision::kMixed && !contexts_.empty();
 }
 
 void Ls3dfSolver::update_precision_policy(
@@ -564,7 +522,6 @@ int Ls3dfSolver::refresh_live_lanes() {
     const int a = opt_.lane_allowance();
     w = std::max(1, std::min(w, a));
   }
-  live_workers_ = w;
   return w;
 }
 
@@ -573,9 +530,8 @@ void Ls3dfSolver::reset_state() {
   // formula: the only numeric state that survives across solve() calls
   // is psi (warm-started across outer iterations and across solves), so
   // after this the next solve() is bit-identical to one on a newly
-  // constructed instance. Workspaces, transports, plans and measured
-  // costs are untouched — all execution-side, none of it reaches the
-  // arithmetic.
+  // constructed instance. Workspaces, transports and plans are
+  // untouched — all execution-side, none of it reaches the arithmetic.
   for (int f = own_begin_; f < own_end_; ++f) {
     FragmentContext& ctx = *contexts_[f];
     ctx.psi = random_wavefunctions(ctx.h->basis(), ctx.n_bands,
@@ -583,13 +539,6 @@ void Ls3dfSolver::reset_state() {
   }
   rng_ = Rng(opt_.seed);
   resume_.reset();
-}
-
-void Ls3dfSolver::petot_f() {
-  ObsContextScope obs_scope(obs_ctx());
-  if (batches_.empty()) return;  // this rank owns no fragment
-  petot_f_batched(std::max(
-      1, std::min(live_workers_, static_cast<int>(batches_.size()))));
 }
 
 void Ls3dfSolver::prepare_batch_workspaces() {
@@ -606,166 +555,55 @@ void Ls3dfSolver::prepare_batch_workspaces() {
       const FragmentContext& ctx = *contexts_[f];
       const int ng = ctx.h->basis().count();
       const int vmax = std::min(2 * ctx.n_bands, ng);
-      bw.member(i).reserve(ng, ctx.n_bands, opt_.all_band);
-      if (opt_.all_band) {
-        const Vec3i g = ctx.h->basis().grid_shape();
-        stack += static_cast<std::size_t>(vmax) * g.x * g.y * g.z;
-        bw.apply().proj(i, ctx.h->nonlocal().num_projectors(), vmax);
-      }
+      bw.member(i).reserve(ng, ctx.n_bands);
+      const Vec3i g = ctx.h->basis().grid_shape();
+      stack += static_cast<std::size_t>(vmax) * g.x * g.y * g.z;
+      bw.apply().proj(i, ctx.h->nonlocal().num_projectors(), vmax);
       ++i;
     }
-    if (stack > 0) bw.apply().grid_stack(stack);
+    bw.apply().grid_stack(stack);
   }
 }
 
-void Ls3dfSolver::solve_batch(int b, int group,
-                              const std::vector<double>& analytic) {
+void Ls3dfSolver::solve_batch(int b) {
   if (opt_.on_batch_solve) opt_.on_batch_solve(b);
   const FragmentBatch& batch = batches_[b];
   BatchWorkspace& bw = *batch_workspaces_[b];
   const int k_members = static_cast<int>(batch.members.size());
-  Timer bt;
-  for (int f : batch.members) executed_group_of_[f] = group;
-  if (opt_.all_band) {
-    std::vector<FragmentSolve> items;
-    items.reserve(k_members);
-    for (int f : batch.members)
-      items.push_back({contexts_[f]->h.get(), &contexts_[f]->psi});
-    // Live inner-lane width: the lockstep driver re-reads the budget's
-    // allowance at every sweep boundary, so lanes donated by retiring
-    // holders widen this solve mid-flight. The kernels are
-    // worker-count-invariant, so the width schedule cannot change
-    // results.
-    const std::function<int()> live_lanes = [this]() {
-      return lane_budget_.allowance();
-    };
-    std::vector<EigensolverResult> rs =
-        use_fp32_iter_ ? solve_all_band_batched_f32(items, opt_.eig, bw,
-                                                    live_lanes(), live_lanes)
-                       : solve_all_band_batched(items, opt_.eig, bw,
-                                                live_lanes(), live_lanes);
-    for (int k = 0; k < k_members; ++k)
-      contexts_[batch.members[k]]->eigenvalues = std::move(rs[k].eigenvalues);
-    // Densities member by member, each member's band stack swept by
-    // one many-transform pass over this batch's inner lanes (the
-    // lanes go to the FFTs, not the member loop — bit-identical
-    // either way, so the density sweep may also use donated width).
-    for (int k = 0; k < k_members; ++k)
-      finish_fragment(batch.members[k], lane_budget_.allowance());
-  } else {
-    // Band-by-band has no lockstep driver; members still share the
-    // batch's schedulable unit and per-member arenas.
-    for (int k = 0; k < k_members; ++k)
-      solve_fragment(batch.members[k], bw.member(k));
-  }
-  // Apportion the measured batch time over members by analytic
-  // weight (individual lockstep times are not separable).
-  const double dt = bt.seconds();
-  double asum = 0;
-  for (int f : batch.members) asum += analytic[f];
+  std::vector<FragmentSolve> items;
+  items.reserve(k_members);
   for (int f : batch.members)
-    record_measured(f, asum > 0 ? dt * analytic[f] / asum : dt / k_members);
-}
-
-void Ls3dfSolver::petot_f_batched(int n_groups) {
-  const int n_frag = static_cast<int>(contexts_.size());
-  const int n_batches = static_cast<int>(batches_.size());
-
-  // Refresh batch costs from the (possibly measurement-blended) fragment
-  // costs, then LPT over batches: the batch is the schedulable unit.
-  const std::vector<double> costs = fragment_costs();
-  for (FragmentBatch& b : batches_) {
-    b.cost = 0;
-    for (int f : b.members) b.cost += costs[f];
-  }
-  const BatchAssignment ba = assign_batches(batches_, n_frag, n_groups);
-  assignment_.group_of = ba.fragment_group_of;
-  assignment_.group_cost = ba.batches.group_cost;
-  assignment_.max_cost = ba.batches.max_cost;
-  assignment_.total_cost = ba.batches.total_cost;
-  assignment_.efficiency = ba.batches.efficiency;
-  executed_group_of_.assign(n_frag, -1);
-
-  prepare_batch_workspaces();
-
-  std::vector<std::vector<int>> members(n_groups);  // batch ids per group
-  for (int b = 0; b < n_batches; ++b)
-    members[ba.batches.group_of[b]].push_back(b);
-
-  // Lanes not consumed by batch-level parallelism drive the batched
-  // kernels' internal work grids (fused GEMM tiles, many-FFT sweeps):
-  // the budget's allowance opens at total/holders and widens as groups
-  // retire.
-  lane_budget_.reset(live_workers_, n_groups);
-  const std::vector<double> analytic = analytic_costs();
-
-  std::vector<double> busy(n_groups, 0.0);
-  const auto run_group = [&](int g) {
-    Timer timer;
-    for (int b : members[g]) solve_batch(b, g, analytic);
-    // This group's solves are done: donate its inner lanes so the
-    // makespan-tail groups widen.
-    lane_budget_.retire(g);
-    busy[g] = timer.seconds();
+    items.push_back({contexts_[f]->h.get(), &contexts_[f]->psi});
+  // Live inner-lane width: the lockstep driver re-reads the budget's
+  // allowance at every sweep boundary, so lanes donated by retiring
+  // holders widen this solve mid-flight. The kernels are
+  // worker-count-invariant, so the width schedule cannot change results.
+  const std::function<int()> live_lanes = [this]() {
+    return lane_budget_.allowance();
   };
-
-  if (n_groups == 1) {
-    run_group(0);
-  } else {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(n_groups);
-    for (int g = 0; g < n_groups; ++g)
-      tasks.emplace_back([&run_group, g]() { run_group(g); });
-    shared_pool().run_batch(std::move(tasks));
+  std::vector<EigensolverResult> rs =
+      use_fp32_iter_ ? solve_all_band_batched_f32(items, opt_.eig, bw,
+                                                  live_lanes(), live_lanes)
+                     : solve_all_band_batched(items, opt_.eig, bw,
+                                              live_lanes(), live_lanes);
+  for (int k = 0; k < k_members; ++k)
+    contexts_[batch.members[k]]->eigenvalues = std::move(rs[k].eigenvalues);
+  // Occupations + densities member by member, each member's band stack
+  // swept by one many-transform pass over this batch's inner lanes (the
+  // lanes go to the FFTs, not the member loop — bit-identical either
+  // way, so the density sweep may also use donated width). Each fragment
+  // is filled to local neutrality; with smearing, degenerate shells are
+  // occupied fractionally. (A shared global chemical potential in the
+  // spirit of Yang's divide-and-conquer was evaluated during development
+  // but patched worse than local neutrality for the gapped systems LS3DF
+  // targets.)
+  for (int f : batch.members) {
+    FragmentContext& ctx = *contexts_[f];
+    if (opt_.fragment_smearing > 0.0 && !ctx.eigenvalues.empty())
+      ctx.occ = smeared_occupations(ctx.eigenvalues, ctx.electrons,
+                                    opt_.fragment_smearing);
+    ctx.h->density_into(ctx.psi, ctx.occ, ctx.rho, lane_budget_.allowance());
   }
-
-  double total_busy = 0;
-  for (double b : busy) total_busy += b;
-  profile_.add("PEtot_F.workers", total_busy);
-}
-
-FieldR Ls3dfSolver::gen_dens() const {
-  gen_dens_sharded();
-  return spmd_ ? gather_dense(shards_->rho, shards_->comm)
-               : shards_->rho.to_dense();
-}
-
-void Ls3dfSolver::gen_dens_sharded() const {
-  ShardState& s = *shards_;
-  const int p = opt_.points_per_cell;
-  if (spmd_) {
-    // Rank-local patching: ship the RAW interior-window values of this
-    // rank's owned fragments (not pre-folded partials) and let each
-    // destination fold them locally in ascending global fragment order —
-    // exactly the in-process accumulate order, so the patched density is
-    // bit-identical for any transport (see spmd_apply_windows).
-    spmd_size_window_lanes();
-    for (int f = own_begin_; f < own_end_; ++f) spmd_pack_fragment(f);
-    s.comm.transport().alltoallv();
-    spmd_apply_windows();
-    return;
-  }
-  // Owner-computes patching: each shard scans the fragment list and
-  // accumulates every window restricted to its slab, in fragment order —
-  // the same per-point arithmetic as the solve chains' ordered commits,
-  // so the patched density is bit-identical for any shard and worker
-  // count. No
-  // global staging buffer exists; fragments land directly in owning
-  // shards. (Under MPI this phase becomes the reduce_scatter seam of
-  // parallel/shard_comm.h.)
-  s.comm.each_rank([&](int r) {
-    s.rho.slab(r).fill(0.0);
-    for (const auto& ctx : contexts_) {
-      const Vec3i region{ctx->frag.size.x * p, ctx->frag.size.y * p,
-                         ctx->frag.size.z * p};
-      s.rho.accumulate_window_shard(
-          r,
-          {ctx->frag.corner.x * p, ctx->frag.corner.y * p,
-           ctx->frag.corner.z * p},
-          ctx->rho, ctx->buffer, region,
-          static_cast<double>(ctx->frag.sign));
-    }
-  });
 }
 
 void Ls3dfSolver::genpot_sharded(const ShardedFieldR& rho,
@@ -780,13 +618,6 @@ void Ls3dfSolver::genpot_sharded(const ShardedFieldR& rho,
   // Surface the all-to-all cost next to the compute phases: one
   // GENPOT.transpose sample per genpot call (forward + inverse packs).
   profile_.add("GENPOT.transpose", s.fft.take_transpose_seconds());
-}
-
-FieldR Ls3dfSolver::genpot(const FieldR& rho) const {
-  ShardState& s = *shards_;
-  s.rho.from_dense(rho);
-  genpot_sharded(s.rho, s.v_scratch);
-  return spmd_ ? gather_dense(s.v_scratch, s.comm) : s.v_scratch.to_dense();
 }
 
 int Ls3dfSolver::fragment_owner(int f) const {
@@ -991,8 +822,8 @@ std::size_t Ls3dfSolver::shard_rank_footprint(int r) const {
         "shard_rank_footprint: only the local rank is resident under an "
         "SPMD transport");
   std::size_t doubles = 0;
-  const ShardedFieldR* fields[] = {&s.vion, &s.rho,  &s.vh,   &s.vxc,
-                                   &s.v_scratch, &s.v_in, &s.v_out};
+  const ShardedFieldR* fields[] = {&s.vion, &s.vh,   &s.vxc,
+                                   &s.rho,  &s.v_in, &s.v_out};
   for (const ShardedFieldR* f : fields) doubles += f->slab(r).size();
   doubles += 2 * (s.fft.slab_size(r) + s.fft.pencil_size(r) +
                   s.fft.scratch_size(r));
@@ -1075,7 +906,7 @@ long Ls3dfSolver::workspace_allocations() const {
   return total;
 }
 
-std::vector<double> Ls3dfSolver::analytic_costs() const {
+std::vector<double> Ls3dfSolver::fragment_costs() const {
   std::vector<double> costs;
   costs.reserve(contexts_.size());
   for (const auto& ctx : contexts_) {
@@ -1087,35 +918,6 @@ std::vector<double> Ls3dfSolver::analytic_costs() const {
     // Dominant terms of one all-band iteration: subspace gemms + FFTs.
     costs.push_back(ng * nb * nb + ng * std::log2(std::max(2.0, ng)) * nb);
   }
-  return costs;
-}
-
-std::vector<double> Ls3dfSolver::fragment_costs() const {
-  std::vector<double> costs = analytic_costs();
-  // Blend in measured solve times once every fragment has one: the
-  // analytic model is the iteration-1 prior, measurements re-balance
-  // later iterations. Rescaling to the analytic total keeps the blend
-  // meaningful (LPT itself is scale-invariant).
-  // The upcoming iteration's precision selects its own measured EMA, so
-  // fp32 and fp64 batches are each balanced from timings of their kind.
-  const std::vector<double>& measured =
-      use_fp32_iter_ ? measured_seconds_f32_ : measured_seconds_;
-  bool all_measured = !measured.empty();
-  for (double m : measured)
-    if (m < 0) {
-      all_measured = false;
-      break;
-    }
-  if (!all_measured) return costs;
-  double analytic_sum = 0, measured_sum = 0;
-  for (std::size_t f = 0; f < costs.size(); ++f) {
-    analytic_sum += costs[f];
-    measured_sum += measured[f];
-  }
-  if (measured_sum <= 0 || analytic_sum <= 0) return costs;
-  const double scale = analytic_sum / measured_sum;
-  for (std::size_t f = 0; f < costs.size(); ++f)
-    costs[f] = 0.5 * costs[f] + 0.5 * measured[f] * scale;
   return costs;
 }
 
@@ -1164,7 +966,6 @@ std::uint64_t Ls3dfSolver::state_fingerprint() const {
   fp.mix_i64(opt_.eig.max_iterations);
   fp.mix_double(opt_.eig.residual_tol);
   fp.mix_i64(opt_.eig.precondition ? 1 : 0);
-  fp.mix_i64(opt_.all_band ? 1 : 0);
   fp.mix_double(opt_.l1_tol);
   fp.mix_i64(static_cast<int>(opt_.mixer));
   fp.mix_double(opt_.mix_alpha);
@@ -1524,8 +1325,6 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
   }
 
   prepare_batch_workspaces();
-  executed_group_of_.assign(n_frag, -1);
-  const std::vector<double> analytic = analytic_costs();
 
   std::vector<int> batch_of(n_frag, -1);
   for (int b = 0; b < n_batches; ++b)
@@ -1599,11 +1398,11 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
                            rdeps),
                        kGenVf, b);
     solve_node[b] =
-        tag(g.add([this, b, &analytic]() {
-              solve_batch(b, b, analytic);
+        tag(g.add([this, b]() {
+              solve_batch(b);
               // Chain b's solve retired: donate its inner lanes to the
-              // still-running chains (holders are batches here, not LPT
-              // groups — the patch tail is cheap and lane-free).
+              // still-running chains (the patch tail is cheap and
+              // lane-free).
               lane_budget_.retire(b);
             },
                   {rb}),
@@ -1838,7 +1637,6 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
     }
     for (int ph = 0; ph < kNumPhases; ++ph)
       profile_.add(kPhaseName[ph], busy[ph]);
-    profile_.add("PEtot_F.workers", busy[kPetot]);
     const double wall = iter_timer.seconds();
     profile_.add("Iter.wall", wall);
     record_iteration(result, l1, wall, use_fp32_iter_, prof0);

@@ -6,7 +6,7 @@
 //              Omega_F (fragment cells + buffer) and add the fixed
 //              passivation potential dV_F near the box boundary;
 //   PEtot_F  - solve each fragment's Schroedinger equation independently
-//              (all-band solver by default) and form its density;
+//              (all-band solver) and form its density;
 //   Gen_dens - patch fragment densities into the global density with the
 //              +- fragment signs:  rho_tot = sum_F alpha_F rho_F;
 //   GENPOT   - solve the global Poisson equation by FFT, add LDA xc,
@@ -16,14 +16,13 @@
 // Fragments are independent given V_in, so all four phases run on the
 // persistent execution engine (src/parallel/thread_pool.h). PEtot_F's
 // schedulable unit is a *batch* of same-size-class fragments (at most
-// batch_width members, cost = sum of member costs): each batch runs the
-// lockstep batched eigensolver (dft/eigensolver.h), fusing the members'
-// Hamiltonian applications and subspace GEMMs into strided batched
-// kernels whose internal work grids fan out over the batch's share of
-// the worker lanes. Every batch owns a persistent BatchWorkspace, so the
-// steady state (after the first outer iteration) allocates no fragment
-// workspace memory at all, and results are bit-identical for any batch
-// width and worker count.
+// batch_width members): each batch runs the lockstep batched eigensolver
+// (dft/eigensolver.h), fusing the members' Hamiltonian applications and
+// subspace GEMMs into strided batched kernels whose internal work grids
+// fan out over the batch's share of the worker lanes. Every batch owns a
+// persistent BatchWorkspace, so the steady state (after the first outer
+// iteration) allocates no fragment workspace memory at all, and results
+// are bit-identical for any batch width and worker count.
 //
 // == Global grid on shards ==
 //
@@ -49,13 +48,13 @@
 //
 // so the Gen_VF restriction of batch B overlaps the eigensolve of batch
 // A, and Gen_dens patching of finished batches overlaps still-running
-// solves — the LPT tail that would idle whole phases becomes overlapped
-// work. Determinism is kept by the *ordered-commit rule*: per destination
-// slab, patch commits form a dependency chain in ascending fragment
-// order (fragments whose interior window does not touch the slab are
-// skipped — they contribute nothing there), so every grid point receives
-// its signed contributions in exactly fragment order, whatever order
-// solves finish in. Under SPMD the same order is enforced by the window
+// solves — the makespan tail that would idle whole phases becomes
+// overlapped work. Determinism is kept by the *ordered-commit rule*: per
+// destination slab, patch commits form a dependency chain in ascending
+// fragment order (fragments whose interior window does not touch the
+// slab are skipped — they contribute nothing there), so every grid point
+// receives its signed contributions in exactly fragment order, whatever
+// order solves finish in. Under SPMD the same order is enforced by the window
 // fold of the rank-local Gen_dens exchange instead.
 //
 // The graph extends across the GENPOT seam: each rank's per-plane charge
@@ -177,7 +176,6 @@ struct Ls3dfOptions {
   int extra_bands = 4;              // unoccupied bands per fragment
   double fragment_smearing = 0.0;   // occupation smearing in fragments (Ha)
   EigensolverOptions eig{12, 1e-6, true};
-  bool all_band = true;             // PEtot_F solver flavour
 
   int max_iterations = 40;          // outer SCF loop
   double l1_tol = 1e-3;             // on int |V_out - V_in| d3r (a.u.)
@@ -214,8 +212,7 @@ struct Ls3dfOptions {
   bool overlap = true;
   bool donate = true;
   // Eigensolver precision policy (see Precision above). kMixed runs the
-  // fp32 fast path only on the all-band solver (all_band) and only
-  // while the previous iteration's L1 residual
+  // fp32 fast path only while the previous iteration's L1 residual
   // exceeds promote_factor * l1_tol; convergence is never declared from
   // an fp32 iteration, and the fp64 fixed point erases the fp32 rounding
   // history. NOT bit-identical to kDouble — guarded by the trajectory
@@ -234,8 +231,8 @@ struct Ls3dfOptions {
   // of the PEtot_F cost lives anyway (the L1 falls orders of magnitude
   // in the first few iterations, Fig. 6).
   double promote_factor = 400.0;
-  // Test seam: invoked at the start of every batch solve (the solve
-  // loop's chains and the petot_f() hook) with the batch index. A throw
+  // Test seam: invoked at the start of every batch solve (one per solve
+  // chain and outer iteration) with the batch index. A throw
   // propagates as a clean latched error from solve(); the
   // failure-propagation suite uses it to inject eigensolver faults and
   // worker kills. Null in production.
@@ -360,18 +357,6 @@ class Ls3dfSolver {
   // execution configuration.
   std::uint64_t state_fingerprint() const;
 
-  // Individual phases, exposed for tests and benchmarks: dense-in /
-  // dense-out wrappers over the shard state. gen_vf must be called
-  // before petot_f; petot_f (the phased LPT batch dispatch) before
-  // gen_dens. gen_dens and genpot run the sharded pipeline internally
-  // and gather the result densely (the dense return is the hook's
-  // contract; the solve() loop itself never gathers).
-  void gen_vf(const FieldR& v_global);
-  void petot_f();
-  FieldR gen_dens() const;
-  // V_out = V_ion + V_H[rho] + V_xc[rho] on the global grid.
-  FieldR genpot(const FieldR& rho) const;
-
   // Shard introspection. active_shards() is the clamped shard count (1
   // for the default n_shards = 0); shard_allocations() counts capacity
   // growths of the shard exchange buffers (transport lanes + reduction
@@ -390,17 +375,10 @@ class Ls3dfSolver {
   // downcasts it to kill a proc worker mid-solve.
   Transport* shard_transport_object() const;
 
-  // Patched quantum-mechanical energies (kinetic + nonlocal), valid after
-  // petot_f().
-  double patched_kinetic_energy() const;
-  double patched_nonlocal_energy() const;
-
-  // Estimated solve cost per fragment for the load-balancing scheduler
-  // and the performance model. Iteration 1 uses the analytic model
-  // (basis size x bands); once every fragment has a measured solve time
-  // from petot_f(), the analytic prior is blended 50/50 with the
-  // measured exponential moving average (rescaled to the analytic
-  // total), so LPT re-balances on real timings across outer iterations.
+  // Estimated solve cost per fragment: the analytic model of one
+  // all-band iteration (basis size x bands). It sets the SPMD fragment
+  // partition and feeds the load-balancing scheduler and the
+  // performance model.
   std::vector<double> fragment_costs() const;
 
   // Number of atoms assigned to fragment f's box (incl. buffer).
@@ -408,33 +386,15 @@ class Ls3dfSolver {
   // Electron count of fragment f's box.
   double fragment_electrons(int f) const;
 
-  // Scheduling introspection (tests, benches). last_assignment() is the
-  // LPT fragment-to-group assignment computed by the latest petot_f()
-  // (flattened from the batch-level assignment);
-  // executed_group_of()[f] is the group whose task actually solved
-  // fragment f — by construction these agree, and the scheduler
-  // integration test asserts it.
-  const GroupAssignment& last_assignment() const { return assignment_; }
-  const std::vector<int>& executed_group_of() const {
-    return executed_group_of_;
-  }
-  // Same-size-class batches PEtot_F schedules (empty on an SPMD rank
-  // that owns no fragment); stable across outer iterations.
+  // Same-size-class batches PEtot_F schedules, one solve chain each
+  // (empty on an SPMD rank that owns no fragment); fixed at
+  // construction.
   const std::vector<FragmentBatch>& batches() const { return batches_; }
-  // Measured per-fragment solve seconds (EMA; < 0 before first measure).
-  // The fp64 model; under Precision::kMixed a second EMA tracks fp32
-  // solves so LPT schedules each precision from its own cost model.
-  const std::vector<double>& measured_fragment_seconds() const {
-    return measured_seconds_;
-  }
-  const std::vector<double>& measured_fragment_seconds_f32() const {
-    return measured_seconds_f32_;
-  }
   // Cumulative lane-donation events across all solve() calls (a retiring
-  // batch/group left live holders to widen; parallel/scheduler.h).
+  // solve chain left live holders to widen; parallel/scheduler.h).
   long donated_lane_events() const;
-  // Whether the NEXT petot_f() call would run the fp32 fast path
-  // (reflects the most recent precision-policy update).
+  // Whether the most recent outer iteration ran the fp32 fast path (the
+  // precision policy's latest decision; false after an fp64 finish).
   bool fp32_iteration_active() const { return use_fp32_iter_; }
   // Capacity-growth events across the per-batch eigensolver workspaces.
   // The count is flat after the first outer iteration: the steady state
@@ -478,34 +438,19 @@ class Ls3dfSolver {
   struct ShardState;
   struct ResumeState;
 
-  // Band-by-band solve of one fragment in the given arena (the members
-  // of a batch when all_band is off).
-  void solve_fragment(int f, EigenWorkspace& ws);
-  // Occupations + density of a solved fragment (shared tail of both
-  // eigensolver flavours). n_workers drives the density FFT sweep (the
-  // batched solve passes its live lane allowance).
-  void finish_fragment(int f, int n_workers = 1);
-  // The petot_f() hook's phased dispatch: LPT over batches onto n_groups
-  // engine tasks.
-  void petot_f_batched(int n_groups);
   // Mixed-precision policy: is the fp32 fast path available at all, and
   // should the upcoming outer iteration use it (conv_history empty, or
   // last L1 still above the promotion threshold)? Called by the solve
   // loop at the top of every outer iteration.
   bool mixed_precision_available() const;
   void update_precision_policy(const std::vector<double>& conv_history);
-  // One batch's lockstep solve + densities + measured-cost bookkeeping:
-  // the body shared by the petot_f() dispatch and the solve chains'
-  // solve nodes. `group` is the executed_group_of marker (the LPT group
-  // under petot_f(), the chain/batch id in the solve loop); `analytic`
-  // apportions the measured batch time over members. The batched
-  // kernels' internal width is the live lane budget's allowance.
-  void solve_batch(int b, int group, const std::vector<double>& analytic);
+  // One batch's lockstep solve + occupations + densities: the body of
+  // solve chain b's solve node. The batched kernels' internal width is
+  // the live lane budget's allowance.
+  void solve_batch(int b);
   // Presize every batch workspace to its members' solve extents (the
   // steady state allocates nothing afterwards).
   void prepare_batch_workspaces();
-  std::vector<double> analytic_costs() const;
-  void record_measured(int f, double seconds);
   // Does fragment f's interior window (the Gen_dens commit region) touch
   // any global x plane in [x_begin, x_end)? Pure geometry — the solve
   // chains use it to skip no-op slab commits (and their solve edges).
@@ -517,10 +462,9 @@ class Ls3dfSolver {
   // Gathers V_in and (after at least one iteration) the patched density
   // into the result's dense fields.
   void gather_result_fields(Ls3dfResult& result) const;
-  // Phase bodies behind the public hooks. gen_dens_sharded patches into
-  // the internal sharded density; genpot_sharded assembles V_out on
-  // slabs and records the GENPOT.transpose sub-phase.
-  void gen_dens_sharded() const;
+  // GENPOT of the initial guess: assembles V_out on slabs and records
+  // the GENPOT.transpose sub-phase (the solve loop's own GENPOT runs as
+  // graph nodes).
   void genpot_sharded(const ShardedFieldR& rho, ShardedFieldR& v_out) const;
   // --- rank-local (SPMD) phase bodies -----------------------------------
   // Under an SPMD transport each rank holds one slab and owns the
@@ -542,16 +486,19 @@ class Ls3dfSolver {
   void spmd_extract(const ShardedFieldR& v, Vec3i offset, FieldR& out) const;
   // Window exchange, split for the solve chains: size (and cache) the
   // send lanes once per iteration, pack fragments as their solves
-  // retire, exchange, apply in order. The gen_dens() hook calls them
-  // back-to-back.
+  // retire, exchange, apply in order.
   void spmd_size_window_lanes() const;
   void spmd_pack_fragment(int f) const;
   void spmd_apply_windows() const;
   // Signed per-fragment sum folded in ascending global fragment order
   // (allgatherv of the owned block under SPMD).
   double fold_fragment_sum(const std::vector<double>& part) const;
-  // Patched-energy epilogue of solve() and resume() (uses result.rho).
+  // Patched-energy epilogue of solve() and resume() (uses result.rho),
+  // with its quantum-mechanical terms (kinetic + nonlocal) summed over
+  // the fragments' latest wavefunctions.
   void compute_patched_energy(Ls3dfResult& result) const;
+  double patched_kinetic_energy() const;
+  double patched_nonlocal_energy() const;
 
   // Checkpoint/restart internals. maybe_write_checkpoint runs at the
   // end-of-iteration sequence point of the solve loop (and at the
@@ -591,32 +538,20 @@ class Ls3dfSolver {
   // that batch.
   std::vector<FragmentBatch> batches_;
   std::vector<std::unique_ptr<BatchWorkspace>> batch_workspaces_;
-  // Measured per-fragment solve seconds (EMA), fed back into
-  // fragment_costs() with the analytic model as the iteration-1 prior.
-  // One EMA per precision: fp32 solves must not pollute the fp64 cost
-  // model (and vice versa), so LPT balances whichever precision the
-  // upcoming iteration runs from timings of the same kind.
-  std::vector<double> measured_seconds_;
-  std::vector<double> measured_seconds_f32_;
-  // Live inner-lane budget of the current PEtot_F dispatch round
-  // (parallel/scheduler.h): holders are solve chains in the solve loop,
-  // LPT groups under petot_f(). Donation events accumulate across
-  // solve()s.
+  // Live inner-lane budget of the current outer iteration
+  // (parallel/scheduler.h): the holders are the solve chains. Donation
+  // events accumulate across solve()s.
   LaneBudget lane_budget_;
-  // Effective lane count for the current outer iteration:
-  // min(n_workers, lane_allowance()) — refreshed at every iteration
-  // boundary by refresh_live_lanes(). Pure execution width, bit-
-  // invisible by the determinism contract (see Ls3dfOptions::
-  // lane_allowance).
-  int live_workers_ = 1;
+  // Effective lane count for the upcoming outer iteration:
+  // min(n_workers, lane_allowance()), read at every iteration boundary.
+  // Pure execution width, bit-invisible by the determinism contract (see
+  // Ls3dfOptions::lane_allowance).
   int refresh_live_lanes();
   // Set by update_precision_policy for the upcoming outer iteration.
   bool use_fp32_iter_ = false;
   // One-way promotion latch: once a kMixed solve has run an fp64
   // iteration it never drops back to fp32 (a fresh solve() re-arms it).
   bool fp64_promoted_ = false;
-  GroupAssignment assignment_;
-  std::vector<int> executed_group_of_;
   // Sharded-grid state, built by the constructor: ShardComm + DistFft3D +
   // persistent sharded fields. Scratch inside is reused across phases and
   // iterations; only the first exchange grows buffers.
@@ -644,8 +579,8 @@ class Ls3dfSolver {
   std::unique_ptr<ResumeState> resume_;
   // Per-instance observability and plan state (the SolverService
   // prerequisite: nothing this solver accumulates is global). The
-  // profiler and registry are mutable because const phase hooks
-  // (genpot, gen_dens) record into them; the plan cache is mutable
+  // profiler and registry are mutable because const phase bodies
+  // (genpot_sharded) record into them; the plan cache is mutable
   // because const phases create plans on first use.
   mutable PhaseProfiler profile_;
   mutable MetricsRegistry metrics_;

@@ -112,19 +112,4 @@ std::vector<FragmentBatch> make_batches(const std::vector<int>& class_of,
   return batches;
 }
 
-BatchAssignment assign_batches(const std::vector<FragmentBatch>& batches,
-                               int n_fragments, int n_groups) {
-  std::vector<double> batch_costs;
-  batch_costs.reserve(batches.size());
-  for (const FragmentBatch& b : batches) batch_costs.push_back(b.cost);
-
-  BatchAssignment out;
-  out.batches = assign_fragments(batch_costs, n_groups);
-  out.fragment_group_of.assign(n_fragments, 0);
-  for (std::size_t b = 0; b < batches.size(); ++b)
-    for (int f : batches[b].members)
-      out.fragment_group_of[f] = out.batches.group_of[b];
-  return out;
-}
-
 }  // namespace ls3df

@@ -2,8 +2,11 @@
 // processor groups of Np cores and assigns fragments to groups; balanced
 // assignment is what keeps PEtot_F's parallel efficiency near-perfect
 // (Sec. VI: 95.8% for PEtot_F at 17,280 cores). We implement the classic
-// longest-processing-time (LPT) greedy heuristic, used both by the real
-// threaded executor and by the performance simulator.
+// longest-processing-time (LPT) greedy heuristic, used by the
+// performance simulator and the SolverService's job dispatch. The
+// solver itself runs one solve chain per same-size-class batch
+// (make_batches) and balances the makespan tail with live lane
+// donation (LaneBudget).
 #pragma once
 
 #include <atomic>
@@ -15,16 +18,15 @@ namespace ls3df {
 
 // == Lane donation protocol ==
 //
-// The LPT assignment above fixes *which* group solves each batch, but the
-// paper's near-perfect PEtot_F efficiency also depends on lanes never
-// idling at the makespan tail. With a fixed `inner = n_workers / n_groups`
-// split, lanes freed when a short group (or a retired chain node) finishes
-// sit idle while the longest batches grind on at their original width.
-// LaneBudget makes the inner-lane count *live*:
+// The paper's near-perfect PEtot_F efficiency depends on lanes never
+// idling at the makespan tail. With a fixed `inner = n_workers /
+// n_holders` split, lanes freed when a short solve chain retires sit idle
+// while the longest batches grind on at their original width. LaneBudget
+// makes the inner-lane count *live*:
 //
 //   reset(total, holders)   arm the budget for one dispatch round: `total`
 //                           pool lanes shared by `holders` concurrent
-//                           batch/group holders.
+//                           solve-chain holders.
 //   allowance()             lanes a still-running holder may use *right
 //                           now* = max(1, total / min(live, total)) — the
 //                           same quotient as the fixed split while every
@@ -51,7 +53,7 @@ class LaneBudget {
   void reset(int total_lanes, int n_holders);
 
   // Lanes a live holder may use right now. Never less than 1, never more
-  // than the total; equals the fixed LPT split until a holder retires.
+  // than the total; equals the fixed even split until a holder retires.
   int allowance() const;
 
   // Donate `holder`'s lanes back. Idempotent; out-of-range ids ignored.
@@ -148,8 +150,6 @@ GroupAssignment assign_fragments(const std::vector<double>& costs,
 struct FragmentBatch {
   int size_class = 0;
   std::vector<int> members;  // ascending fragment indices
-  double cost = 0;           // sum of member costs (set by the scheduler
-                             // from the current fragment costs)
 };
 
 // Chunk each size class's fragments into batches of at most `width`
@@ -157,21 +157,8 @@ struct FragmentBatch {
 // is any labeling where equal labels mean identical solve shapes.
 // Deterministic: batch composition depends only on class_of and width,
 // so batches — and their persistent workspaces — are stable across outer
-// SCF iterations even as measured costs drift; each dispatch fills
-// FragmentBatch::cost from the costs current at that moment. Batches are
-// ordered by their first member's index.
+// SCF iterations. Batches are ordered by their first member's index.
 std::vector<FragmentBatch> make_batches(const std::vector<int>& class_of,
                                         int width);
-
-// LPT over batches (the batch is the schedulable unit; its cost is the
-// sum of member costs). `batches` holds the batch-level assignment;
-// fragment_group_of flattens it back to per-fragment groups for
-// introspection and the patching phases.
-struct BatchAssignment {
-  GroupAssignment batches;
-  std::vector<int> fragment_group_of;
-};
-BatchAssignment assign_batches(const std::vector<FragmentBatch>& batches,
-                               int n_fragments, int n_groups);
 
 }  // namespace ls3df

@@ -51,7 +51,7 @@ std::string instance_key(const Structure& s, const Ls3dfOptions& o) {
     << o.wall_height << '|' << o.wall_width << '|' << o.atom_margin << '|'
     << o.extra_bands << '|' << o.fragment_smearing << '|'
     << o.eig.max_iterations << '|' << o.eig.residual_tol << '|'
-    << o.eig.precondition << '|' << o.all_band << '|' << o.max_iterations
+    << o.eig.precondition << '|' << o.max_iterations
     << '|' << o.l1_tol << '|' << static_cast<int>(o.mixer) << '|'
     << o.mix_alpha << '|' << o.seed << '|' << o.n_workers << '|'
     << o.batch_width << '|' << o.n_shards << '|'

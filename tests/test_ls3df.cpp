@@ -70,9 +70,11 @@ TEST(Ls3df, RejectsInvalidOptionsAtConstruction) {
   // Every option value the solver cannot run is a typed
   // std::invalid_argument from the constructor — never a hang (a zero
   // division or grid spacing), a std::length_error (a negative
-  // division), a silently accepted sub-minimum grid, or a retired
-  // toggle that would be ignored. A division of exactly 2 is
-  // structurally degenerate for LS3DF (see the constructor).
+  // division), a silently accepted sub-minimum grid, a NaN or zero-width
+  // passivation wall, an eigensolver that never runs, a tolerance that
+  // can never be met, or a retired toggle that would be ignored. A
+  // division of exactly 2 is structurally degenerate for LS3DF (see the
+  // constructor).
   Structure s = h2_chain(3);
   struct Case {
     const char* what;
@@ -100,6 +102,21 @@ TEST(Ls3df, RejectsInvalidOptionsAtConstruction) {
       {"mix_alpha 0", [](Ls3dfOptions& o) { o.mix_alpha = 0; }},
       {"mix_alpha NaN", [](Ls3dfOptions& o) { o.mix_alpha = std::nan(""); }},
       {"mix_alpha inf", [](Ls3dfOptions& o) { o.mix_alpha = HUGE_VAL; }},
+      {"wall_height NaN",
+       [](Ls3dfOptions& o) { o.wall_height = std::nan(""); }},
+      {"wall_height inf", [](Ls3dfOptions& o) { o.wall_height = HUGE_VAL; }},
+      {"wall_height -1", [](Ls3dfOptions& o) { o.wall_height = -1; }},
+      {"wall_width NaN", [](Ls3dfOptions& o) { o.wall_width = std::nan(""); }},
+      {"wall_width 0", [](Ls3dfOptions& o) { o.wall_width = 0; }},
+      {"wall_width -1", [](Ls3dfOptions& o) { o.wall_width = -1; }},
+      {"wall_width inf", [](Ls3dfOptions& o) { o.wall_width = HUGE_VAL; }},
+      {"eig.max_iterations 0",
+       [](Ls3dfOptions& o) { o.eig.max_iterations = 0; }},
+      {"eig.max_iterations -1",
+       [](Ls3dfOptions& o) { o.eig.max_iterations = -1; }},
+      {"l1_tol NaN", [](Ls3dfOptions& o) { o.l1_tol = std::nan(""); }},
+      {"l1_tol -1e-4", [](Ls3dfOptions& o) { o.l1_tol = -1e-4; }},
+      {"l1_tol inf", [](Ls3dfOptions& o) { o.l1_tol = HUGE_VAL; }},
   };
   for (const Case& c : cases) {
     Ls3dfOptions lo = chain_options();
@@ -114,6 +131,9 @@ TEST(Ls3df, RejectsInvalidOptionsAtConstruction) {
   lo.max_iterations = 0;
   lo.extra_bands = 0;
   lo.buffer_points = 0;
+  lo.wall_height = 0;
+  lo.l1_tol = 0;
+  lo.eig.max_iterations = 1;
   EXPECT_NO_THROW(Ls3dfSolver(s, lo));
 }
 
@@ -291,125 +311,77 @@ TEST(Ls3df, LargerBufferImprovesAccuracy) {
 
 TEST(Ls3df, BitIdenticalAcrossWorkerCountsWithZeroSteadyStateAllocs) {
   // The engine's determinism contract: for a fixed seed the patched
-  // density is *bit-identical* for any worker count — fragments are
-  // solved independently and every reduction runs in fragment order.
-  // The same run doubles as the allocation probe: the per-group
-  // eigensolver arenas may only grow during the first outer iteration;
-  // afterwards every fragment solve reuses warm buffers.
+  // density is *bit-identical* for any batch width and worker count —
+  // fragments are solved independently and every reduction runs in
+  // fragment order. The same solves double as the allocation probe: the
+  // per-batch eigensolver workspaces (member arenas + apply stack) may
+  // only grow during the first outer iteration; afterwards every lockstep
+  // solve reuses warm buffers. The count is read at each iteration's
+  // end-of-iteration sequence point through the progress callback.
   Structure s = h2_chain(3);
   Ls3dfOptions lo = chain_options();
   lo.max_iterations = 3;
   lo.l1_tol = 0.0;  // fixed number of outer iterations
 
   std::vector<double> reference;
-  for (int workers : {1, 2, 4}) {
-    lo.n_workers = workers;
+  for (int width : {1, 4}) {
+    for (int workers : {1, 2, 4}) {
+      lo.batch_width = width;
+      lo.n_workers = workers;
+      Ls3dfSolver solver(s, lo);
+      std::vector<long> allocs;
+      solver.set_progress([&](const Ls3dfProgress&) {
+        allocs.push_back(solver.workspace_allocations());
+      });
+      const Ls3dfResult r = solver.solve();
+      ASSERT_EQ(r.iterations, 3);
+      ASSERT_EQ(allocs.size(), 3u);
+      EXPECT_GT(allocs[0], 0) << "width=" << width << " workers=" << workers;
+      for (std::size_t it = 1; it < allocs.size(); ++it)
+        EXPECT_EQ(allocs[it], allocs[0])
+            << "fragment workspaces grew in iteration " << it + 1
+            << " at width=" << width << " workers=" << workers;
+
+      if (reference.empty()) {
+        reference.assign(r.rho.data(), r.rho.data() + r.rho.size());
+      } else {
+        ASSERT_EQ(r.rho.size(), reference.size());
+        for (std::size_t i = 0; i < r.rho.size(); ++i)
+          ASSERT_EQ(r.rho[i], reference[i])
+              << "density differs at point " << i << " for width=" << width
+              << " workers=" << workers;
+      }
+    }
+  }
+}
+
+TEST(Ls3df, BatchesRespectWidthAndSizeClass) {
+  // Batch composition on a freshly constructed solver: every batch holds
+  // at most batch_width members of one size class, and every fragment
+  // lands in exactly one batch. Identical (grid, ng, nb) implies an
+  // identical analytic cost, so members of one batch share it.
+  Structure s = h2_chain(3);
+  for (int width : {1, 2, 4}) {
+    Ls3dfOptions lo = chain_options();
+    lo.batch_width = width;
     Ls3dfSolver solver(s, lo);
-
-    // Allocation probe, phase-by-phase: run iteration 1, freeze the
-    // arena counter, then run two more iterations and require zero
-    // further workspace growth.
-    FieldR v = solver.genpot(build_initial_density(s, solver.global_grid()));
-    solver.gen_vf(v);
-    solver.petot_f();
-    const long allocs_after_first = solver.workspace_allocations();
-    EXPECT_GT(allocs_after_first, 0) << "workers=" << workers;
-    FieldR rho;
-    for (int iter = 0; iter < 2; ++iter) {
-      rho = solver.gen_dens();
-      v = solver.genpot(rho);
-      solver.gen_vf(v);
-      solver.petot_f();
+    const auto& batches = solver.batches();
+    ASSERT_FALSE(batches.empty());
+    const std::vector<double> costs = solver.fragment_costs();
+    std::vector<int> seen(solver.num_fragments(), 0);
+    for (const FragmentBatch& b : batches) {
+      ASSERT_FALSE(b.members.empty());
+      ASSERT_LE(static_cast<int>(b.members.size()), width);
+      for (int f : b.members) {
+        ++seen[f];
+        EXPECT_EQ(costs[f], costs[b.members.front()])
+            << "fragment " << f << " width=" << width;
+      }
     }
-    rho = solver.gen_dens();
-    EXPECT_EQ(solver.workspace_allocations(), allocs_after_first)
-        << "fragment workspaces grew after iteration 1 at workers="
-        << workers;
-
-    if (reference.empty()) {
-      reference.assign(rho.data(), rho.data() + rho.size());
-    } else {
-      ASSERT_EQ(rho.size(), reference.size());
-      for (std::size_t i = 0; i < rho.size(); ++i)
-        ASSERT_EQ(rho[i], reference[i])
-            << "density differs at point " << i << " for workers="
-            << workers;
-    }
+    for (int f = 0; f < solver.num_fragments(); ++f)
+      EXPECT_EQ(seen[f], 1) << "fragment " << f << " batched " << seen[f]
+                            << " times at width=" << width;
   }
-}
-
-TEST(Ls3df, ExecutorRunsExactlyTheLptAssignment) {
-  // The scheduler integration contract: what assign_batches computes is
-  // what the engine executes — every fragment runs in the group LPT
-  // assigned its batch to, and the recorded assignment matches an
-  // independent recomputation from the same batch costs (petot_f stores
-  // the costs it scheduled on in batches(); the measured solve times it
-  // records only feed the next dispatch). Width 1 makes every fragment
-  // its own schedulable unit.
-  Structure s = h2_chain(3);
-  Ls3dfOptions lo = chain_options();
-  lo.n_workers = 3;
-  lo.batch_width = 1;
-  Ls3dfSolver solver(s, lo);
-
-  FieldR v = solver.genpot(build_initial_density(s, solver.global_grid()));
-  solver.gen_vf(v);
-  solver.petot_f();
-
-  const int n_frag = solver.num_fragments();
-  ASSERT_EQ(static_cast<int>(solver.batches().size()), n_frag);
-  const std::vector<int> recomputed =
-      assign_batches(solver.batches(), n_frag, lo.n_workers)
-          .fragment_group_of;
-  const GroupAssignment& used = solver.last_assignment();
-  const std::vector<int>& executed = solver.executed_group_of();
-  ASSERT_EQ(static_cast<int>(executed.size()), n_frag);
-  ASSERT_EQ(static_cast<int>(used.group_of.size()), n_frag);
-  for (int f = 0; f < n_frag; ++f) {
-    EXPECT_EQ(used.group_of[f], recomputed[f]) << f;
-    EXPECT_EQ(executed[f], used.group_of[f])
-        << "fragment " << f << " ran outside its LPT group";
-  }
-}
-
-TEST(Ls3df, BatchedExecutorRunsExactlyTheBatchAssignment) {
-  // Batched dispatch contract: batches group same-size-class fragments,
-  // respect the width cap, and every fragment executes in the group its
-  // *batch* was LPT-assigned to.
-  Structure s = h2_chain(3);
-  Ls3dfOptions lo = chain_options();
-  lo.n_workers = 2;
-  lo.batch_width = 2;
-  Ls3dfSolver solver(s, lo);
-
-  FieldR v = solver.genpot(build_initial_density(s, solver.global_grid()));
-  solver.gen_vf(v);
-  solver.petot_f();
-
-  const auto& batches = solver.batches();
-  ASSERT_FALSE(batches.empty());
-  std::vector<int> seen(solver.num_fragments(), 0);
-  const std::vector<int>& executed = solver.executed_group_of();
-  for (const FragmentBatch& b : batches) {
-    ASSERT_LE(static_cast<int>(b.members.size()), lo.batch_width);
-    ASSERT_FALSE(b.members.empty());
-    for (int f : b.members) ++seen[f];
-    // Every member executed in the same group as the batch's first.
-    for (int f : b.members)
-      EXPECT_EQ(executed[f], executed[b.members.front()])
-          << "fragment " << f << " ran outside its batch's group";
-  }
-  for (int f = 0; f < solver.num_fragments(); ++f)
-    EXPECT_EQ(seen[f], 1) << "fragment " << f << " batched " << seen[f]
-                          << " times";
-  // Same class within each batch: identical solve-cost shape is implied
-  // by identical (grid, ng, nb); fragment_costs is a function of those,
-  // so members of one batch must share the analytic cost.
-  Ls3dfSolver fresh(s, lo);  // unmeasured: analytic costs only
-  const std::vector<double> analytic = fresh.fragment_costs();
-  for (const FragmentBatch& b : batches)
-    for (int f : b.members)
-      EXPECT_EQ(analytic[f], analytic[b.members.front()]) << f;
 }
 
 TEST(Ls3df, BatchedBitIdenticalAcrossWidthsAndWorkers) {
@@ -444,96 +416,6 @@ TEST(Ls3df, BatchedBitIdenticalAcrossWidthsAndWorkers) {
             << " workers=" << workers;
     }
   }
-}
-
-TEST(Ls3df, BatchedSteadyStateAllocatesNothing) {
-  // The allocation probe extended to the batched path: per-batch
-  // workspaces (member arenas + apply stack) may only grow during the
-  // first petot_f; afterwards every lockstep solve reuses warm buffers.
-  Structure s = h2_chain(3);
-  Ls3dfOptions lo = chain_options();
-  lo.batch_width = 4;
-  lo.n_workers = 2;
-  lo.max_iterations = 3;
-  lo.l1_tol = 0.0;
-  Ls3dfSolver solver(s, lo);
-
-  FieldR v = solver.genpot(build_initial_density(s, solver.global_grid()));
-  solver.gen_vf(v);
-  solver.petot_f();
-  const long after_first = solver.workspace_allocations();
-  EXPECT_GT(after_first, 0);
-  for (int iter = 0; iter < 2; ++iter) {
-    FieldR rho = solver.gen_dens();
-    v = solver.genpot(rho);
-    solver.gen_vf(v);
-    solver.petot_f();
-  }
-  EXPECT_EQ(solver.workspace_allocations(), after_first)
-      << "batched workspaces grew after the first outer iteration";
-}
-
-TEST(Ls3df, AdaptiveCostsBlendMeasuredTimes) {
-  // Satellite contract: petot_f records per-fragment solve times; once
-  // every fragment has one, fragment_costs() blends them with the
-  // analytic prior (rescaled), and the next dispatch still runs every
-  // fragment exactly once in its assigned group.
-  Structure s = h2_chain(3);
-  Ls3dfOptions lo = chain_options();
-  lo.n_workers = 2;
-  Ls3dfSolver solver(s, lo);
-
-  const std::vector<double> before = solver.fragment_costs();
-  for (double m : solver.measured_fragment_seconds()) EXPECT_LT(m, 0.0);
-
-  FieldR v = solver.genpot(build_initial_density(s, solver.global_grid()));
-  solver.gen_vf(v);
-  solver.petot_f();
-
-  const std::vector<double>& measured = solver.measured_fragment_seconds();
-  ASSERT_EQ(static_cast<int>(measured.size()), solver.num_fragments());
-  for (double m : measured) EXPECT_GE(m, 0.0);
-
-  const std::vector<double> after = solver.fragment_costs();
-  ASSERT_EQ(after.size(), before.size());
-  double total_before = 0, total_after = 0;
-  for (std::size_t f = 0; f < after.size(); ++f) {
-    EXPECT_GT(after[f], 0.0);
-    total_before += before[f];
-    total_after += after[f];
-  }
-  // The blend rescales measurements to the analytic total, so the total
-  // cost is preserved (up to roundoff) while the distribution adapts.
-  EXPECT_NEAR(total_after, total_before, 1e-6 * total_before);
-
-  // A second dispatch on blended costs still executes every fragment in
-  // the group the (batch) assignment names.
-  solver.petot_f();
-  const std::vector<int>& executed = solver.executed_group_of();
-  const GroupAssignment& used = solver.last_assignment();
-  for (int f = 0; f < solver.num_fragments(); ++f)
-    EXPECT_EQ(executed[f], used.group_of[f]) << f;
-}
-
-TEST(Ls3df, ThreadedPetotFMatchesSerial) {
-  // Fragments are independent; running PEtot_F on 2 workers must give
-  // the same patched density as serial execution.
-  Structure s = h2_chain(3);
-  Ls3dfOptions lo = chain_options();
-  lo.max_iterations = 3;
-  lo.l1_tol = 0.0;  // fixed number of outer iterations
-
-  Ls3dfSolver serial(s, lo);
-  Ls3dfResult a = serial.solve();
-
-  lo.n_workers = 2;
-  Ls3dfSolver threaded(s, lo);
-  Ls3dfResult b = threaded.solve();
-
-  double max_diff = 0;
-  for (std::size_t i = 0; i < a.rho.size(); ++i)
-    max_diff = std::max(max_diff, std::abs(a.rho[i] - b.rho[i]));
-  EXPECT_LT(max_diff, 1e-12);
 }
 
 TEST(Ls3df, ShardedSolveBitIdenticalAcrossShardsAndWorkers) {
@@ -620,7 +502,7 @@ TEST(Ls3df, NoRankMaterializesTheDenseGridOnTheShardedPath) {
       for (int rank = 0; rank < shards; ++rank) {
         const std::size_t fp = solver.shard_rank_footprint(rank);
         ASSERT_GT(fp, 0u);
-        // ~7 real slabs + ~3 complex FFT buffers + exchange lanes (the
+        // ~6 real slabs + ~3 complex FFT buffers + exchange lanes (the
         // proc backend stores send and recv extents separately, so its
         // exchange term doubles): under 16 slab-equivalents, and in
         // particular each constituent array is slab-sized, never
@@ -637,47 +519,6 @@ TEST(Ls3df, NoRankMaterializesTheDenseGridOnTheShardedPath) {
     EXPECT_LT(peak[4], peak[2] * 3 / 4)
         << "per-rank footprint does not scale down with the shard count on "
         << transport_name(kind);
-  }
-}
-
-TEST(Ls3df, ShardedPhasesBitIdenticalToDense) {
-  // Phase-level contract through the public hooks: genpot runs the
-  // sharded pipeline internally and must reproduce the dense direct-DFT
-  // effective_potential bit for bit; gen_dens must patch the same bits
-  // for any shard and worker count.
-  Structure s = h2_chain(3);
-  Ls3dfOptions lo = chain_options();
-
-  lo.n_shards = 0;
-  Ls3dfSolver dense(s, lo);
-  const FieldR rho0 = build_initial_density(s, dense.global_grid());
-  const FieldR v_dense =
-      effective_potential(dense.ionic_potential(), rho0, s.lattice());
-  dense.gen_vf(v_dense);
-  dense.petot_f();
-  const FieldR rho_dense = dense.gen_dens();
-
-  for (int shards : {1, 2, 4}) {
-    for (int workers : {1, 4}) {
-      lo.n_shards = shards;
-      lo.n_workers = workers;
-      Ls3dfSolver sharded(s, lo);
-      const FieldR v_sharded = sharded.genpot(rho0);
-      ASSERT_EQ(v_dense.size(), v_sharded.size());
-      for (std::size_t i = 0; i < v_dense.size(); ++i)
-        ASSERT_EQ(v_sharded[i], v_dense[i])
-            << "genpot differs at " << i << " shards=" << shards
-            << " workers=" << workers;
-
-      sharded.gen_vf(v_sharded);
-      sharded.petot_f();
-      const FieldR rho_sharded = sharded.gen_dens();
-      ASSERT_EQ(rho_dense.size(), rho_sharded.size());
-      for (std::size_t i = 0; i < rho_dense.size(); ++i)
-        ASSERT_EQ(rho_sharded[i], rho_dense[i])
-            << "gen_dens differs at " << i << " shards=" << shards
-            << " workers=" << workers;
-    }
   }
 }
 
@@ -712,8 +553,8 @@ TEST(Ls3df, ShardedProfileHasTransposeSubPhase) {
 
 TEST(Ls3df, ShardExchangeBuffersSteadyStateAllocatesNothing) {
   // The shard exchange buffers (all-to-all mailboxes + reduction tables)
-  // may only grow while the first GENPOT warms them; afterwards every
-  // sharded phase — and whole solve() calls — reuse warm buffers.
+  // may only grow while the first GENPOT warms them; afterwards whole
+  // solve() calls reuse warm buffers.
   // Both in-process backends share the contract: the proc transport's
   // shared-memory extents are grow-only exactly like the mailboxes.
   for (TransportKind kind : {TransportKind::kInProc, TransportKind::kProc}) {
@@ -734,14 +575,7 @@ TEST(Ls3df, ShardExchangeBuffersSteadyStateAllocatesNothing) {
     const long warm = solver.shard_allocations();
     EXPECT_GT(warm, 0) << transport_name(kind);
 
-    // Every further sharded phase — and whole solve() calls — must reuse
-    // the warm buffers.
-    const FieldR rho0 = build_initial_density(s, solver.global_grid());
-    FieldR v = solver.genpot(rho0);
-    solver.gen_vf(v);
-    solver.petot_f();
-    FieldR rho = solver.gen_dens();
-    v = solver.genpot(rho);
+    // Every further solve() must reuse the warm buffers.
     Ls3dfResult r2 = solver.solve();
     ASSERT_EQ(r2.iterations, 2);
     EXPECT_EQ(solver.shard_allocations(), warm)
