@@ -3,7 +3,10 @@
 // execution path (overlapped chains, shards, transports, batch widths,
 // worker counts, lane donation) was proved bit-identical to before that
 // driver was retired. Cross-path equivalence cannot catch a defect every
-// path shares; these absolute values can.
+// path shares; these absolute values can. Two more cases pin
+// Precision::kMixed, whose fp32 Davidson path the other tests only check
+// against tolerances; they were recorded from the separate fp32 lockstep
+// driver before it became the float instantiation of the shared one.
 //
 // Per case the reference pins the iteration count, every L1 residual of
 // conv_history, the charge-patch error and the patched total energy as
@@ -76,6 +79,26 @@ inline Ls3dfOptions fig6_options() {
   return lo;
 }
 
+// Precision::kMixed on the 3-cell chain, run to convergence: 5 fp32
+// iterations, then the promotion latch, then 4 fp64 iterations.
+inline Ls3dfOptions h2_mixed_options() {
+  Ls3dfOptions lo = h2_options(3);
+  lo.max_iterations = 30;
+  lo.l1_tol = 1e-3;
+  lo.eig.max_iterations = 8;
+  lo.batch_width = 2;
+  lo.precision = Precision::kMixed;
+  return lo;
+}
+
+// Precision::kMixed on the alloy: all three iterations stay in fp32, so
+// the fp32 nonlocal projector path runs on every apply.
+inline Ls3dfOptions fig6_mixed_options() {
+  Ls3dfOptions lo = fig6_options();
+  lo.precision = Precision::kMixed;
+  return lo;
+}
+
 // --- the recorded values -----------------------------------------------
 
 struct Reference {
@@ -135,6 +158,32 @@ inline const Reference& fig6_reference() {
                            -0x1.a6369cdbba1fbp+3,
                            0x199c583145d02067ull,
                            0x968f3047068f2425ull};
+  return r;
+}
+
+inline const Reference& h2_chain3_mixed_reference() {
+  static const Reference r{
+      "h2_chain3_mixed",
+      9,
+      {0x1.a6011783eebbdp+6, 0x1.15ad25c3882afp+5, 0x1.fc25bb70c9cbcp+1,
+       0x1.96631cb8d9cdbp+0, 0x1.d13acb77a9ee6p-3, 0x1.1f7d89eacd073p-5,
+       0x1.a626935e1c6dep-7, 0x1.17dfb4e9b0488p-8, 0x1.1fcbc7dc9f36p-11},
+      0x1.82ae5a549e8p-6,
+      -0x1.1eced2d60fdbcp+1,
+      0x4ac8133ec27ad625ull,
+      0xdb4e0267990ab703ull};
+  return r;
+}
+
+inline const Reference& fig6_mixed_reference() {
+  static const Reference r{"fig6_mixed",
+                           3,
+                           {0x1.116e2f818f4c4p+11, 0x1.9425c71aa01f1p+12,
+                            0x1.72c06494e861ap+11},
+                           0x1.40d4741d6714p-2,
+                           -0x1.a62b1455a77f7p+3,
+                           0x7c8ddf0a5d808e5dull,
+                           0x88d8af8255affc97ull};
   return r;
 }
 

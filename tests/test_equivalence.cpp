@@ -166,6 +166,28 @@ TEST(CrossPathEquivalence, KillAndResumeMatchesGoldenBits) {
   }
 }
 
+// The precision dimension: a kMixed solve runs the float instantiation
+// of the lockstep Davidson before the promotion latch and the double one
+// after it, and both are worker-count- and batch-shape-invariant, so
+// every execution shape lands on the recorded kMixed bits.
+TEST(CrossPathEquivalence, MixedPrecisionDrawsMatchGoldenBits) {
+  const Structure s = h2_chain(3);
+  for (int workers : {1, 4})
+    for (int width : {1, 2})
+      for (int n_shards : {0, 2}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers) +
+                     " batch_width=" + std::to_string(width) +
+                     " n_shards=" + std::to_string(n_shards));
+        Ls3dfOptions lo = golden::h2_mixed_options();
+        lo.n_workers = workers;
+        lo.batch_width = width;
+        lo.n_shards = n_shards;
+        ASSERT_EQ(mismatch(Ls3dfSolver(s, lo).solve(),
+                           golden::h2_chain3_mixed_reference()),
+                  "");
+      }
+}
+
 // The observability dimension: a trace recorder, the metrics registry
 // and the per-iteration progress callback are execution knobs — a solve
 // with all of them live must still land on the golden bits, on one

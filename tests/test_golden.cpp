@@ -30,5 +30,21 @@ TEST(GoldenReference, Fig6AlloyMatchesRecordedBits) {
   EXPECT_EQ(golden::mismatch(solver.solve(), golden::fig6_reference()), "");
 }
 
+// Precision::kMixed: the fp32 lockstep Davidson, the promotion latch and
+// the fp64 tail after it (chain), and the fp32 nonlocal projector path
+// (alloy).
+TEST(GoldenReference, MixedPrecisionMatchesRecordedBits) {
+  Ls3dfOptions chain = golden::h2_mixed_options();
+  chain.n_workers = 1;
+  EXPECT_EQ(golden::mismatch(Ls3dfSolver(golden::h2_chain(3), chain).solve(),
+                             golden::h2_chain3_mixed_reference()),
+            "");
+  Ls3dfOptions alloy = golden::fig6_mixed_options();
+  alloy.n_workers = 1;
+  EXPECT_EQ(golden::mismatch(Ls3dfSolver(golden::fig6_alloy(), alloy).solve(),
+                             golden::fig6_mixed_reference()),
+            "");
+}
+
 }  // namespace
 }  // namespace ls3df
