@@ -779,7 +779,7 @@ std::vector<JsonEntry> kernel_summary() {
       solve_all_band_batched(f64, opt, ws64, workers);
       const double s64 = t64.seconds() * 1e3;
       Timer t32;
-      solve_all_band_batched_f32(f32, opt, ws32, workers);
+      solve_all_band_batched<float>(f32, opt, ws32, workers);
       const double s32 = t32.seconds() * 1e3;
       if (rep == 0) continue;  // warm: arenas allocate on the first rep
       ms64 = std::min(ms64, s64);

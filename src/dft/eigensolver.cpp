@@ -5,6 +5,7 @@
 #include <cmath>
 #include <new>
 #include <numeric>
+#include <type_traits>
 
 #include "common/rng.h"
 #include "linalg/blas.h"
@@ -23,7 +24,7 @@ namespace {
 // steps below can be templated over the real type. The double
 // instantiations forward to exactly the calls the untemplated code made,
 // so the fp64 path's arithmetic (and the bit-identity contract) is
-// untouched; the float ones back the mixed-precision fast path.
+// untouched; the float ones back the mixed-precision instantiation.
 inline cd dotc(int n, const cd* x, const cd* y) { return zdotc(n, x, y); }
 inline cf dotc(int n, const cf* x, const cf* y) { return cdotc(n, x, y); }
 inline double nrm2(int n, const cd* x) { return dznrm2(n, x); }
@@ -71,19 +72,25 @@ constexpr int kHpsi = 0, kRes = 1, kDir = 2, kHDir = 3, kPrevDir = 4;
 
 }  // namespace
 
-MatC& EigenWorkspace::mat(int slot, int rows, int cols) {
+template <typename Real>
+Matrix<std::complex<Real>>& EigenWorkspace::mat(int slot, int rows,
+                                                int cols) {
   assert(slot >= 0 && slot < kMatSlots);
+  MatSlots<Real>& slots = std::get<MatSlots<Real>>(mats_);
   const std::size_t need = static_cast<std::size_t>(rows) * cols;
-  if (need > mat_peak_[slot]) {
-    mat_peak_[slot] = need;
+  if (need > slots.peak[slot]) {
+    slots.peak[slot] = need;
     ++allocs_;
   }
   // reshape, not resize: no zero-fill sweep — every slot is fully
   // written before it is read (which also keeps results independent of
   // the arena's history).
-  mats_[slot].reshape(rows, cols);
-  return mats_[slot];
+  slots.mats[slot].reshape(rows, cols);
+  return slots.mats[slot];
 }
+
+template MatC& EigenWorkspace::mat<double>(int, int, int);
+template MatCF& EigenWorkspace::mat<float>(int, int, int);
 
 std::vector<std::complex<double>>& EigenWorkspace::vec(int slot, int n) {
   assert(slot >= 0 && slot < kVecSlots);
@@ -95,32 +102,27 @@ std::vector<std::complex<double>>& EigenWorkspace::vec(int slot, int n) {
   return vecs_[slot];
 }
 
-MatCF& EigenWorkspace::mat_f32(int slot, int rows, int cols) {
-  assert(slot >= 0 && slot < kMatSlots);
-  const std::size_t need = static_cast<std::size_t>(rows) * cols;
-  if (need > mat_f32_peak_[slot]) {
-    mat_f32_peak_[slot] = need;
-    ++allocs_;
-  }
-  mats_f32_[slot].reshape(rows, cols);
-  return mats_f32_[slot];
+template <typename Real>
+void EigenWorkspace::reserve_mats(int ng, int nb) {
+  const int vmax = std::min(2 * nb, ng);
+  mat<Real>(kV, ng, vmax);
+  mat<Real>(kHV, ng, vmax);
+  mat<Real>(kVn, ng, vmax);
+  mat<Real>(kX, ng, nb);
+  mat<Real>(kHX, ng, nb);
+  mat<Real>(kR, ng, nb);
+  mat<Real>(kT, ng, nb);
+  mat<Real>(kG, vmax, vmax);
+  mat<Real>(kY, vmax, nb);
 }
 
+template void EigenWorkspace::reserve_mats<double>(int, int);
+template void EigenWorkspace::reserve_mats<float>(int, int);
+
 void EigenWorkspace::reserve(int ng, int nb, bool all_band) {
-  const int vmax = std::min(2 * nb, ng);
-  if (all_band) {
-    mat(kV, ng, vmax);
-    mat(kHV, ng, vmax);
-    mat(kVn, ng, vmax);
-    mat(kX, ng, nb);
-    mat(kHX, ng, nb);
-    mat(kR, ng, nb);
-    mat(kT, ng, nb);
-    mat(kG, vmax, vmax);
-    mat(kY, vmax, nb);
-  }
+  if (all_band) reserve_mats<double>(ng, nb);
   for (int s = 0; s < kVecSlots; ++s) vec(s, ng);
-  scratch_.reserve(all_band ? std::max(vmax, 2) : 2);
+  scratch_.reserve(all_band ? std::max(std::min(2 * nb, ng), 2) : 2);
 }
 
 EigenWorkspace& BatchWorkspace::member(int i) {
@@ -145,11 +147,13 @@ void* BatchWorkspace::member_table(std::size_t bytes) {
 }
 
 void BatchWorkspace::note_dispatch_capacity() {
-  const std::size_t cap =
-      apply_items.capacity() + apply_items_f32.capacity() +
-      g_items.capacity() + x_items.capacity() + hx_items.capacity() +
-      g_items_f32.capacity() + x_items_f32.capacity() +
-      hx_items_f32.capacity() + active.capacity() + still.capacity();
+  const auto lists_capacity = [](const auto& l) {
+    return l.apply_items.capacity() + l.g_items.capacity() +
+           l.x_items.capacity() + l.hx_items.capacity();
+  };
+  const std::size_t cap = lists_capacity(lists<double>()) +
+                          lists_capacity(lists<float>()) +
+                          active.capacity() + still.capacity();
   if (cap > dispatch_peak_) {
     dispatch_peak_ = cap;
     ++allocs_;
@@ -238,7 +242,7 @@ namespace {
 // by construction. Templated over the real type: the double instantiation
 // is operation-for-operation the original code (the shims above forward
 // to the same level-1 calls), and the float instantiation serves the
-// mixed-precision fast path.
+// mixed-precision lockstep driver.
 
 // Residuals R = HX - X diag(eps); returns the max column norm.
 template <typename Real>
@@ -388,7 +392,7 @@ EigensolverResult solve_all_band(const Hamiltonian& h, MatC& psi,
 
 namespace {
 
-// Per-member bookkeeping of the lockstep drivers. Trivially destructible
+// Per-member bookkeeping of the lockstep driver. Trivially destructible
 // (pointers and scalars only) so it can live in the workspace's grow-only
 // byte arena instead of a fresh vector per solve.
 struct BatchMember {
@@ -402,11 +406,15 @@ struct BatchMember {
 
 }  // namespace
 
+template <typename Real>
 std::vector<EigensolverResult> solve_all_band_batched(
     const std::vector<FragmentSolve>& frags, const EigensolverOptions& opt,
     BatchWorkspace& ws, int n_workers,
     const std::function<int()>& live_lanes) {
   using Member = BatchMember;
+  using C = std::complex<Real>;
+  using Mat = Matrix<C>;
+  constexpr bool kF32 = std::is_same_v<Real, float>;
   const int k_members = static_cast<int>(frags.size());
   std::vector<EigensolverResult> results(k_members);
   if (k_members == 0) return results;
@@ -417,6 +425,11 @@ std::vector<EigensolverResult> solve_all_band_batched(
   const auto lanes = [&]() {
     return live_lanes ? std::max(1, live_lanes()) : n_workers;
   };
+
+  // fp32 residuals bottom out near its epsilon; chasing a tighter
+  // tolerance would spin the loop on rounding noise (see eigensolver.h).
+  const double tol =
+      kF32 ? std::max(opt.residual_tol, 2e-5) : opt.residual_tol;
 
   Member* mem = static_cast<Member*>(
       ws.member_table(sizeof(Member) * static_cast<std::size_t>(k_members)));
@@ -438,13 +451,23 @@ std::vector<EigensolverResult> solve_all_band_batched(
   std::vector<int>& active = ws.active;
   active.resize(k_members);
   std::iota(active.begin(), active.end(), 0);
+  BatchWorkspace::DispatchLists<Real>& lists = ws.lists<Real>();
 
-  // Per-member setup: slot reservation, orthonormalization, V <- psi.
+  // Writes a member's Ritz block back into its (double) psi; the float
+  // instantiation rounds each element up once.
+  const auto store_psi = [](const Mat& X, MatC& psi) {
+    std::copy(X.data(), X.data() + X.size(), psi.data());
+  };
+
+  // Per-member setup: slot reservation, double-precision
+  // orthonormalization, V <- psi (for float: the fp32 slots are reserved
+  // too and the guess rounds once into the fp32 Ritz block).
   parallel_for(k_members, lanes(), [&](int i, int /*worker*/) {
     Member& m = mem[i];
     m.ws->reserve(m.ng, m.nb, /*all_band=*/true);
+    if constexpr (kF32) m.ws->reserve_mats<float>(m.ng, m.nb);
     orthonormalize_cholesky(*m.psi, m.ws->scratch());
-    MatC& V = m.ws->mat(kV, m.ng, m.nb);
+    Mat& V = m.ws->mat<Real>(kV, m.ng, m.nb);
     std::copy(m.psi->data(), m.psi->data() + m.psi->size(), V.data());
   });
 
@@ -453,12 +476,12 @@ std::vector<EigensolverResult> solve_all_band_batched(
   // converge out of the item list, so per-slot arena peaks never
   // regress.
   const auto batched_apply = [&](const std::vector<int>& who) {
-    std::vector<Hamiltonian::ApplyItem>& items = ws.apply_items;
+    std::vector<Hamiltonian::ApplyItemT<Real>>& items = lists.apply_items;
     items.clear();
     for (int i : who) {
       Member& m = mem[i];
-      items.push_back({m.h, &m.ws->mat(kV, m.ng, m.cols),
-                       &m.ws->mat(kHV, m.ng, m.cols), i});
+      items.push_back({m.h, &m.ws->mat<Real>(kV, m.ng, m.cols),
+                       &m.ws->mat<Real>(kHV, m.ng, m.cols), i});
     }
     Hamiltonian::apply_batched(items, ws.apply(), lanes());
   };
@@ -467,15 +490,15 @@ std::vector<EigensolverResult> solve_all_band_batched(
   // both Ritz rotations run as batched GEMMs; the dense eigh of each
   // small G stays per member (arena-backed), fanned out over members.
   const auto rayleigh_ritz = [&](const std::vector<int>& who) {
-    std::vector<GemmBatchItem>& g_items = ws.g_items;
+    std::vector<GemmBatchItemT<Real>>& g_items = lists.g_items;
     g_items.clear();
     for (int i : who) {
       Member& m = mem[i];
-      g_items.push_back({&m.ws->mat(kV, m.ng, m.cols),
-                         &m.ws->mat(kHV, m.ng, m.cols),
-                         &m.ws->mat(kG, m.cols, m.cols)});
+      g_items.push_back({&m.ws->mat<Real>(kV, m.ng, m.cols),
+                         &m.ws->mat<Real>(kHV, m.ng, m.cols),
+                         &m.ws->mat<Real>(kG, m.cols, m.cols)});
     }
-    gemm_batched(Op::kConjTrans, Op::kNone, cd(1, 0), g_items, cd(0, 0),
+    gemm_batched(Op::kConjTrans, Op::kNone, C(1, 0), g_items, C(0, 0),
                  lanes());
     parallel_for(static_cast<int>(who.size()), lanes(),
                  [&](int a, int /*worker*/) {
@@ -483,35 +506,40 @@ std::vector<EigensolverResult> solve_all_band_batched(
                    EigensolverResult& res = results[who[a]];
                    const int dim = m.cols;
                    MatC& G = m.ws->mat(kG, dim, dim);
+                   if constexpr (kF32) {
+                     // Promote the fp32 G to double for the dense eigh.
+                     const MatCF& Gf = m.ws->mat<float>(kG, dim, dim);
+                     std::copy(Gf.data(), Gf.data() + Gf.size(), G.data());
+                   }
                    EighView eg = eigh(G, m.ws->scratch());
-                   MatC& Y = m.ws->mat(kY, dim, m.nb);
+                   Mat& Y = m.ws->mat<Real>(kY, dim, m.nb);
                    for (int j = 0; j < m.nb; ++j)
                      for (int i2 = 0; i2 < dim; ++i2)
-                       Y(i2, j) = (*eg.eigenvectors)(i2, j);
+                       Y(i2, j) = C((*eg.eigenvectors)(i2, j));
                    res.eigenvalues.assign(eg.eigenvalues->begin(),
                                           eg.eigenvalues->begin() + m.nb);
                  });
-    std::vector<GemmBatchItem>& x_items = ws.x_items;
-    std::vector<GemmBatchItem>& hx_items = ws.hx_items;
+    std::vector<GemmBatchItemT<Real>>& x_items = lists.x_items;
+    std::vector<GemmBatchItemT<Real>>& hx_items = lists.hx_items;
     x_items.clear();
     hx_items.clear();
     for (int i : who) {
       Member& m = mem[i];
-      MatC& Y = m.ws->mat(kY, m.cols, m.nb);
-      x_items.push_back(
-          {&m.ws->mat(kV, m.ng, m.cols), &Y, &m.ws->mat(kX, m.ng, m.nb)});
-      hx_items.push_back(
-          {&m.ws->mat(kHV, m.ng, m.cols), &Y, &m.ws->mat(kHX, m.ng, m.nb)});
+      Mat& Y = m.ws->mat<Real>(kY, m.cols, m.nb);
+      x_items.push_back({&m.ws->mat<Real>(kV, m.ng, m.cols), &Y,
+                         &m.ws->mat<Real>(kX, m.ng, m.nb)});
+      hx_items.push_back({&m.ws->mat<Real>(kHV, m.ng, m.cols), &Y,
+                          &m.ws->mat<Real>(kHX, m.ng, m.nb)});
     }
-    gemm_batched(Op::kNone, Op::kNone, cd(1, 0), x_items, cd(0, 0), lanes());
-    gemm_batched(Op::kNone, Op::kNone, cd(1, 0), hx_items, cd(0, 0),
-                 lanes());
+    gemm_batched(Op::kNone, Op::kNone, C(1, 0), x_items, C(0, 0), lanes());
+    gemm_batched(Op::kNone, Op::kNone, C(1, 0), hx_items, C(0, 0), lanes());
   };
 
   batched_apply(active);
 
   for (int iter = 0; iter < opt.max_iterations && !active.empty(); ++iter) {
-    TraceSpan sweep("davidson.sweep", TraceCat::kSolver, active.size());
+    TraceSpan sweep(kF32 ? "davidson.sweep.f32" : "davidson.sweep",
+                    TraceCat::kSolver, active.size());
     for (int i : active) results[i].iterations = iter + 1;
 
     rayleigh_ritz(active);
@@ -522,30 +550,28 @@ std::vector<EigensolverResult> solve_all_band_batched(
                  [&](int a, int /*worker*/) {
                    Member& m = mem[active[a]];
                    EigensolverResult& res = results[active[a]];
-                   MatC& X = m.ws->mat(kX, m.ng, m.nb);
-                   MatC& HX = m.ws->mat(kHX, m.ng, m.nb);
-                   MatC& R = m.ws->mat(kR, m.ng, m.nb);
+                   Mat& X = m.ws->mat<Real>(kX, m.ng, m.nb);
+                   Mat& HX = m.ws->mat<Real>(kHX, m.ng, m.nb);
+                   Mat& R = m.ws->mat<Real>(kR, m.ng, m.nb);
                    res.max_residual =
                        residual_block(X, HX, res.eigenvalues, R);
-                   if (res.max_residual < opt.residual_tol) {
+                   if (res.max_residual < tol) {
                      res.converged = true;
-                     std::copy(X.data(), X.data() + X.size(),
-                               m.psi->data());
+                     store_psi(X, *m.psi);
                      m.done = true;
                      return;
                    }
-                   MatC& T = m.ws->mat(kT, m.ng, m.nb);
+                   Mat& T = m.ws->mat<Real>(kT, m.ng, m.nb);
                    correction_block(m.h->basis(), opt.precondition, X, R, T);
-                   MatC& Vn = m.ws->mat(kVn, m.ng, m.vmax);
+                   Mat& Vn = m.ws->mat<Real>(kVn, m.ng, m.vmax);
                    const int cols = expand_search_space(X, T, Vn);
                    if (cols == m.nb) {
                      res.converged = true;
-                     std::copy(X.data(), X.data() + X.size(),
-                               m.psi->data());
+                     store_psi(X, *m.psi);
                      m.done = true;
                      return;
                    }
-                   MatC& V = m.ws->mat(kV, m.ng, cols);
+                   Mat& V = m.ws->mat<Real>(kV, m.ng, cols);
                    for (int j = 0; j < cols; ++j)
                      std::copy(Vn.col(j), Vn.col(j) + m.ng, V.col(j));
                    m.cols = cols;
@@ -568,203 +594,19 @@ std::vector<EigensolverResult> solve_all_band_batched(
     parallel_for(static_cast<int>(active.size()), lanes(),
                  [&](int a, int /*worker*/) {
                    Member& m = mem[active[a]];
-                   MatC& X = m.ws->mat(kX, m.ng, m.nb);
-                   std::copy(X.data(), X.data() + X.size(), m.psi->data());
+                   store_psi(m.ws->mat<Real>(kX, m.ng, m.nb), *m.psi);
                  });
   }
   ws.note_dispatch_capacity();
   return results;
 }
 
-std::vector<EigensolverResult> solve_all_band_batched_f32(
-    const std::vector<FragmentSolve>& frags, const EigensolverOptions& opt,
-    BatchWorkspace& ws, int n_workers,
-    const std::function<int()>& live_lanes) {
-  using Member = BatchMember;
-  const int k_members = static_cast<int>(frags.size());
-  std::vector<EigensolverResult> results(k_members);
-  if (k_members == 0) return results;
-
-  const auto lanes = [&]() {
-    return live_lanes ? std::max(1, live_lanes()) : n_workers;
-  };
-
-  // fp32 residuals bottom out near its epsilon; chasing a tighter
-  // tolerance would spin the loop on rounding noise (see eigensolver.h).
-  const double tol = std::max(opt.residual_tol, 2e-5);
-
-  Member* mem = static_cast<Member*>(
-      ws.member_table(sizeof(Member) * static_cast<std::size_t>(k_members)));
-  for (int i = 0; i < k_members; ++i) {
-    Member& m = *new (mem + i) Member();
-    m.h = frags[i].h;
-    m.psi = frags[i].psi;
-    m.ws = &ws.member(i);
-    m.ng = m.h->basis().count();
-    m.nb = m.psi->cols();
-    m.vmax = std::min(2 * m.nb, m.ng);
-    m.cols = m.nb;
-    m.done = false;
-    assert(m.psi->rows() == m.ng);
-    assert(m.nb <= m.ng);
-    assert(m.h->basis().grid_shape() == frags[0].h->basis().grid_shape());
-  }
-
-  std::vector<int>& active = ws.active;
-  active.resize(k_members);
-  std::iota(active.begin(), active.end(), 0);
-
-  const auto round_to_f32 = [](const MatC& src, MatCF& dst) {
-    const cd* s = src.data();
-    cf* d = dst.data();
-    for (std::size_t u = 0; u < src.size(); ++u) d[u] = cf(s[u]);
-  };
-  const auto store_psi = [](const MatCF& X, MatC& psi) {
-    const cf* x = X.data();
-    cd* p = psi.data();
-    for (std::size_t u = 0; u < X.size(); ++u) p[u] = cd(x[u]);
-  };
-
-  // Per-member setup: double-precision orthonormalization of the guess
-  // (identical to the fp64 driver — no float Cholesky needed), rounded
-  // once into the fp32 Ritz block. The fp32 slots are reserved at their
-  // per-solve maxima here, like EigenWorkspace::reserve does for the
-  // double ones.
-  parallel_for(k_members, lanes(), [&](int i, int /*worker*/) {
-    Member& m = mem[i];
-    m.ws->reserve(m.ng, m.nb, /*all_band=*/true);
-    m.ws->mat_f32(kV, m.ng, m.vmax);
-    m.ws->mat_f32(kHV, m.ng, m.vmax);
-    m.ws->mat_f32(kVn, m.ng, m.vmax);
-    m.ws->mat_f32(kX, m.ng, m.nb);
-    m.ws->mat_f32(kHX, m.ng, m.nb);
-    m.ws->mat_f32(kR, m.ng, m.nb);
-    m.ws->mat_f32(kT, m.ng, m.nb);
-    m.ws->mat_f32(kG, m.vmax, m.vmax);
-    m.ws->mat_f32(kY, m.vmax, m.nb);
-    orthonormalize_cholesky(*m.psi, m.ws->scratch());
-    round_to_f32(*m.psi, m.ws->mat_f32(kV, m.ng, m.nb));
-  });
-
-  const auto batched_apply = [&](const std::vector<int>& who) {
-    std::vector<Hamiltonian::ApplyItemF32>& items = ws.apply_items_f32;
-    items.clear();
-    for (int i : who) {
-      Member& m = mem[i];
-      items.push_back({m.h, &m.ws->mat_f32(kV, m.ng, m.cols),
-                       &m.ws->mat_f32(kHV, m.ng, m.cols), i});
-    }
-    Hamiltonian::apply_batched_f32(items, ws.apply(), lanes());
-  };
-
-  // Rayleigh-Ritz: float batched GEMMs for the subspace projection and
-  // both Ritz rotations; the tiny G is promoted to double for the dense
-  // eigh (free next to the fp32 GEMMs, keeps the rotation
-  // well-conditioned) and the rotation matrix rounded back to fp32.
-  const auto rayleigh_ritz = [&](const std::vector<int>& who) {
-    std::vector<GemmBatchItemF>& g_items = ws.g_items_f32;
-    g_items.clear();
-    for (int i : who) {
-      Member& m = mem[i];
-      g_items.push_back({&m.ws->mat_f32(kV, m.ng, m.cols),
-                         &m.ws->mat_f32(kHV, m.ng, m.cols),
-                         &m.ws->mat_f32(kG, m.cols, m.cols)});
-    }
-    gemm_batched(Op::kConjTrans, Op::kNone, cf(1, 0), g_items, cf(0, 0),
-                 lanes());
-    parallel_for(static_cast<int>(who.size()), lanes(),
-                 [&](int a, int /*worker*/) {
-                   Member& m = mem[who[a]];
-                   EigensolverResult& res = results[who[a]];
-                   const int dim = m.cols;
-                   MatCF& Gf = m.ws->mat_f32(kG, dim, dim);
-                   MatC& G = m.ws->mat(kG, dim, dim);
-                   for (int j = 0; j < dim; ++j)
-                     for (int i2 = 0; i2 < dim; ++i2)
-                       G(i2, j) = cd(Gf(i2, j));
-                   EighView eg = eigh(G, m.ws->scratch());
-                   MatCF& Y = m.ws->mat_f32(kY, dim, m.nb);
-                   for (int j = 0; j < m.nb; ++j)
-                     for (int i2 = 0; i2 < dim; ++i2)
-                       Y(i2, j) = cf((*eg.eigenvectors)(i2, j));
-                   res.eigenvalues.assign(eg.eigenvalues->begin(),
-                                          eg.eigenvalues->begin() + m.nb);
-                 });
-    std::vector<GemmBatchItemF>& x_items = ws.x_items_f32;
-    std::vector<GemmBatchItemF>& hx_items = ws.hx_items_f32;
-    x_items.clear();
-    hx_items.clear();
-    for (int i : who) {
-      Member& m = mem[i];
-      MatCF& Y = m.ws->mat_f32(kY, m.cols, m.nb);
-      x_items.push_back({&m.ws->mat_f32(kV, m.ng, m.cols), &Y,
-                         &m.ws->mat_f32(kX, m.ng, m.nb)});
-      hx_items.push_back({&m.ws->mat_f32(kHV, m.ng, m.cols), &Y,
-                          &m.ws->mat_f32(kHX, m.ng, m.nb)});
-    }
-    gemm_batched(Op::kNone, Op::kNone, cf(1, 0), x_items, cf(0, 0), lanes());
-    gemm_batched(Op::kNone, Op::kNone, cf(1, 0), hx_items, cf(0, 0),
-                 lanes());
-  };
-
-  batched_apply(active);
-
-  for (int iter = 0; iter < opt.max_iterations && !active.empty(); ++iter) {
-    TraceSpan sweep("davidson.sweep.f32", TraceCat::kSolver, active.size());
-    for (int i : active) results[i].iterations = iter + 1;
-
-    rayleigh_ritz(active);
-
-    parallel_for(static_cast<int>(active.size()), lanes(),
-                 [&](int a, int /*worker*/) {
-                   Member& m = mem[active[a]];
-                   EigensolverResult& res = results[active[a]];
-                   MatCF& X = m.ws->mat_f32(kX, m.ng, m.nb);
-                   MatCF& HX = m.ws->mat_f32(kHX, m.ng, m.nb);
-                   MatCF& R = m.ws->mat_f32(kR, m.ng, m.nb);
-                   res.max_residual =
-                       residual_block(X, HX, res.eigenvalues, R);
-                   if (res.max_residual < tol) {
-                     res.converged = true;
-                     store_psi(X, *m.psi);
-                     m.done = true;
-                     return;
-                   }
-                   MatCF& T = m.ws->mat_f32(kT, m.ng, m.nb);
-                   correction_block(m.h->basis(), opt.precondition, X, R, T);
-                   MatCF& Vn = m.ws->mat_f32(kVn, m.ng, m.vmax);
-                   const int cols = expand_search_space(X, T, Vn);
-                   if (cols == m.nb) {
-                     res.converged = true;
-                     store_psi(X, *m.psi);
-                     m.done = true;
-                     return;
-                   }
-                   MatCF& V = m.ws->mat_f32(kV, m.ng, cols);
-                   for (int j = 0; j < cols; ++j)
-                     std::copy(Vn.col(j), Vn.col(j) + m.ng, V.col(j));
-                   m.cols = cols;
-                 });
-
-    std::vector<int>& still = ws.still;
-    still.clear();
-    for (int i : active)
-      if (!mem[i].done) still.push_back(i);
-    active.swap(still);
-    if (!active.empty()) batched_apply(active);
-  }
-
-  if (!active.empty()) {
-    rayleigh_ritz(active);
-    parallel_for(static_cast<int>(active.size()), lanes(),
-                 [&](int a, int /*worker*/) {
-                   Member& m = mem[active[a]];
-                   store_psi(m.ws->mat_f32(kX, m.ng, m.nb), *m.psi);
-                 });
-  }
-  ws.note_dispatch_capacity();
-  return results;
-}
+template std::vector<EigensolverResult> solve_all_band_batched<double>(
+    const std::vector<FragmentSolve>&, const EigensolverOptions&,
+    BatchWorkspace&, int, const std::function<int()>&);
+template std::vector<EigensolverResult> solve_all_band_batched<float>(
+    const std::vector<FragmentSolve>&, const EigensolverOptions&,
+    BatchWorkspace&, int, const std::function<int()>&);
 
 EigensolverResult solve_all_band(const Hamiltonian& h, MatC& psi,
                                  const EigensolverOptions& opt) {

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <type_traits>
 
 #include "common/constants.h"
 #include "fft/plan_cache.h"
@@ -12,64 +13,49 @@ namespace ls3df {
 
 using cd = std::complex<double>;
 
-cd* ApplyBatchWorkspace::grid_stack(std::size_t n) {
+template <typename Real>
+std::complex<Real>* ApplyBatchWorkspace::grid_stack(std::size_t n) {
   // Grow-only, like Matrix::reshape: the stack is fully written before
   // it is read, so a shrink-then-regrow cycle (members converging out,
   // then the next SCF iteration starting over) must not pay a zero-fill
   // sweep over the regrown region.
-  if (n > stack_peak_) {
-    stack_peak_ = n;
+  Arena<Real>& a = arena<Real>();
+  if (n > a.stack_peak) {
+    a.stack_peak = n;
     ++allocs_;
-    stack_.resize(n);
+    a.stack.resize(n);
   }
-  return stack_.data();
+  return a.stack.data();
 }
 
-MatC& ApplyBatchWorkspace::proj(int member, int rows, int cols) {
+template <typename Real>
+Matrix<std::complex<Real>>& ApplyBatchWorkspace::proj(int member, int rows,
+                                                      int cols) {
   assert(member >= 0);
-  while (static_cast<int>(proj_.size()) <= member) {
-    proj_.emplace_back();
-    proj_peak_.push_back(0);
+  Arena<Real>& a = arena<Real>();
+  while (static_cast<int>(a.proj.size()) <= member) {
+    a.proj.emplace_back();
+    a.proj_peak.push_back(0);
   }
   const std::size_t need = static_cast<std::size_t>(rows) * cols;
-  if (need > proj_peak_[member]) {
-    proj_peak_[member] = need;
+  if (need > a.proj_peak[member]) {
+    a.proj_peak[member] = need;
     ++allocs_;
   }
-  proj_[member].reshape(rows, cols);
-  return proj_[member];
+  a.proj[member].reshape(rows, cols);
+  return a.proj[member];
 }
 
-std::complex<float>* ApplyBatchWorkspace::grid_stack_f32(std::size_t n) {
-  if (n > stack_f32_peak_) {
-    stack_f32_peak_ = n;
-    ++allocs_;
-    stack_f32_.resize(n);
-  }
-  return stack_f32_.data();
-}
-
-MatCF& ApplyBatchWorkspace::proj_f32(int member, int rows, int cols) {
-  assert(member >= 0);
-  while (static_cast<int>(proj_f32_.size()) <= member) {
-    proj_f32_.emplace_back();
-    proj_f32_peak_.push_back(0);
-  }
-  const std::size_t need = static_cast<std::size_t>(rows) * cols;
-  if (need > proj_f32_peak_[member]) {
-    proj_f32_peak_[member] = need;
-    ++allocs_;
-  }
-  proj_f32_[member].reshape(rows, cols);
-  return proj_f32_[member];
-}
+template cd* ApplyBatchWorkspace::grid_stack<double>(std::size_t);
+template MatC& ApplyBatchWorkspace::proj<double>(int, int, int);
 
 void ApplyBatchWorkspace::note_dispatch_capacity() {
-  const std::size_t cap = off.capacity() + member_of.capacity() +
-                          nl_members.capacity() + overlap_items.capacity() +
-                          grid_lines.capacity() + accum_items.capacity() +
-                          overlap_items_f32.capacity() +
-                          accum_items_f32.capacity();
+  const std::size_t cap =
+      off.capacity() + member_of.capacity() + nl_members.capacity() +
+      grid_lines.capacity() + arena<double>().overlap_items.capacity() +
+      arena<double>().accum_items.capacity() +
+      arena<float>().overlap_items.capacity() +
+      arena<float>().accum_items.capacity();
   if (cap > dispatch_peak_) {
     dispatch_peak_ = cap;
     ++allocs_;
@@ -137,6 +123,17 @@ void Hamiltonian::ensure_f32_mirrors() const {
   }
 }
 
+template <typename Real>
+Hamiltonian::Operands<Real> Hamiltonian::operands() const {
+  if constexpr (std::is_same_v<Real, double>) {
+    return {vloc_.data(), basis_->g2_data(), &nl_->projectors(),
+            nl_->strengths().data()};
+  } else {
+    return {vloc_f32_.data(), g2_f32_.data(), &projectors_f32_,
+            strengths_f32_.data()};
+  }
+}
+
 void Hamiltonian::apply_local(const cd* in, cd* out) const {
   const FftLines& lines = basis_->fft_lines();
   basis_->scatter(in, work_);
@@ -168,13 +165,21 @@ void Hamiltonian::apply(const MatC& psi, MatC& hpsi) const {
   }
 }
 
-void Hamiltonian::apply_batched(const std::vector<ApplyItem>& items,
+template <typename Real>
+void Hamiltonian::apply_batched(const std::vector<ApplyItemT<Real>>& items,
                                 ApplyBatchWorkspace& ws, int n_workers) {
+  using C = std::complex<Real>;
+  using Item = ApplyItemT<Real>;
   const int k_members = static_cast<int>(items.size());
   if (k_members == 0) return;
   const Vec3i shape = items[0].h->basis().grid_shape();
   const std::size_t gsize =
       static_cast<std::size_t>(shape.x) * shape.y * shape.z;
+
+  // fp32 mirrors first, serially: the parallel body below reads each
+  // member's operands concurrently from several lanes.
+  if constexpr (std::is_same_v<Real, float>)
+    for (const Item& it : items) it.h->ensure_f32_mirrors();
 
   // Grid-stack layout: member i's bands occupy grids [off[i], off[i+1]).
   // off/member_of live in the workspace so a steady-state dispatch
@@ -182,7 +187,7 @@ void Hamiltonian::apply_batched(const std::vector<ApplyItem>& items,
   std::vector<int>& off = ws.off;
   off.assign(k_members + 1, 0);
   for (int t = 0; t < k_members; ++t) {
-    const ApplyItem& it = items[t];
+    const Item& it = items[t];
     assert(it.h && it.psi && it.hpsi);
     assert(it.h->basis().grid_shape() == shape);
     assert(it.psi->rows() == it.h->basis().count());
@@ -191,7 +196,7 @@ void Hamiltonian::apply_batched(const std::vector<ApplyItem>& items,
   }
   const int total = off[k_members];
   if (total == 0) return;
-  cd* stack = ws.grid_stack(static_cast<std::size_t>(total) * gsize);
+  C* stack = ws.grid_stack<Real>(static_cast<std::size_t>(total) * gsize);
   std::vector<int>& member_of = ws.member_of;
   std::vector<const FftLines*>& grid_lines = ws.grid_lines;
   member_of.assign(total, 0);
@@ -208,34 +213,37 @@ void Hamiltonian::apply_batched(const std::vector<ApplyItem>& items,
   // sequence is exactly apply_local()'s.
   parallel_for(total, n_workers, [&](int u, int /*worker*/) {
     const int t = member_of[u];
-    const ApplyItem& it = items[t];
+    const Item& it = items[t];
     it.h->basis().scatter(it.psi->col(u - off[t]), stack + u * gsize);
   });
-  const Fft3D& plan = fft_plan(shape);
+  const BasicFft3D<Real>& plan = fft_plan<Real>(shape);
   plan.inverse_many(stack, total, grid_lines.data(), n_workers);
   parallel_for(total, n_workers, [&](int u, int /*worker*/) {
-    const FieldR& vloc = items[member_of[u]].h->local_potential();
-    cd* grid = stack + u * gsize;
+    const Real* vloc = items[member_of[u]].h->template operands<Real>().vloc;
+    C* grid = stack + u * gsize;
     for (std::size_t i = 0; i < gsize; ++i) grid[i] *= vloc[i];
   });
   plan.forward_many(stack, total, grid_lines.data(), n_workers);
   parallel_for(total, n_workers, [&](int u, int /*worker*/) {
     const int t = member_of[u];
-    const ApplyItem& it = items[t];
+    const Item& it = items[t];
     const GVectors& basis = it.h->basis();
+    const Real* g2 = it.h->template operands<Real>().g2;
     const int j = u - off[t];
-    cd* h = it.hpsi->col(j);
+    C* h = it.hpsi->col(j);
     basis.gather(stack + u * gsize, h);
     // Kinetic: diagonal in q-space (same expression as apply()).
-    const cd* p = it.psi->col(j);
-    for (int g = 0; g < basis.count(); ++g) h[g] += 0.5 * basis.g2(g) * p[g];
+    const C* p = it.psi->col(j);
+    for (int g = 0; g < basis.count(); ++g) h[g] += Real(0.5) * g2[g] * p[g];
   });
 
   // Nonlocal, batched: P_t = B_t^H psi_t, scale rows by the KB strengths,
   // hpsi_t += B_t P_t — the two GEMMs of NonlocalKB::apply_all_bands
   // fused across members.
-  std::vector<GemmBatchItem>& overlap_items = ws.overlap_items;
-  std::vector<GemmBatchItem>& accum_items = ws.accum_items;
+  std::vector<GemmBatchItemT<Real>>& overlap_items =
+      ws.arena<Real>().overlap_items;
+  std::vector<GemmBatchItemT<Real>>& accum_items =
+      ws.arena<Real>().accum_items;
   std::vector<int>& nl_members = ws.nl_members;
   overlap_items.clear();
   accum_items.clear();
@@ -244,30 +252,32 @@ void Hamiltonian::apply_batched(const std::vector<ApplyItem>& items,
     const NonlocalKB& nl = items[t].h->nonlocal();
     if (nl.num_projectors() == 0) continue;
     const int slot = items[t].slot >= 0 ? items[t].slot : t;
-    MatC& P = ws.proj(slot, nl.num_projectors(), items[t].psi->cols());
-    overlap_items.push_back({&nl.projectors(), items[t].psi, &P});
-    accum_items.push_back({&nl.projectors(), &P, items[t].hpsi});
+    Matrix<C>& P =
+        ws.proj<Real>(slot, nl.num_projectors(), items[t].psi->cols());
+    const Matrix<C>* B = items[t].h->template operands<Real>().projectors;
+    overlap_items.push_back({B, items[t].psi, &P});
+    accum_items.push_back({B, &P, items[t].hpsi});
     nl_members.push_back(t);
   }
   if (!overlap_items.empty()) {
-    gemm_batched(Op::kConjTrans, Op::kNone, cd(1, 0), overlap_items, cd(0, 0),
+    gemm_batched(Op::kConjTrans, Op::kNone, C(1, 0), overlap_items, C(0, 0),
                  n_workers);
     parallel_for(static_cast<int>(nl_members.size()), n_workers,
                  [&](int m, int /*worker*/) {
-                   const int t = nl_members[m];
-                   const NonlocalKB& nl = items[t].h->nonlocal();
-                   MatC& P = *overlap_items[m].c;
-                   const std::vector<double>& d = nl.strengths();
+                   const Hamiltonian& h = *items[nl_members[m]].h;
+                   const Real* d = h.operands<Real>().strengths;
+                   Matrix<C>& P = *overlap_items[m].c;
                    for (int j = 0; j < P.cols(); ++j)
                      for (int p = 0; p < P.rows(); ++p) P(p, j) *= d[p];
                  });
-    gemm_batched(Op::kNone, Op::kNone, cd(1, 0), accum_items, cd(1, 0),
+    gemm_batched(Op::kNone, Op::kNone, C(1, 0), accum_items, C(1, 0),
                  n_workers);
   }
 
-  // Flop accounting mirrors apply() per member.
+  // Flop accounting mirrors apply() per member (the counter tracks
+  // operations, not operand width).
   for (int t = 0; t < k_members; ++t) {
-    const ApplyItem& it = items[t];
+    const Item& it = items[t];
     if (!it.h->flops_) continue;
     const int ng = it.h->basis().count(), nb = it.psi->cols();
     it.h->flops_->add(static_cast<unsigned long long>(nb) *
@@ -280,116 +290,10 @@ void Hamiltonian::apply_batched(const std::vector<ApplyItem>& items,
   ws.note_dispatch_capacity();
 }
 
-void Hamiltonian::apply_batched_f32(const std::vector<ApplyItemF32>& items,
-                                    ApplyBatchWorkspace& ws, int n_workers) {
-  using cf = std::complex<float>;
-  const int k_members = static_cast<int>(items.size());
-  if (k_members == 0) return;
-  const Vec3i shape = items[0].h->basis().grid_shape();
-  const std::size_t gsize =
-      static_cast<std::size_t>(shape.x) * shape.y * shape.z;
-
-  // Mirrors first, serially: the parallel body below reads each member's
-  // fp32 V_loc / |G|^2 / projectors concurrently from several lanes.
-  for (const ApplyItemF32& it : items) it.h->ensure_f32_mirrors();
-
-  std::vector<int>& off = ws.off;
-  off.assign(k_members + 1, 0);
-  for (int t = 0; t < k_members; ++t) {
-    const ApplyItemF32& it = items[t];
-    assert(it.h && it.psi && it.hpsi);
-    assert(it.h->basis().grid_shape() == shape);
-    assert(it.psi->rows() == it.h->basis().count());
-    off[t + 1] = off[t] + it.psi->cols();
-    it.hpsi->reshape(it.psi->rows(), it.psi->cols());
-  }
-  const int total = off[k_members];
-  if (total == 0) return;
-  cf* stack = ws.grid_stack_f32(static_cast<std::size_t>(total) * gsize);
-  std::vector<int>& member_of = ws.member_of;
-  std::vector<const FftLines*>& grid_lines = ws.grid_lines;
-  member_of.assign(total, 0);
-  grid_lines.assign(total, nullptr);
-  for (int t = 0; t < k_members; ++t)
-    for (int u = off[t]; u < off[t + 1]; ++u) {
-      member_of[u] = t;
-      grid_lines[u] = &items[t].h->basis().fft_lines();
-    }
-
-  // Local potential: same pruned scatter / inverse / multiply / forward /
-  // gather sweep as the double path, on single-precision plans and grids.
-  parallel_for(total, n_workers, [&](int u, int /*worker*/) {
-    const int t = member_of[u];
-    const ApplyItemF32& it = items[t];
-    it.h->basis().scatter(it.psi->col(u - off[t]), stack + u * gsize);
-  });
-  const Fft3DF& plan = fft_plan_f32(shape);
-  plan.inverse_many(stack, total, grid_lines.data(), n_workers);
-  parallel_for(total, n_workers, [&](int u, int /*worker*/) {
-    const std::vector<float>& vloc = items[member_of[u]].h->vloc_f32_;
-    cf* grid = stack + u * gsize;
-    for (std::size_t i = 0; i < gsize; ++i) grid[i] *= vloc[i];
-  });
-  plan.forward_many(stack, total, grid_lines.data(), n_workers);
-  parallel_for(total, n_workers, [&](int u, int /*worker*/) {
-    const int t = member_of[u];
-    const ApplyItemF32& it = items[t];
-    const GVectors& basis = it.h->basis();
-    const std::vector<float>& g2 = it.h->g2_f32_;
-    const int j = u - off[t];
-    cf* h = it.hpsi->col(j);
-    basis.gather(stack + u * gsize, h);
-    const cf* p = it.psi->col(j);
-    for (int g = 0; g < basis.count(); ++g) h[g] += 0.5f * g2[g] * p[g];
-  });
-
-  // Nonlocal: the two fused GEMMs on the fp32 projector mirrors.
-  std::vector<GemmBatchItemF>& overlap_items = ws.overlap_items_f32;
-  std::vector<GemmBatchItemF>& accum_items = ws.accum_items_f32;
-  std::vector<int>& nl_members = ws.nl_members;
-  overlap_items.clear();
-  accum_items.clear();
-  nl_members.clear();
-  for (int t = 0; t < k_members; ++t) {
-    const NonlocalKB& nl = items[t].h->nonlocal();
-    if (nl.num_projectors() == 0) continue;
-    const int slot = items[t].slot >= 0 ? items[t].slot : t;
-    MatCF& P =
-        ws.proj_f32(slot, nl.num_projectors(), items[t].psi->cols());
-    overlap_items.push_back({&items[t].h->projectors_f32_, items[t].psi, &P});
-    accum_items.push_back({&items[t].h->projectors_f32_, &P, items[t].hpsi});
-    nl_members.push_back(t);
-  }
-  if (!overlap_items.empty()) {
-    gemm_batched(Op::kConjTrans, Op::kNone, cf(1, 0), overlap_items, cf(0, 0),
-                 n_workers);
-    parallel_for(static_cast<int>(nl_members.size()), n_workers,
-                 [&](int m, int /*worker*/) {
-                   const int t = nl_members[m];
-                   const std::vector<float>& d = items[t].h->strengths_f32_;
-                   MatCF& P = *overlap_items[m].c;
-                   for (int j = 0; j < P.cols(); ++j)
-                     for (int p = 0; p < P.rows(); ++p) P(p, j) *= d[p];
-                 });
-    gemm_batched(Op::kNone, Op::kNone, cf(1, 0), accum_items, cf(1, 0),
-                 n_workers);
-  }
-
-  // Flop accounting: same analytic counts as the double path (the counter
-  // tracks operations, not operand width).
-  for (int t = 0; t < k_members; ++t) {
-    const ApplyItemF32& it = items[t];
-    if (!it.h->flops_) continue;
-    const int ng = it.h->basis().count(), nb = it.psi->cols();
-    it.h->flops_->add(static_cast<unsigned long long>(nb) *
-                      (2 * wavefunction_fft_flops(it.h->basis()) +
-                       6 * gsize));
-    it.h->flops_->add(4ull * ng * nb);
-    it.h->flops_->add(
-        2 * FlopCounter::zgemm(it.h->nl_->num_projectors(), nb, ng));
-  }
-  ws.note_dispatch_capacity();
-}
+template void Hamiltonian::apply_batched<double>(
+    const std::vector<ApplyItemT<double>>&, ApplyBatchWorkspace&, int);
+template void Hamiltonian::apply_batched<float>(
+    const std::vector<ApplyItemT<float>>&, ApplyBatchWorkspace&, int);
 
 void Hamiltonian::apply_band(const cd* psi, cd* hpsi) const {
   const int ng = basis_->count();

@@ -3,8 +3,8 @@
 // real space via FFTs — the standard planewave-code structure shared by
 // PEtot, PARATEC and Qbox (Sec. IV).
 //
-// Every wavefunction FFT here — the local apply (apply, apply_band,
-// apply_batched, apply_batched_f32), density/density_into and
+// Every wavefunction FFT here — the local apply (apply, apply_band and
+// apply_batched in both precisions), density/density_into and
 // kinetic_energy_density — is G-sphere pruned: it runs only the 1D lines
 // the basis' line table (GVectors::fft_lines) names, skipping x-lines on
 // empty (iy,iz) columns and y-lines on empty iz planes (fft/fft3d.h).
@@ -27,6 +27,7 @@
 
 #include <deque>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "atoms/structure.h"
@@ -45,47 +46,49 @@ namespace ls3df {
 // member. One arena per batch, persistent across SCF iterations, so the
 // steady state allocates nothing; allocations() counts capacity-growth
 // events like EigenWorkspace so the LS3DF probe can watch it.
+//
+// Every per-precision slot exists once per Real (double, float): a batch
+// whose SCF loop alternates precision (fp32 early iterations, fp64 after
+// promotion) keeps both steady states resident, and the float slots cost
+// nothing until first touched.
 class ApplyBatchWorkspace {
  public:
   // Contiguous stack of n complex grid points (values unspecified).
-  std::complex<double>* grid_stack(std::size_t n);
+  template <typename Real = double>
+  std::complex<Real>* grid_stack(std::size_t n);
   // Projection matrix slot for batch member `member`, sized rows x cols.
-  MatC& proj(int member, int rows, int cols);
-
-  // Single-precision twins backing apply_batched_f32 (the mixed-precision
-  // Davidson fast path). They live beside the double arenas, not instead
-  // of them: a batch whose SCF loop alternates precision (fp32 early
-  // iterations, fp64 after promotion) keeps both steady states resident,
-  // and neither costs anything until first touched.
-  std::complex<float>* grid_stack_f32(std::size_t n);
-  MatCF& proj_f32(int member, int rows, int cols);
+  template <typename Real = double>
+  Matrix<std::complex<Real>>& proj(int member, int rows, int cols);
 
   long allocations() const { return allocs_; }
 
   // Dispatch-control scratch hoisted out of apply_batched: band offsets,
-  // the band -> member map, each grid's pruned-FFT line table, and the
-  // batched-GEMM item lists. Tiny, but a fresh heap allocation per
-  // dispatch would keep the steady-state allocation probes from ever
-  // going flat. Grow-only (assign/clear keep
-  // capacity); capacity growth is folded into allocations() once per
-  // dispatch via note_dispatch_capacity().
+  // the band -> member map, each grid's pruned-FFT line table (plus the
+  // batched-GEMM item lists of each Arena). Tiny, but a fresh heap
+  // allocation per dispatch would keep the steady-state allocation probes
+  // from ever going flat. Grow-only (assign/clear keep capacity);
+  // capacity growth is folded into allocations() once per dispatch via
+  // note_dispatch_capacity().
   std::vector<int> off, member_of, nl_members;
   std::vector<const FftLines*> grid_lines;
-  std::vector<GemmBatchItem> overlap_items, accum_items;
-  std::vector<GemmBatchItemF> overlap_items_f32, accum_items_f32;
 
  private:
   friend class Hamiltonian;
+  template <typename Real>
+  struct Arena {
+    std::vector<std::complex<Real>> stack;
+    std::size_t stack_peak = 0;
+    std::deque<Matrix<std::complex<Real>>> proj;  // deque: stable slots
+    std::vector<std::size_t> proj_peak;
+    std::vector<GemmBatchItemT<Real>> overlap_items, accum_items;
+  };
+  template <typename Real>
+  Arena<Real>& arena() {
+    return std::get<Arena<Real>>(arenas_);
+  }
   void note_dispatch_capacity();
 
-  std::vector<std::complex<double>> stack_;
-  std::size_t stack_peak_ = 0;
-  std::deque<MatC> proj_;  // deque: slot addresses stay stable on growth
-  std::vector<std::size_t> proj_peak_;
-  std::vector<std::complex<float>> stack_f32_;
-  std::size_t stack_f32_peak_ = 0;
-  std::deque<MatCF> proj_f32_;
-  std::vector<std::size_t> proj_f32_peak_;
+  std::tuple<Arena<double>, Arena<float>> arenas_;
   std::size_t dispatch_peak_ = 0;
   long allocs_ = 0;
 };
@@ -110,15 +113,17 @@ class Hamiltonian {
   void apply_band(const std::complex<double>* psi,
                   std::complex<double>* hpsi) const;
 
-  // One member of a batched application: hpsi_i = H_i psi_i. `slot`
-  // names the member's workspace slot; it must stay stable for the
-  // lifetime of the batch (callers that drop converged members from the
-  // item list keep each survivor's original slot, so per-slot arena
-  // peaks never regress). Negative means "use the item's position".
-  struct ApplyItem {
+  // One member of a batched application in precision Real: hpsi_i =
+  // H_i psi_i. `slot` names the member's workspace slot; it must stay
+  // stable for the lifetime of the batch (callers that drop converged
+  // members from the item list keep each survivor's original slot, so
+  // per-slot arena peaks never regress). Negative means "use the item's
+  // position".
+  template <typename Real>
+  struct ApplyItemT {
     const Hamiltonian* h = nullptr;
-    const MatC* psi = nullptr;
-    MatC* hpsi = nullptr;
+    const Matrix<std::complex<Real>>* psi = nullptr;
+    Matrix<std::complex<Real>>* hpsi = nullptr;
     int slot = -1;
   };
 
@@ -127,34 +132,21 @@ class Hamiltonian {
   // The local part scatters every band of every member into one
   // contiguous grid stack and runs a single pruned inverse/forward many-
   // transform sweep, each grid pruned with its own member's line table;
-  // the nonlocal part runs two batched GEMMs. Per-band arithmetic is
-  // exactly apply()'s, so a batched call is bit-identical to the
-  // member-by-member loop for any n_workers — batching only changes
-  // scheduling and cache behaviour. This is the seam a GPU
+  // the nonlocal part runs two batched GEMMs. This is the seam a GPU
   // backend slots into: the grid stack and the fused GEMM grid are the
   // device-friendly units.
-  static void apply_batched(const std::vector<ApplyItem>& items,
+  //
+  // Real = double: per-band arithmetic is exactly apply()'s, so a batched
+  // call is bit-identical to the member-by-member loop for any n_workers
+  // — batching only changes scheduling and cache behaviour.
+  // Real = float: the same sweep on single-precision FFT plans, GEMM
+  // cores and grid stack, reading each member's fp32 mirrors (V_loc,
+  // |G|^2, KB projectors and strengths), which are built up front,
+  // serially, so the parallel body never races a lazy build. The engine
+  // of the mixed-precision Davidson; NOT bit-identical to apply().
+  template <typename Real = double>
+  static void apply_batched(const std::vector<ApplyItemT<Real>>& items,
                             ApplyBatchWorkspace& ws, int n_workers = 1);
-
-  // Single-precision batch member (fp32 wavefunction blocks).
-  struct ApplyItemF32 {
-    const Hamiltonian* h = nullptr;
-    const MatCF* psi = nullptr;
-    MatCF* hpsi = nullptr;
-    int slot = -1;
-  };
-
-  // Single-precision twin of apply_batched: the same scatter / many-FFT /
-  // V_loc / gather+kinetic / two-GEMM structure, run entirely in fp32
-  // (single-precision FFT plans, float GEMM cores, fp32 grid stack).
-  // This path is NOT bit-identical to apply() — it is the engine of the
-  // mixed-precision Davidson fast path and is guarded by trajectory
-  // checks (tests/test_mixed_precision.cpp) rather than the bit-identity
-  // contract. Each member's fp32 mirrors (V_loc, |G|^2, KB projectors)
-  // are built up front, serially, so the parallel body never races a
-  // lazy build.
-  static void apply_batched_f32(const std::vector<ApplyItemF32>& items,
-                                ApplyBatchWorkspace& ws, int n_workers = 1);
 
   // Kinetic energy sum_i occ_i <psi_i| -1/2 nabla^2 |psi_i>.
   double kinetic_energy(const MatC& psi, const std::vector<double>& occ) const;
@@ -188,11 +180,23 @@ class Hamiltonian {
   void apply_local(const std::complex<double>* in,
                    std::complex<double>* out) const;
 
-  // Build the single-precision mirrors apply_batched_f32 reads: V_loc is
-  // re-rounded whenever set_local_potential() replaces it; |G|^2 and the
-  // KB projectors/strengths are immutable after construction and rounded
-  // once. Serial-only — callers invoke it before fanning out.
+  // Build the single-precision mirrors apply_batched<float> reads: V_loc
+  // is re-rounded whenever set_local_potential() replaces it; |G|^2 and
+  // the KB projectors/strengths are immutable after construction and
+  // rounded once. Serial-only — callers invoke it before fanning out.
   void ensure_f32_mirrors() const;
+
+  // The operands apply_batched<Real> reads: this Hamiltonian's own data
+  // for double, its fp32 mirrors for float (built by ensure_f32_mirrors).
+  template <typename Real>
+  struct Operands {
+    const Real* vloc;
+    const Real* g2;
+    const Matrix<std::complex<Real>>* projectors;
+    const Real* strengths;
+  };
+  template <typename Real>
+  Operands<Real> operands() const;
 
   Structure structure_;
   std::unique_ptr<GVectors> basis_;
@@ -205,7 +209,7 @@ class Hamiltonian {
   // grid per occupied band). Like work_, shares the instance's
   // one-thread-at-a-time contract.
   mutable std::vector<std::complex<double>> density_stack_;
-  // Single-precision mirrors for apply_batched_f32 (see
+  // Single-precision mirrors for apply_batched<float> (see
   // ensure_f32_mirrors). Lazily built; V_loc's copy is invalidated by
   // set_local_potential so fp64-only runs never pay for them.
   mutable std::vector<float> vloc_f32_;

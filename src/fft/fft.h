@@ -12,10 +12,10 @@
 //
 // The transform is templated over the real type: BasicFft1D<double> is
 // the engine's bit-exact reference path, BasicFft1D<float> the
-// single-precision instantiation behind the mixed-precision Davidson fast
-// path (dft/eigensolver.h). Twiddle and chirp tables are always computed
-// in double and rounded once to the storage type, so the float transform
-// carries no accumulated table error.
+// single-precision transform behind the float instantiation of the
+// lockstep Davidson (dft/eigensolver.h). Twiddle and chirp tables are
+// always computed in double and rounded once to the storage type, so the
+// float transform carries no accumulated table error.
 //
 // Transforms reuse internal scratch buffers, so one instance must not be
 // transformed from two threads at once (see fft/plan_cache.h).

@@ -93,22 +93,6 @@ void BasicFft3D<Real>::transform(Cplx* data, bool inv,
   }
 }
 
-namespace {
-
-// Thread-local cached plan lookup, one per real type (fft/plan_cache.h).
-template <typename Real>
-const BasicFft3D<Real>& cached_plan(Vec3i shape);
-template <>
-const BasicFft3D<double>& cached_plan<double>(Vec3i shape) {
-  return fft_plan(shape);
-}
-template <>
-const BasicFft3D<float>& cached_plan<float>(Vec3i shape) {
-  return fft_plan_f32(shape);
-}
-
-}  // namespace
-
 // `lines` null: full transforms; else grid g is pruned with *lines[g].
 template <typename Real>
 void BasicFft3D<Real>::transform_many(Cplx* stack, int count,
@@ -130,7 +114,7 @@ void BasicFft3D<Real>::transform_many(Cplx* stack, int count,
                                            nullptr);
   parallel_for(count, n_workers, [&](int g, int worker) {
     const BasicFft3D*& plan = lane_plan[worker];
-    if (!plan) plan = &cached_plan<Real>(shape_);
+    if (!plan) plan = &fft_plan<Real>(shape_);
     run(*plan, g);
   });
 }

@@ -35,7 +35,8 @@
 // Like the 1D planner, the 3D transform is templated over the real type:
 // BasicFft3D<double> (alias Fft3D) is the bit-exact engine path,
 // BasicFft3D<float> (alias Fft3DF) the single-precision plan behind the
-// mixed-precision Davidson fast path. Both share the axis-order contract.
+// float instantiation of the lockstep Davidson (fft_plan<float>, the
+// mixed-precision path). Both share the axis-order contract.
 //
 // Thread safety: transforms reuse internal scratch (no allocation per
 // call), so concurrent transform() calls on one instance race. Use one

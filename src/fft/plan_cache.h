@@ -41,9 +41,11 @@ class FftPlanCache {
   FftPlanCache& operator=(const FftPlanCache&) = delete;
 
   // Calling thread's plan for `shape`/`n`, created on first use. The
-  // reference stays valid for the life of the cache.
-  const Fft3D& plan(Vec3i shape);
-  const Fft3DF& plan_f32(Vec3i shape);
+  // reference stays valid for the life of the cache. 3D plans exist in
+  // both precisions (Real = double or float), cached separately, so a
+  // thread that never runs the fp32 Davidson pays nothing for them.
+  template <typename Real = double>
+  const BasicFft3D<Real>& plan(Vec3i shape);
   const Fft1D& plan_1d(int n);
 
   // Number of distinct 3D double-precision plans cached by the calling
@@ -66,22 +68,16 @@ class FftPlanCache {
 // Returns the active cache's plan for `shape` on this thread, creating
 // it on first use. "Active" = ObsContext.plans if installed, else the
 // process default. The reference stays valid for the life of that
-// cache (for the process default: the life of the process).
-const Fft3D& fft_plan(Vec3i shape);
-
-// Single-precision twin of fft_plan, backing the mixed-precision Davidson
-// fast path (dft/eigensolver.h). Cached separately so a thread that never
-// touches fp32 pays nothing.
-const Fft3DF& fft_plan_f32(Vec3i shape);
+// cache (for the process default: the life of the process). Real =
+// float is the single-precision plan of the mixed-precision Davidson
+// (dft/eigensolver.h).
+template <typename Real = double>
+const BasicFft3D<Real>& fft_plan(Vec3i shape);
 
 // This thread's cached 1D plan for length `n`. The distributed transform
 // (fft/dist_fft3d.h) runs its per-slab line transforms through these, so
 // each shard task picks up warm per-axis plans on whatever pool thread
 // executes it — the 1D analogue of the Fft3D cache above.
 const Fft1D& fft1d_plan(int n);
-
-// Number of distinct 3D plans cached by the calling thread in the
-// active cache (diagnostics).
-int fft_plan_cache_size();
 
 }  // namespace ls3df

@@ -186,6 +186,21 @@ const Ls3dfOptions& validated(const Ls3dfOptions& opt) {
     reject("l1_tol must be finite and >= 0");
   if (!std::isfinite(opt.mix_alpha) || opt.mix_alpha <= 0)
     reject("mix_alpha must be finite and > 0");
+  // 0 is a valid eigensolver tolerance (run the full eig.max_iterations
+  // budget); NaN silently never converges.
+  if (std::isnan(opt.eig.residual_tol) || opt.eig.residual_tol < 0)
+    reject("eig.residual_tol must be >= 0");
+  if (std::isnan(opt.fragment_smearing) || opt.fragment_smearing < 0)
+    reject("fragment_smearing must be >= 0");
+  // Negative selects the default margin; NaN would exclude every atom.
+  if (std::isnan(opt.atom_margin)) reject("atom_margin must not be NaN");
+  if (opt.precision != Precision::kDouble &&
+      opt.precision != Precision::kMixed)
+    reject("precision must be kDouble or kMixed");
+  // A non-finite factor promotes after the first fp32 iteration; one
+  // below 1 silently acts as 1 (the threshold is floored at l1_tol).
+  if (!std::isfinite(opt.promote_factor) || opt.promote_factor < 1)
+    reject("promote_factor must be finite and >= 1");
   if (opt.batch_width < 1) reject("batch_width must be >= 1");
   if (opt.n_shards < 0) reject("n_shards must be >= 0");
   if (!opt.overlap) reject("overlap must be true (the only solve driver)");
@@ -582,8 +597,8 @@ void Ls3dfSolver::solve_batch(int b) {
     return lane_budget_.allowance();
   };
   std::vector<EigensolverResult> rs =
-      use_fp32_iter_ ? solve_all_band_batched_f32(items, opt_.eig, bw,
-                                                  live_lanes(), live_lanes)
+      use_fp32_iter_ ? solve_all_band_batched<float>(items, opt_.eig, bw,
+                                                     live_lanes(), live_lanes)
                      : solve_all_band_batched(items, opt_.eig, bw,
                                               live_lanes(), live_lanes);
   for (int k = 0; k < k_members; ++k)

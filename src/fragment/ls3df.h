@@ -212,11 +212,12 @@ struct Ls3dfOptions {
   bool overlap = true;
   bool donate = true;
   // Eigensolver precision policy (see Precision above). kMixed runs the
-  // fp32 fast path only while the previous iteration's L1 residual
-  // exceeds promote_factor * l1_tol; convergence is never declared from
-  // an fp32 iteration, and the fp64 fixed point erases the fp32 rounding
-  // history. NOT bit-identical to kDouble — guarded by the trajectory
-  // checks in tests/test_mixed_precision.cpp, off by default.
+  // float instantiation of the lockstep Davidson only while the previous
+  // iteration's L1 residual exceeds promote_factor * l1_tol; convergence
+  // is never declared from an fp32 iteration, and the fp64 fixed point
+  // erases the fp32 rounding history. NOT bit-identical to kDouble —
+  // pinned by its own golden bits (tests/golden_refs.h) and the
+  // trajectory checks in tests/test_mixed_precision.cpp, off by default.
   Precision precision = Precision::kDouble;
   // Promotion threshold as a multiple of l1_tol: kMixed keeps using fp32
   // while the last L1 residual exceeds promote_factor * l1_tol. Relative
@@ -229,7 +230,7 @@ struct Ls3dfOptions {
   // few decades still to go — fp32 only carries the iterations whose
   // residual dwarfs single-precision rounding, which is where nearly all
   // of the PEtot_F cost lives anyway (the L1 falls orders of magnitude
-  // in the first few iterations, Fig. 6).
+  // in the first few iterations, Fig. 6). Must be finite and >= 1.
   double promote_factor = 400.0;
   // Test seam: invoked at the start of every batch solve (one per solve
   // chain and outer iteration) with the batch index. A throw

@@ -233,16 +233,15 @@ void gemm_general_range(Op opA, Op opB, std::complex<R> alpha,
     }
 }
 
-// Shared batched body: the item type carries the element precision
-// (GemmBatchItem = double, GemmBatchItemF = float); the tile grid,
-// alignment rules and per-tile beta handling are identical, so both
-// precisions inherit the same bit-identity-to-serial-gemm argument.
-template <typename R, typename Item>
-void gemm_batched_impl(Op opA, Op opB, std::complex<R> alpha,
-                       const std::vector<Item>& items, std::complex<R> beta,
-                       int n_workers) {
-  using cd = std::complex<R>;
+}  // namespace
+
+template <typename Real>
+void gemm_batched(Op opA, Op opB, std::complex<Real> alpha,
+                  const std::vector<GemmBatchItemT<Real>>& items,
+                  std::complex<Real> beta, int n_workers) {
+  using cd = std::complex<Real>;
   using Mat = Matrix<cd>;
+  using Item = GemmBatchItemT<Real>;
   if (items.empty()) return;
 
   // Flatten the batch into (member, column tile) work units. The unit
@@ -305,7 +304,12 @@ void gemm_batched_impl(Op opA, Op opB, std::complex<R> alpha,
   }
 }
 
-}  // namespace
+template void gemm_batched<double>(Op, Op, std::complex<double>,
+                                   const std::vector<GemmBatchItemT<double>>&,
+                                   std::complex<double>, int);
+template void gemm_batched<float>(Op, Op, std::complex<float>,
+                                  const std::vector<GemmBatchItemT<float>>&,
+                                  std::complex<float>, int);
 
 void gemm(Op opA, Op opB, std::complex<double> alpha, const MatC& A,
           const MatC& B, std::complex<double> beta, MatC& C) {
@@ -320,18 +324,6 @@ void gemm(Op opA, Op opB, double alpha, const MatR& A, const MatR& B,
 void gemm(Op opA, Op opB, std::complex<float> alpha, const MatCF& A,
           const MatCF& B, std::complex<float> beta, MatCF& C) {
   gemm_impl(opA, opB, alpha, A, B, beta, C);
-}
-
-void gemm_batched(Op opA, Op opB, std::complex<double> alpha,
-                  const std::vector<GemmBatchItem>& items,
-                  std::complex<double> beta, int n_workers) {
-  gemm_batched_impl<double>(opA, opB, alpha, items, beta, n_workers);
-}
-
-void gemm_batched(Op opA, Op opB, std::complex<float> alpha,
-                  const std::vector<GemmBatchItemF>& items,
-                  std::complex<float> beta, int n_workers) {
-  gemm_batched_impl<float>(opA, opB, alpha, items, beta, n_workers);
 }
 
 void gemv(Op opA, std::complex<double> alpha, const MatC& A,

@@ -77,7 +77,8 @@ class Matrix {
 using MatR = Matrix<double>;
 using MatC = Matrix<std::complex<double>>;
 // Single-precision complex blocks: the storage type of the fp32 arenas
-// behind the mixed-precision Davidson fast path (dft/eigensolver.h).
+// behind the float instantiation of the lockstep Davidson
+// (dft/eigensolver.h).
 using MatCF = Matrix<std::complex<float>>;
 
 }  // namespace ls3df

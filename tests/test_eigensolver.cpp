@@ -220,7 +220,7 @@ TEST(Hamiltonian, FlopCounterChargesOnlyPrunedFftLines) {
   for (int j = 0; j < nb; ++j)
     for (int g = 0; g < psi.rows(); ++g)
       psi_f(g, j) = std::complex<float>(psi(g, j));
-  Hamiltonian::apply_batched_f32({{&h, &psi_f, &hpsi_f}}, ws, 2);
+  Hamiltonian::apply_batched<float>({{&h, &psi_f, &hpsi_f}}, ws, 2);
   EXPECT_EQ(fc.total(), apply);
 
   // Density: one inverse transform per occupied band, serial or swept.
@@ -474,7 +474,7 @@ TEST(BatchedHamiltonianApply, BitIdenticalToApply) {
   for (int t = 0; t < 3; ++t) hams[t]->apply(psis[t], ref[t]);
   for (int workers : {1, 4}) {
     std::vector<MatC> out(3);
-    std::vector<Hamiltonian::ApplyItem> items;
+    std::vector<Hamiltonian::ApplyItemT<double>> items;
     for (int t = 0; t < 3; ++t)
       items.push_back({hams[t].get(), &psis[t], &out[t]});
     ApplyBatchWorkspace ws;

@@ -72,7 +72,8 @@ TEST(Ls3df, RejectsInvalidOptionsAtConstruction) {
   // division or grid spacing), a std::length_error (a negative
   // division), a silently accepted sub-minimum grid, a NaN or zero-width
   // passivation wall, an eigensolver that never runs, a tolerance that
-  // can never be met, or a retired toggle that would be ignored. A
+  // can never be met, a precision policy that would silently act as
+  // another, or a retired toggle that would be ignored. A
   // division of exactly 2 is structurally degenerate for LS3DF (see the
   // constructor).
   Structure s = h2_chain(3);
@@ -117,6 +118,24 @@ TEST(Ls3df, RejectsInvalidOptionsAtConstruction) {
       {"l1_tol NaN", [](Ls3dfOptions& o) { o.l1_tol = std::nan(""); }},
       {"l1_tol -1e-4", [](Ls3dfOptions& o) { o.l1_tol = -1e-4; }},
       {"l1_tol inf", [](Ls3dfOptions& o) { o.l1_tol = HUGE_VAL; }},
+      {"eig.residual_tol NaN",
+       [](Ls3dfOptions& o) { o.eig.residual_tol = std::nan(""); }},
+      {"eig.residual_tol -1e-7",
+       [](Ls3dfOptions& o) { o.eig.residual_tol = -1e-7; }},
+      {"fragment_smearing NaN",
+       [](Ls3dfOptions& o) { o.fragment_smearing = std::nan(""); }},
+      {"fragment_smearing -0.01",
+       [](Ls3dfOptions& o) { o.fragment_smearing = -0.01; }},
+      {"atom_margin NaN",
+       [](Ls3dfOptions& o) { o.atom_margin = std::nan(""); }},
+      {"precision 7",
+       [](Ls3dfOptions& o) { o.precision = static_cast<Precision>(7); }},
+      {"promote_factor NaN",
+       [](Ls3dfOptions& o) { o.promote_factor = std::nan(""); }},
+      {"promote_factor inf",
+       [](Ls3dfOptions& o) { o.promote_factor = HUGE_VAL; }},
+      {"promote_factor -5", [](Ls3dfOptions& o) { o.promote_factor = -5; }},
+      {"promote_factor 0.5", [](Ls3dfOptions& o) { o.promote_factor = 0.5; }},
   };
   for (const Case& c : cases) {
     Ls3dfOptions lo = chain_options();
@@ -134,6 +153,11 @@ TEST(Ls3df, RejectsInvalidOptionsAtConstruction) {
   lo.wall_height = 0;
   lo.l1_tol = 0;
   lo.eig.max_iterations = 1;
+  lo.eig.residual_tol = 0;
+  lo.fragment_smearing = 0;
+  lo.atom_margin = -1;  // the default margin selector
+  lo.precision = Precision::kMixed;
+  lo.promote_factor = 1;
   EXPECT_NO_THROW(Ls3dfSolver(s, lo));
 }
 

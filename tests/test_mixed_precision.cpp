@@ -74,7 +74,7 @@ TEST(MixedPrecision, Fp32BatchedSolveApproximatesFp64Eigenvalues) {
     std::vector<EigensolverResult> r64 =
         solve_all_band_batched(f64, opt, ws64, workers);
     std::vector<EigensolverResult> r32 =
-        solve_all_band_batched_f32(f32, opt, ws32, workers);
+        solve_all_band_batched<float>(f32, opt, ws32, workers);
     ASSERT_EQ(r32.size(), r64.size());
     for (int t = 0; t < 3; ++t) {
       ASSERT_EQ(r32[t].eigenvalues.size(), r64[t].eigenvalues.size());
@@ -110,7 +110,7 @@ TEST(MixedPrecision, Fp32SteadyStateAllocatesNothing) {
   for (int rep = 0; rep < 3; ++rep) {
     MatC psi = random_wavefunctions(gv, 4, 9 + rep);
     std::vector<FragmentSolve> frags{{&h, &psi}};
-    solve_all_band_batched_f32(frags, opt, ws);
+    solve_all_band_batched<float>(frags, opt, ws);
     if (rep == 0) {
       after_first = ws.allocations();
       EXPECT_GT(after_first, 0);
