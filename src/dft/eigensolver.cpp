@@ -454,7 +454,7 @@ std::vector<EigensolverResult> solve_all_band_batched(
   BatchWorkspace::DispatchLists<Real>& lists = ws.lists<Real>();
 
   // Writes a member's Ritz block back into its (double) psi; the float
-  // instantiation rounds each element up once.
+  // instantiation widens each element exactly.
   const auto store_psi = [](const Mat& X, MatC& psi) {
     std::copy(X.data(), X.data() + X.size(), psi.data());
   };
