@@ -54,8 +54,8 @@
 // of the same dispatch round retire, their worker lanes are donated and
 // the still-running solves widen mid-flight. Every batched kernel is
 // worker-count-invariant by construction, so a donated width change can
-// never alter results — the bit-identity contract holds with donation on
-// or off (tests/test_equivalence.cpp draws both).
+// never alter results — the bit-identity contract holds for any donated
+// width (tests/test_equivalence.cpp draws worker and batch widths).
 //
 // == Mixed precision (one template, two instantiations) ==
 //

@@ -341,7 +341,7 @@ Ls3dfSolver::Ls3dfSolver(const Structure& s, const Ls3dfOptions& opt)
     const std::size_t arena = transport_arena_bytes(global_grid_);
     std::unique_ptr<Transport> t =
         factory ? opt_.transport_factory(n, nw, arena)
-                : make_transport(kind, n, nw, arena);
+                : make_transport(kind, n, arena);
     // Explicit check (not assert): a factory/shard-count mismatch under
     // SPMD would desynchronize collectives, never a tolerable state.
     if (!t || t->n_ranks() != n)

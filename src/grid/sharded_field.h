@@ -33,8 +33,8 @@
 // Dataflow through one sharded GENPOT step (fragment/ls3df.cpp):
 //   Gen_dens   each rank scans the fragment list and accumulates every
 //              window restricted to its slab (accumulate_window_shard) —
-//              owner-computes; under MPI this is the reduce_scatter seam
-//              of parallel/shard_comm.h.
+//              owner-computes; under SPMD the windows arrive through one
+//              all_to_all and fold in global fragment order.
 //   FFT        DistFft3D (fft/dist_fft3d.h) transforms x-slabs to
 //              y-pencils through one all_to_all transpose.
 //   Gen_VF     extract_into gathers a fragment box from the slabs that

@@ -1,6 +1,5 @@
 #include "parallel/shard_comm.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <stdexcept>
@@ -25,7 +24,7 @@ void record_collective(Transport& t, TraceSpan& span,
   span.set_arg(bytes);
   span.set_arg2(static_cast<std::uint32_t>(wait_s * 1e6));
   if (!m) return;
-  if (bytes_counter) m->add(bytes_counter, static_cast<double>(bytes));
+  m->add(bytes_counter, static_cast<double>(bytes));
   m->observe("transport.phase_wait_s", wait_s);
   const double deadline = t.phase_deadline_seconds();
   if (deadline > 0.0)
@@ -36,7 +35,7 @@ void record_collective(Transport& t, TraceSpan& span,
 
 ShardComm::ShardComm(int n_ranks, int n_workers, TransportKind transport)
     : ShardComm(n_ranks, n_workers,
-                make_transport(transport, n_ranks, n_workers)) {}
+                make_transport(transport, n_ranks)) {}
 
 ShardComm::ShardComm(int n_ranks, int n_workers,
                      std::unique_ptr<Transport> transport)
@@ -124,34 +123,6 @@ ShardComm::GatherView ShardComm::gather_one(
                     [&](int r, double* block) {
                       if (r == owner) fill(block);
                     });
-}
-
-void ShardComm::barrier() {
-  TraceSpan span("comm.barrier", TraceCat::kCollective);
-  transport_->barrier();
-  record_collective(*transport_, span, nullptr, 0);
-}
-
-void ShardComm::reduce_scatter(
-    std::size_t n, const std::vector<std::size_t>& seg_begin,
-    const std::function<const double*(int rank)>& contribute,
-    const std::function<void(int rank, const double* seg)>& consume) {
-  assert(static_cast<int>(seg_begin.size()) == n_ranks_ + 1);
-  assert(seg_begin.front() == 0 && seg_begin.back() == n);
-  TraceSpan span("comm.reduce_scatter", TraceCat::kCollective);
-  transport_->reduce_layout(n, seg_begin);
-  each_rank([&](int r) {
-    const double* c = contribute(r);
-    std::copy(c, c + n, transport_->reduce_block(r));
-  });
-  transport_->reduce_scatter();
-  // Every rank contributes its full n-vector to the reduction.
-  record_collective(*transport_, span, "transport.reduce_bytes",
-                    static_cast<std::uint64_t>(n) *
-                        static_cast<std::uint64_t>(n_ranks_) *
-                        sizeof(double));
-  each_rank(
-      [&](int owner) { consume(owner, transport_->reduce_segment(owner)); });
 }
 
 }  // namespace ls3df

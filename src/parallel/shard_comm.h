@@ -30,19 +30,20 @@
 //                   reductions shard-count invariant (sharded_plane_sum).
 //                   MPI twin: MPI_Allgatherv.
 //
-//   reduce_scatter  item i's per-rank contributions are summed in rank
-//                   order and delivered to the segment owner. The
-//                   in-process Gen_dens phase does not need it — slab
-//                   owners read every fragment directly (owner-computes)
-//                   — but an MPI port, where fragment groups cannot see
-//                   remote slabs, patches densities through it.
-//                   MPI twin: MPI_Reduce_scatter.
+//   gather_one      an all_gather where only one owner contributes: the
+//                   checkpoint writer's one-slab-at-a-time route.
+//
+// Gen_dens patches fragment densities without a summing collective:
+// dense-per-process slab owners read every fragment directly
+// (owner-computes), and SPMD ranks ship raw fragment windows through
+// all_to_all and fold them in global fragment order (fragment/ls3df.cpp).
 //
 // Backends: in-process logical ranks (zero-copy, the default), forked
 // worker processes over POSIX shared memory (true multi-process LS3DF on
 // one node), a thread-SPMD group (transport/thread_transport.h), and MPI
 // under LS3DF_WITH_MPI. All backends are bit-identical to each other and
-// to the dense-field arithmetic (the ordered-reduction contract in
+// to the dense-field arithmetic: they only move bytes, and every
+// cross-rank sum is a fixed-order fold in the caller (see
 // transport/transport.h). Under an SPMD transport (threads, MPI) each
 // process/thread owns one rank: each_rank runs the body only for the
 // local rank (local_rank() >= 0), and distributed containers allocate
@@ -108,7 +109,6 @@ class ShardComm {
   int n_ranks() const { return n_ranks_; }
   int n_workers() const { return n_workers_; }
   Transport& transport() const { return *transport_; }
-  TransportKind transport_kind() const { return transport_->kind(); }
 
   // The local rank under an SPMD transport (one rank per process or
   // thread; distributed containers then allocate only this rank's
@@ -167,20 +167,6 @@ class ShardComm {
   // the next gather on this communicator.
   GatherView gather_one(int owner, std::size_t count,
                         const std::function<void(double* block)>& fill);
-
-  // --- reduce_scatter -------------------------------------------------
-  // contribute(rank) returns rank's length-n contribution (valid through
-  // the call; invoked from rank's phase lane). Item i's value is the sum
-  // of contributions in rank order; owner o receives its segment
-  // [seg_begin[o], seg_begin[o+1]) via consume(o, values) where values
-  // points at the segment start.
-  void reduce_scatter(
-      std::size_t n, const std::vector<std::size_t>& seg_begin,
-      const std::function<const double*(int rank)>& contribute,
-      const std::function<void(int rank, const double* seg)>& consume);
-
-  // Transport-level fence with no payload.
-  void barrier();
 
   // Capacity-growth events across the transport's exchange buffers
   // (steady-state allocation probe; uniform semantics per backend).

@@ -29,8 +29,8 @@
 //
 // The fragment pipeline (src/fragment/ls3df.cpp) drives all four paper
 // phases through this engine: Gen_VF and Gen_dens fan out per fragment /
-// per density slab, and PEtot_F dispatches one task per LPT group, each
-// group owning a persistent per-worker scratch arena (EigenWorkspace) so
+// per density slab, and PEtot_F runs one solve chain per fragment batch,
+// each batch owning a persistent scratch arena (BatchWorkspace) so
 // fragment solves allocate nothing after the first outer iteration.
 //
 // Determinism contract: the engine never changes arithmetic. Every task

@@ -52,14 +52,14 @@
 //     the budget while it runs and leaves when it finishes; its live
 //     allowance is max(1, total / live_jobs), clamped by the job's
 //     max_lanes cap. The solver re-reads the allowance at every outer-
-//     iteration boundary (Ls3dfOptions::lane_allowance) and — with
-//     donation on — feeds it through its own LaneBudget to every batched
-//     kernel sweep, so a finishing job's lanes reach the survivors
-//     mid-solve. Worker width is arithmetically invisible (ordered
-//     reductions, ordered-commit patching, worker-invariant kernels), so
-//     every job's result stays bit-identical to a standalone
-//     Ls3dfSolver::solve() with the same options — the service-vs-
-//     standalone dimension of the equivalence suite locks this in.
+//     iteration boundary (Ls3dfOptions::lane_allowance) and feeds it
+//     through its own LaneBudget to every batched kernel sweep, so a
+//     finishing job's lanes reach the survivors mid-solve. Worker width
+//     is arithmetically invisible (ordered reductions, ordered-commit
+//     patching, worker-invariant kernels), so every job's result stays
+//     bit-identical to a standalone Ls3dfSolver::solve() with the same
+//     options — the service-vs-standalone dimension of the equivalence
+//     suite locks this in.
 //
 //   == retry / warm-start policy ==
 //

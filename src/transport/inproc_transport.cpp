@@ -1,14 +1,10 @@
 #include "transport/inproc_transport.h"
 
-#include <algorithm>
 #include <cassert>
-
-#include "parallel/thread_pool.h"
 
 namespace ls3df {
 
-InProcTransport::InProcTransport(int n_ranks, int n_workers)
-    : n_ranks_(n_ranks), n_workers_(n_workers) {
+InProcTransport::InProcTransport(int n_ranks) : n_ranks_(n_ranks) {
   assert(n_ranks >= 1);
   boxes_.resize(static_cast<std::size_t>(n_ranks_) * n_ranks_);
 }
@@ -42,40 +38,6 @@ void InProcTransport::gather_layout(const std::vector<int>& counts) {
 
 double* InProcTransport::gather_block(int rank) {
   return table_.data() + begin_[rank];
-}
-
-void InProcTransport::reduce_layout(
-    std::size_t n, const std::vector<std::size_t>& seg_begin) {
-  assert(static_cast<int>(seg_begin.size()) == n_ranks_ + 1);
-  assert(seg_begin.front() == 0 && seg_begin.back() == n);
-  reduce_n_ = n;
-  seg_ = seg_begin;
-  const std::size_t posts = static_cast<std::size_t>(n_ranks_) * n;
-  if (posts > contrib_.capacity()) ++allocs_;
-  contrib_.resize(posts);
-  if (n > reduce_.capacity()) ++allocs_;
-  reduce_.resize(n);
-}
-
-double* InProcTransport::reduce_block(int rank) {
-  return contrib_.data() + static_cast<std::size_t>(rank) * reduce_n_;
-}
-
-void InProcTransport::reduce_scatter() {
-  // Owner-computes: each owner sums its segment in rank order — the
-  // fixed order keeps the reduction bit-identical for any worker count.
-  parallel_for(n_ranks_, n_workers_, [&](int owner, int /*worker*/) {
-    for (std::size_t i = seg_[owner]; i < seg_[owner + 1]; ++i) {
-      double acc = 0;
-      for (int r = 0; r < n_ranks_; ++r)
-        acc += contrib_[static_cast<std::size_t>(r) * reduce_n_ + i];
-      reduce_[i] = acc;
-    }
-  });
-}
-
-const double* InProcTransport::reduce_segment(int owner) const {
-  return reduce_.data() + seg_[owner];
 }
 
 long InProcTransport::allocations() const {

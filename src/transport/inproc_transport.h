@@ -2,11 +2,9 @@
 //
 // This is the pre-transport ShardComm exchange verbatim, behind the
 // Transport interface: the (src -> dst) mailboxes are ordinary vectors,
-// recv_box aliases send_box so alltoallv() is a no-op barrier, the
-// allgatherv table is filled in place, and the reduce_scatter sum runs
-// owner-parallel on the shared pool in rank order. Bit-identical (and
-// allocation-identical on the alltoallv/allgatherv paths) to the code it
-// replaces.
+// recv_box aliases send_box so alltoallv() is a no-op barrier, and the
+// allgatherv table is filled in place. Bit- and allocation-identical to
+// the code it replaces.
 #pragma once
 
 #include "transport/transport.h"
@@ -15,7 +13,7 @@ namespace ls3df {
 
 class InProcTransport : public Transport {
  public:
-  InProcTransport(int n_ranks, int n_workers);
+  explicit InProcTransport(int n_ranks);
 
   TransportKind kind() const override { return TransportKind::kInProc; }
   int n_ranks() const override { return n_ranks_; }
@@ -29,12 +27,6 @@ class InProcTransport : public Transport {
   double* gather_block(int rank) override;
   void allgatherv() override {}  // filled in place
   const double* gather_table() const override { return table_.data(); }
-
-  void reduce_layout(std::size_t n,
-                     const std::vector<std::size_t>& seg_begin) override;
-  double* reduce_block(int rank) override;
-  void reduce_scatter() override;
-  const double* reduce_segment(int owner) const override;
 
   void barrier() override {}
 
@@ -55,14 +47,9 @@ class InProcTransport : public Transport {
   }
 
   int n_ranks_;
-  int n_workers_;
   std::vector<Box> boxes_;            // n_ranks^2 mailboxes, row = src
   std::vector<double> table_;         // allgatherv target
   std::vector<std::size_t> begin_;    // gather block offsets
-  std::vector<double> contrib_;       // reduce_scatter posts, row = rank
-  std::vector<double> reduce_;        // reduce_scatter result
-  std::vector<std::size_t> seg_;      // reduce segment bounds
-  std::size_t reduce_n_ = 0;
   long allocs_ = 0;
 };
 

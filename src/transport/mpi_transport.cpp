@@ -116,65 +116,6 @@ void MpiTransport::allgatherv() {
                  gather_displs_.data(), MPI_DOUBLE, comm_);
 }
 
-void MpiTransport::reduce_layout(
-    std::size_t n, const std::vector<std::size_t>& seg_begin) {
-  assert(static_cast<int>(seg_begin.size()) == n_ranks_ + 1);
-  seg_ = seg_begin;
-  reduce_counts_.assign(n_ranks_, 0);
-  for (int r = 0; r < n_ranks_; ++r)
-    reduce_counts_[r] = static_cast<int>(seg_begin[r + 1] - seg_begin[r]);
-  grow(reduce_self_, n, growths_);
-  grow(reduce_out_,
-       static_cast<std::size_t>(reduce_counts_[self_]), growths_);
-}
-
-double* MpiTransport::reduce_block(int rank) {
-  assert(rank == self_);
-  (void)rank;
-  return reduce_self_.data();
-}
-
-void MpiTransport::reduce_scatter() {
-  // Rank-ordered reduction (the contract in transport/transport.h):
-  // MPI_Reduce_scatter(MPI_SUM) has implementation-defined summation
-  // order, so instead every rank sends owner o its segment of
-  // reduce_self_, receives all N contributions for its own segment, and
-  // folds them locally in strictly ascending source-rank order from a
-  // zero accumulator — bit-identical to the in-process fold.
-  const std::size_t my_n =
-      static_cast<std::size_t>(reduce_counts_[self_]);
-  grow(reduce_wire_, static_cast<std::size_t>(n_ranks_) * my_n, growths_);
-  reduce_reqs_.clear();
-  reduce_reqs_.reserve(static_cast<std::size_t>(n_ranks_) * 2);
-  constexpr int kTag = 0x5eab;
-  for (int src = 0; src < n_ranks_; ++src) {
-    reduce_reqs_.emplace_back();
-    MPI_Irecv(reduce_wire_.data() + static_cast<std::size_t>(src) * my_n,
-              static_cast<int>(my_n), MPI_DOUBLE, src, kTag, comm_,
-              &reduce_reqs_.back());
-  }
-  for (int owner = 0; owner < n_ranks_; ++owner) {
-    reduce_reqs_.emplace_back();
-    MPI_Isend(reduce_self_.data() + seg_[owner],
-              reduce_counts_[owner], MPI_DOUBLE, owner, kTag, comm_,
-              &reduce_reqs_.back());
-  }
-  MPI_Waitall(static_cast<int>(reduce_reqs_.size()), reduce_reqs_.data(),
-              MPI_STATUSES_IGNORE);
-  for (std::size_t i = 0; i < my_n; ++i) {
-    double acc = 0;
-    for (int src = 0; src < n_ranks_; ++src)
-      acc += reduce_wire_[static_cast<std::size_t>(src) * my_n + i];
-    reduce_out_[i] = acc;
-  }
-}
-
-const double* MpiTransport::reduce_segment(int owner) const {
-  assert(owner == self_);
-  (void)owner;
-  return reduce_out_.data();
-}
-
 void MpiTransport::barrier() { MPI_Barrier(comm_); }
 
 long MpiTransport::allocations() const {

@@ -10,14 +10,11 @@
 // DistFft3D, mixer history) allocate only the local rank's slabs, so
 // resident bytes per process are ~global/N plus bounded exchange scratch.
 //
-// reduce_scatter does NOT use MPI_Reduce_scatter: MPI_SUM's reduction
-// order is implementation-defined, which would break the cross-backend
-// bit-identity contract. Instead each rank point-to-point-sends owner
-// o's segment of its contribution, receives all N contributions for its
-// own segment, and folds them locally in strictly ascending rank order
-// from a zero accumulator — the exact InProcTransport fold, so the
-// ordered-commit rule (and bit-identity with the dense reference)
-// survives the jump across nodes.
+// No collective here sums: MPI_SUM's reduction order is implementation-
+// defined, so the callers' ordered folds (plane-blocked sums over the
+// allgatherv table, the density window fold over alltoallv lanes) run
+// on exchanged data and stay bit-identical to the in-process backends
+// across nodes.
 //
 // Lane sizes are exchanged with MPI_Alltoall before the payload
 // MPI_Alltoallv; payloads travel as MPI_DOUBLE (2 per complex), so a
@@ -55,12 +52,6 @@ class MpiTransport : public Transport {
   void allgatherv() override;
   const double* gather_table() const override { return table_.data(); }
 
-  void reduce_layout(std::size_t n,
-                     const std::vector<std::size_t>& seg_begin) override;
-  double* reduce_block(int rank) override;
-  void reduce_scatter() override;
-  const double* reduce_segment(int owner) const override;
-
   void barrier() override;
 
   long allocations() const override;
@@ -83,16 +74,9 @@ class MpiTransport : public Transport {
   std::vector<std::size_t> recv_used_;
   std::vector<int> send_counts_, recv_counts_, send_displs_, recv_displs_;
   std::vector<double> wire_send_, wire_recv_;
-  // allgatherv / reduce_scatter staging.
+  // allgatherv staging.
   std::vector<int> gather_counts_, gather_displs_;
   std::vector<double> gather_self_, table_;
-  std::vector<int> reduce_counts_;
-  std::vector<std::size_t> seg_;
-  std::vector<double> reduce_self_, reduce_out_;
-  // Point-to-point reduce staging: all N ranks' contributions for the
-  // local segment, folded in ascending rank order (n_ranks * my_n).
-  std::vector<double> reduce_wire_;
-  std::vector<MPI_Request> reduce_reqs_;
   std::vector<long> lane_growths_;
   long growths_ = 0;
 };

@@ -35,7 +35,6 @@ enum Cmd : std::uint32_t {
   kCmdNone = 0,
   kCmdAllToAll,
   kCmdGather,
-  kCmdReduce,
   kCmdBarrier,
   kCmdExit,
 };
@@ -60,14 +59,12 @@ struct ProcShmHeader {
   alignas(64) std::atomic<std::uint64_t> seq;
   std::uint32_t cmd;
   std::uint32_t n_ranks;
-  // Gather block begins / reduce segment bounds (elements), n_ranks + 1.
+  // Gather block begins (elements), n_ranks + 1.
   std::uint64_t begin[ProcTransport::kMaxRanks + 1];
-  std::uint64_t table_off;   // gather table region (doubles)
-  std::uint64_t result_off;  // reduce result region (doubles)
+  std::uint64_t table_off;  // gather table region (doubles)
   ShmLane send[ProcTransport::kMaxRanks * ProcTransport::kMaxRanks];
   ShmLane recv[ProcTransport::kMaxRanks * ProcTransport::kMaxRanks];
   ShmLane gsrc[ProcTransport::kMaxRanks];
-  ShmLane rsrc[ProcTransport::kMaxRanks];
   alignas(64) std::atomic<std::uint64_t> done[ProcTransport::kMaxRanks];
   // Injected per-rank stall (fault_injection.h): the parent arms it
   // before publishing a command, the worker consumes (exchanges to 0)
@@ -134,20 +131,6 @@ namespace {
                     s.used * sizeof(double));
         break;
       }
-      case kCmdReduce: {
-        double* result = reinterpret_cast<double*>(base + h->result_off);
-        for (std::uint64_t i = h->begin[rank]; i < h->begin[rank + 1];
-             ++i) {
-          double acc = 0;
-          for (int src = 0; src < n; ++src) {
-            const double* c = reinterpret_cast<const double*>(
-                base + h->rsrc[src].offset);
-            acc += c[i];
-          }
-          result[i] = acc;
-        }
-        break;
-      }
       case kCmdBarrier:
         break;
       case kCmdExit:
@@ -185,7 +168,6 @@ ProcTransport::ProcTransport(int n_ranks, std::size_t arena_bytes)
   send_growths_.assign(static_cast<std::size_t>(kMaxRanks) * kMaxRanks, 0);
   recv_growths_.assign(static_cast<std::size_t>(kMaxRanks) * kMaxRanks, 0);
   gsrc_growths_.assign(kMaxRanks, 0);
-  rsrc_growths_.assign(kMaxRanks, 0);
 
   parent_pid_ = getpid();
   for (int r = 0; r < n_ranks_; ++r) {
@@ -284,7 +266,7 @@ void ProcTransport::run_command(std::uint32_t cmd) {
   const double wait_start = monotonic_seconds();
   const double deadline = wait_start + deadline_s_;
   // Everything from seq publication to the last done[r] flip is
-  // completion wait: the workers do the memcpy/sum, the parent only
+  // completion wait: the workers do the memcpy, the parent only
   // spins. Accumulated for take_wait_seconds() (obs wait-vs-transfer
   // split); the accounting costs two clock reads per command.
   struct WaitAccumulator {
@@ -405,7 +387,7 @@ void ProcTransport::gather_layout(const std::vector<int>& counts) {
               sizeof(double), gsrc_growths_[r]);
   }
   ShmLane table{hdr_->table_off, table_cap_, 0};
-  grow_lane(table, hdr_->begin[n_ranks_], sizeof(double), region_growths_);
+  grow_lane(table, hdr_->begin[n_ranks_], sizeof(double), table_growths_);
   hdr_->table_off = table.offset;
   table_cap_ = table.capacity;
 }
@@ -420,38 +402,13 @@ const double* ProcTransport::gather_table() const {
   return reinterpret_cast<const double*>(base_ + hdr_->table_off);
 }
 
-void ProcTransport::reduce_layout(
-    std::size_t n, const std::vector<std::size_t>& seg_begin) {
-  assert(static_cast<int>(seg_begin.size()) == n_ranks_ + 1);
-  assert(seg_begin.front() == 0 && seg_begin.back() == n);
-  for (int r = 0; r <= n_ranks_; ++r) hdr_->begin[r] = seg_begin[r];
-  for (int r = 0; r < n_ranks_; ++r)
-    grow_lane(hdr_->rsrc[r], n, sizeof(double), rsrc_growths_[r]);
-  ShmLane result{hdr_->result_off, result_cap_, 0};
-  grow_lane(result, n, sizeof(double), region_growths_);
-  hdr_->result_off = result.offset;
-  result_cap_ = result.capacity;
-}
-
-double* ProcTransport::reduce_block(int rank) {
-  return reinterpret_cast<double*>(base_ + hdr_->rsrc[rank].offset);
-}
-
-void ProcTransport::reduce_scatter() { run_command(kCmdReduce); }
-
-const double* ProcTransport::reduce_segment(int owner) const {
-  return reinterpret_cast<const double*>(base_ + hdr_->result_off) +
-         hdr_->begin[owner];
-}
-
 void ProcTransport::barrier() { run_command(kCmdBarrier); }
 
 long ProcTransport::allocations() const {
-  long total = region_growths_;
+  long total = table_growths_;
   for (long g : send_growths_) total += g;
   for (long g : recv_growths_) total += g;
   for (long g : gsrc_growths_) total += g;
-  for (long g : rsrc_growths_) total += g;
   return total;
 }
 

@@ -9,8 +9,8 @@
 //
 //   [ ShmHeader | bump arena ........................................ ]
 //     header: seq + cmd word, done[r] counters, per-lane offset tables
-//             (alltoallv send/recv, gather blocks, reduce blocks) and
-//             the gather/reduce layout params.
+//             (alltoallv send/recv, gather blocks) and the gather layout
+//             params.
 //     arena:  grow-only extents handed out by the parent; a lane regrow
 //             re-points its offset (old extent is abandoned — grow-only)
 //             and counts one allocation event. The segment is mapped
@@ -20,8 +20,6 @@
 // Division of labour per command (worker r executes rank r's share):
 //   alltoallv        copy every (src -> r) send lane into its recv lane
 //   allgatherv       copy r's block into the table at begin[r]
-//   reduce_scatter   sum items [seg_begin[r], seg_begin[r+1]) over ranks
-//                    in rank order into the result region
 //   barrier          nothing (the round trip is the fence)
 //
 // Rank *compute* (FFT lines, slab kernels) still runs on the parent's
@@ -85,20 +83,14 @@ class ProcTransport : public Transport {
   void allgatherv() override;
   const double* gather_table() const override;
 
-  void reduce_layout(std::size_t n,
-                     const std::vector<std::size_t>& seg_begin) override;
-  double* reduce_block(int rank) override;
-  void reduce_scatter() override;
-  const double* reduce_segment(int owner) const override;
-
   void barrier() override;
 
   long allocations() const override;
   std::size_t rank_box_elements(int dst) const override;
 
   // --- fault tolerance -------------------------------------------------
-  // Wall-clock budget for one completion wait. The workers only memcpy
-  // and sum, so the generous default can never fire on a healthy node;
+  // Wall-clock budget for one completion wait. The workers only memcpy,
+  // so the generous default can never fire on a healthy node;
   // tests shrink it to sub-second to exercise the timeout latch.
   void set_phase_deadline(double seconds) { deadline_s_ = seconds; }
   double phase_deadline() const { return deadline_s_; }
@@ -162,13 +154,12 @@ class ProcTransport : public Transport {
   double wait_seconds_ = 0.0;            // completion-wait accumulator
   long respawn_events_ = 0;
   FaultPlan* fault_plan_ = nullptr;
-  std::uint64_t table_cap_ = 0;   // parent-side capacities of the two
-  std::uint64_t result_cap_ = 0;  // single-region exchange targets
+  std::uint64_t table_cap_ = 0;          // parent-side table capacity
   std::string failed_;                   // latched fatal error, if any
   // Growth counters (parent-side; each entry has a single writer).
   std::vector<long> send_growths_, recv_growths_;
-  std::vector<long> gsrc_growths_, rsrc_growths_;
-  long region_growths_ = 0;              // gather table + reduce result
+  std::vector<long> gsrc_growths_;
+  long table_growths_ = 0;               // gather table
 };
 
 }  // namespace ls3df

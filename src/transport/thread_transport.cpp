@@ -14,8 +14,7 @@ struct ThreadTransportCore {
   explicit ThreadTransportCore(int n)
       : n_ranks(n),
         recv(static_cast<std::size_t>(n) * n),
-        displ(static_cast<std::size_t>(n) + 1, 0),
-        contrib(static_cast<std::size_t>(n), nullptr) {}
+        displ(static_cast<std::size_t>(n) + 1, 0) {}
 
   // Counting barrier: releases when all n_ranks instances arrive. Every
   // rank issues the same totally-ordered sequence of calls, so the m-th
@@ -52,9 +51,6 @@ struct ThreadTransportCore {
   std::vector<double> table;
   std::vector<std::size_t> displ;
   long table_growths = 0;
-
-  // reduce_scatter contribution pointers, one slot per rank.
-  std::vector<const double*> contrib;
 };
 
 }  // namespace detail
@@ -155,55 +151,10 @@ const double* ThreadTransport::gather_table() const {
   return core_->table.data();
 }
 
-void ThreadTransport::reduce_layout(
-    std::size_t n, const std::vector<std::size_t>& seg_begin) {
-  if (static_cast<int>(seg_begin.size()) != core_->n_ranks + 1)
-    throw std::logic_error("ThreadTransport: bad reduce segmentation");
-  seg_ = seg_begin;
-  reduce_n_ = n;
-  if (n > reduce_self_.capacity()) ++growths_;
-  reduce_self_.resize(n);
-  const std::size_t my_n = seg_[self_ + 1] - seg_[self_];
-  if (my_n > reduce_out_.capacity()) ++growths_;
-  reduce_out_.resize(my_n);
-}
-
-double* ThreadTransport::reduce_block(int rank) {
-  if (rank != self_)
-    throw std::logic_error(
-        "ThreadTransport: SPMD posts only for the local rank");
-  return reduce_self_.data();
-}
-
-void ThreadTransport::reduce_scatter() {
-  core_->contrib[self_] = reduce_self_.data();
-  // All contributions published (and every previous-round fold done).
-  core_->barrier();
-  // Ordered fold for the local segment: strictly ascending source rank
-  // from a zero accumulator (the contract in transport/transport.h).
-  const std::size_t b = seg_[self_];
-  const std::size_t my_n = seg_[self_ + 1] - b;
-  for (std::size_t i = 0; i < my_n; ++i) {
-    double acc = 0;
-    for (int src = 0; src < core_->n_ranks; ++src)
-      acc += core_->contrib[src][b + i];
-    reduce_out_[i] = acc;
-  }
-  // Folds complete before any rank rewrites its contribution.
-  core_->barrier();
-}
-
-const double* ThreadTransport::reduce_segment(int owner) const {
-  if (owner != self_)
-    throw std::logic_error(
-        "ThreadTransport: SPMD reads only the local rank");
-  return reduce_out_.data();
-}
-
 void ThreadTransport::barrier() { core_->barrier(); }
 
 long ThreadTransport::allocations() const {
-  long total = growths_;
+  long total = 0;
   for (long g : send_growths_) total += g;
   for (int dst = 0; dst < core_->n_ranks; ++dst)
     total += core_

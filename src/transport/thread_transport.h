@@ -21,10 +21,7 @@
 // lanes written only by src; the entry barrier of the NEXT collective
 // doubles as the read-completion fence. allgatherv assembles the shared
 // table in place (rank 0 sizes it between two barriers, each rank writes
-// its own block, a final barrier publishes). reduce_scatter publishes
-// per-rank contribution pointers, then each owner folds its segment in
-// strictly ascending source-rank order from a zero accumulator — the
-// ordered-reduction contract of transport/transport.h.
+// its own block, a final barrier publishes).
 //
 // A group cannot be built one instance at a time (make_transport throws
 // for kThreads): call make_thread_spmd_group(n) once and hand instance r
@@ -64,12 +61,6 @@ class ThreadTransport : public Transport {
   void allgatherv() override;
   const double* gather_table() const override;
 
-  void reduce_layout(std::size_t n,
-                     const std::vector<std::size_t>& seg_begin) override;
-  double* reduce_block(int rank) override;
-  void reduce_scatter() override;
-  const double* reduce_segment(int owner) const override;
-
   void barrier() override;
 
   long allocations() const override;
@@ -83,14 +74,10 @@ class ThreadTransport : public Transport {
 
   std::shared_ptr<detail::ThreadTransportCore> core_;
   int self_;
-  // Instance-owned send lanes (one per destination) and reduce staging;
-  // shared state lives in the core.
+  // Instance-owned send lanes (one per destination); shared state lives
+  // in the core.
   std::vector<std::vector<std::complex<double>>> send_;
   std::vector<long> send_growths_;
-  std::vector<double> reduce_self_, reduce_out_;
-  std::vector<std::size_t> seg_;
-  std::size_t reduce_n_ = 0;
-  long growths_ = 0;
 };
 
 // Builds the N coupled instances of one thread-SPMD group; element r is

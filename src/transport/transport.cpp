@@ -31,11 +31,10 @@ int transport_max_ranks(TransportKind kind) {
 }
 
 std::unique_ptr<Transport> make_transport(TransportKind kind, int n_ranks,
-                                          int n_workers,
                                           std::size_t shm_arena_bytes) {
   switch (kind) {
     case TransportKind::kInProc:
-      return std::make_unique<InProcTransport>(n_ranks, n_workers);
+      return std::make_unique<InProcTransport>(n_ranks);
     case TransportKind::kProc:
       return std::make_unique<ProcTransport>(
           n_ranks, shm_arena_bytes ? shm_arena_bytes

@@ -6,7 +6,7 @@
 // owns rank *data movement*: the grow-only exchange buffers and the
 // exchange itself. Every collective splits into the same three steps —
 // post into transport-owned buffers, exchange, read — so one interface
-// serves three very different backends:
+// serves four very different backends:
 //
 //   InProcTransport   N logical ranks in one process (the default).
 //                     recv_box aliases send_box, so alltoallv() is a
@@ -17,9 +17,9 @@
 //                     shared-memory segment (mmap MAP_SHARED): true
 //                     multi-process LS3DF on one node, no external deps.
 //                     Rank r's share of every exchange (its incoming
-//                     alltoallv lanes, its allgatherv table block, its
-//                     reduce_scatter segment sum) is executed by worker
-//                     process r. See the phase protocol below.
+//                     alltoallv lanes, its allgatherv table block) is
+//                     executed by worker process r. See the phase
+//                     protocol below.
 //
 //   ThreadTransport   N Transport instances over one shared in-process
 //                     core, each bound to a thread that acts as one SPMD
@@ -31,10 +31,9 @@
 //                     shared lanes between two barriers.
 //
 //   MpiTransport      (LS3DF_WITH_MPI only) one MPI process per rank,
-//                     collectives mapped 1:1 onto MPI (reduce_scatter
-//                     excepted; see the ordered-reduction contract).
-//                     spmd() is true: phased drivers run rank bodies for
-//                     self_rank() only. See the mapping table below.
+//                     collectives mapped 1:1 onto MPI. spmd() is true:
+//                     ShardComm runs rank bodies for self_rank() only.
+//                     See the mapping table below.
 //
 // == Storage modes ==
 //
@@ -52,20 +51,16 @@
 // grid/sharded_field.h) at public-API and snapshot seams; everything in
 // the inner iteration stays rank-local.
 //
-// == Ordered-reduction contract ==
+// == Ordered reductions live in the callers ==
 //
-// Every reduce_scatter implementation must sum item i's per-rank
-// contributions with the same left fold:
-//
-//   acc = 0; for (r = 0; r < n_ranks; ++r) acc += contrib[r][i];
-//
-// i.e. strictly ascending rank order from a zero accumulator. Floating-
-// point addition does not commute in rounding, so this fold IS the
-// bit-identity contract across backends: MpiTransport implements it with
-// point-to-point segment exchange and a local ordered fold rather than
-// MPI_Reduce_scatter(MPI_SUM), whose reduction order is implementation-
-// defined. The same rule is what lets the solver's ordered patch
-// commits survive the jump across nodes.
+// No collective here adds floating-point values: every backend only
+// moves bytes, so every backend is bit-identical by construction.
+// Floating-point addition does not commute in rounding, so the sums that
+// cross ranks are fixed-order folds run by the callers on exchanged
+// data — the plane-blocked reductions over an allgatherv table
+// (grid/sharded_field.h) and the Gen_dens window fold over alltoallv
+// lanes (fragment/ls3df.cpp). Neither depends on the backend, the rank
+// count or MPI_SUM's implementation-defined order.
 //
 // == ProcTransport phase protocol (lock-free) ==
 //
@@ -76,7 +71,7 @@
 //   parent   writes params + lane tables (plain stores), then
 //            seq.store(s+1, release)                      — "post"
 //   worker r spins on seq.load(acquire) != last; executes its share
-//            (memcpy / rank-ordered segment sums on the arena); then
+//            (memcpy on the arena); then
 //            done[r].store(s+1, release)                  — "complete"
 //   parent   spins until all done[r] == s+1, polling waitpid(WNOHANG)
 //            so a dead worker raises a clean error instead of a hang.
@@ -93,16 +88,12 @@
 //   send_box/alltoallv/recv_box   MPI_Alltoall (lane sizes) +
 //                                 MPI_Alltoallv (payload)
 //   gather_*/allgatherv           MPI_Allgatherv
-//   reduce_*/reduce_scatter       MPI_Isend/Irecv segment exchange +
-//                                 local ascending-rank fold (the
-//                                 ordered-reduction contract above;
-//                                 MPI_SUM is NOT used)
 //   barrier                       MPI_Barrier
 //
 // Under MPI each process owns exactly one rank (spmd() == true), so
-// send_box/gather_block/reduce_block accept only self_rank() as the
-// posting rank and recv_box/reduce_segment only self_rank() as the
-// reader; ShardComm runs phase bodies for the local rank only.
+// send_box/gather_block accept only self_rank() as the posting rank and
+// recv_box only self_rank() as the reader; ShardComm runs phase bodies
+// for the local rank only.
 #pragma once
 
 #include <complex>
@@ -125,7 +116,7 @@ class Transport {
   virtual int n_ranks() const = 0;
 
   // True when each process/thread owns exactly one rank (threads, MPI):
-  // phased drivers must run rank bodies only for self_rank(), per-rank
+  // ShardComm runs rank bodies only for self_rank(), per-rank
   // buffer methods accept only the local rank, and distributed
   // containers built on this transport allocate only the local rank's
   // slabs (see the storage-modes block above).
@@ -153,19 +144,7 @@ class Transport {
   // the counts they passed).
   virtual const double* gather_table() const = 0;
 
-  // --- reduce_scatter --------------------------------------------------
-  // reduce_layout fixes the item count and the owner segmentation; each
-  // rank posts its length-n contribution through reduce_block(rank);
-  // reduce_scatter() sums item i over ranks *in rank order* (the
-  // deterministic order; see the MPI note above) and delivers segment
-  // [seg_begin[o], seg_begin[o+1]) to owner o via reduce_segment(o).
-  virtual void reduce_layout(std::size_t n,
-                             const std::vector<std::size_t>& seg_begin) = 0;
-  virtual double* reduce_block(int rank) = 0;
-  virtual void reduce_scatter() = 0;
-  virtual const double* reduce_segment(int owner) const = 0;
-
-  // Phase fence with no payload.
+  // Phase fence with no payload (ProcTransport::recover's health check).
   virtual void barrier() = 0;
 
   // Attempt to restore a failed transport to service (after a latched
@@ -191,10 +170,10 @@ class Transport {
   virtual long respawn_events() const { return 0; }
 
   // Capacity-growth events across every exchange buffer this transport
-  // owns (alltoallv lanes, gather table + blocks, reduce blocks +
-  // result). All backends count the same way — one event per lane or
-  // region whose requested size first exceeds its capacity — so
-  // steady-state allocation probes are backend-uniform.
+  // owns (alltoallv lanes, gather table + blocks). All backends count the
+  // same way — one event per lane or region whose requested size first
+  // exceeds its capacity — so steady-state allocation probes are
+  // backend-uniform.
   virtual long allocations() const = 0;
   // Elements currently held in exchange storage for destination `dst` —
   // the per-rank exchange footprint. Backends with distinct send and
@@ -208,8 +187,7 @@ class Transport {
 // solver.
 int transport_max_ranks(TransportKind kind);
 
-// Factory for ShardComm. n_workers drives the in-process backend's
-// parallel reduction; kMpi throws unless built with LS3DF_WITH_MPI.
+// Factory for ShardComm. kMpi throws unless built with LS3DF_WITH_MPI.
 // kThreads always throws here: a thread-SPMD group is N coupled
 // instances, so it cannot be built one-at-a-time — build the group with
 // make_thread_spmd_group (transport/thread_transport.h) and hand each
@@ -220,7 +198,6 @@ int transport_max_ranks(TransportKind kind);
 // the arena mid-solve (the reservation is virtual and lazily committed,
 // so over-reserving costs nothing).
 std::unique_ptr<Transport> make_transport(TransportKind kind, int n_ranks,
-                                          int n_workers,
                                           std::size_t shm_arena_bytes = 0);
 
 }  // namespace ls3df

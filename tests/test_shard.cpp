@@ -93,33 +93,6 @@ TEST(ShardComm, AllGatherTableIsRankOrdered) {
   }
 }
 
-TEST(ShardComm, ReduceScatterSumsInRankOrder) {
-  for (TransportKind kind : {TransportKind::kInProc, TransportKind::kProc}) {
-  const int n_ranks = 3;
-  const std::size_t n = 7;
-  ShardComm comm(n_ranks, 2, kind);
-  std::vector<std::vector<double>> contrib(n_ranks,
-                                           std::vector<double>(n));
-  Rng rng(7);
-  for (auto& c : contrib)
-    for (double& v : c) v = rng.uniform(-1, 1);
-  const std::vector<std::size_t> seg{0, 3, 5, 7};
-  std::vector<double> got(n, 0.0);
-  comm.reduce_scatter(
-      n, seg, [&](int r) { return contrib[r].data(); },
-      [&](int owner, const double* vals) {
-        for (std::size_t i = seg[owner]; i < seg[owner + 1]; ++i)
-          got[i] = vals[i - seg[owner]];
-      });
-  for (std::size_t i = 0; i < n; ++i) {
-    double want = 0;
-    for (int r = 0; r < n_ranks; ++r) want += contrib[r][i];
-    // Rank-order sum, exactly — on every backend.
-    EXPECT_EQ(got[i], want) << i << " " << transport_name(kind);
-  }
-  }
-}
-
 TEST(ShardedField, DenseRoundTripAndPartition) {
   const Vec3i shape{10, 4, 5};
   const FieldR dense = random_field(shape, 11);

@@ -9,6 +9,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <complex>
 #include <memory>
 #include <stdexcept>
@@ -31,7 +32,7 @@ const TransportKind kBackends[] = {TransportKind::kInProc,
 
 TEST(Transport, FactoryProducesTheRequestedBackend) {
   for (TransportKind kind : kBackends) {
-    std::unique_ptr<Transport> t = make_transport(kind, 3, 2);
+    std::unique_ptr<Transport> t = make_transport(kind, 3);
     EXPECT_EQ(t->kind(), kind);
     EXPECT_EQ(t->n_ranks(), 3);
     EXPECT_FALSE(t->spmd());
@@ -41,7 +42,7 @@ TEST(Transport, FactoryProducesTheRequestedBackend) {
 #ifndef LS3DF_WITH_MPI
   // Without the MPI build the seam still exists — selecting it is a
   // clean error, not a link failure.
-  EXPECT_THROW(make_transport(TransportKind::kMpi, 2, 1),
+  EXPECT_THROW(make_transport(TransportKind::kMpi, 2),
                std::runtime_error);
 #endif
 }
@@ -63,7 +64,7 @@ TEST(Transport, RankCeilingAndArenaLimitsAreCleanErrors) {
                std::runtime_error);
   // The factory's arena override reaches the backend: the same post
   // succeeds with a sufficient reservation.
-  auto roomy = make_transport(TransportKind::kProc, 2, 1,
+  auto roomy = make_transport(TransportKind::kProc, 2,
                               std::size_t{256} << 20);
   EXPECT_NE(roomy->send_box(0, 1, std::size_t{1} << 22), nullptr);
 }
@@ -118,15 +119,7 @@ TEST(Transport, SingleRankDegenerateCollectives) {
                                       block[2] = 9; });
     EXPECT_EQ(view.data()[0], 7);
     EXPECT_EQ(view.data()[2], 9);
-    const std::vector<double> contrib{1.5, -2.5};
-    comm.reduce_scatter(
-        2, {0, 2}, [&](int) { return contrib.data(); },
-        [&](int owner, const double* seg) {
-          EXPECT_EQ(owner, 0);
-          EXPECT_EQ(seg[0], 1.5);
-          EXPECT_EQ(seg[1], -2.5);
-        });
-    comm.barrier();
+    comm.transport().barrier();
   }
 }
 
@@ -172,25 +165,31 @@ TEST(Transport, CollectivesBitIdenticalAcrossBackends) {
       ASSERT_EQ(got_in[lane][k], got_proc[lane][k]) << lane;
   }
 
-  // reduce_scatter: the rank-ordered segment sums must agree bitwise.
-  const std::size_t items = 9;
-  std::vector<std::vector<double>> contrib(n, std::vector<double>(items));
-  for (auto& c : contrib)
-    for (double& v : c) v = rng.uniform(-1, 1);
-  const std::vector<std::size_t> seg{0, 4, 6, 9};
-  std::vector<double> red_in(items), red_proc(items);
-  const auto reduce = [&](ShardComm& comm, std::vector<double>& out) {
-    comm.reduce_scatter(
-        items, seg, [&](int r) { return contrib[r].data(); },
-        [&](int owner, const double* vals) {
-          for (std::size_t i = seg[owner]; i < seg[owner + 1]; ++i)
-            out[i] = vals[i - seg[owner]];
+  // all_gather: uneven blocks (one empty) of random doubles must
+  // assemble into the same rank-ordered table bitwise.
+  const std::vector<int> counts{4, 0, 5};
+  std::vector<double> want;
+  std::vector<std::vector<double>> blocks(n);
+  for (int r = 0; r < n; ++r) {
+    blocks[r].resize(static_cast<std::size_t>(counts[r]));
+    for (double& v : blocks[r]) v = rng.uniform(-1, 1);
+    want.insert(want.end(), blocks[r].begin(), blocks[r].end());
+  }
+  const auto gather = [&](ShardComm& comm) {
+    const ShardComm::GatherView view =
+        comm.all_gather(counts, [&](int r, double* block) {
+          std::copy(blocks[r].begin(), blocks[r].end(), block);
         });
+    return std::vector<double>(view.data(), view.data() + view.size());
   };
-  reduce(inproc, red_in);
-  reduce(proc, red_proc);
-  for (std::size_t i = 0; i < items; ++i)
-    ASSERT_EQ(red_in[i], red_proc[i]) << i;
+  const std::vector<double> tab_in = gather(inproc);
+  const std::vector<double> tab_proc = gather(proc);
+  ASSERT_EQ(tab_in.size(), want.size());
+  ASSERT_EQ(tab_proc.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(tab_in[i], want[i]) << i;
+    ASSERT_EQ(tab_proc[i], tab_in[i]) << i;
+  }
 }
 
 TEST(Transport, SteadyStateAllocationsAreFlatPerBackend) {
@@ -210,10 +209,6 @@ TEST(Transport, SteadyStateAllocationsAreFlatPerBackend) {
           [&](int dst) { (void)comm.recv_box(0, dst); });
       comm.all_gather({2, 2, 2},
                       [](int r, double* block) { block[0] = block[1] = r; });
-      std::vector<double> c(4, 1.0);
-      comm.reduce_scatter(
-          4, {0, 2, 3, 4}, [&](int) { return c.data(); },
-          [](int, const double*) {});
     };
     round();
     const long warm = comm.allocations();
@@ -262,7 +257,7 @@ TEST(ThreadTransport, GroupIsSpmdWithOneRankPerInstance) {
   }
   // kThreads has no single-instance construction — the factory points at
   // make_thread_spmd_group instead of faking an SPMD group.
-  EXPECT_THROW(make_transport(TransportKind::kThreads, 2, 1),
+  EXPECT_THROW(make_transport(TransportKind::kThreads, 2),
                std::runtime_error);
 }
 
@@ -280,20 +275,13 @@ TEST(ThreadTransport, CollectivesBitIdenticalToInProc) {
       lane.resize(static_cast<std::size_t>(1 + (src + 2 * dst) % 4));
       for (cplx& v : lane) v = cplx(rng.uniform(-1, 1), rng.uniform(-1, 1));
     }
-  const std::size_t items = 9;
-  std::vector<std::vector<double>> contrib(n, std::vector<double>(items));
-  for (auto& c : contrib)
-    for (double& v : c) v = rng.uniform(-1, 1);
-  const std::vector<std::size_t> seg{0, 4, 6, 9};
   const std::vector<int> gcounts{2, 1, 3};
 
-  // One round of all three collectives through a communicator. Under an
-  // SPMD transport pack/fill/contribute run only for the local rank;
-  // every writer targets disjoint slots, so the shared outputs need no
-  // locking.
+  // One round of both collectives through a communicator. Under an SPMD
+  // transport pack/fill run only for the local rank; every writer
+  // targets disjoint slots, so the shared outputs need no locking.
   const auto round = [&](ShardComm& comm, std::vector<std::vector<cplx>>& got,
-                         std::vector<std::vector<double>>& table,
-                         std::vector<double>& red) {
+                         std::vector<std::vector<double>>& table) {
     comm.all_to_all(
         [&](int src) {
           for (int dst = 0; dst < n; ++dst) {
@@ -317,40 +305,32 @@ TEST(ThreadTransport, CollectivesBitIdenticalToInProc) {
     for (int r = 0; r < n; ++r)
       if (local < 0 || r == local)
         table[r].assign(view.data(), view.data() + view.size());
-    comm.reduce_scatter(
-        items, seg, [&](int r) { return contrib[r].data(); },
-        [&](int owner, const double* vals) {
-          for (std::size_t i = seg[owner]; i < seg[owner + 1]; ++i)
-            red[i] = vals[i - seg[owner]];
-        });
-    comm.barrier();
+    comm.transport().barrier();
   };
 
   // Reference: the dense-per-process in-proc backend.
   ShardComm ref(n, 2, TransportKind::kInProc);
   std::vector<std::vector<cplx>> got_ref(n * n);
   std::vector<std::vector<double>> tab_ref(n);
-  std::vector<double> red_ref(items);
-  round(ref, got_ref, tab_ref, red_ref);
+  round(ref, got_ref, tab_ref);
 
   // Thread-SPMD group: each rank's thread adopts its instance into a
   // rank-local ShardComm and runs the identical round.
   auto group = make_thread_spmd_group(n);
   std::vector<std::vector<cplx>> got_thr(n * n);
   std::vector<std::vector<double>> tab_thr(n);
-  std::vector<double> red_thr(items);
   std::vector<std::thread> threads;
   for (int r = 0; r < n; ++r)
     threads.emplace_back([&, r]() {
       ShardComm comm(n, 1, std::move(group[r]));
       ASSERT_EQ(comm.local_rank(), r);
-      round(comm, got_thr, tab_thr, red_thr);
+      round(comm, got_thr, tab_thr);
     });
   for (auto& t : threads) t.join();
 
-  // Each SPMD rank read only its own recv lanes / reduce segment; the
-  // union must match the reference bitwise, and the gather table must be
-  // the full rank-ordered assembly on every rank.
+  // Each SPMD rank read only its own recv lanes; the union must match
+  // the reference bitwise, and the gather table must be the full
+  // rank-ordered assembly on every rank.
   for (int src = 0; src < n; ++src)
     for (int dst = 0; dst < n; ++dst) {
       const auto& a = got_ref[src * n + dst];
@@ -364,8 +344,20 @@ TEST(ThreadTransport, CollectivesBitIdenticalToInProc) {
     for (std::size_t k = 0; k < tab_thr[r].size(); ++k)
       ASSERT_EQ(tab_thr[r][k], tab_ref[0][k]) << r;
   }
-  for (std::size_t i = 0; i < items; ++i)
-    ASSERT_EQ(red_ref[i], red_thr[i]) << i;
+}
+
+// One allgatherv round on a 3-rank proc transport: rank r posts
+// {r + 1, r + 1}, and only worker r copies that block into the table, so
+// a correct table proves every worker did real work.
+void expect_gather_round(ProcTransport& t) {
+  t.gather_layout({2, 2, 2});
+  for (int r = 0; r < 3; ++r) {
+    double* block = t.gather_block(r);
+    block[0] = block[1] = r + 1;
+  }
+  t.allgatherv();
+  const double* table = t.gather_table();
+  for (int k = 0; k < 6; ++k) EXPECT_EQ(table[k], k / 2 + 1) << k;
 }
 
 TEST(ProcTransport, WorkerCrashIsDetectedNotHung) {
@@ -432,15 +424,8 @@ TEST(ProcTransport, RespawnRankReplacesADeadWorker) {
   EXPECT_GT(t.worker_pid(1), 0);
   t.barrier();  // the replacement joins the protocol at the current seq
 
-  // And it does real work: rank 1's reduce segment sums correctly.
-  t.reduce_layout(3, {0, 1, 2, 3});
-  for (int r = 0; r < 3; ++r) {
-    double* block = t.reduce_block(r);
-    for (int i = 0; i < 3; ++i) block[i] = r + 1;
-  }
-  t.reduce_scatter();
-  for (int owner = 0; owner < 3; ++owner)
-    EXPECT_EQ(t.reduce_segment(owner)[0], 6.0) << owner;
+  // And it does real work: rank 1's table block arrives.
+  expect_gather_round(t);
 }
 
 TEST(ProcTransport, RecoverOnHealthyTransportIsIdempotentNoOp) {
@@ -464,16 +449,9 @@ TEST(ProcTransport, RecoverOnHealthyTransportIsIdempotentNoOp) {
   for (int r = 0; r < 3; ++r)
     EXPECT_EQ(t.worker_pid(r), pids[r]) << "rank " << r << " re-forked";
 
-  // The protocol cursor is not skewed: a real collective still computes
+  // The protocol cursor is not skewed: a real collective still delivers
   // the right answer on the same workers.
-  t.reduce_layout(3, {0, 1, 2, 3});
-  for (int r = 0; r < 3; ++r) {
-    double* block = t.reduce_block(r);
-    for (int i = 0; i < 3; ++i) block[i] = r + 1;
-  }
-  t.reduce_scatter();
-  for (int owner = 0; owner < 3; ++owner)
-    EXPECT_EQ(t.reduce_segment(owner)[0], 6.0) << owner;
+  expect_gather_round(t);
 
   // After a real death, recover() respawns exactly the dead rank — and
   // a second recover() on the now-healthy transport adds nothing.
