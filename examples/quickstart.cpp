@@ -21,7 +21,6 @@ int main() {
   opt.ecut = 1.5;            // plane-wave cutoff (Hartree)
   opt.max_iterations = 80;
   opt.l1_tol = 1e-4;         // on int |V_out - V_in| d3r
-  opt.mixer = MixerType::kPulay;
 
   std::printf("H2 in a %.1f Bohr box, %g electrons, ecut %.1f Ha\n",
               s.lattice().lengths().x, s.num_electrons(), opt.ecut);

@@ -1,11 +1,8 @@
 #include "dft/mixing.h"
 
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 
-#include "fft/plan_cache.h"
-#include "grid/gvectors.h"
 #include "linalg/eigen.h"
 
 namespace ls3df {
@@ -35,90 +32,40 @@ std::vector<double> diis_coefficients(const std::vector<double>& gram,
   }
 }
 
-// Kerker damping factor for |G|^2; G = 0 passes through untouched so the
-// residual's constant part still mixes.
-inline bool kerker_damps(double g2) { return g2 > 1e-12; }
-inline double kerker_factor(double g2, double q0) {
-  return g2 / (g2 + q0 * q0);
+// Append the newest (V_in, residual) pair, dropping the oldest beyond
+// kDiisHistory; returns the resulting depth m.
+template <typename Field>
+int push_history(std::vector<Field>& v_history,
+                 std::vector<Field>& r_history, const Field& v_in,
+                 const Field& residual) {
+  v_history.push_back(v_in);
+  r_history.push_back(residual);
+  if (static_cast<int>(v_history.size()) > kDiisHistory) {
+    v_history.erase(v_history.begin());
+    r_history.erase(r_history.begin());
+  }
+  return static_cast<int>(v_history.size());
 }
 
 }  // namespace
 
-PotentialMixer::PotentialMixer(MixerType type, double alpha,
-                               const Lattice& lat, Vec3i shape, int history,
-                               double kerker_q0)
-    : type_(type),
-      alpha_(alpha),
-      lattice_(lat),
-      shape_(shape),
-      max_history_(history),
-      q0_(kerker_q0) {}
-
-void PotentialMixer::reset() {
-  v_history_.clear();
-  r_history_.clear();
-}
-
-void PotentialMixer::restore_history(std::vector<FieldR> v,
-                                     std::vector<FieldR> r) {
-  if (v.size() != r.size() ||
-      static_cast<int>(v.size()) > max_history_)
-    throw std::invalid_argument(
-        "PotentialMixer::restore_history: inconsistent DIIS stack");
-  v_history_ = std::move(v);
-  r_history_ = std::move(r);
-}
-
-FieldR PotentialMixer::kerker_smooth(const FieldR& residual) const {
-  FieldC work(shape_);
-  for (std::size_t i = 0; i < residual.size(); ++i)
-    work[i] = std::complex<double>(residual[i], 0.0);
-  const Fft3D& fft = fft_plan(shape_);
-  fft.forward(work.raw());
-  const Vec3d b = lattice_.reciprocal();
-  for (int i1 = 0; i1 < shape_.x; ++i1) {
-    const double gx = GVectors::freq(i1, shape_.x) * b.x;
-    for (int i2 = 0; i2 < shape_.y; ++i2) {
-      const double gy = GVectors::freq(i2, shape_.y) * b.y;
-      for (int i3 = 0; i3 < shape_.z; ++i3) {
-        const double gz = GVectors::freq(i3, shape_.z) * b.z;
-        const double g2 = gx * gx + gy * gy + gz * gz;
-        if (kerker_damps(g2)) work(i1, i2, i3) *= kerker_factor(g2, q0_);
-      }
-    }
-  }
-  fft.inverse(work.raw());
-  FieldR out(shape_);
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = work[i].real();
-  return out;
-}
-
 FieldR PotentialMixer::mix(const FieldR& v_in, const FieldR& v_out) {
-  assert(v_in.shape() == shape_ && v_out.shape() == shape_);
+  assert(v_in.shape() == v_out.shape());
   FieldR residual = v_out;
   residual -= v_in;
 
-  // next = v_in + alpha * field (the linear form and every fallback).
-  const auto linear_step = [&](const FieldR& field) {
+  // next = v_in + alpha * residual (the first step and the fallback).
+  const auto linear_step = [&] {
     FieldR next = v_in;
     for (std::size_t i = 0; i < next.size(); ++i)
-      next[i] += alpha_ * field[i];
+      next[i] += alpha_ * residual[i];
     return next;
   };
 
-  if (type_ == MixerType::kLinear) return linear_step(residual);
-  if (type_ == MixerType::kKerker) return linear_step(kerker_smooth(residual));
-
   // Pulay/Anderson: keep history of (v_in, residual); minimize the norm of
   // the extrapolated residual subject to coefficients summing to one.
-  v_history_.push_back(v_in);
-  r_history_.push_back(residual);
-  if (static_cast<int>(v_history_.size()) > max_history_) {
-    v_history_.erase(v_history_.begin());
-    r_history_.erase(r_history_.begin());
-  }
-  const int m = static_cast<int>(v_history_.size());
-  if (m == 1) return linear_step(residual);
+  const int m = push_history(v_history_, r_history_, v_in, residual);
+  if (m == 1) return linear_step();
 
   // Residual Gram matrix via the plane-blocked reduction — the canonical
   // deterministic dot shared with the sharded mixer.
@@ -133,10 +80,10 @@ FieldR PotentialMixer::mix(const FieldR& v_in, const FieldR& v_out) {
     // Degenerate history: fall back to linear mixing and drop history.
     v_history_.clear();
     r_history_.clear();
-    return linear_step(residual);
+    return linear_step();
   }
 
-  FieldR next(shape_);
+  FieldR next(v_in.shape());
   for (int i = 0; i < m; ++i) {
     for (std::size_t k = 0; k < next.size(); ++k)
       next[k] += c[i] * (v_history_[i][k] + alpha_ * r_history_[i][k]);
@@ -147,96 +94,58 @@ FieldR PotentialMixer::mix(const FieldR& v_in, const FieldR& v_out) {
 // ---------------------------------------------------------------------------
 // ShardedPotentialMixer: the same arithmetic on x-slabs.
 
-ShardedPotentialMixer::ShardedPotentialMixer(MixerType type, double alpha,
-                                             const Lattice& lat,
-                                             DistFft3D& fft, int history,
-                                             double kerker_q0)
-    : type_(type),
-      alpha_(alpha),
-      lattice_(lat),
-      fft_(fft),
-      max_history_(history),
-      q0_(kerker_q0) {}
-
-void ShardedPotentialMixer::reset() {
-  v_history_.clear();
-  r_history_.clear();
-}
-
 void ShardedPotentialMixer::restore_history(std::vector<ShardedFieldR> v,
                                             std::vector<ShardedFieldR> r) {
   if (v.size() != r.size() ||
-      static_cast<int>(v.size()) > max_history_)
+      static_cast<int>(v.size()) > kDiisHistory)
     throw std::invalid_argument(
         "ShardedPotentialMixer::restore_history: inconsistent DIIS stack");
   v_history_ = std::move(v);
   r_history_ = std::move(r);
 }
 
-void ShardedPotentialMixer::kerker_smooth(const ShardedFieldR& residual,
-                                          ShardedFieldR& out) {
-  fft_.forward(residual);
-  for_each_pencil_g2(fft_, lattice_, [this](cplx& v, double g2) {
-    if (kerker_damps(g2)) v *= kerker_factor(g2, q0_);
-  });
-  fft_.inverse(out);
-}
-
 ShardedFieldR ShardedPotentialMixer::mix(const ShardedFieldR& v_in,
                                          const ShardedFieldR& v_out) {
-  ShardComm& comm = fft_.comm();
-  const int n = comm.n_ranks();
-  assert(v_in.global_shape() == fft_.shape() && v_in.n_shards() == n);
-  assert(v_out.global_shape() == fft_.shape() && v_out.n_shards() == n);
+  const int n = comm_.n_ranks();
+  const Vec3i shape = v_in.global_shape();
+  assert(v_in.n_shards() == n);
+  assert(v_out.global_shape() == shape && v_out.n_shards() == n);
   ShardedFieldR residual = v_out;
-  comm.each_rank([&](int r) { residual.slab(r) -= v_in.slab(r); });
+  comm_.each_rank([&](int r) { residual.slab(r) -= v_in.slab(r); });
 
-  // next = v_in + alpha * field, slab-local (the linear form and every
+  // next = v_in + alpha * residual, slab-local (the first step and the
   // fallback below).
-  const auto linear_step = [&](const ShardedFieldR& field) {
+  const auto linear_step = [&] {
     ShardedFieldR next = v_in;
-    comm.each_rank([&](int r) {
+    comm_.each_rank([&](int r) {
       FieldR& nf = next.slab(r);
-      const FieldR& ff = field.slab(r);
-      for (std::size_t i = 0; i < nf.size(); ++i) nf[i] += alpha_ * ff[i];
+      const FieldR& rf = residual.slab(r);
+      for (std::size_t i = 0; i < nf.size(); ++i) nf[i] += alpha_ * rf[i];
     });
     return next;
   };
 
-  if (type_ == MixerType::kLinear) return linear_step(residual);
-  if (type_ == MixerType::kKerker) {
-    ShardedFieldR smoothed(fft_.shape(), n, comm.local_rank());
-    kerker_smooth(residual, smoothed);
-    return linear_step(smoothed);
-  }
-
-  v_history_.push_back(v_in);
-  r_history_.push_back(residual);
-  if (static_cast<int>(v_history_.size()) > max_history_) {
-    v_history_.erase(v_history_.begin());
-    r_history_.erase(r_history_.begin());
-  }
-  const int m = static_cast<int>(v_history_.size());
-  if (m == 1) return linear_step(residual);
+  const int m = push_history(v_history_, r_history_, v_in, residual);
+  if (m == 1) return linear_step();
 
   std::vector<double> gram(static_cast<std::size_t>(m) * m);
   for (int i = 0; i < m; ++i)
     for (int j = 0; j < m; ++j)
       gram[static_cast<std::size_t>(i) * m + j] =
-          plane_dot(r_history_[i], r_history_[j], comm);
+          plane_dot(r_history_[i], r_history_[j], comm_);
 
   const std::vector<double> c = diis_coefficients(gram, m);
   if (c.empty()) {
     v_history_.clear();
     r_history_.clear();
-    return linear_step(residual);
+    return linear_step();
   }
 
-  ShardedFieldR next(fft_.shape(), n, comm.local_rank());
+  ShardedFieldR next(shape, n, comm_.local_rank());
   for (int i = 0; i < m; ++i) {
     const ShardedFieldR& vh = v_history_[i];
     const ShardedFieldR& rh = r_history_[i];
-    comm.each_rank([&](int r) {
+    comm_.each_rank([&](int r) {
       FieldR& nf = next.slab(r);
       const FieldR& vf = vh.slab(r);
       const FieldR& rf = rh.slab(r);

@@ -1,99 +1,70 @@
 // Potential mixing for the self-consistency loop (the "Potential mixing"
-// box in the paper's Fig. 2 flow chart). Three schemes:
-//   kLinear - V_next = V_in + alpha (V_out - V_in)
-//   kKerker - linear with the q-dependent factor alpha q^2/(q^2+q0^2)
-//             damping long-wavelength charge sloshing
-//   kPulay  - Anderson/Pulay (DIIS) acceleration over a residual history
+// box in the paper's Fig. 2 flow chart): Anderson/Pulay (DIIS)
+// acceleration over the last kDiisHistory (V_in, residual) pairs. The
+// first step, and the fallback when the history turns degenerate, is
+// plain linear mixing, V_next = V_in + alpha (V_out - V_in).
 // The paper notes LS3DF uses "the same charge mixing scheme" as direct
-// LDA, so convergence behaviour carries over (Sec. VII).
+// LDA, so convergence behaviour carries over (Sec. VII); the direct SCF
+// (dft/scf.h) and the LS3DF driver both run this one scheme.
 //
 // Two drivers share the arithmetic: PotentialMixer on the dense global
-// grid, and ShardedPotentialMixer on x-slabs (grid/sharded_field.h) with
-// the Kerker smoothing running through the distributed FFT. All DIIS
-// inner products use the plane-blocked reduction (plane_dot), so the two
-// mixers are bit-identical for any shard count — the Gram matrix, the
+// grid, and ShardedPotentialMixer on x-slabs (grid/sharded_field.h). All
+// DIIS inner products use the plane-blocked reduction (plane_dot), so the
+// two mixers are bit-identical for any shard count — the Gram matrix, the
 // coefficient solve, and every pointwise update see the same bits.
 #pragma once
 
-#include <memory>
 #include <vector>
 
-#include "fft/dist_fft3d.h"
 #include "grid/field3d.h"
-#include "grid/lattice.h"
 #include "grid/sharded_field.h"
+#include "parallel/shard_comm.h"
 
 namespace ls3df {
 
-enum class MixerType { kLinear, kKerker, kPulay };
+// DIIS depth: (V_in, residual) pairs kept by either mixer.
+constexpr int kDiisHistory = 6;
 
 class PotentialMixer {
  public:
-  PotentialMixer(MixerType type, double alpha, const Lattice& lat,
-                 Vec3i shape, int history = 6, double kerker_q0 = 0.8);
+  explicit PotentialMixer(double alpha) : alpha_(alpha) {}
 
   // Produce the next input potential from the current (V_in, V_out) pair.
   FieldR mix(const FieldR& v_in, const FieldR& v_out);
 
-  void reset();
-  MixerType type() const { return type_; }
-
-  // Checkpoint seam: the Pulay DIIS stack, exposed raw so a snapshot
-  // (checkpoint/snapshot.h) can serialize it and a resumed solve can
-  // restore it bit-exactly — the DIIS Gram matrix sees the same history
-  // bits, so the continued mixing trajectory is identical.
-  const std::vector<FieldR>& v_history() const { return v_history_; }
-  const std::vector<FieldR>& r_history() const { return r_history_; }
-  void restore_history(std::vector<FieldR> v, std::vector<FieldR> r);
-
  private:
-  FieldR kerker_smooth(const FieldR& residual) const;
-
-  MixerType type_;
   double alpha_;
-  Lattice lattice_;
-  Vec3i shape_;
-  int max_history_;
-  double q0_;
   std::vector<FieldR> v_history_;
   std::vector<FieldR> r_history_;
 };
 
-// The sharded twin: identical schemes and identical bits, with every
-// field living as x-slabs over `fft`'s ShardComm. History is stored
-// per-shard (global/N per rank per slot), DIIS dots are plane-blocked
-// all_gather reductions, and Kerker smoothing runs through the
-// distributed transform — mixing is applied shard-locally end to end.
-// Under an SPMD transport the history slots inherit the inputs'
-// rank-local storage (one resident slab per rank), so the DIIS stack
-// also costs ~global/N per rank.
+// The sharded twin: identical arithmetic and identical bits, with every
+// field living as x-slabs over `comm`. History is stored per-shard
+// (global/N per rank per slot), DIIS dots are plane-blocked all_gather
+// reductions, and every update is slab-local — mixing runs shard-locally
+// end to end. Under an SPMD transport the history slots inherit the
+// inputs' rank-local storage (one resident slab per rank), so the DIIS
+// stack also costs ~global/N per rank.
 class ShardedPotentialMixer {
  public:
-  ShardedPotentialMixer(MixerType type, double alpha, const Lattice& lat,
-                        DistFft3D& fft, int history = 6,
-                        double kerker_q0 = 0.8);
+  ShardedPotentialMixer(double alpha, ShardComm& comm)
+      : alpha_(alpha), comm_(comm) {}
 
   ShardedFieldR mix(const ShardedFieldR& v_in, const ShardedFieldR& v_out);
 
-  void reset();
-  MixerType type() const { return type_; }
-
-  // Checkpoint seam (see PotentialMixer): the sharded DIIS stack, one
-  // slab set per history slot.
+  // Checkpoint seam: the DIIS stack, one slab set per history slot,
+  // exposed raw so a snapshot (checkpoint/snapshot.h) can serialize it
+  // and a resumed solve can restore it bit-exactly — the DIIS Gram matrix
+  // sees the same history bits, so the continued mixing trajectory is
+  // identical.
   const std::vector<ShardedFieldR>& v_history() const { return v_history_; }
   const std::vector<ShardedFieldR>& r_history() const { return r_history_; }
   void restore_history(std::vector<ShardedFieldR> v,
                        std::vector<ShardedFieldR> r);
 
  private:
-  void kerker_smooth(const ShardedFieldR& residual, ShardedFieldR& out);
-
-  MixerType type_;
   double alpha_;
-  Lattice lattice_;
-  DistFft3D& fft_;
-  int max_history_;
-  double q0_;
+  ShardComm& comm_;
   std::vector<ShardedFieldR> v_history_;
   std::vector<ShardedFieldR> r_history_;
 };

@@ -96,7 +96,6 @@ ScfResult run_scf(Hamiltonian& h, const FieldR& vion, const FieldR& v_start,
                   const ScfOptions& opt) {
   const Structure& s = h.structure();
   const Lattice& lat = h.basis().lattice();
-  const Vec3i grid = h.basis().grid_shape();
   const double point_vol = lat.volume() / static_cast<double>(vion.size());
 
   const double electrons = s.num_electrons();
@@ -109,7 +108,7 @@ ScfResult run_scf(Hamiltonian& h, const FieldR& vion, const FieldR& v_start,
   result.occupations = fill_occupations(electrons, n_bands);
 
   MatC psi = random_wavefunctions(h.basis(), n_bands, opt.seed);
-  PotentialMixer mixer(opt.mixer, opt.mix_alpha, lat, grid);
+  PotentialMixer mixer(opt.mix_alpha);
 
   FieldR v_in = v_start;
   for (int iter = 0; iter < opt.max_iterations; ++iter) {

@@ -23,7 +23,6 @@ struct ScfOptions {
   int n_bands = 0;            // 0 = occupied + 25% (min 4) empty bands
   int max_iterations = 60;
   double l1_tol = 1e-3;       // a.u., on int |V_out - V_in| d3r
-  MixerType mixer = MixerType::kPulay;
   double mix_alpha = 0.6;
   EigensolverOptions eig{/*max_iterations=*/12, /*residual_tol=*/1e-6,
                          /*precondition=*/true};

@@ -24,8 +24,8 @@
 // (x, y, z) exactly. Because per-line arithmetic is the dense code's and
 // the axis order agrees in both directions, the distributed transform is
 // *bit-identical* to the dense one for any shard count and worker count.
-// G-space pointwise kernels (Poisson, Kerker) therefore apply to the
-// pencils with dense-path bits.
+// G-space pointwise kernels (the Poisson solve, the initial density)
+// therefore apply to the pencils with dense-path bits.
 //
 // All rank buffers (slab scratch, pencils, line scratch) are sized once
 // at construction and never reallocated; the all_to_all mailboxes grow
@@ -120,10 +120,9 @@ class DistFft3D {
 };
 
 // Apply fn(value, g2) to every G-space pencil point between a forward
-// and an inverse transform, with g2 = |G|^2 of that point — the one
-// place that owns the pencil layout walk, shared by the Poisson and
-// Kerker kernels. The per-point g2 arithmetic matches the dense kernel
-// loops term for term.
+// and an inverse transform, with g2 = |G|^2 of that point — the
+// pencil layout walk of the sharded Poisson kernel. The per-point g2
+// arithmetic matches the dense kernel loops term for term.
 template <typename Fn>
 void for_each_pencil_g2(DistFft3D& fft, const Lattice& lat, const Fn& fn) {
   const Vec3i s = fft.shape();

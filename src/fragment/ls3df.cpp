@@ -624,9 +624,9 @@ void Ls3dfSolver::solve_batch(int b) {
 void Ls3dfSolver::genpot_sharded(const ShardedFieldR& rho,
                                  ShardedFieldR& v_out) const {
   ShardState& s = *shards_;
-  // Other users of the shared transform (Kerker mixing) accumulate
-  // transpose time between genpot calls; drop it so the sample below is
-  // exactly this call's all-to-all cost.
+  // The initial-density inverse transform (the only other user of the
+  // shared transform) leaves its transpose time behind; drop it so the
+  // sample below is exactly this call's all-to-all cost.
   s.fft.take_transpose_seconds();
   sharded_effective_potential(s.vion, rho, structure_.lattice(), s.fft,
                               s.vh, s.vxc, v_out);
@@ -982,7 +982,6 @@ std::uint64_t Ls3dfSolver::state_fingerprint() const {
   fp.mix_double(opt_.eig.residual_tol);
   fp.mix_i64(opt_.eig.precondition ? 1 : 0);
   fp.mix_double(opt_.l1_tol);
-  fp.mix_i64(static_cast<int>(opt_.mixer));
   fp.mix_double(opt_.mix_alpha);
   fp.mix_u64(opt_.seed);
   fp.mix_i64(static_cast<int>(opt_.precision));
@@ -1324,7 +1323,7 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
   // distributed inverse FFT, pseudo/pseudopotential.h) and its GENPOT, or
   // a snapshot — V_in and rho were restored straight into the slabs by
   // load_resume; the DIIS stack and scalars travel in resume_.
-  ShardedPotentialMixer mixer(opt_.mixer, opt_.mix_alpha, lat, sh.fft);
+  ShardedPotentialMixer mixer(opt_.mix_alpha, sh.comm);
   int iter0 = 0;
   if (resume_) {
     iter0 = resume_->iterations;
@@ -1545,8 +1544,9 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
   // Coulomb kernel + inverse, then the slab-local xc assembly.
   const int hart = tag(g.add(
                            [&sh, &lat]() {
-                             // Drop transpose time accumulated by the
-                             // mixer since the last genpot so the sample
+                             // Drop transpose time no GENPOT sample
+                             // claimed (a previous graph abandoned
+                             // mid-GENPOT by a throw) so the sample
                              // below is exactly this call's all-to-all
                              // cost.
                              sh.fft.take_transpose_seconds();

@@ -179,7 +179,6 @@ struct Ls3dfOptions {
 
   int max_iterations = 40;          // outer SCF loop
   double l1_tol = 1e-3;             // on int |V_out - V_in| d3r (a.u.)
-  MixerType mixer = MixerType::kPulay;
   double mix_alpha = 0.6;
 
   std::uint64_t seed = 2718;

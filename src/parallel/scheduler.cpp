@@ -28,21 +28,12 @@ int LaneBudget::allowance() const {
 void LaneBudget::retire(int holder) {
   if (holder < 0 || holder >= n_holders_) return;
   if (retired_[holder].exchange(true, std::memory_order_acq_rel)) return;
-  const int after = live_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-  if (after > 0) donations_.fetch_add(1, std::memory_order_relaxed);
+  leave();
 }
 
-void SharedLaneBudget::leave() {
+void LaneBudget::leave() {
   const int after = live_.fetch_sub(1, std::memory_order_acq_rel) - 1;
   if (after > 0) donations_.fetch_add(1, std::memory_order_relaxed);
-}
-
-int SharedLaneBudget::allowance(int cap) const {
-  const int total = total_.load(std::memory_order_relaxed);
-  int l = live_.load(std::memory_order_relaxed);
-  l = std::max(1, std::min(l, total));
-  const int share = std::max(1, total / l);
-  return std::max(1, std::min(share, cap < 1 ? 1 : std::min(cap, total)));
 }
 
 GroupAssignment assign_fragments(const std::vector<double>& costs,

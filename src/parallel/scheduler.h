@@ -45,11 +45,23 @@ namespace ls3df {
 // the fixed split for any retirement order; with total == 1 the allowance
 // is pinned at 1 and donation is a structural no-op. All state is atomic:
 // retiring chains and sweeping readers never take a lock.
+//
+// == Cross-job lane sharing (the SolverService layer) ==
+//
+// A service splits the machine's lanes across jobs that join and leave
+// at arbitrary times, so its holder set is dynamic: it arms the budget
+// once with reset(total, 0), each running job join()s, and a finishing
+// job's leave() donates its lanes to the survivors, which pick them up at
+// their next allowance() read (the solver re-reads it at every outer-
+// iteration boundary via Ls3dfOptions::lane_allowance, clamps it to its
+// own n_workers, and feeds it per sweep through its own LaneBudget). The
+// same determinism contract means the split schedule can never change a
+// bit of any job's result.
 class LaneBudget {
  public:
   // Arm the budget: `total_lanes` pool lanes (>= 1 after clamping) shared
   // by `n_holders` holders, all initially live. Must not race with
-  // allowance()/retire() — call between dispatch rounds.
+  // allowance()/retire()/join()/leave() — call between dispatch rounds.
   void reset(int total_lanes, int n_holders);
 
   // Lanes a live holder may use right now. Never less than 1, never more
@@ -58,6 +70,11 @@ class LaneBudget {
 
   // Donate `holder`'s lanes back. Idempotent; out-of-range ids ignored.
   void retire(int holder);
+
+  // Dynamic holders (ids untracked): one more live holder, or one fewer —
+  // a leave() that leaves live holders behind counts one donation event.
+  void join() { live_.fetch_add(1, std::memory_order_acq_rel); }
+  void leave();
 
   int live() const { return live_.load(std::memory_order_relaxed); }
   int total() const { return total_; }
@@ -74,58 +91,6 @@ class LaneBudget {
   std::atomic<int> live_{0};
   std::atomic<long> donations_{0};
   std::unique_ptr<std::atomic<bool>[]> retired_;
-};
-
-// == Cross-job lane sharing (the SolverService layer) ==
-//
-// LaneBudget splits one dispatch round's lanes across a FIXED holder set;
-// a service splits the machine's lanes across jobs that join and leave at
-// arbitrary times. SharedLaneBudget is the dynamic sibling: each running
-// job is one live holder, allowance(cap) is the even split of the total
-// clamped by the job's own max_lanes cap, and a finishing job's leave()
-// donates its lanes to the survivors — which pick them up at their next
-// allowance() read (the solver re-reads it at every outer-iteration
-// boundary via Ls3dfOptions::lane_allowance, and per sweep through its
-// own LaneBudget). Execution width is arithmetically
-// invisible (thread_pool.h determinism contract), so the split schedule
-// can never change a bit of any job's result. All state is atomic:
-// join/leave/allowance never take a lock.
-class SharedLaneBudget {
- public:
-  explicit SharedLaneBudget(int total_lanes = 1) {
-    total_.store(total_lanes < 1 ? 1 : total_lanes,
-                 std::memory_order_relaxed);
-  }
-
-  // Resize the pool (quiescent only — between jobs, not mid-read).
-  void set_total(int total_lanes) {
-    total_.store(total_lanes < 1 ? 1 : total_lanes,
-                 std::memory_order_relaxed);
-  }
-  int total() const { return total_.load(std::memory_order_relaxed); }
-
-  // A job starts running: one more live holder.
-  void join() { live_.fetch_add(1, std::memory_order_acq_rel); }
-
-  // A running job finished: its lanes flow to the survivors. Counts one
-  // donation event when any survive.
-  void leave();
-
-  int live() const { return live_.load(std::memory_order_relaxed); }
-
-  // Lanes a live holder may use right now: the even split of the total
-  // over the live holders, clamped to [1, min(cap, total)].
-  int allowance(int cap) const;
-
-  // Cumulative count of leaves that had live survivors to widen.
-  long donation_events() const {
-    return donations_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<int> total_{1};
-  std::atomic<int> live_{0};
-  std::atomic<long> donations_{0};
 };
 
 struct GroupAssignment {

@@ -4,9 +4,11 @@
 #include <cassert>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "common/timer.h"
+#include "obs/trace.h"
 
 namespace ls3df {
 
@@ -33,8 +35,9 @@ void TaskGraph::run(ThreadPool& pool, int max_lanes) {
 
   // All scheduling state lives on the runner's stack; tasks posted to
   // the pool hold references into it. run() returns only once every
-  // posted task has retired (inflight == 0), so nothing dangles — even
-  // on the failure path, where already-posted tasks run their skip
+  // posted task has retired (inflight == 0) and the last one has stored
+  // `finished`, its final access to this state, so nothing dangles —
+  // even on the failure path, where already-posted tasks run their skip
   // branch before the runner wakes.
   struct RunState {
     std::mutex mu;
@@ -73,7 +76,9 @@ void TaskGraph::run(ThreadPool& pool, int max_lanes) {
     return out;
   };
 
-  std::function<void(int)> exec = [&](int id) {
+  // `pooled`: the task was dequeued from the pool (posted), not run
+  // inline by the runner.
+  std::function<void(int, bool)> exec = [&](int id, bool pooled) {
     // Once completion is published below, the runner may return and
     // destroy this closure; nothing may read captures after that point,
     // so take the pool address into a local up front.
@@ -86,6 +91,12 @@ void TaskGraph::run(ThreadPool& pool, int max_lanes) {
     bool ok = false;
     double t0 = 0, t1 = 0;
     if (!skip) {
+      // The pool lane-activity span of a posted task (ThreadPool::post).
+      // It closes at the end of this block, before completion is
+      // published: after that the runner may return and its caller free
+      // the trace recorder.
+      std::optional<TraceSpan> lane_span;
+      if (pooled) lane_span.emplace("pool.task", TraceCat::kPool);
       t0 = clock.seconds();
       try {
         tasks_[id].fn();
@@ -112,16 +123,22 @@ void TaskGraph::run(ThreadPool& pool, int max_lanes) {
       }
       to_post = claim(lock);
       done = st.remaining == 0 || (st.abandoned && st.inflight == 0);
-      if (done) st.finished.store(true, std::memory_order_release);
     }
     // `done` implies to_post is empty (nothing is claimable once the
     // graph finished), so the closure reads below happen only while the
     // graph — and therefore this closure — is still alive.
-    for (int next : to_post) pool_ptr->post([&exec, next]() { exec(next); });
-    // Wake the runner after releasing the graph lock (wake() takes the
-    // pool lock; taking it while holding st.mu would invert the order
-    // help_while uses). Locals only: the runner may already be gone.
-    if (done) pool_ptr->wake();
+    for (int next : to_post)
+      pool_ptr->post([&exec, next]() { exec(next, true); });
+    if (done) {
+      // Publish completion only after st.mu is released: once `finished`
+      // reads true the runner may return and its stack (st, this
+      // closure) be reused, so this store is the last touch of either.
+      // Then wake the runner (wake() takes the pool lock; taking it while
+      // holding st.mu would invert the order help_while uses) — locals
+      // only from here on.
+      st.finished.store(true, std::memory_order_release);
+      pool_ptr->wake();
+    }
   };
 
   std::vector<int> first;
@@ -133,9 +150,9 @@ void TaskGraph::run(ThreadPool& pool, int max_lanes) {
   // immediately instead of round-tripping through the queue.
   for (std::size_t i = 1; i < first.size(); ++i) {
     const int next = first[i];
-    pool.post([&exec, next]() { exec(next); });
+    pool.post([&exec, next]() { exec(next, true); });
   }
-  if (!first.empty()) exec(first[0]);
+  if (!first.empty()) exec(first[0], false);
   pool.help_while(
       [&st]() { return st.finished.load(std::memory_order_acquire); });
   if (st.error) std::rethrow_exception(st.error);

@@ -40,14 +40,19 @@ long ThreadPool::tasks_executed() const {
 
 void ThreadPool::run_task(const QueueItem& item) {
   // Re-install the submitter's observability context for the duration of
-  // the task; the lane-activity span is recorded only when a recorder is
-  // installed (TraceSpan is a null check otherwise).
+  // the task.
   ObsContextScope obs_scope(item.ctx);
-  TraceSpan lane_span("pool.task", TraceCat::kPool);
+  // A post()ed task owns its lane-activity span (see post()): once it
+  // publishes its completion, its submitter may return and free the
+  // recorder, so no span may close after item.fn() returns.
   if (!item.batch) {
     item.fn();
     return;
   }
+  // A batch task's waiter cannot return before finish_batch_task(), so
+  // this span closes while the recorder is still alive. It is recorded
+  // only when a recorder is installed (a null check otherwise).
+  TraceSpan lane_span("pool.task", TraceCat::kPool);
   Batch* batch = item.batch;
   // Remaining tasks of a failed batch are skipped (but still counted
   // down in finish_batch_task so the waiter can return).

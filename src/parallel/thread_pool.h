@@ -96,6 +96,9 @@ class ThreadPool {
   // must not throw — there is no waiter to receive the exception. This
   // is the TaskGraph's dynamic-arming primitive: a finishing graph task
   // posts its newly-ready successors instead of parking lanes on them.
+  // The pool records no "pool.task" span for a posted task: fn must open
+  // its own and close it before publishing its completion, because the
+  // waiter may then return and free the trace recorder.
   void post(std::function<void()> fn);
 
   // Pop and run queued tasks until `done()` returns true, sleeping when

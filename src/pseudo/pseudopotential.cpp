@@ -15,7 +15,7 @@ using cd = std::complex<double>;
 
 namespace {
 
-const PseudoParams kDefaultParams[] = {
+const PseudoParams kParams[static_cast<int>(Species::kCount)] = {
     // zval  rloc   c1    rc1    d0    r0    d1    r1
     {2.0, 1.10, 0.90, 0.90, 1.20, 1.00, 0.00, 1.00},   // Zn
     {6.0, 1.25, -0.35, 1.10, 2.20, 1.05, 0.80, 1.25},  // Te
@@ -29,25 +29,10 @@ const PseudoParams kDefaultParams[] = {
     {4.0, 1.05, -0.10, 0.95, 1.60, 1.00, 0.40, 1.05},  // Si
 };
 
-PseudoParams g_params[static_cast<int>(Species::kCount)] = {
-    kDefaultParams[0], kDefaultParams[1], kDefaultParams[2],
-    kDefaultParams[3], kDefaultParams[4], kDefaultParams[5],
-    kDefaultParams[6]};
-
 }  // namespace
 
 const PseudoParams& pseudo_params(Species s) {
-  return g_params[static_cast<int>(s)];
-}
-
-void set_pseudo_params(Species s, const PseudoParams& p) {
-  assert(p.zval == species_valence(s));
-  g_params[static_cast<int>(s)] = p;
-}
-
-void reset_pseudo_params() {
-  for (int i = 0; i < static_cast<int>(Species::kCount); ++i)
-    g_params[i] = kDefaultParams[i];
+  return kParams[static_cast<int>(s)];
 }
 
 double vloc_q(const PseudoParams& p, double q2) {

@@ -38,14 +38,9 @@ struct PseudoParams {
 
 // Model parameters per species (tuned so that ZnTe-class cells are
 // semiconducting and O substitution pulls states below the host CBM).
+// The table is read-only, so every solve in the process sees the same
+// physics.
 const PseudoParams& pseudo_params(Species s);
-
-// Override the model parameters for a species (process-global; affects
-// Hamiltonians constructed afterwards). zval must stay equal to the
-// species' valence so electron counting remains consistent.
-void set_pseudo_params(Species s, const PseudoParams& p);
-// Restore the built-in defaults for all species.
-void reset_pseudo_params();
 
 // v_loc(q) for one atom of species s, without the structure factor or the
 // 1/volume normalization; q2 = |q|^2. At q = 0 returns the regular part.

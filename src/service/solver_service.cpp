@@ -51,9 +51,8 @@ std::string instance_key(const Structure& s, const Ls3dfOptions& o) {
     << o.wall_height << '|' << o.wall_width << '|' << o.atom_margin << '|'
     << o.extra_bands << '|' << o.fragment_smearing << '|'
     << o.eig.max_iterations << '|' << o.eig.residual_tol << '|'
-    << o.eig.precondition << '|' << o.max_iterations
-    << '|' << o.l1_tol << '|' << static_cast<int>(o.mixer) << '|'
-    << o.mix_alpha << '|' << o.seed << '|' << o.n_workers << '|'
+    << o.eig.precondition << '|' << o.max_iterations << '|' << o.l1_tol
+    << '|' << o.mix_alpha << '|' << o.seed << '|' << o.n_workers << '|'
     << o.batch_width << '|' << o.n_shards << '|'
     << static_cast<int>(o.transport) << '|' << o.compute_energy << '|'
     << static_cast<int>(o.precision) << '|' << o.promote_factor;
@@ -113,7 +112,7 @@ struct SolverService::Job {
 
 struct SolverService::Impl {
   SolverServiceOptions opt;
-  SharedLaneBudget lanes;
+  LaneBudget lanes;  // armed with no fixed holders; jobs join/leave
 
   mutable std::mutex mu;
   std::condition_variable cv_work, cv_done;
@@ -228,16 +227,12 @@ struct SolverService::Impl {
       j->iterations.store(p.iteration, std::memory_order_relaxed);
       if (user) user(p);
     });
-    int cap = job.spec.max_lanes > 0 ? job.spec.max_lanes
-                                     : job.spec.options.n_workers;
-    if (cap < 1) cap = 1;
-    SharedLaneBudget* budget = &lanes;
-    solver.set_lane_allowance(
-        [budget, cap] { return budget->allowance(cap); });
+    LaneBudget* budget = &lanes;
+    solver.set_lane_allowance([budget] { return budget->allowance(); });
     CheckpointOptions ck = job.spec.options.checkpoint;
     if (ck.path.empty() && !job.ck_path.empty()) {
       ck.path = job.ck_path;
-      ck.every = opt.checkpoint_every;
+      ck.every = 1;
     }
     solver.set_checkpoint(ck);
     if (job.spec.on_bind) job.spec.on_bind(solver);
@@ -274,7 +269,7 @@ struct SolverService::Impl {
   }
 
   void park(Job& job, std::unique_ptr<Ls3dfSolver> solver) {
-    if (job.key.empty() || opt.max_warm_instances <= 0 || !solver) return;
+    if (job.key.empty() || !solver) return;
     // Unbind the per-job hooks so the parked instance holds no dangling
     // per-job pointers.
     solver->set_trace(nullptr);
@@ -283,7 +278,7 @@ struct SolverService::Impl {
     solver->set_checkpoint(CheckpointOptions{});
     std::lock_guard<std::mutex> lk(mu);
     idle.push_back(Warm{job.key, std::move(solver)});
-    while (static_cast<int>(idle.size()) > opt.max_warm_instances)
+    while (static_cast<int>(idle.size()) > kMaxWarmInstances)
       idle.pop_front();
   }
 
@@ -351,8 +346,7 @@ struct SolverService::Impl {
         break;
       } catch (const std::exception& e) {
         error = e.what();
-        if (job.retries.load(std::memory_order_relaxed) >=
-            opt.max_retries)
+        if (job.retries.load(std::memory_order_relaxed) >= kMaxRetries)
           break;
         job.retries.fetch_add(1, std::memory_order_relaxed);
         {
@@ -396,7 +390,7 @@ struct SolverService::Impl {
 SolverService::SolverService(SolverServiceOptions opt)
     : impl_(std::make_unique<Impl>()) {
   impl_->opt = opt;
-  impl_->lanes.set_total(opt.total_lanes);
+  impl_->lanes.reset(opt.total_lanes, 0);
   const int n = std::max(1, opt.max_concurrent);
   impl_->drivers.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)

@@ -11,7 +11,8 @@
 //   warm instances   Ls3dfSolver construction is the expensive part
 //                    (fragment Hamiltonians, transports, FFT plan
 //                    caches, workspace arenas). Instances whose job
-//                    finished are parked in a bounded idle pool keyed by
+//                    finished are parked in an idle pool (at most
+//                    kMaxWarmInstances, oldest evicted first) keyed by
 //                    an exact (structure + structural options) key; a
 //                    new job with the same key adopts the parked
 //                    instance and only re-points the per-job execution
@@ -32,7 +33,7 @@
 //     submit() -> kQueued -> kRunning -> kDone
 //                               |  ^        \-> (terminal)
 //                               v  | recover()+resume()
-//                             attempt failed (<= max_retries)
+//                             attempt failed (<= kMaxRetries)
 //                               |
 //                               v (budget exhausted)
 //                             kFailed
@@ -48,14 +49,15 @@
 //
 //   == lane-sharing rules ==
 //
-//     The service owns a SharedLaneBudget of total_lanes. A job joins
-//     the budget while it runs and leaves when it finishes; its live
-//     allowance is max(1, total / live_jobs), clamped by the job's
-//     max_lanes cap. The solver re-reads the allowance at every outer-
-//     iteration boundary (Ls3dfOptions::lane_allowance) and feeds it
-//     through its own LaneBudget to every batched kernel sweep, so a
-//     finishing job's lanes reach the survivors mid-solve. Worker width
-//     is arithmetically invisible (ordered reductions, ordered-commit
+//     The service owns a LaneBudget of total_lanes, armed with no fixed
+//     holders. A job join()s the budget while it runs and leave()s when
+//     it finishes; its live allowance is max(1, total / live_jobs), which
+//     the solver clamps to the job's own n_workers. The solver re-reads
+//     the allowance at every outer-iteration boundary
+//     (Ls3dfOptions::lane_allowance) and feeds it through its own
+//     LaneBudget to every batched kernel sweep, so a finishing job's
+//     lanes reach the survivors mid-solve. Worker width is
+//     arithmetically invisible (ordered reductions, ordered-commit
 //     patching, worker-invariant kernels), so every job's result stays
 //     bit-identical to a standalone Ls3dfSolver::solve() with the same
 //     options — the service-vs-standalone dimension of the equivalence
@@ -64,14 +66,15 @@
 //   == retry / warm-start policy ==
 //
 //     Durability rides on the checkpoint layer: when checkpoint_dir is
-//     set, each job snapshots to its own file at the configured cadence.
-//     A thrown attempt consumes one retry: the driver first heals the
-//     job's transport in place (ProcTransport::recover() respawns dead
-//     or lagging workers; a clean transport is an idempotent no-op),
-//     rebuilding the instance from scratch only if recovery reports
-//     failure, then resumes from the job's newest snapshot (bit-
-//     identical continuation) or restarts cold when none exists. After
-//     max_retries the job latches kFailed with the last error.
+//     set, each job snapshots to its own file after every outer
+//     iteration. A thrown attempt consumes one retry: the driver first
+//     heals the job's transport in place (ProcTransport::recover()
+//     respawns dead or lagging workers; a clean transport is an
+//     idempotent no-op), rebuilding the instance from scratch only if
+//     recovery reports failure, then resumes from the job's newest
+//     snapshot (bit-identical continuation) or restarts cold when none
+//     exists. After kMaxRetries the job latches kFailed with the last
+//     error.
 //
 //     Completed jobs that checkpointed register their final (converged)
 //     snapshot under the solver's state fingerprint. A later job whose
@@ -107,13 +110,12 @@ class TraceRecorder;
 // A submitted unit of work: the full per-job solver configuration plus
 // the service-level scheduling knobs.
 struct JobSpec {
-  Ls3dfOptions options;  // heterogeneous per-job solver options
+  // Heterogeneous per-job solver options. The job never runs wider than
+  // options.n_workers: set it to the job's maximum width and let the
+  // shared allowance clamp downward.
+  Ls3dfOptions options;
   // Higher runs earlier; FIFO within a priority class after LPT order.
   int priority = 0;
-  // Cap on this job's live lanes. 0 = options.n_workers. The solver
-  // additionally never exceeds its own n_workers, so set n_workers to
-  // the job's maximum width and let the allowance clamp downward.
-  int max_lanes = 0;
   std::string name;  // label for status/metrics; "" = "job<id>"
   // LPT weight of this job; 0 derives an analytic estimate from the
   // options (cells x points^3 x iteration caps).
@@ -153,23 +155,23 @@ struct SolverServiceOptions {
   // live jobs, so max_concurrent > total_lanes just pins every job at
   // width 1.
   int max_concurrent = 4;
-  // recover()+resume() cycles per job before it latches kFailed.
-  int max_retries = 2;
   // Directory for per-job snapshots and the warm-start registry. "" =
   // durability off (no retries from snapshots, no warm starts; failed
   // attempts restart cold).
   std::string checkpoint_dir;
-  int checkpoint_every = 1;  // snapshot cadence in outer iterations
   bool warm_start = true;    // reuse fingerprint-compatible snapshots
   // Per-job TraceRecorder ring capacity; 0 disables per-job tracing.
   std::size_t trace_capacity = 4096;
-  // Idle warm-instance pool bound (oldest evicted first).
-  int max_warm_instances = 4;
 };
 
 class SolverService {
  public:
   using JobId = std::uint64_t;
+
+  // recover()+resume() cycles per job before it latches kFailed.
+  static constexpr int kMaxRetries = 2;
+  // Idle warm-instance pool bound (oldest evicted first).
+  static constexpr int kMaxWarmInstances = 4;
 
   explicit SolverService(SolverServiceOptions opt = {});
   // Drains the queue (every submitted job reaches a terminal state),

@@ -7,6 +7,7 @@
 // interrupted, on one shard, several shards and the proc transport.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -278,10 +279,10 @@ void expect_bitwise_equal(const Ls3dfResult& r, const Ls3dfResult& ref) {
 // batch starts (batches_per_iter calls have completed iteration 1, ...).
 std::function<void(int)> crash_at_iteration(int iteration,
                                             int batches_per_iter,
-                                            int* counter) {
+                                            std::atomic<int>* counter) {
   const int fatal = (iteration - 1) * batches_per_iter;
   return [fatal, counter](int) {
-    if ((*counter)++ == fatal)
+    if (counter->fetch_add(1) == fatal)
       throw std::runtime_error("injected crash");
   };
 }
@@ -356,7 +357,7 @@ TEST(CheckpointResume, SingleShardKillAndResumeIsBitIdentical) {
   Ls3dfOptions crash = lo;
   crash.checkpoint.path = path;
   Ls3dfSolver probe(s, crash);
-  int counter = 0;
+  std::atomic<int> counter{0};
   crash.on_batch_solve = crash_at_iteration(
       2, static_cast<int>(probe.batches().size()), &counter);
   Ls3dfSolver victim(s, crash);
@@ -442,7 +443,7 @@ TEST(CheckpointResume, ShardedKillAndResumeIsBitIdentical) {
   Ls3dfOptions crash = lo;
   crash.checkpoint.path = path;
   Ls3dfSolver probe(s, crash);
-  int counter = 0;
+  std::atomic<int> counter{0};
   crash.on_batch_solve = crash_at_iteration(
       3, static_cast<int>(probe.batches().size()), &counter);
   Ls3dfSolver victim(s, crash);

@@ -12,6 +12,7 @@
 // message carries the seed + draw index for replay.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -149,9 +150,9 @@ TEST(CrossPathEquivalence, KillAndResumeMatchesGoldenBits) {
     crash.checkpoint.path = path;
     Ls3dfSolver probe(s, crash);
     const int per_iter = static_cast<int>(probe.batches().size());
-    int counter = 0;
+    std::atomic<int> counter{0};
     crash.on_batch_solve = [&counter, per_iter](int) {
-      if (counter++ == per_iter)
+      if (counter.fetch_add(1) == per_iter)
         throw std::runtime_error("injected crash");
     };
     Ls3dfSolver victim(s, crash);

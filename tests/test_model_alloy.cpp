@@ -120,15 +120,5 @@ TEST(ModelAlloy, OxygenWellDeepensLocalPotential) {
   EXPECT_LT(ox_depth, te_depth);
 }
 
-TEST(PseudoOverride, SetAndReset) {
-  const PseudoParams original = pseudo_params(Species::kTe);
-  PseudoParams p = original;
-  p.d0 = 9.0;
-  set_pseudo_params(Species::kTe, p);
-  EXPECT_DOUBLE_EQ(pseudo_params(Species::kTe).d0, 9.0);
-  reset_pseudo_params();
-  EXPECT_DOUBLE_EQ(pseudo_params(Species::kTe).d0, original.d0);
-}
-
 }  // namespace
 }  // namespace ls3df

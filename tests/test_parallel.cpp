@@ -3,12 +3,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/context.h"
+#include "obs/trace.h"
 #include "parallel/scheduler.h"
 #include "parallel/task_graph.h"
 #include "parallel/thread_pool.h"
@@ -312,6 +315,21 @@ TEST(TaskGraph, RunsTwice) {
   EXPECT_EQ(runs.load(), 4);
 }
 
+TEST(TaskGraph, PostedTaskSpansCloseBeforeRunReturns) {
+  // A posted graph task's lane span must close before its completion is
+  // published: run() may return right after, and its caller free the
+  // recorder. Under ASan a span closing late is a heap-use-after-free.
+  for (int round = 0; round < 2000; ++round) {
+    auto rec = std::make_unique<TraceRecorder>(256);
+    ObsContext ctx = obs_context();
+    ctx.trace = rec.get();
+    ObsContextScope scope(ctx);
+    TaskGraph g;
+    for (int i = 0; i < 8; ++i) g.add([] {});
+    g.run(shared_pool(), 4);
+  }  // scope uninstalls the recorder, then rec frees it
+}
+
 TEST(Scheduler, UniformCostsBalancePerfectly) {
   std::vector<double> costs(64, 1.0);
   GroupAssignment ga = assign_fragments(costs, 8);
@@ -435,6 +453,35 @@ TEST(LaneBudget, OneLanePinsAllowanceAtOne) {
   // Degenerate arm: clamped to one lane, allowance still 1.
   lb.reset(0, 0);
   EXPECT_EQ(lb.allowance(), 1);
+}
+
+TEST(LaneBudget, JoinLeaveSplitsEvenlyAcrossLiveHolders) {
+  // The service's arming: no fixed holders, jobs join and leave.
+  LaneBudget lb;
+  lb.reset(8, 0);
+  EXPECT_EQ(lb.live(), 0);
+  EXPECT_EQ(lb.total(), 8);
+  for (int live = 1; live <= 10; ++live) {
+    lb.join();
+    EXPECT_EQ(lb.live(), live);
+    EXPECT_EQ(lb.allowance(), std::max(1, 8 / std::min(live, 8))) << live;
+  }
+}
+
+TEST(LaneBudget, LeaveDonatesOnlyToSurvivors) {
+  LaneBudget lb;
+  lb.reset(4, 0);
+  const long base = lb.donation_events();
+  lb.join();
+  lb.join();
+  EXPECT_EQ(lb.allowance(), 2);
+  lb.leave();  // one survivor widens: one donation
+  EXPECT_EQ(lb.live(), 1);
+  EXPECT_EQ(lb.allowance(), 4);
+  EXPECT_EQ(lb.donation_events(), base + 1);
+  lb.leave();  // the last holder leaves nobody to widen
+  EXPECT_EQ(lb.live(), 0);
+  EXPECT_EQ(lb.donation_events(), base + 1);
 }
 
 TEST(LaneBudget, ConcurrentRetireAndAllowanceStress) {

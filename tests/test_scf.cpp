@@ -221,35 +221,12 @@ TEST(Scf, DegenerateShellNeedsSmearing) {
   EXPECT_NEAR(frac, 4.0, 0.3);
 }
 
-class MixerConvergence : public ::testing::TestWithParam<MixerType> {};
-
-TEST_P(MixerConvergence, AllSchemesConverge) {
+TEST(MixerConvergence, PulayConverges) {
   ScfOptions opt = tiny_options();
-  opt.mixer = GetParam();
   opt.mix_alpha = 0.4;
   opt.max_iterations = 150;
   ScfResult r = run_scf(h2_cell(), opt);
-  EXPECT_TRUE(r.converged)
-      << "mixer " << static_cast<int>(GetParam()) << " final residual "
-      << r.conv_history.back();
-}
-
-INSTANTIATE_TEST_SUITE_P(AllMixers, MixerConvergence,
-                         ::testing::Values(MixerType::kLinear,
-                                           MixerType::kKerker,
-                                           MixerType::kPulay));
-
-TEST(Mixer, PulayNoSlowerThanLinear) {
-  ScfOptions opt = tiny_options();
-  opt.max_iterations = 150;
-  opt.l1_tol = 1e-5;
-  opt.mixer = MixerType::kLinear;
-  opt.mix_alpha = 0.4;
-  ScfResult lin = run_scf(h2_cell(), opt);
-  opt.mixer = MixerType::kPulay;
-  ScfResult pul = run_scf(h2_cell(), opt);
-  ASSERT_TRUE(lin.converged && pul.converged);
-  EXPECT_LE(pul.iterations, lin.iterations + 2);
+  EXPECT_TRUE(r.converged) << "final residual " << r.conv_history.back();
 }
 
 TEST(Fsm, FindsInteriorStatesNearReference) {

@@ -477,7 +477,7 @@ TEST(Service, ServiceJsonAndAggregatedMetrics) {
   EXPECT_EQ(service.wait(good).state, JobState::kDone);
   const JobStatus st = service.wait(doomed);
   EXPECT_EQ(st.state, JobState::kFailed);
-  EXPECT_EQ(st.retries, so.max_retries);
+  EXPECT_EQ(st.retries, SolverService::kMaxRetries);
   EXPECT_NE(st.error.find("progress callback threw"), std::string::npos)
       << st.error;
   EXPECT_NE(st.error.find("always broken"), std::string::npos) << st.error;
