@@ -1,5 +1,6 @@
 #include "atoms/io.h"
 
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <ostream>
@@ -77,6 +78,9 @@ Structure read_xyz(std::istream& is) {
   std::istringstream lat(comment.substr(pos + tag.size()));
   if (!(lat >> L.x >> comma >> L.y >> comma >> L.z))
     throw std::runtime_error("read_xyz: malformed lattice");
+  for (int i = 0; i < 3; ++i)
+    if (!(L[i] > 0))
+      throw std::runtime_error("read_xyz: lattice lengths must be positive");
 
   Structure s{Lattice(L)};  // braces: avoid the most vexing parse
   for (int i = 0; i < n; ++i) {
@@ -84,7 +88,11 @@ Structure read_xyz(std::istream& is) {
     Vec3d p;
     if (!(is >> sym >> p.x >> p.y >> p.z))
       throw std::runtime_error("read_xyz: truncated atom list");
-    s.add_atom(species_from_symbol(sym), p * units::kAngstromToBohr);
+    const Vec3d bohr = p * units::kAngstromToBohr;
+    if (!std::isfinite(bohr.x) || !std::isfinite(bohr.y) ||
+        !std::isfinite(bohr.z))
+      throw std::runtime_error("read_xyz: non-finite atom coordinate");
+    s.add_atom(species_from_symbol(sym), bohr);
   }
   return s;
 }

@@ -1,11 +1,8 @@
-// Wall-clock timing and a named phase profiler. The LS3DF driver reports
-// per-phase times (Gen_VF, PEtot_F, Gen_dens, GENPOT) exactly as the paper
-// does for its optimization study (Sec. IV).
+// Wall-clock timing. Per-phase solver times (the paper's Sec. IV study)
+// are phase.*_s histograms in the solver's MetricsRegistry.
 #pragma once
 
 #include <chrono>
-#include <map>
-#include <string>
 
 namespace ls3df {
 
@@ -20,52 +17,6 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-// Accumulates wall time per named phase. Not thread safe by design: each
-// worker owns its own profiler and they are merged by the caller.
-class PhaseProfiler {
- public:
-  void add(const std::string& phase, double seconds) {
-    totals_[phase] += seconds;
-    counts_[phase] += 1;
-  }
-  double total(const std::string& phase) const {
-    auto it = totals_.find(phase);
-    return it == totals_.end() ? 0.0 : it->second;
-  }
-  long count(const std::string& phase) const {
-    auto it = counts_.find(phase);
-    return it == counts_.end() ? 0 : it->second;
-  }
-  const std::map<std::string, double>& totals() const { return totals_; }
-  void merge(const PhaseProfiler& other) {
-    for (const auto& [k, v] : other.totals_) totals_[k] += v;
-    for (const auto& [k, v] : other.counts_) counts_[k] += v;
-  }
-  void clear() {
-    totals_.clear();
-    counts_.clear();
-  }
-
- private:
-  std::map<std::string, double> totals_;
-  std::map<std::string, long> counts_;
-};
-
-// RAII helper: adds elapsed time to a profiler phase on destruction.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseProfiler& prof, std::string phase)
-      : prof_(prof), phase_(std::move(phase)) {}
-  ~ScopedPhase() { prof_.add(phase_, timer_.seconds()); }
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseProfiler& prof_;
-  std::string phase_;
-  Timer timer_;
 };
 
 }  // namespace ls3df

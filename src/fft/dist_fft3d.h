@@ -95,7 +95,7 @@ class DistFft3D {
   std::size_t scratch_size(int r) const { return scratch_[r].size(); }
 
   // Wall seconds spent in the transpose (pack + unpack) phases since the
-  // last call — the GENPOT.transpose sub-phase feed.
+  // last call — the feed of the phase.genpot_transpose_s histogram.
   double take_transpose_seconds() {
     const double t = transpose_s_;
     transpose_s_ = 0;

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "checkpoint/snapshot.h"
+#include "common/timer.h"
 #include "dft/eigensolver.h"
 #include "fft/dist_fft3d.h"
 #include "fft/fft.h"
@@ -630,9 +631,10 @@ void Ls3dfSolver::genpot_sharded(const ShardedFieldR& rho,
   s.fft.take_transpose_seconds();
   sharded_effective_potential(s.vion, rho, structure_.lattice(), s.fft,
                               s.vh, s.vxc, v_out);
-  // Surface the all-to-all cost next to the compute phases: one
-  // GENPOT.transpose sample per genpot call (forward + inverse packs).
-  profile_.add("GENPOT.transpose", s.fft.take_transpose_seconds());
+  // Surface the all-to-all cost next to the compute phases: one sample
+  // per genpot call (forward + inverse packs).
+  metrics_.observe("phase.genpot_transpose_s",
+                   s.fft.take_transpose_seconds());
 }
 
 int Ls3dfSolver::fragment_owner(int f) const {
@@ -999,7 +1001,6 @@ void Ls3dfSolver::maybe_write_checkpoint(const Ls3dfResult& result,
   const int every = std::max(1, ck.every);
   if (!result.converged && result.iterations % every != 0) return;
 
-  ScopedPhase sp(profile_, "Checkpoint");
   TraceSpan ck_span("Checkpoint", TraceCat::kCheckpoint);
   Timer ck_timer;
   // Under SPMD only rank 0 owns the snapshot file; every rank still
@@ -1099,6 +1100,13 @@ void Ls3dfSolver::load_resume(const SnapshotReader& r) {
 
   std::uint64_t meta[8];
   r.read_u64("meta", meta, 8);
+  // Valid CRCs vouch for bytes, not counts: check each before it sizes an
+  // allocation or a loop (the writer records iterations == history length).
+  if (meta[7] != r.f64_count("conv_history") || meta[0] != meta[7] ||
+      meta[6] > static_cast<std::uint64_t>(kDiisHistory))
+    throw SnapshotError(
+        SnapshotErrorCode::kFormat,
+        "snapshot " + r.path() + ": inconsistent iteration/history counts");
   auto rs = std::make_unique<ResumeState>();
   rs->iterations = static_cast<int>(meta[0]);
   rs->converged = meta[1] != 0;
@@ -1177,7 +1185,6 @@ Ls3dfResult Ls3dfSolver::resume(const std::string& snapshot_path) {
     resume_.reset();
     if (opt_.compute_energy) compute_patched_energy(result);
     finalize_observability(result);
-    result.profile = profile_;
     return result;
   }
 
@@ -1205,15 +1212,13 @@ ObsContext Ls3dfSolver::obs_ctx() const {
   return ctx;
 }
 
-// Per-outer-iteration bookkeeping of the solve loop: metric
-// series, iteration counters, and the user progress callback. The band
-// energy is the RANK-LOCAL signed partial sum over owned fragments
-// (sum_f sign_F * sum_b occ_b * eps_b) — deliberately communication-
-// free, so per-rank observability can never desynchronize the SPMD
-// collective sequence (see Ls3dfProgress in ls3df.h).
+// Per-outer-iteration bookkeeping of the solve loop: metric series,
+// iteration counters, and the user progress callback. iter.band_energy is
+// the RANK-LOCAL signed partial sum over owned fragments (sum_f sign_F *
+// sum_b occ_b * eps_b): communication-free, so observability can never
+// desynchronize the SPMD collective sequence.
 void Ls3dfSolver::record_iteration(const Ls3dfResult& result, double l1,
-                                   double wall_s, bool fp32,
-                                   const std::map<std::string, double>& prof0) {
+                                   double wall_s) {
   double band_e = 0;
   for (int f = own_begin_; f < own_end_; ++f) {
     const FragmentContext& ctx = *contexts_[f];
@@ -1228,28 +1233,10 @@ void Ls3dfSolver::record_iteration(const Ls3dfResult& result, double l1,
   metrics_.push("iter.band_energy", band_e);
   metrics_.push("iter.wall_s", wall_s);
   metrics_.add("solver.iterations");
-  if (fp32) metrics_.add("solver.fp32_iterations");
+  if (use_fp32_iter_) metrics_.add("solver.fp32_iterations");
   if (!opt_.progress) return;
 
-  const std::map<std::string, double>& now = profile_.totals();
-  const auto delta = [&](const char* key) {
-    const auto a = now.find(key);
-    if (a == now.end()) return 0.0;
-    const auto b = prof0.find(key);
-    return a->second - (b == prof0.end() ? 0.0 : b->second);
-  };
-  Ls3dfProgress prog;
-  prog.iteration = result.iterations;
-  prog.residual = l1;
-  prog.band_energy = band_e;
-  prog.fp32 = fp32;
-  prog.wall_s = wall_s;
-  prog.gen_vf_s = delta("Gen_VF");
-  prog.petot_s = delta("PEtot_F");
-  prog.gen_dens_s = delta("Gen_dens");
-  prog.genpot_s = delta("GENPOT");
-  prog.mix_s = delta("Mix");
-  prog.checkpoint_s = delta("Checkpoint");
+  const Ls3dfProgress prog{result.iterations, l1, wall_s};
   // The callback is user code running at the end-of-iteration sequence
   // point — after the iteration's TaskGraph / engine work has fully
   // drained. Latch anything it throws as a solver-attributed error so
@@ -1353,6 +1340,9 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
   enum Phase { kGenVf = 0, kPetot, kGenDens, kGenpot, kMix, kNumPhases };
   static const char* const kPhaseName[kNumPhases] = {
       "Gen_VF", "PEtot_F", "Gen_dens", "GENPOT", "Mix"};
+  static const char* const kPhaseMetric[kNumPhases] = {
+      "phase.gen_vf_s", "phase.petot_f_s", "phase.gen_dens_s",
+      "phase.genpot_s", "phase.mix_s"};
   double overlap_sum = 0;
   double l1 = 0;
   bool converged = false;
@@ -1559,8 +1549,8 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
                                     sharded_assemble_potential(
                                         sh.vion, sh.rho, sh.vh, sh.vxc,
                                         sh.v_out, sh.comm);
-                                    profile_.add(
-                                        "GENPOT.transpose",
+                                    metrics_.observe(
+                                        "phase.genpot_transpose_s",
                                         sh.fft.take_transpose_seconds());
                                   },
                                   {hart}),
@@ -1610,7 +1600,6 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
     const int live = refresh_live_lanes();
     lane_budget_.reset(live, std::max(1, n_batches));
     Timer iter_timer;
-    const std::map<std::string, double> prof0 = profile_.totals();
     std::fill(times.begin(), times.end(), std::make_pair(0.0, -1.0));
     if (opt_.trace) graph_epoch_us = opt_.trace->now_us();
     g.run(shared_pool(), live);
@@ -1624,8 +1613,8 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
                        opt_.trace->now_us(),
                        static_cast<std::uint64_t>(iter + 1));
 
-    // Attribution: per-phase busy sums (one profile sample per phase per
-    // iteration), per-chain times, and the measured window overlap.
+    // Attribution: per-phase busy sums (one phase.*_s sample per phase
+    // per iteration), per-chain times, and the measured window overlap.
     double busy[kNumPhases] = {};
     double lo[kNumPhases], hi[kNumPhases];
     bool seen[kNumPhases] = {};
@@ -1651,10 +1640,9 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
       }
     }
     for (int ph = 0; ph < kNumPhases; ++ph)
-      profile_.add(kPhaseName[ph], busy[ph]);
+      metrics_.observe(kPhaseMetric[ph], busy[ph]);
     const double wall = iter_timer.seconds();
-    profile_.add("Iter.wall", wall);
-    record_iteration(result, l1, wall, use_fp32_iter_, prof0);
+    record_iteration(result, l1, wall);
 
     // Overlap fraction: how much of the phase windows' combined length
     // exceeds their union, relative to the iteration wall. Back-to-back
@@ -1688,7 +1676,6 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
 
   if (opt_.compute_energy) compute_patched_energy(result);
   finalize_observability(result);
-  result.profile = profile_;
   return result;
 }
 

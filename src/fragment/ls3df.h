@@ -71,12 +71,13 @@
 // ones (parallel/scheduler.h, LaneBudget); every batched kernel is
 // worker-count-invariant, so donation cannot change a bit.
 //
-// Profiling: phase windows are not disjoint, so the four phase keys
-// carry *attributed* per-node busy time (one sample per iteration,
-// summing to the iteration wall on one lane), "Mix" holds the
-// convergence-metric + mixer tail, "Iter.wall" the measured iteration
-// wall, and Ls3dfResult::overlap_fraction / chain_times report the
-// measured phase-window overlap and the per-chain breakdown.
+// Profiling: phase windows are not disjoint, so the metrics registry's
+// phase.{gen_vf,petot_f,gen_dens,genpot,mix}_s histograms take one
+// *attributed* per-node busy sample per iteration (summing to the
+// iter.wall_s series on one lane; mix = convergence metric + mixer
+// tail), phase.genpot_transpose_s one all-to-all sample per GENPOT call,
+// and Ls3dfResult::overlap_fraction / chain_times report the measured
+// phase-window overlap and the per-chain breakdown.
 #pragma once
 
 #include <cstdint>
@@ -87,7 +88,6 @@
 
 #include "atoms/structure.h"
 #include "common/rng.h"
-#include "common/timer.h"
 #include "dft/eigensolver.h"
 #include "dft/energy.h"
 #include "dft/mixing.h"
@@ -134,26 +134,12 @@ enum class Precision {
 // at the end-of-iteration sequence point of the solve loop — the same
 // point that writes checkpoints, after the mixer has produced the next
 // iteration's input. All fields are observations of work already
-// done; the callback cannot perturb the trajectory.
+// done; the callback cannot perturb the trajectory. Band energy, fp32
+// use and per-phase times are in Ls3dfResult::metrics.
 struct Ls3dfProgress {
   int iteration = 0;     // 1-based completed outer iteration
   double residual = 0;   // int |V_out - V_in| d3r (the L1 metric)
-  // Rank-local signed band-energy partial: sum over *owned* fragments F
-  // of alpha_F * sum_i occ_i eps_i. Deliberately communication-free —
-  // enabling progress on one SPMD rank can never desynchronize the
-  // collective sequence — so under SPMD each rank reports its own
-  // share (they sum to the global signed band energy).
-  double band_energy = 0;
-  bool fp32 = false;     // this iteration ran the fp32 fast path
   double wall_s = 0;     // measured iteration wall seconds
-  // Per-phase seconds attributed to this iteration: profiler deltas of
-  // the attributed per-node busy sums of the iteration's chain DAG.
-  double gen_vf_s = 0;
-  double petot_s = 0;
-  double gen_dens_s = 0;
-  double genpot_s = 0;
-  double mix_s = 0;       // L1 metric + mixer update node
-  double checkpoint_s = 0;
 };
 
 struct Ls3dfOptions {
@@ -294,12 +280,6 @@ struct Ls3dfResult {
   int iterations = 0;
   bool converged = false;
   double charge_patch_error = 0;     // |int rho_patched - N_e| before rescale
-  // Gen_VF / PEtot_F / Gen_dens / GENPOT as attributed per-node busy
-  // time (the chain DAG has no disjoint phase windows), plus "Mix" (L1
-  // metric + mixer update), "Iter.wall" (measured iteration wall) and the
-  // GENPOT.transpose sub-phase (the all-to-all cost) — on one worker lane
-  // the attributed keys sum to Iter.wall.
-  PhaseProfiler profile;
   // Per-chain attribution, one entry per PEtot_F batch: chain b is batch
   // b's restrict -> solve -> ordered-patch-commit chain, seconds summed
   // across outer iterations.
@@ -312,10 +292,12 @@ struct Ls3dfResult {
   // would score 0; interleaved chains score > 0 — even on one core,
   // where the win is structural, not wall time.
   double overlap_fraction = 0;
-  // Snapshot of the solver's MetricsRegistry at the end of solve():
-  // transport bytes and phase-wait histograms, deadline margins,
-  // respawn events, checkpoint bytes/durations, fp32->fp64 promotions,
-  // lane-donation totals, per-iteration residual/energy series.
+  // Snapshot of the solver's MetricsRegistry at the end of solve(): the
+  // phase.*_s histograms ("Profiling" above), transport bytes and
+  // phase-wait histograms, deadline margins, respawn events, checkpoint
+  // bytes/durations, fp32->fp64 promotions, lane-donation totals,
+  // per-iteration residual/band-energy/wall series. The registry lives
+  // with the instance, so a second solve() reports both solves' samples.
   // Serialize with MetricsSnapshot::write_json ("ls3df-metrics-v1").
   MetricsSnapshot metrics;
 };
@@ -400,9 +382,6 @@ class Ls3dfSolver {
   // The count is flat after the first outer iteration: the steady state
   // solves every fragment with zero workspace heap traffic.
   long workspace_allocations() const;
-  // Live view of the solver's metrics registry (Ls3dfResult::metrics is
-  // the end-of-solve snapshot of the same registry).
-  MetricsSnapshot metrics() const { return metrics_.snapshot(); }
 
   // --- job-facing execution-knob rebinding (service/) -------------------
   // A warm instance outlives one job: the SolverService re-points the
@@ -462,8 +441,8 @@ class Ls3dfSolver {
   // Gathers V_in and (after at least one iteration) the patched density
   // into the result's dense fields.
   void gather_result_fields(Ls3dfResult& result) const;
-  // GENPOT of the initial guess: assembles V_out on slabs and records
-  // the GENPOT.transpose sub-phase (the solve loop's own GENPOT runs as
+  // GENPOT of the initial guess: assembles V_out on slabs and records a
+  // phase.genpot_transpose_s sample (the solve loop's own GENPOT runs as
   // graph nodes).
   void genpot_sharded(const ShardedFieldR& rho, ShardedFieldR& v_out) const;
   // --- rank-local (SPMD) phase bodies -----------------------------------
@@ -516,13 +495,10 @@ class Ls3dfSolver {
   // options' trace recorder, this instance's metrics registry and FFT
   // plan cache, and the local SPMD rank (0 otherwise).
   ObsContext obs_ctx() const;
-  // End-of-iteration bookkeeping of the solve loop: pushes
-  // the per-iteration metrics series (residual, band energy, wall) and
-  // invokes the progress callback with phase-time deltas against
-  // `prof0`, the profiler totals captured at iteration start.
-  void record_iteration(const Ls3dfResult& result, double l1, double wall_s,
-                        bool fp32,
-                        const std::map<std::string, double>& prof0);
+  // End-of-iteration bookkeeping of the solve loop: pushes the
+  // per-iteration metrics series (residual, band energy, wall), counts
+  // the iteration (and its fp32 use) and invokes the progress callback.
+  void record_iteration(const Ls3dfResult& result, double l1, double wall_s);
   // End-of-solve gauges (donation, respawns, overlap fraction) and the
   // registry snapshot into result.metrics.
   void finalize_observability(Ls3dfResult& result);
@@ -579,10 +555,9 @@ class Ls3dfSolver {
   std::unique_ptr<ResumeState> resume_;
   // Per-instance observability and plan state (the SolverService
   // prerequisite: nothing this solver accumulates is global). The
-  // profiler and registry are mutable because const phase bodies
-  // (genpot_sharded) record into them; the plan cache is mutable
-  // because const phases create plans on first use.
-  mutable PhaseProfiler profile_;
+  // registry is mutable because const phase bodies (genpot_sharded)
+  // record into it; the plan cache is mutable because const phases
+  // create plans on first use.
   mutable MetricsRegistry metrics_;
   mutable FftPlanCache plan_cache_;
 };

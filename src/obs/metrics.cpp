@@ -51,11 +51,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return data_;
 }
 
-void MetricsRegistry::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  data_ = MetricsSnapshot();
-}
-
 void MetricsSnapshot::write_json(std::ostream& os) const {
   os << "{\"schema\":\"ls3df-metrics-v1\",\n\"counters\":{";
   bool first = true;

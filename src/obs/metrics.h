@@ -1,12 +1,14 @@
 // Solver metrics: counters, gauges, histograms, per-iteration series.
 //
-// A MetricsRegistry is the per-solver-instance sink for low-frequency
-// quantitative events — transport bytes and phase-wait histograms,
-// deadline margins, respawn/recover counts, checkpoint bytes and
-// durations, fp32→fp64 promotions, lane-donation totals, per-outer-
-// iteration residual/energy. Call rates are dominated by collectives
-// and outer iterations (hundreds per solve, not millions), so the
-// implementation favors simplicity: one mutex around name-keyed maps.
+// A MetricsRegistry is the one place a solver instance (or a
+// SolverService) records what it measured: attributed phase times
+// (phase.*_s, see fragment/ls3df.h), transport bytes and phase-wait
+// histograms, deadline margins, respawn/recover counts, checkpoint bytes
+// and durations, fp32→fp64 promotions, lane-donation totals, per-outer-
+// iteration residual/energy/wall series, service job counters. Call
+// rates are dominated by collectives and outer iterations (hundreds per
+// solve, not millions), so the implementation favors simplicity: one
+// mutex around name-keyed maps.
 // Only the *tracing* path (obs/trace.h) needs the lock-free/alloc-free
 // treatment; metrics deliberately do not.
 //
@@ -79,7 +81,6 @@ class MetricsRegistry {
   void push(const std::string& name, double v);
 
   MetricsSnapshot snapshot() const;
-  void clear();
 
  private:
   mutable std::mutex mu_;

@@ -69,6 +69,12 @@ double percentile(std::vector<double> v, double q) {
   return v[r - 1];
 }
 
+// A service counter as the integer the JSON prints (0 before any event).
+long counter(const MetricsSnapshot& snap, const char* name) {
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : static_cast<long>(it->second);
+}
+
 }  // namespace
 
 const char* job_state_name(JobState s) {
@@ -129,15 +135,13 @@ struct SolverService::Impl {
     std::unique_ptr<Ls3dfSolver> inst;
   };
   std::deque<Warm> idle;
-  long warm_hits = 0;
 
   // Completed jobs' newest snapshot by solver state fingerprint — the
   // warm-start registry.
   std::map<std::uint64_t, std::string> snapshot_registry;
 
-  // Service-level tallies (mu) + the aggregating registry (own lock).
-  long submitted = 0, completed = 0, failed = 0, retried = 0;
-  long warm_starts = 0;
+  // Exact latency samples (mu) + the aggregating registry (own lock; its
+  // service.* counters are recorded under mu too, in step with latencies).
   std::vector<double> latencies;
   MetricsRegistry reg;
 
@@ -196,7 +200,6 @@ struct SolverService::Impl {
         const double latency = job->end_t - job->submit_t;
         if (ok) {
           job->state = JobState::kDone;
-          ++completed;
           latencies.push_back(latency);
           reg.add("service.jobs_completed");
           reg.observe("service.job_latency_s", latency);
@@ -207,7 +210,6 @@ struct SolverService::Impl {
         } else {
           job->state = JobState::kFailed;
           job->error = error;
-          ++failed;
           reg.add("service.jobs_failed");
         }
         --n_running;
@@ -258,7 +260,7 @@ struct SolverService::Impl {
         if (it->key != job.key) continue;
         std::unique_ptr<Ls3dfSolver> solver = std::move(it->inst);
         idle.erase(it);
-        ++warm_hits;
+        reg.add("service.warm_instance_hits");
         lk.unlock();
         job.warm_instance.store(true, std::memory_order_relaxed);
         bind(job, *solver);
@@ -328,7 +330,6 @@ struct SolverService::Impl {
         if (warm_attempt) {
           job.warm_started.store(true, std::memory_order_relaxed);
           std::lock_guard<std::mutex> lk(mu);
-          ++warm_starts;
           reg.add("service.jobs_warm_started");
         }
         ok = true;
@@ -351,7 +352,6 @@ struct SolverService::Impl {
         job.retries.fetch_add(1, std::memory_order_relaxed);
         {
           std::lock_guard<std::mutex> lk(mu);
-          ++retried;
           reg.add("service.jobs_retried");
         }
         // Heal in place first: recover() respawns dead/lagging workers
@@ -435,7 +435,6 @@ SolverService::JobId SolverService::submit(const Structure& structure,
     impl_->jobs.emplace(id, std::move(job));
     impl_->pending.push_back(raw);
     impl_->peak_queue = std::max(impl_->peak_queue, impl_->pending.size());
-    ++impl_->submitted;
     impl_->reg.add("service.jobs_submitted");
     impl_->reg.push("service.queue_depth",
                     static_cast<double>(impl_->pending.size()));
@@ -529,8 +528,7 @@ long SolverService::lane_donation_events() const {
 }
 
 long SolverService::warm_instance_hits() const {
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  return impl_->warm_hits;
+  return counter(impl_->reg.snapshot(), "service.warm_instance_hits");
 }
 
 GroupAssignment SolverService::schedule_preview() const {
@@ -557,7 +555,7 @@ MetricsSnapshot SolverService::metrics() const {
 
 void SolverService::write_service_json(std::ostream& os) const {
   // Snapshot everything under the lock, format outside it.
-  long submitted, completed, failed, retried, warm_starts, warm_hits;
+  MetricsSnapshot snap;
   std::size_t depth, peak;
   int live;
   std::vector<double> lat;
@@ -565,20 +563,16 @@ void SolverService::write_service_json(std::ostream& os) const {
   double uptime;
   {
     std::lock_guard<std::mutex> lk(impl_->mu);
-    submitted = impl_->submitted;
-    completed = impl_->completed;
-    failed = impl_->failed;
-    retried = impl_->retried;
-    warm_starts = impl_->warm_starts;
-    warm_hits = impl_->warm_hits;
+    snap = impl_->reg.snapshot();
     depth = impl_->pending.size();
     peak = impl_->peak_queue;
     live = impl_->n_running;
     lat = impl_->latencies;
     uptime = impl_->now();
   }
-  for (const auto& kv : impl_->reg.snapshot().counters)
+  for (const auto& kv : snap.counters)
     if (kv.first.rfind("jobs.", 0) == 0) aggregate[kv.first] = kv.second;
+  const long completed = counter(snap, "service.jobs_completed");
 
   double mean = 0, max = 0;
   for (double v : lat) {
@@ -592,10 +586,13 @@ void SolverService::write_service_json(std::ostream& os) const {
   os << "\"lanes\":{\"total\":" << impl_->lanes.total()
      << ",\"live_jobs\":" << live
      << ",\"donation_events\":" << impl_->lanes.donation_events() << "},\n";
-  os << "\"jobs\":{\"submitted\":" << submitted
-     << ",\"completed\":" << completed << ",\"failed\":" << failed
-     << ",\"retried\":" << retried << ",\"warm_started\":" << warm_starts
-     << ",\"warm_instance_hits\":" << warm_hits << "},\n";
+  os << "\"jobs\":{\"submitted\":" << counter(snap, "service.jobs_submitted")
+     << ",\"completed\":" << completed
+     << ",\"failed\":" << counter(snap, "service.jobs_failed")
+     << ",\"retried\":" << counter(snap, "service.jobs_retried")
+     << ",\"warm_started\":" << counter(snap, "service.jobs_warm_started")
+     << ",\"warm_instance_hits\":"
+     << counter(snap, "service.warm_instance_hits") << "},\n";
   os << "\"queue\":{\"depth\":" << depth << ",\"peak\":" << peak << "},\n";
   os << "\"throughput_jobs_per_s\":"
      << json_double(uptime > 0 ? static_cast<double>(completed) / uptime

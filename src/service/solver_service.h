@@ -89,11 +89,12 @@
 //
 //     Each job gets its own TraceRecorder (job_trace()) and a progress
 //     wrapper that counts outer iterations before forwarding to the
-//     job's own callback. Per-job Ls3dfResult::metrics snapshots are
-//     aggregated into the service registry ("jobs.*" counters), and
+//     job's own callback. The service registry holds the job tallies
+//     (service.jobs_* and service.warm_instance_hits counters) and the
+//     per-job Ls3dfResult::metrics counters aggregated as "jobs.*";
 //     write_service_json() emits the service-level "ls3df-service-v1"
-//     snapshot: jobs/sec, queue depth, per-job tail latency percentiles,
-//     lane donation counts.
+//     snapshot from it: jobs/sec, queue depth, per-job tail latency
+//     percentiles, lane donation counts.
 
 #include <cstdint>
 #include <functional>
@@ -203,6 +204,7 @@ class SolverService {
   int running() const;
   // Cross-job donations: jobs that finished while others still ran.
   long lane_donation_events() const;
+  // Jobs that adopted a parked warm instance.
   long warm_instance_hits() const;
 
   // The LPT placement of the currently pending jobs onto the service's

@@ -7,6 +7,7 @@
 // interrupted, on one shard, several shards and the proc transport.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -430,6 +431,82 @@ TEST(CheckpointResume, ConvergedSnapshotShortCircuits) {
   EXPECT_TRUE(r.converged);
   expect_bitwise_equal(r, ref);
   remove_snapshot(path);
+}
+
+TEST(CheckpointResume, ResumeRejectsHostileMetaCounts) {
+  // A snapshot whose CRCs and fingerprint are valid can still carry a
+  // hostile meta block. Every record is re-emitted with the solver's own
+  // fingerprint and only meta changed; each count is checked before it
+  // sizes an allocation or a loop, so resume() throws the typed kFormat
+  // error the service demotes to a cold solve.
+  const std::string src = tmp_path("hostile_src.snap");
+  const std::string path = tmp_path("hostile.snap");
+  remove_snapshot(src);
+  Structure s = h2_chain(3);
+  Ls3dfOptions lo = small_options();
+  lo.max_iterations = 2;
+  lo.checkpoint.path = src;
+  lo.checkpoint.every = 2;
+  Ls3dfSolver writer(s, lo);
+  writer.solve();
+  const std::uint64_t fingerprint = writer.state_fingerprint();
+  const SnapshotReader good(src);
+  std::uint64_t meta[8];
+  good.read_u64("meta", meta, 8);
+  ASSERT_EQ(meta[0], 2u);
+  ASSERT_EQ(meta[7], 2u);
+  ASSERT_GE(meta[6], 1u);  // DIIS entry 0 exists to clone
+
+  struct Row {
+    const char* what;
+    int index;
+    std::uint64_t value;
+  };
+  const Row rows[] = {
+      {"history length 2^62", 7, std::uint64_t{1} << 62},
+      {"DIIS depth past kDiisHistory", 6,
+       static_cast<std::uint64_t>(kDiisHistory) + 1},
+      {"iteration -1 as u32", 0, 0xFFFFFFFFu},
+  };
+  for (const Row& row : rows) {
+    remove_snapshot(path);
+    {
+      SnapshotWriter w(path, fingerprint);
+      std::uint64_t bad[8];
+      std::copy(meta, meta + 8, bad);
+      bad[row.index] = row.value;
+      for (const SnapshotReader::RecordInfo& rec : good.records()) {
+        const std::vector<unsigned char>& bytes = good.payload(rec.name);
+        if (rec.name == "meta")
+          w.add_u64("meta", bad, 8);
+        else
+          w.add(rec.name, rec.kind, bytes.data(), bytes.size());
+      }
+      // The extra DIIS slab records a deeper claimed stack would read:
+      // clones of entry 0 ("mixer/v0/slab0" -> "mixer/v<i>/slab0").
+      for (std::uint64_t i = meta[6]; i < bad[6]; ++i)
+        for (const SnapshotReader::RecordInfo& rec : good.records()) {
+          const std::string& n = rec.name;
+          if (n.rfind("mixer/v0/", 0) != 0 && n.rfind("mixer/r0/", 0) != 0)
+            continue;
+          const std::vector<unsigned char>& bytes = good.payload(n);
+          w.add(n.substr(0, 7) + std::to_string(i) + n.substr(8), rec.kind,
+                bytes.data(), bytes.size());
+        }
+      w.commit();
+    }
+    Ls3dfSolver resumer(s, small_options());  // same fingerprint, no writes
+    try {
+      resumer.resume(path);
+      ADD_FAILURE() << row.what << ": expected SnapshotError";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.code(), SnapshotErrorCode::kFormat) << row.what;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << row.what << ": untyped " << e.what();
+    }
+  }
+  remove_snapshot(path);
+  remove_snapshot(src);
 }
 
 TEST(CheckpointResume, ShardedKillAndResumeIsBitIdentical) {

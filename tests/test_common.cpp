@@ -174,33 +174,6 @@ TEST(Timer, MeasuresElapsedTime) {
   EXPECT_GE(t.seconds(), t1);
 }
 
-TEST(PhaseProfiler, AccumulatesAndMerges) {
-  PhaseProfiler p;
-  p.add("PEtot_F", 1.0);
-  p.add("PEtot_F", 2.0);
-  p.add("Gen_VF", 0.5);
-  EXPECT_DOUBLE_EQ(p.total("PEtot_F"), 3.0);
-  EXPECT_EQ(p.count("PEtot_F"), 2);
-  EXPECT_DOUBLE_EQ(p.total("GENPOT"), 0.0);
-
-  PhaseProfiler q;
-  q.add("Gen_VF", 0.25);
-  p.merge(q);
-  EXPECT_DOUBLE_EQ(p.total("Gen_VF"), 0.75);
-  EXPECT_EQ(p.count("Gen_VF"), 2);
-}
-
-TEST(PhaseProfiler, ScopedPhaseRecords) {
-  PhaseProfiler p;
-  {
-    ScopedPhase sp(p, "work");
-    volatile double x = 0;
-    for (int i = 0; i < 100000; ++i) x += i;
-  }
-  EXPECT_GT(p.total("work"), 0.0);
-  EXPECT_EQ(p.count("work"), 1);
-}
-
 TEST(FlopCounter, KernelCounts) {
   EXPECT_EQ(FlopCounter::dgemm(10, 20, 30), 2ull * 10 * 20 * 30);
   EXPECT_EQ(FlopCounter::zgemm(10, 20, 30), 8ull * 10 * 20 * 30);

@@ -49,6 +49,14 @@ TEST(Xyz, RejectsMalformedInput) {
   EXPECT_THROW(read_xyz(bad2), std::runtime_error);
   std::stringstream bad3("1\nlattice_bohr=5,5,5\nXx 0 0 0\n");
   EXPECT_THROW(read_xyz(bad3), std::runtime_error);
+  // Impossible cells and coordinates that overflow the Angstrom -> Bohr
+  // conversion are rejected, not handed to Lattice / Structure.
+  std::stringstream zero_len("1\nlattice_bohr=0,5,5\nH 0 0 0\n");
+  EXPECT_THROW(read_xyz(zero_len), std::runtime_error);
+  std::stringstream neg_len("1\nlattice_bohr=-5,5,5\nH 0 0 0\n");
+  EXPECT_THROW(read_xyz(neg_len), std::runtime_error);
+  std::stringstream huge("1\nlattice_bohr=5,5,5\nH 1e308 0 0\n");
+  EXPECT_THROW(read_xyz(huge), std::runtime_error);
 }
 
 TEST(Xyz, FileRoundTrip) {

@@ -48,6 +48,19 @@ Ls3dfOptions chain_options() {
   return lo;
 }
 
+// Sample count and sum of one phase.*_s histogram in a result's metrics
+// (0 when the solve never observed it).
+long phase_count(const Ls3dfResult& r, const char* name) {
+  const auto it = r.metrics.histograms.find(name);
+  return it == r.metrics.histograms.end()
+             ? 0
+             : static_cast<long>(it->second.count);
+}
+double phase_total(const Ls3dfResult& r, const char* name) {
+  const auto it = r.metrics.histograms.find(name);
+  return it == r.metrics.histograms.end() ? 0.0 : it->second.sum;
+}
+
 // Direct DFT on the same grid/basis as an Ls3dfSolver (the baseline the
 // paper compares against).
 ScfResult direct_reference(const Structure& s, const Ls3dfSolver& solver,
@@ -277,14 +290,17 @@ TEST_F(Ls3dfAccuracy, DensityAgreesWithDirect) {
 }
 
 TEST_F(Ls3dfAccuracy, PhaseProfileHasAllFourPhases) {
-  const auto& prof = result_->profile;
-  for (const char* phase : {"Gen_VF", "PEtot_F", "Gen_dens", "GENPOT"}) {
-    EXPECT_GT(prof.total(phase), 0.0) << phase;
-    EXPECT_EQ(prof.count(phase), result_->iterations) << phase;
+  const Ls3dfResult& r = *result_;
+  for (const char* phase : {"phase.gen_vf_s", "phase.petot_f_s",
+                            "phase.gen_dens_s", "phase.genpot_s"}) {
+    EXPECT_GT(phase_total(r, phase), 0.0) << phase;
+    EXPECT_EQ(phase_count(r, phase), r.iterations) << phase;
   }
   // PEtot_F dominates (the paper's premise for parallel scalability).
-  EXPECT_GT(prof.total("PEtot_F"), prof.total("Gen_VF"));
-  EXPECT_GT(prof.total("PEtot_F"), prof.total("Gen_dens"));
+  EXPECT_GT(phase_total(r, "phase.petot_f_s"),
+            phase_total(r, "phase.gen_vf_s"));
+  EXPECT_GT(phase_total(r, "phase.petot_f_s"),
+            phase_total(r, "phase.gen_dens_s"));
 }
 
 TEST_F(Ls3dfAccuracy, FragmentStructureInvariants) {
@@ -548,9 +564,9 @@ TEST(Ls3df, NoRankMaterializesTheDenseGridOnTheShardedPath) {
 }
 
 TEST(Ls3df, ShardedProfileHasTransposeSubPhase) {
-  // Satellite contract: the all-to-all cost is visible next to the
-  // compute phases — one GENPOT.transpose sample per genpot call (the
-  // initial-guess genpot plus one per outer iteration).
+  // The all-to-all cost is visible next to the compute phases — one
+  // phase.genpot_transpose_s sample per genpot call (the initial-guess
+  // genpot plus one per outer iteration).
   Structure s = h2_chain(3);
   Ls3dfOptions lo = chain_options();
   lo.n_shards = 2;
@@ -558,13 +574,11 @@ TEST(Ls3df, ShardedProfileHasTransposeSubPhase) {
   lo.l1_tol = 0.0;
   Ls3dfSolver solver(s, lo);
   Ls3dfResult r = solver.solve();
-  EXPECT_EQ(r.profile.count("GENPOT.transpose"), r.iterations + 1);
-  EXPECT_GT(r.profile.total("GENPOT.transpose"), 0.0);
-  EXPECT_EQ(r.profile.count("GENPOT"), r.iterations);
-  // The sub-phase nests inside GENPOT + the initial genpot, so its time
-  // cannot exceed what the enclosing phases measured by more than noise.
-  for (const char* phase : {"Gen_VF", "PEtot_F", "Gen_dens", "GENPOT"})
-    EXPECT_EQ(r.profile.count(phase), r.iterations) << phase;
+  EXPECT_EQ(phase_count(r, "phase.genpot_transpose_s"), r.iterations + 1);
+  EXPECT_GT(phase_total(r, "phase.genpot_transpose_s"), 0.0);
+  for (const char* phase : {"phase.gen_vf_s", "phase.petot_f_s",
+                            "phase.gen_dens_s", "phase.genpot_s"})
+    EXPECT_EQ(phase_count(r, phase), r.iterations) << phase;
 }
 
 TEST(Ls3df, ShardExchangeBuffersSteadyStateAllocatesNothing) {
@@ -669,7 +683,7 @@ TEST(Ls3df, GraphExtendedGenpotBitIdenticalAcrossShardsAndTransports) {
     ASSERT_EQ(r.energy.total, ref.energy.total);
     // The transpose sub-phase survives the graph restructuring: one
     // sample per genpot (initial + one per iteration).
-    EXPECT_EQ(r.profile.count("GENPOT.transpose"), r.iterations + 1);
+    EXPECT_EQ(phase_count(r, "phase.genpot_transpose_s"), r.iterations + 1);
   }
 }
 
@@ -858,11 +872,11 @@ TEST(Ls3df, ThreadSpmdCheckpointBytesMatchDenseAndResumeContinues) {
 }
 
 TEST(Ls3df, OverlapProfileAttributionSumsToIterationWall) {
-  // Satellite contract: under overlap the phase keys hold attributed
-  // per-node busy time. On one worker lane nothing runs concurrently, so
-  // the attributed keys must sum to the measured iteration wall within
-  // 1% — and the phase windows still interleave (the depth-first chain
-  // schedule), giving a positive measured overlap fraction.
+  // Under overlap the phase.*_s histograms hold attributed per-node busy
+  // time. On one worker lane nothing runs concurrently, so their sums
+  // must add up to the measured iteration wall (the iter.wall_s series)
+  // within 1% — and the phase windows still interleave (the depth-first
+  // chain schedule), giving a positive measured overlap fraction.
   Structure s = h2_chain(3);
   Ls3dfOptions lo = chain_options();
   lo.max_iterations = 2;
@@ -872,15 +886,18 @@ TEST(Ls3df, OverlapProfileAttributionSumsToIterationWall) {
   Ls3dfResult r = solver.solve();
   ASSERT_EQ(r.iterations, 2);
 
-  const char* attributed[] = {"Gen_VF", "PEtot_F", "Gen_dens", "GENPOT",
-                              "Mix"};
+  const char* attributed[] = {"phase.gen_vf_s", "phase.petot_f_s",
+                              "phase.gen_dens_s", "phase.genpot_s",
+                              "phase.mix_s"};
   double sum = 0;
   for (const char* key : attributed) {
-    EXPECT_EQ(r.profile.count(key), r.iterations) << key;
-    sum += r.profile.total(key);
+    EXPECT_EQ(phase_count(r, key), r.iterations) << key;
+    sum += phase_total(r, key);
   }
-  ASSERT_EQ(r.profile.count("Iter.wall"), r.iterations);
-  const double wall = r.profile.total("Iter.wall");
+  const std::vector<double>& walls = r.metrics.series.at("iter.wall_s");
+  ASSERT_EQ(walls.size(), 2u);
+  double wall = 0;
+  for (double w : walls) wall += w;
   ASSERT_GT(wall, 0.0);
   // Sanitizer instrumentation inflates the per-node scheduling gaps the
   // attribution cannot see; keep the 1% contract where timing is real.
@@ -893,8 +910,10 @@ TEST(Ls3df, OverlapProfileAttributionSumsToIterationWall) {
       << "attributed " << sum << " s vs wall " << wall << " s";
   EXPECT_GT(r.overlap_fraction, 0.0);
   // PEtot_F still dominates the attributed breakdown.
-  EXPECT_GT(r.profile.total("PEtot_F"), r.profile.total("Gen_VF"));
-  EXPECT_GT(r.profile.total("PEtot_F"), r.profile.total("Gen_dens"));
+  EXPECT_GT(phase_total(r, "phase.petot_f_s"),
+            phase_total(r, "phase.gen_vf_s"));
+  EXPECT_GT(phase_total(r, "phase.petot_f_s"),
+            phase_total(r, "phase.gen_dens_s"));
 }
 
 TEST(Ls3df, OverlapChainFailureSurfacesCleanlyAndPoolIsReusable) {

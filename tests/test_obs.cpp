@@ -199,6 +199,7 @@ TEST(Obs, MetricsRegistryJsonAndHistogram) {
   EXPECT_DOUBLE_EQ(snap.gauges.at("g.value"), 42.5);
   const MetricsHistogram& h = snap.histograms.at("h.lat");
   EXPECT_EQ(h.count, 2u);
+  EXPECT_DOUBLE_EQ(h.sum, 3e-6);
   EXPECT_DOUBLE_EQ(h.min, 1e-6);
   EXPECT_DOUBLE_EQ(h.max, 2e-6);
   ASSERT_EQ(snap.series.at("s.residual").size(), 2u);

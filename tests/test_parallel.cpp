@@ -263,7 +263,7 @@ TEST(TaskGraph, ZeroThreadPoolExecutesWholeGraphOnCaller) {
 TEST(TaskGraph, ObserverReportsOrderedDisjointTimestamps) {
   // The completion-callback seam: every executed task reports a
   // [start, end] window; on a single lane the windows are disjoint and
-  // honour dependency order — the contract the overlapped profiler's
+  // honour dependency order — the contract the solve loop's per-phase
   // attribution rests on.
   ThreadPool pool(0);
   TaskGraph g;

@@ -488,6 +488,16 @@ TEST(Service, ServiceJsonAndAggregatedMetrics) {
   EXPECT_NE(json.find("\"submitted\":2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"completed\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"failed\":1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"retried\":" +
+                      std::to_string(SolverService::kMaxRetries) + ","),
+            std::string::npos)
+      << json;
+  // No checkpoint_dir: no job can warm-start from a snapshot.
+  EXPECT_NE(json.find("\"warm_started\":0,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"warm_instance_hits\":" +
+                      std::to_string(service.warm_instance_hits()) + "}"),
+            std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"throughput_jobs_per_s\":"), std::string::npos);
   EXPECT_NE(json.find("\"p99\":"), std::string::npos);
 
