@@ -32,6 +32,7 @@
 // job; 0 if the launch fails, so the assertion trips loudly).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <complex>
 #include <cstdio>
 #include <cstring>
@@ -56,6 +57,7 @@
 #include "grid/gvectors.h"
 #include "grid/sharded_field.h"
 #include "linalg/blas.h"
+#include "linalg/eigen.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/shard_comm.h"
@@ -141,6 +143,9 @@ void BM_Fft1D(benchmark::State& state) {
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
+  state.counters["Gflop/s"] = benchmark::Counter(
+      5.0 * n * std::log2(n) * state.iterations() / 1e9,
+      benchmark::Counter::kIsRate);
 }
 // 32 and 40: the paper's per-cell grid lines; 37: Bluestein path.
 BENCHMARK(BM_Fft1D)->Arg(32)->Arg(40)->Arg(64)->Arg(128)->Arg(37);
@@ -156,8 +161,28 @@ void BM_Fft3D(benchmark::State& state) {
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(state.iterations() * plan.size());
+  const double size = static_cast<double>(plan.size());
+  state.counters["Gflop/s"] = benchmark::Counter(
+      5.0 * size * std::log2(size) * state.iterations() / 1e9,
+      benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_Fft3D)->Arg(16)->Arg(24)->Arg(32)->Arg(40);
+
+// The Rayleigh-Ritz eigensolve (cyclic Jacobi) at subspace dimensions
+// the Davidson loops produce.
+void BM_Eigh(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const MatC B = random_matc(n, n, 6);
+  MatC H(n, n);
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < n; ++i) H(i, j) = 0.5 * (B(i, j) + std::conj(B(j, i)));
+  EigenScratch ws;
+  for (auto _ : state) {
+    EighView r = eigh(H, ws);
+    benchmark::DoNotOptimize(r.eigenvectors->data());
+  }
+}
+BENCHMARK(BM_Eigh)->Arg(16)->Arg(24)->Arg(32)->Arg(48);
 
 void BM_HamiltonianApply(benchmark::State& state) {
   const int nb = static_cast<int>(state.range(0));

@@ -10,7 +10,8 @@ namespace ls3df {
 
 namespace {
 
-std::vector<int> factorize(int n) {
+// Ascending prime factors of a smooth n.
+std::vector<int> smooth_factors(int n) {
   std::vector<int> f;
   for (int p : {2, 3, 5, 7}) {
     while (n % p == 0) {
@@ -18,13 +19,6 @@ std::vector<int> factorize(int n) {
       n /= p;
     }
   }
-  for (int p = 11; static_cast<long>(p) * p <= n; p += 2) {
-    while (n % p == 0) {
-      f.push_back(p);
-      n /= p;
-    }
-  }
-  if (n > 1) f.push_back(n);
   return f;
 }
 
@@ -62,6 +56,47 @@ void fft_pow2(std::complex<Real>* a, int m, int sign) {
   }
 }
 
+// One radix-P stage over `blocks` consecutive length-len blocks: the
+// butterfly sum of fft.h's bit contract, in explicit real arithmetic.
+// Reads src, writes dst (which may alias src: each column is loaded
+// before any of its outputs is stored). tw holds P*len twiddles in
+// (k2, k1, r) order.
+template <int P, typename Real>
+void combine(const std::complex<Real>* src, std::complex<Real>* dst, int len,
+             int blocks, const std::complex<Real>* tw) {
+  const int m = len / P;
+  const Real* in = reinterpret_cast<const Real*>(src);
+  Real* out = reinterpret_cast<Real*>(dst);
+  const Real* w0 = reinterpret_cast<const Real*>(tw);
+  for (int b = 0; b < blocks; ++b) {
+    const Real* bi = in + 2 * static_cast<std::ptrdiff_t>(b) * len;
+    Real* bo = out + 2 * static_cast<std::ptrdiff_t>(b) * len;
+    const Real* w = w0;
+    for (int k2 = 0; k2 < m; ++k2) {
+      Real cr[P], ci[P], tr[P], ti[P];
+      for (int r = 0; r < P; ++r) {
+        cr[r] = bi[2 * (r * m + k2)];
+        ci[r] = bi[2 * (r * m + k2) + 1];
+      }
+      for (int k1 = 0; k1 < P; ++k1) {
+        Real ar = 0, ai = 0;
+        for (int r = 0; r < P; ++r, w += 2) {
+          const Real xr = cr[r] * w[0] - ci[r] * w[1];
+          const Real xi = cr[r] * w[1] + ci[r] * w[0];
+          ar += xr;
+          ai += xi;
+        }
+        tr[k1] = ar;
+        ti[k1] = ai;
+      }
+      for (int k1 = 0; k1 < P; ++k1) {
+        bo[2 * (k1 * m + k2)] = tr[k1];
+        bo[2 * (k1 * m + k2) + 1] = ti[k1];
+      }
+    }
+  }
+}
+
 }  // namespace
 
 template <typename Real>
@@ -85,16 +120,46 @@ int BasicFft1D<Real>::good_fft_size(int n) {
 template <typename Real>
 BasicFft1D<Real>::BasicFft1D(int n) : n_(n) {
   assert(n >= 1);
-  factors_ = factorize(n);
   smooth_ = is_smooth(n);
-  roots_.resize(n);
-  for (int k = 0; k < n; ++k) {
-    const double ang = -units::kTwoPi * k / n;
-    roots_[k] = Cplx(static_cast<Real>(std::cos(ang)),
-                     static_cast<Real>(std::sin(ang)));
-  }
-  work_.resize(n);
-  if (!smooth_) {
+  if (smooth_) {
+    const std::vector<int> factors = smooth_factors(n);
+    work_.resize(n);
+    // Leaf gather: output position k = sum_l r_l * (n_l / f_l) reads
+    // input index sum_l r_l * (f_0 * ... * f_{l-1}).
+    gather_.resize(n);
+    for (int k = 0; k < n; ++k) {
+      int rem = k, len = n, stride = 1, in = 0;
+      for (int p : factors) {
+        const int m = len / p;
+        in += (rem / m) * stride;
+        rem %= m;
+        stride *= p;
+        len = m;
+      }
+      gather_[k] = in;
+    }
+    std::vector<Cplx> roots(n);  // e^{-2 pi i k / n}, k = 0..n-1
+    for (int k = 0; k < n; ++k) {
+      const double ang = -units::kTwoPi * k / n;
+      roots[k] = Cplx(static_cast<Real>(std::cos(ang)),
+                      static_cast<Real>(std::sin(ang)));
+    }
+    int len = 1;
+    for (auto f = factors.rbegin(); f != factors.rend(); ++f) {
+      const int p = *f, m = len;
+      len *= p;
+      stages_.push_back(Stage{p, len, tw_[0].size()});
+      const int scale = n / len;
+      for (int k2 = 0; k2 < m; ++k2)
+        for (int k1 = 0; k1 < p; ++k1)
+          for (int r = 0; r < p; ++r) {
+            const long e = (static_cast<long>(r) * (k1 * m + k2)) % len;
+            tw_[0].push_back(roots[static_cast<std::size_t>(e) * scale]);
+            tw_[1].push_back(
+                roots[static_cast<std::size_t>(e == 0 ? 0 : len - e) * scale]);
+          }
+    }
+  } else {
     bs_m_ = next_pow2(2 * n - 1);
     bs_chirp_.resize(n);
     for (int k = 0; k < n; ++k) {
@@ -135,53 +200,20 @@ void BasicFft1D<Real>::transform(Cplx* data, int sign) const {
 
 template <typename Real>
 void BasicFft1D<Real>::transform_smooth(Cplx* data, int sign) const {
-  recurse(work_.data(), data, n_, 1, sign);
-  for (int i = 0; i < n_; ++i) data[i] = work_[i];
-}
-
-// Mixed-radix decimation in time. in has the given stride; out is
-// contiguous of length n. Twiddles are read from the length-n_ root table:
-// exp(sign*2*pi*i*t/n) == roots_[(sign<0 ? t : n_-t) * (n_/n) mod n_].
-template <typename Real>
-void BasicFft1D<Real>::recurse(Cplx* out, const Cplx* in, int n, int stride,
-                               int sign) const {
-  if (n == 1) {
-    out[0] = in[0];
-    return;
-  }
-  // Smallest prime factor of n (n divides n_, so its factors are known).
-  int p = 0;
-  for (int f : factors_)
-    if (n % f == 0) {
-      p = f;
-      break;
+  Cplx* work = work_.data();
+  for (int k = 0; k < n_; ++k) work[k] = data[gather_[k]];
+  const Cplx* tw = tw_[sign > 0 ? 1 : 0].data();
+  for (std::size_t s = 0; s < stages_.size(); ++s) {
+    const Stage& st = stages_[s];
+    // The last (whole-length) stage writes the result straight out.
+    Cplx* dst = s + 1 == stages_.size() ? data : work;
+    const int blocks = n_ / st.len;
+    switch (st.p) {
+      case 2: combine<2>(work, dst, st.len, blocks, tw + st.tw); break;
+      case 3: combine<3>(work, dst, st.len, blocks, tw + st.tw); break;
+      case 5: combine<5>(work, dst, st.len, blocks, tw + st.tw); break;
+      default: combine<7>(work, dst, st.len, blocks, tw + st.tw); break;
     }
-  assert(p > 1);
-  const int m = n / p;
-  // Transform the p interleaved subsequences.
-  for (int r = 0; r < p; ++r)
-    recurse(out + r * m, in + static_cast<std::ptrdiff_t>(r) * stride, m,
-            stride * p, sign);
-  // Combine: X[k1*m + k2] = sum_r out_r[k2] * w_n^{r*(k1*m+k2)}.
-  const int scale = n_ / n;  // map twiddle exponent mod n to root table
-  // Smooth factors are <= 7, so the butterfly column fits on the stack
-  // (this recursion is the innermost hot loop: no heap traffic here).
-  assert(p <= 7);
-  Cplx t[7];
-  Cplx col[7];
-  for (int k2 = 0; k2 < m; ++k2) {
-    for (int r = 0; r < p; ++r) col[r] = out[r * m + k2];
-    for (int k1 = 0; k1 < p; ++k1) {
-      const int k = k1 * m + k2;
-      Cplx acc(0, 0);
-      for (int r = 0; r < p; ++r) {
-        long e = (static_cast<long>(r) * k) % n;
-        if (sign > 0 && e != 0) e = n - e;
-        acc += col[r] * roots_[static_cast<std::size_t>(e) * scale];
-      }
-      t[k1] = acc;
-    }
-    for (int k1 = 0; k1 < p; ++k1) out[k1 * m + k2] = t[k1];
   }
 }
 

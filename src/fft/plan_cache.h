@@ -1,7 +1,8 @@
 // Per-instance, per-thread cache of FFT plans keyed by grid shape.
 //
-// Planning (factorization, twiddle tables, Bluestein kernels) is cheap
-// but not free, and the LS3DF pipeline transforms the same handful of
+// Planning (factorization, the leaf gather order, one twiddle table per
+// radix stage and sign, Bluestein kernels; see fft/fft.h) is cheap but
+// not free, and the LS3DF pipeline transforms the same handful of
 // shapes — the global grid every GENPOT/mixing step, one shape per
 // fragment size class — thousands of times per run. The cache makes a
 // plan once per (thread, shape) and keeps it warm across SCF

@@ -1590,6 +1590,10 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
                 static_cast<std::uint64_t>(node_chain[id] + 1));
   });
 
+  // Take the pool before any iteration timer starts: its first use in a
+  // process starts the worker threads, a one-time setup cost that belongs
+  // to no iteration's wall.
+  ThreadPool& pool = shared_pool();
   for (int iter = iter0; iter < opt_.max_iterations && !converged; ++iter) {
     result.iterations = iter + 1;
     update_precision_policy(result.conv_history);
@@ -1602,7 +1606,7 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
     Timer iter_timer;
     std::fill(times.begin(), times.end(), std::make_pair(0.0, -1.0));
     if (opt_.trace) graph_epoch_us = opt_.trace->now_us();
-    g.run(shared_pool(), live);
+    const double handoff_s = g.run(pool, live);
 
     if (converged) result.converged = true;
     // The end-of-iteration sequence point: the mix node has already
@@ -1641,6 +1645,7 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
     }
     for (int ph = 0; ph < kNumPhases; ++ph)
       metrics_.observe(kPhaseMetric[ph], busy[ph]);
+    metrics_.observe("phase.handoff_s", handoff_s);
     const double wall = iter_timer.seconds();
     record_iteration(result, l1, wall);
 

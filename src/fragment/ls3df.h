@@ -73,11 +73,13 @@
 //
 // Profiling: phase windows are not disjoint, so the metrics registry's
 // phase.{gen_vf,petot_f,gen_dens,genpot,mix}_s histograms take one
-// *attributed* per-node busy sample per iteration (summing to the
-// iter.wall_s series on one lane; mix = convergence metric + mixer
-// tail), phase.genpot_transpose_s one all-to-all sample per GENPOT call,
-// and Ls3dfResult::overlap_fraction / chain_times report the measured
-// phase-window overlap and the per-chain breakdown.
+// *attributed* per-node busy sample per iteration (mix = convergence
+// metric + mixer tail) and phase.handoff_s the graph's hand-off time
+// between nodes (TaskGraph::run); on one lane these six sum to the
+// iter.wall_s series. phase.genpot_transpose_s takes one all-to-all
+// sample per GENPOT call, and Ls3dfResult::overlap_fraction /
+// chain_times report the measured phase-window overlap and the
+// per-chain breakdown.
 #pragma once
 
 #include <cstdint>

@@ -357,9 +357,19 @@ MatC overlap(const MatC& A, const MatC& B) {
 
 std::complex<double> zdotc(int n, const std::complex<double>* x,
                            const std::complex<double>* y) {
-  std::complex<double> acc{};
-  for (int i = 0; i < n; ++i) acc += std::conj(x[i]) * y[i];
-  return acc;
+  // acc += conj(x[i]) * y[i] in real arithmetic, with std::complex's
+  // operands and order (conj(x) = (xr, -xi)): same bits for finite data,
+  // no NaN-recovery branch in the loop.
+  const double* xp = reinterpret_cast<const double*>(x);
+  const double* yp = reinterpret_cast<const double*>(y);
+  double ar = 0, ai = 0;
+  for (int i = 0; i < n; ++i) {
+    const double xr = xp[2 * i], nxi = -xp[2 * i + 1];
+    const double yr = yp[2 * i], yi = yp[2 * i + 1];
+    ar += xr * yr - nxi * yi;
+    ai += xr * yi + nxi * yr;
+  }
+  return {ar, ai};
 }
 
 double dznrm2(int n, const std::complex<double>* x) {
@@ -370,7 +380,15 @@ double dznrm2(int n, const std::complex<double>* x) {
 
 void zaxpy(int n, std::complex<double> a, const std::complex<double>* x,
            std::complex<double>* y) {
-  for (int i = 0; i < n; ++i) y[i] += a * x[i];
+  // y[i] += a * x[i] in real arithmetic, as zdotc above.
+  const double* xp = reinterpret_cast<const double*>(x);
+  double* yp = reinterpret_cast<double*>(y);
+  const double ar = a.real(), ai = a.imag();
+  for (int i = 0; i < n; ++i) {
+    const double xr = xp[2 * i], xi = xp[2 * i + 1];
+    yp[2 * i] += ar * xr - ai * xi;
+    yp[2 * i + 1] += ar * xi + ai * xr;
+  }
 }
 
 void zscal(int n, std::complex<double> a, std::complex<double>* x) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <numeric>
 #include <stdexcept>
 
@@ -29,6 +30,28 @@ JacobiRot compute_rotation(double app, double aqq, cd apq) {
                    (std::abs(tau) + std::sqrt(1.0 + tau * tau));
   const double c = 1.0 / std::sqrt(1.0 + t * t);
   return {c, phase * (t * c)};
+}
+
+// The rotation loops: over n entries at the given stride (in complex
+// elements), [x, y] <- [c x - conj(u) y, u x + c y]. Written in real
+// arithmetic with exactly the operands and order std::complex uses for
+// `c * x - std::conj(u) * y` and `u * x + c * y` (real-times-complex
+// scales each part; a complex product is (ar*br - ai*bi, ar*bi + ai*br)),
+// so the bits are those of the complex expressions for finite data while
+// the loop carries no NaN-recovery branch.
+void rotate_pair(cd* x, cd* y, int n, std::ptrdiff_t stride, double c,
+                 cd u) {
+  double* xp = reinterpret_cast<double*>(x);
+  double* yp = reinterpret_cast<double*>(y);
+  const double ur = u.real(), ui = u.imag(), vi = -ui;  // conj(u) = (ur, vi)
+  for (int k = 0; k < n; ++k) {
+    const std::ptrdiff_t i = 2 * stride * k;
+    const double xr = xp[i], xi = xp[i + 1], yr = yp[i], yi = yp[i + 1];
+    xp[i] = xr * c - (ur * yr - vi * yi);
+    xp[i + 1] = xi * c - (ur * yi + vi * yr);
+    yp[i] = (ur * xr - ui * xi) + yr * c;
+    yp[i + 1] = (ur * xi + ui * xr) + yi * c;
+  }
 }
 
 // Jacobi eigendecomposition into caller-provided storage. Shared by the
@@ -74,22 +97,12 @@ void eigh_core(const MatC& A, MatC& M, MatC& V, std::vector<int>& order,
         if (std::abs(apq) <= tol * 1e-2) continue;
         const auto [c, s] =
             compute_rotation(M(p, p).real(), M(q, q).real(), apq);
-        // Apply R^H M R where R mixes columns/rows p and q.
-        for (int k = 0; k < n; ++k) {
-          const cd mkp = M(k, p), mkq = M(k, q);
-          M(k, p) = c * mkp - std::conj(s) * mkq;
-          M(k, q) = s * mkp + c * mkq;
-        }
-        for (int k = 0; k < n; ++k) {
-          const cd mpk = M(p, k), mqk = M(q, k);
-          M(p, k) = c * mpk - s * mqk;
-          M(q, k) = std::conj(s) * mpk + c * mqk;
-        }
-        for (int k = 0; k < n; ++k) {
-          const cd vkp = V(k, p), vkq = V(k, q);
-          V(k, p) = c * vkp - std::conj(s) * vkq;
-          V(k, q) = s * vkp + c * vkq;
-        }
+        // Apply R^H M R where R mixes columns/rows p and q: columns
+        // [p, q] <- [c p - conj(s) q, s p + c q], then rows
+        // [p, q] <- [c p - s q, conj(s) p + c q]; V accumulates R.
+        rotate_pair(M.col(p), M.col(q), n, 1, c, s);
+        rotate_pair(&M(p, 0), &M(q, 0), n, n, c, std::conj(s));
+        rotate_pair(V.col(p), V.col(q), n, 1, c, s);
       }
     }
   }

@@ -28,9 +28,10 @@ void TaskGraph::set_task_observer(
   observer_ = std::move(observer);
 }
 
-void TaskGraph::run(ThreadPool& pool, int max_lanes) {
+double TaskGraph::run(ThreadPool& pool, int max_lanes) {
   const int n = size();
-  if (n == 0) return;
+  if (n == 0) return 0.0;
+  Timer clock;  // run-relative time of every timestamp below
   const int lanes = max_lanes > 0 ? max_lanes : pool.thread_count() + 1;
 
   // All scheduling state lives on the runner's stack; tasks posted to
@@ -43,6 +44,9 @@ void TaskGraph::run(ThreadPool& pool, int max_lanes) {
     std::mutex mu;
     std::vector<int> ready;     // armed, not yet claimed (LIFO stack)
     std::vector<int> deps_left;
+    std::vector<double> claimed_at;  // run-relative claim time per task
+    double handoff_s = 0;       // see TaskGraph::run in the header
+    double done_at = 0;         // release time of the task that finished
     int remaining = 0;          // tasks that have not finished their fn
     int inflight = 0;           // claimed (posted or executing) tasks
     bool abandoned = false;
@@ -50,12 +54,12 @@ void TaskGraph::run(ThreadPool& pool, int max_lanes) {
     std::atomic<bool> finished{false};
   } st;
   st.deps_left.resize(n);
+  st.claimed_at.resize(n);
   st.remaining = n;
   for (int i = 0; i < n; ++i) {
     st.deps_left[i] = tasks_[i].n_deps;
     if (st.deps_left[i] == 0) st.ready.push_back(i);
   }
-  Timer clock;
 
   // Claim ready tasks up to the lane cap; returns them for posting
   // outside the lock. Claiming increments inflight, so "queue empty and
@@ -66,11 +70,13 @@ void TaskGraph::run(ThreadPool& pool, int max_lanes) {
   // the live working set (a chain's intermediates die before the next
   // chain opens) and keeps pipelines interleaved — phase windows overlap
   // even when a single lane serializes the whole graph.
-  const auto claim = [&](std::unique_lock<std::mutex>&) {
+  // `now` stamps the claim: the hand-off into a task is measured from it.
+  const auto claim = [&](std::unique_lock<std::mutex>&, double now) {
     std::vector<int> out;
     while (!st.abandoned && st.inflight < lanes && !st.ready.empty()) {
       out.push_back(st.ready.back());
       st.ready.pop_back();
+      st.claimed_at[out.back()] = now;
       ++st.inflight;
     }
     return out;
@@ -114,15 +120,20 @@ void TaskGraph::run(ThreadPool& pool, int max_lanes) {
     bool done;
     {
       std::unique_lock<std::mutex> lock(st.mu);
+      // The lane is released here: it handed off from its claim to t0 and
+      // from t1 (observer, lock) to now.
+      const double now = clock.seconds();
       --st.inflight;
       if (ok) {
+        st.handoff_s += (t0 - st.claimed_at[id]) + (now - t1);
         --st.remaining;
         if (!st.abandoned)
           for (int d : tasks_[id].dependents)
             if (--st.deps_left[d] == 0) st.ready.push_back(d);
       }
-      to_post = claim(lock);
+      to_post = claim(lock, now);
       done = st.remaining == 0 || (st.abandoned && st.inflight == 0);
+      if (done) st.done_at = now;
     }
     // `done` implies to_post is empty (nothing is claimable once the
     // graph finished), so the closure reads below happen only while the
@@ -144,7 +155,7 @@ void TaskGraph::run(ThreadPool& pool, int max_lanes) {
   std::vector<int> first;
   {
     std::unique_lock<std::mutex> lock(st.mu);
-    first = claim(lock);
+    first = claim(lock, 0.0);  // roots hand off from run() entry
   }
   // Keep one initial task for the runner itself: help_while executes it
   // immediately instead of round-tripping through the queue.
@@ -156,6 +167,8 @@ void TaskGraph::run(ThreadPool& pool, int max_lanes) {
   pool.help_while(
       [&st]() { return st.finished.load(std::memory_order_acquire); });
   if (st.error) std::rethrow_exception(st.error);
+  // The runner's own hand-off: from the final release to its wake-up.
+  return st.handoff_s + (clock.seconds() - st.done_at);
 }
 
 }  // namespace ls3df

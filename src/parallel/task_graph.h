@@ -65,7 +65,16 @@ class TaskGraph {
   // exception; dependents of failed or unfinished tasks never start).
   // max_lanes > 0 caps concurrently-running graph tasks; <= 0 uses the
   // pool width (thread_count() + 1).
-  void run(ThreadPool& pool, int max_lanes = 0);
+  //
+  // Returns the hand-off seconds: summed over the tasks that ran, the
+  // lane time from the task being claimed to its fn starting (post,
+  // queue, notify, wake) plus from its fn returning to its lane being
+  // released (observer call, graph lock, arming successors), plus the
+  // runner's wait from the final release to its return. Roots count as
+  // claimed at run() entry, and a task's release and its successors'
+  // claim share one timestamp, so on a single lane the tasks' busy time
+  // plus the hand-off tiles run() without overlap.
+  double run(ThreadPool& pool, int max_lanes = 0);
 
  private:
   struct Node {

@@ -190,6 +190,123 @@ TEST(Fft1D, GoodFftSize) {
   }
 }
 
+// Test-only copy of the recursive mixed-radix transform the table-driven
+// kernel replaced: the generic oracle the optimized kernel must match bit
+// for bit (fft.h's bit contract). Roots are computed exactly as the plan
+// computes them.
+template <typename Real>
+class RecursiveFftOracle {
+ public:
+  using Cplx = std::complex<Real>;
+
+  explicit RecursiveFftOracle(int n) : n_(n), roots_(n), work_(n) {
+    int r = n;
+    for (int p : {2, 3, 5, 7})
+      while (r % p == 0) {
+        factors_.push_back(p);
+        r /= p;
+      }
+    for (int k = 0; k < n; ++k) {
+      const double ang = -units::kTwoPi * k / n;
+      roots_[k] = Cplx(static_cast<Real>(std::cos(ang)),
+                       static_cast<Real>(std::sin(ang)));
+    }
+  }
+
+  void forward(Cplx* data) { transform(data, -1); }
+  void inverse(Cplx* data) {
+    transform(data, +1);
+    const Real s = static_cast<Real>(1) / static_cast<Real>(n_);
+    for (int i = 0; i < n_; ++i) data[i] *= s;
+  }
+
+ private:
+  void transform(Cplx* data, int sign) {
+    if (n_ == 1) return;
+    recurse(work_.data(), data, n_, 1, sign);
+    for (int i = 0; i < n_; ++i) data[i] = work_[i];
+  }
+
+  void recurse(Cplx* out, const Cplx* in, int n, int stride, int sign) {
+    if (n == 1) {
+      out[0] = in[0];
+      return;
+    }
+    int p = 0;
+    for (int f : factors_)
+      if (n % f == 0) {
+        p = f;
+        break;
+      }
+    const int m = n / p;
+    for (int r = 0; r < p; ++r)
+      recurse(out + r * m, in + static_cast<std::ptrdiff_t>(r) * stride, m,
+              stride * p, sign);
+    const int scale = n_ / n;
+    Cplx t[7];
+    Cplx col[7];
+    for (int k2 = 0; k2 < m; ++k2) {
+      for (int r = 0; r < p; ++r) col[r] = out[r * m + k2];
+      for (int k1 = 0; k1 < p; ++k1) {
+        const int k = k1 * m + k2;
+        Cplx acc(0, 0);
+        for (int r = 0; r < p; ++r) {
+          long e = (static_cast<long>(r) * k) % n;
+          if (sign > 0 && e != 0) e = n - e;
+          acc += col[r] * roots_[static_cast<std::size_t>(e) * scale];
+        }
+        t[k1] = acc;
+      }
+      for (int k1 = 0; k1 < p; ++k1) out[k1 * m + k2] = t[k1];
+    }
+  }
+
+  int n_;
+  std::vector<int> factors_;
+  std::vector<Cplx> roots_;
+  std::vector<Cplx> work_;
+};
+
+// Every 7-smooth n <= 128 plus two long multi-factor lengths, both signs:
+// the table-driven plan reproduces the recursive transform bit for bit.
+template <typename Real>
+void expect_bits_match_recursive_oracle() {
+  using Cplx = std::complex<Real>;
+  std::vector<int> sizes;
+  for (int n = 1; n <= 128; ++n)
+    if (BasicFft1D<Real>::is_smooth(n)) sizes.push_back(n);
+  sizes.push_back(210);
+  sizes.push_back(360);
+  for (int n : sizes) {
+    Rng rng(1000 + n);
+    std::vector<Cplx> x(n);
+    for (auto& v : x)
+      v = Cplx(static_cast<Real>(rng.uniform(-1, 1)),
+               static_cast<Real>(rng.uniform(-1, 1)));
+    BasicFft1D<Real> plan(n);
+    RecursiveFftOracle<Real> oracle(n);
+    std::vector<Cplx> fast = x, ref = x;
+    plan.forward(fast.data());
+    oracle.forward(ref.data());
+    EXPECT_EQ(std::memcmp(fast.data(), ref.data(), n * sizeof(Cplx)), 0)
+        << "forward n = " << n;
+    fast = x;
+    ref = x;
+    plan.inverse(fast.data());
+    oracle.inverse(ref.data());
+    EXPECT_EQ(std::memcmp(fast.data(), ref.data(), n * sizeof(Cplx)), 0)
+        << "inverse n = " << n;
+  }
+}
+
+TEST(Fft1D, BitIdenticalToRecursiveOracleFp64) {
+  expect_bits_match_recursive_oracle<double>();
+}
+
+TEST(Fft1D, BitIdenticalToRecursiveOracleFp32) {
+  expect_bits_match_recursive_oracle<float>();
+}
+
 TEST(Fft3D, RoundTrip) {
   const Vec3i shape{8, 6, 10};
   Fft3D plan(shape);

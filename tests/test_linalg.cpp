@@ -4,8 +4,11 @@
 // Levenberg-Marquardt fitter on the Amdahl model used in Sec. VI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 #include "linalg/blas.h"
@@ -321,6 +324,122 @@ TEST_P(EighSizes, EigenvaluesAscending) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, EighSizes, ::testing::Values(1, 2, 3, 5, 8,
                                                              13, 21, 40));
+
+// Test-only copy of the cyclic-Jacobi eigh with the rotation loops
+// written as std::complex expressions, as they were before the
+// real-arithmetic expansion: the generic oracle eigh() must match bit
+// for bit.
+EighResult eigh_complex_oracle(const MatC& A) {
+  const int n = A.rows();
+  MatC M(n, n), V = MatC::identity(n);
+  for (int j = 0; j < n; ++j) {
+    M(j, j) = cd(A(j, j).real(), 0.0);
+    for (int i = j + 1; i < n; ++i) {
+      M(i, j) = A(i, j);
+      M(j, i) = std::conj(A(i, j));
+    }
+  }
+  auto off_norm = [&]() {
+    double s = 0;
+    for (int j = 0; j < n; ++j)
+      for (int i = j + 1; i < n; ++i) s += std::norm(M(i, j));
+    return std::sqrt(2.0 * s);
+  };
+  double scale = 0;
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < n; ++i) scale = std::max(scale, std::abs(M(i, j)));
+  const double tol = 1e-14 * std::max(scale, 1.0);
+  for (int sweep = 0; sweep < 60 && off_norm() > tol * n; ++sweep) {
+    for (int p = 0; p < n - 1; ++p) {
+      for (int q = p + 1; q < n; ++q) {
+        const cd apq = M(p, q);
+        if (std::abs(apq) <= tol * 1e-2) continue;
+        const double app = M(p, p).real(), aqq = M(q, q).real();
+        const double absapq = std::abs(apq);
+        const cd phase = apq / absapq;
+        const double tau = (aqq - app) / (2.0 * absapq);
+        const double t = (tau >= 0 ? 1.0 : -1.0) /
+                         (std::abs(tau) + std::sqrt(1.0 + tau * tau));
+        const double c = 1.0 / std::sqrt(1.0 + t * t);
+        const cd s = phase * (t * c);
+        for (int k = 0; k < n; ++k) {
+          const cd mkp = M(k, p), mkq = M(k, q);
+          M(k, p) = c * mkp - std::conj(s) * mkq;
+          M(k, q) = s * mkp + c * mkq;
+        }
+        for (int k = 0; k < n; ++k) {
+          const cd mpk = M(p, k), mqk = M(q, k);
+          M(p, k) = c * mpk - s * mqk;
+          M(q, k) = std::conj(s) * mpk + c * mqk;
+        }
+        for (int k = 0; k < n; ++k) {
+          const cd vkp = V(k, p), vkq = V(k, q);
+          V(k, p) = c * vkp - std::conj(s) * vkq;
+          V(k, q) = s * vkp + c * vkq;
+        }
+      }
+    }
+  }
+  std::vector<int> order(n);
+  for (int i = 0; i < n; ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&](int a, int b) { return M(a, a).real() < M(b, b).real(); });
+  EighResult r;
+  r.eigenvalues.resize(n);
+  r.eigenvectors.resize(n, n);
+  for (int j = 0; j < n; ++j) {
+    r.eigenvalues[j] = M(order[j], order[j]).real();
+    for (int i = 0; i < n; ++i) r.eigenvectors(i, j) = V(i, order[j]);
+  }
+  return r;
+}
+
+// Q diag(d) Q^H with Q the eigenvectors of a random Hermitian matrix.
+MatC hermitian_with_spectrum(const std::vector<double>& d,
+                             std::uint64_t seed) {
+  const int n = static_cast<int>(d.size());
+  const MatC Q = eigh(hermitian_from(random_matc(n, n, seed))).eigenvectors;
+  MatC QD(n, n);
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < n; ++i) QD(i, j) = Q(i, j) * d[j];
+  MatC H(n, n);
+  gemm(Op::kNone, Op::kConjTrans, cd(1, 0), QD, Q, cd(0, 0), H);
+  return H;
+}
+
+void expect_eigh_bits_match_oracle(const MatC& H, const char* kind) {
+  const int n = H.rows();
+  const EighResult fast = eigh(H);
+  const EighResult ref = eigh_complex_oracle(H);
+  EXPECT_EQ(std::memcmp(fast.eigenvalues.data(), ref.eigenvalues.data(),
+                        n * sizeof(double)),
+            0)
+      << kind << " eigenvalues n = " << n;
+  EXPECT_EQ(std::memcmp(fast.eigenvectors.data(), ref.eigenvectors.data(),
+                        fast.eigenvectors.size() * sizeof(cd)),
+            0)
+      << kind << " eigenvectors n = " << n;
+}
+
+TEST(Eigh, BitIdenticalToComplexRotationOracle) {
+  for (int n = 1; n <= 48; ++n) {
+    expect_eigh_bits_match_oracle(hermitian_from(random_matc(n, n, 900 + n)),
+                                  "random");
+    Rng rng(1900 + n);
+    std::vector<double> clustered(n), degenerate(n);
+    for (int i = 0; i < n; ++i) {
+      clustered[i] = (i % 3) + 1e-9 * rng.uniform(-1, 1);
+      degenerate[i] = i < n / 2 ? -1.0 : 2.0;
+    }
+    expect_eigh_bits_match_oracle(hermitian_with_spectrum(clustered, 2900 + n),
+                                  "clustered");
+    expect_eigh_bits_match_oracle(
+        hermitian_with_spectrum(degenerate, 3900 + n), "degenerate");
+    MatC D(n, n);
+    for (int i = 0; i < n; ++i) D(i, i) = rng.uniform(-2, 2);
+    expect_eigh_bits_match_oracle(D, "diagonal");
+  }
+}
 
 TEST(Eigh, DiagonalMatrix) {
   MatC H(3, 3);

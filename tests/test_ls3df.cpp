@@ -873,10 +873,12 @@ TEST(Ls3df, ThreadSpmdCheckpointBytesMatchDenseAndResumeContinues) {
 
 TEST(Ls3df, OverlapProfileAttributionSumsToIterationWall) {
   // Under overlap the phase.*_s histograms hold attributed per-node busy
-  // time. On one worker lane nothing runs concurrently, so their sums
-  // must add up to the measured iteration wall (the iter.wall_s series)
-  // within 1% — and the phase windows still interleave (the depth-first
-  // chain schedule), giving a positive measured overlap fraction.
+  // time, and phase.handoff_s the task graph's hand-off between nodes
+  // (TaskGraph::run's return value). On one worker lane nothing runs
+  // concurrently, so their sums must add up to the measured iteration
+  // wall (the iter.wall_s series) within 1% — and the phase windows
+  // still interleave (the depth-first chain schedule), giving a positive
+  // measured overlap fraction.
   Structure s = h2_chain(3);
   Ls3dfOptions lo = chain_options();
   lo.max_iterations = 2;
@@ -888,7 +890,7 @@ TEST(Ls3df, OverlapProfileAttributionSumsToIterationWall) {
 
   const char* attributed[] = {"phase.gen_vf_s", "phase.petot_f_s",
                               "phase.gen_dens_s", "phase.genpot_s",
-                              "phase.mix_s"};
+                              "phase.mix_s", "phase.handoff_s"};
   double sum = 0;
   for (const char* key : attributed) {
     EXPECT_EQ(phase_count(r, key), r.iterations) << key;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/timer.h"
 #include "obs/context.h"
 #include "obs/trace.h"
 #include "parallel/scheduler.h"
@@ -285,6 +286,34 @@ TEST(TaskGraph, ObserverReportsOrderedDisjointTimestamps) {
     EXPECT_GE(times[id].first, 0.0) << id;
   }
   EXPECT_GE(times[1].first, times[0].second);  // dependency order
+}
+
+TEST(TaskGraph, HandoffAndBusyTimeTileTheRunOnOneLane) {
+  // run() returns the lanes' hand-off time between tasks. On one lane
+  // the tasks' busy windows plus the hand-off cover run() with no
+  // overlap, so together they match the wall measured around the call.
+  ThreadPool pool(1);  // posted tasks hop threads: real post/wake hand-offs
+  TaskGraph g;
+  int prev = -1;
+  for (int i = 0; i < 12; ++i) {
+    std::vector<int> deps;
+    if (prev >= 0 && i % 4 != 0) deps.push_back(prev);
+    prev = g.add(
+        []() {
+          for (volatile int k = 0; k < 20000; ++k) {
+          }
+        },
+        deps);
+  }
+  double busy = 0;
+  g.set_task_observer([&](int, double t0, double t1) { busy += t1 - t0; });
+  Timer wall_timer;
+  const double handoff = g.run(pool, 1);
+  const double wall = wall_timer.seconds();
+  EXPECT_GE(handoff, 0.0);
+  EXPECT_LE(busy + handoff, wall);
+  EXPECT_NEAR(busy + handoff, wall, 0.01 * wall + 50e-6)
+      << "busy " << busy << " s, hand-off " << handoff << " s";
 }
 
 TEST(TaskGraph, ExceptionDuringNestedPoolUseStillLatches) {
