@@ -16,17 +16,27 @@
 // and a glibc libm on x86-64; a toolchain that rounds exp/log/pow
 // differently must re-record them.
 //
+// Two more cases pin the direct-DFT side (dft/scf, dft/fsm), which the
+// LS3DF solves never run: a whole-cell SCF to convergence and a folded-
+// spectrum solve on a fixed potential. They pin the same kinds of bits
+// (iterations, residual history, energy, eigenvalues, FNV-1a of the
+// result's fields or wavefunction block).
+//
 // Header-only and gtest-free, so the MPI harness (own main) shares it.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
 #include "atoms/builders.h"
+#include "dft/fsm.h"
+#include "dft/scf.h"
 #include "fragment/ls3df.h"
+#include "pseudo/pseudopotential.h"
 
 namespace ls3df {
 namespace golden {
@@ -99,6 +109,47 @@ inline Ls3dfOptions fig6_mixed_options() {
   return lo;
 }
 
+// H2 in an 8-Bohr box (test_scf's gapped workhorse) for the direct-DFT
+// cases.
+inline Structure h2_cell() {
+  Structure s(Lattice::cubic(8.0));
+  s.add_atom(Species::kH, {3.3, 4.0, 4.0});
+  s.add_atom(Species::kH, {4.7, 4.0, 4.0});
+  return s;
+}
+
+// Direct SCF on h2_cell with test_scf's cheap options, run to l1_tol.
+inline ScfOptions direct_scf_options() {
+  ScfOptions opt;
+  opt.ecut = 1.2;
+  opt.max_iterations = 60;
+  opt.l1_tol = 1e-4;
+  opt.eig.max_iterations = 10;
+  opt.eig.residual_tol = 1e-7;
+  return opt;
+}
+
+// The fixed potential of the FSM case: h2_cell's starting effective
+// potential (bare ions plus the Hartree and xc terms of the superposed
+// atomic density) on direct_scf_options()' grid.
+inline FieldR fsm_potential(const Hamiltonian& h) {
+  const Structure& s = h.structure();
+  return effective_potential(
+      h.local_potential(),
+      build_initial_density(s, h.basis().grid_shape()), s.lattice());
+}
+
+// The band-edge pair of that potential: two states folded around 0 Ha,
+// between its lowest level (-0.070 Ha) and the next (0.173 Ha).
+// Converges in 52 of the 60 allowed iterations.
+inline FsmOptions fsm_options() {
+  FsmOptions fopt;
+  fopt.eps_ref = 0.0;
+  fopt.n_states = 2;
+  fopt.max_iterations = 60;
+  return fopt;
+}
+
 // --- the recorded values -----------------------------------------------
 
 struct Reference {
@@ -111,15 +162,41 @@ struct Reference {
   std::uint64_t v_eff_fnv1a;
 };
 
-// 64-bit FNV-1a over the field's raw bytes (z-fastest double storage).
-inline std::uint64_t fnv1a(const FieldR& f) {
+struct DirectReference {
+  const char* name;
+  int iterations;
+  std::vector<double> conv_history;
+  double energy_total;
+  std::vector<double> eigenvalues;
+  std::uint64_t rho_fnv1a;
+  std::uint64_t v_eff_fnv1a;
+};
+
+struct FsmReference {
+  const char* name;
+  int iterations;
+  std::vector<double> eigenvalues;
+  std::vector<double> folded_values;
+  std::uint64_t psi_fnv1a;
+};
+
+// 64-bit FNV-1a over raw bytes.
+inline std::uint64_t fnv1a(const void* data, std::size_t bytes) {
   std::uint64_t h = 1469598103934665603ull;
-  const unsigned char* p = reinterpret_cast<const unsigned char*>(f.data());
-  for (std::size_t i = 0; i < f.size() * sizeof(double); ++i) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
     h ^= p[i];
     h *= 1099511628211ull;
   }
   return h;
+}
+// Over a field's raw bytes (z-fastest double storage).
+inline std::uint64_t fnv1a(const FieldR& f) {
+  return fnv1a(f.data(), f.size() * sizeof(double));
+}
+// Over a wavefunction block's raw bytes (column-major complex doubles).
+inline std::uint64_t fnv1a(const MatC& m) {
+  return fnv1a(m.data(), m.size() * sizeof(std::complex<double>));
 }
 
 inline const Reference& h2_chain3_reference() {
@@ -187,60 +264,124 @@ inline const Reference& fig6_mixed_reference() {
   return r;
 }
 
+inline const DirectReference& h2_direct_scf_reference() {
+  static const DirectReference r{
+      "h2_direct_scf",
+      8,
+      {0x1.1950486c3fd1ep+6, 0x1.d029c45369f4ep+3, 0x1.9512a43472882p+1,
+       0x1.9fc336393da9ap-1, 0x1.aa0a31d509f91p-6, 0x1.5007fa2583a98p-7,
+       0x1.1d537d6db7062p-13, 0x1.cb5b3e080624ep-19},
+      -0x1.71649b255f067p-1,
+      {-0x1.426d75c71fccap-2, 0x1.1aaf326191e3dp-5, 0x1.cc02128f271e2p-4,
+       0x1.2ee41c100cf5p-3, 0x1.2ee41c100cf68p-3},
+      0x660d1008408c9ee0ull,
+      0xccee952b55da1ba9ull};
+  return r;
+}
+
+inline const FsmReference& h2_fsm_reference() {
+  static const FsmReference r{"h2_fsm",
+                              52,
+                              {-0x1.1ef31d1077042p-4, 0x1.61c0d04321dd8p-3},
+                              {0x1.41a41bd0fa7bep-8, 0x1.e8d54f923184dp-6},
+                              0x81d85fd7f184646aull};
+  return r;
+}
+
 // --- comparison ----------------------------------------------------------
+
+// Each helper returns "" on an exact match, else the mismatch (doubles as
+// hexfloats).
+inline std::string count_mismatch(const char* name, const char* what,
+                                  long got, long want) {
+  if (got == want) return "";
+  char buf[256];
+  std::snprintf(buf, sizeof buf, "%s: %s %ld, want %ld", name, what, got,
+                want);
+  return buf;
+}
+
+inline std::string value_mismatch(const char* name, const std::string& what,
+                                  double got, double want) {
+  if (std::memcmp(&got, &want, sizeof(double)) == 0) return "";
+  char buf[256];
+  std::snprintf(buf, sizeof buf, "%s: %s = %a, want %a", name, what.c_str(),
+                got, want);
+  return buf;
+}
+
+inline std::string series_mismatch(const char* name, const char* what,
+                                   const std::vector<double>& got,
+                                   const std::vector<double>& want) {
+  if (got.size() != want.size()) {
+    char buf[256];
+    std::snprintf(buf, sizeof buf, "%s: %s has %zu entries, want %zu", name,
+                  what, got.size(), want.size());
+    return buf;
+  }
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    std::string m = value_mismatch(
+        name, std::string(what) + "[" + std::to_string(k) + "]", got[k],
+        want[k]);
+    if (!m.empty()) return m;
+  }
+  return "";
+}
+
+inline std::string hash_mismatch(const char* name, const char* what,
+                                 std::uint64_t got, std::uint64_t want) {
+  if (got == want) return "";
+  char buf[256];
+  std::snprintf(buf, sizeof buf, "%s: fnv1a(%s) = 0x%llxull, want 0x%llxull",
+                name, what, static_cast<unsigned long long>(got),
+                static_cast<unsigned long long>(want));
+  return buf;
+}
 
 // Empty when `r` carries exactly the reference bits; otherwise the first
 // mismatch, with both values as hexfloats (paste-ready when re-recording).
-inline std::string mismatch(const Ls3dfResult& r, const Reference& ref) {
-  char buf[256];
-  if (r.iterations != ref.iterations) {
-    std::snprintf(buf, sizeof buf, "%s: iterations %d, want %d", ref.name,
-                  r.iterations, ref.iterations);
-    return buf;
-  }
-  if (r.conv_history.size() != ref.conv_history.size()) {
-    std::snprintf(buf, sizeof buf,
-                  "%s: conv_history has %zu entries, want %zu", ref.name,
-                  r.conv_history.size(), ref.conv_history.size());
-    return buf;
-  }
-  for (std::size_t k = 0; k < ref.conv_history.size(); ++k)
-    if (std::memcmp(&r.conv_history[k], &ref.conv_history[k],
-                    sizeof(double)) != 0) {
-      std::snprintf(buf, sizeof buf, "%s: conv_history[%zu] = %a, want %a",
-                    ref.name, k, r.conv_history[k], ref.conv_history[k]);
-      return buf;
-    }
-  const struct {
-    const char* what;
-    double got, want;
-  } scalars[] = {
-      {"charge_patch_error", r.charge_patch_error, ref.charge_patch_error},
-      {"energy.total", r.energy.total, ref.energy_total},
-  };
-  for (const auto& s : scalars)
-    if (std::memcmp(&s.got, &s.want, sizeof(double)) != 0) {
-      std::snprintf(buf, sizeof buf, "%s: %s = %a, want %a", ref.name, s.what,
-                    s.got, s.want);
-      return buf;
-    }
-  const struct {
-    const char* what;
-    std::uint64_t got, want;
-  } hashes[] = {
-      {"rho", fnv1a(r.rho), ref.rho_fnv1a},
-      {"v_eff", fnv1a(r.v_eff), ref.v_eff_fnv1a},
-  };
-  for (const auto& h : hashes)
-    if (h.got != h.want) {
-      std::snprintf(buf, sizeof buf,
-                    "%s: fnv1a(%s) = 0x%llxull, want 0x%llxull", ref.name,
-                    h.what,
-                    static_cast<unsigned long long>(h.got),
-                    static_cast<unsigned long long>(h.want));
-      return buf;
-    }
+inline std::string first_mismatch(std::initializer_list<std::string> checks) {
+  for (const std::string& m : checks)
+    if (!m.empty()) return m;
   return "";
+}
+
+inline std::string mismatch(const Ls3dfResult& r, const Reference& ref) {
+  return first_mismatch(
+      {count_mismatch(ref.name, "iterations", r.iterations, ref.iterations),
+       series_mismatch(ref.name, "conv_history", r.conv_history,
+                       ref.conv_history),
+       value_mismatch(ref.name, "charge_patch_error", r.charge_patch_error,
+                      ref.charge_patch_error),
+       value_mismatch(ref.name, "energy.total", r.energy.total,
+                      ref.energy_total),
+       hash_mismatch(ref.name, "rho", fnv1a(r.rho), ref.rho_fnv1a),
+       hash_mismatch(ref.name, "v_eff", fnv1a(r.v_eff), ref.v_eff_fnv1a)});
+}
+
+inline std::string mismatch(const ScfResult& r, const DirectReference& ref) {
+  return first_mismatch(
+      {count_mismatch(ref.name, "iterations", r.iterations, ref.iterations),
+       count_mismatch(ref.name, "converged", r.converged, 1),
+       series_mismatch(ref.name, "conv_history", r.conv_history,
+                       ref.conv_history),
+       value_mismatch(ref.name, "energy.total", r.energy.total,
+                      ref.energy_total),
+       series_mismatch(ref.name, "eigenvalues", r.eigenvalues,
+                       ref.eigenvalues),
+       hash_mismatch(ref.name, "rho", fnv1a(r.rho), ref.rho_fnv1a),
+       hash_mismatch(ref.name, "v_eff", fnv1a(r.v_eff), ref.v_eff_fnv1a)});
+}
+
+inline std::string mismatch(const FsmResult& r, const FsmReference& ref) {
+  return first_mismatch(
+      {count_mismatch(ref.name, "iterations", r.iterations, ref.iterations),
+       count_mismatch(ref.name, "converged", r.converged, 1),
+       series_mismatch(ref.name, "eigenvalues", r.eigenvalues,
+                       ref.eigenvalues),
+       series_mismatch(ref.name, "folded_values", r.folded_values,
+                       ref.folded_values),
+       hash_mismatch(ref.name, "psi", fnv1a(r.psi), ref.psi_fnv1a)});
 }
 
 }  // namespace golden

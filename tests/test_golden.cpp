@@ -1,7 +1,8 @@
 // Golden-reference suite: full solves on the default execution
 // configuration must land on the recorded bits of tests/golden_refs.h —
 // the 3- and 4-cell H2 chains of the equivalence suites and a three-
-// iteration Fig. 6 ZnTeO alloy. Unlike the cross-configuration suites,
+// iteration Fig. 6 ZnTeO alloy — plus the direct-DFT side: a whole-cell
+// SCF and a folded-spectrum solve on H2 in a box. Unlike the cross-configuration suites,
 // which compare solves against each other, these values are absolute:
 // a numerical change anywhere in the pipeline (fragment setup, PEtot_F,
 // patching, GENPOT, mixing, the patched energy) fails here even when
@@ -43,6 +44,27 @@ TEST(GoldenReference, MixedPrecisionMatchesRecordedBits) {
   alloy.n_workers = 1;
   EXPECT_EQ(golden::mismatch(Ls3dfSolver(golden::fig6_alloy(), alloy).solve(),
                              golden::fig6_mixed_reference()),
+            "");
+}
+
+// Direct DFT (dft/scf): the whole-cell all-band Davidson inside the SCF
+// loop, run to convergence.
+TEST(GoldenReference, DirectScfMatchesRecordedBits) {
+  EXPECT_EQ(golden::mismatch(run_scf(golden::h2_cell(),
+                                     golden::direct_scf_options()),
+                             golden::h2_direct_scf_reference()),
+            "");
+}
+
+// The folded spectrum method (dft/fsm) on a fixed potential.
+TEST(GoldenReference, FoldedSpectrumMatchesRecordedBits) {
+  const Structure s = golden::h2_cell();
+  const double ecut = golden::direct_scf_options().ecut;
+  Hamiltonian h(s, GVectors(s.lattice(), default_fft_grid(s.lattice(), ecut),
+                            ecut));
+  h.set_local_potential(golden::fsm_potential(h));
+  EXPECT_EQ(golden::mismatch(folded_spectrum(h, golden::fsm_options()),
+                             golden::h2_fsm_reference()),
             "");
 }
 
