@@ -39,10 +39,12 @@ double time_solver(bool all_band, int repeats) {
   Timer t;
   for (int r = 0; r < repeats; ++r) {
     MatC psi = random_wavefunctions(gv, 20, 11 + r);
-    if (all_band)
-      solve_all_band(h, psi, opt);
-    else
+    if (all_band) {
+      BatchWorkspace ws;
+      solve_all_band_batched<double>({{&h, &psi}}, opt, ws);
+    } else {
       solve_band_by_band(h, psi, opt);
+    }
   }
   return t.seconds() / repeats;
 }

@@ -21,10 +21,9 @@ using cf = std::complex<float>;
 namespace {
 
 // Level-1 shims dispatching on the element type, so the scalar Davidson
-// steps below can be templated over the real type. The double
-// instantiations forward to exactly the calls the untemplated code made,
-// so the fp64 path's arithmetic (and the bit-identity contract) is
-// untouched; the float ones back the mixed-precision instantiation.
+// steps below can be templated over the real type: the double overloads
+// are the zdotc/dznrm2/zaxpy/zscal kernels every fp64 solver here calls,
+// the float ones back the mixed-precision instantiation.
 inline cd dotc(int n, const cd* x, const cd* y) { return zdotc(n, x, y); }
 inline cf dotc(int n, const cf* x, const cf* y) { return cdotc(n, x, y); }
 inline double nrm2(int n, const cd* x) { return dznrm2(n, x); }
@@ -119,10 +118,10 @@ void EigenWorkspace::reserve_mats(int ng, int nb) {
 template void EigenWorkspace::reserve_mats<double>(int, int);
 template void EigenWorkspace::reserve_mats<float>(int, int);
 
-void EigenWorkspace::reserve(int ng, int nb, bool all_band) {
-  if (all_band) reserve_mats<double>(ng, nb);
+void EigenWorkspace::reserve(int ng, int nb, bool block) {
+  if (block) reserve_mats<double>(ng, nb);
   for (int s = 0; s < kVecSlots; ++s) vec(s, ng);
-  scratch_.reserve(all_band ? std::max(std::min(2 * nb, ng), 2) : 2);
+  scratch_.reserve(block ? std::max(std::min(2 * nb, ng), 2) : 2);
 }
 
 EigenWorkspace& BatchWorkspace::member(int i) {
@@ -235,16 +234,10 @@ MatC random_wavefunctions(const GVectors& basis, int n_bands,
   return psi;
 }
 
-namespace {
+// The per-iteration scalar steps of the Davidson sweep, templated over
+// the real type: the double instantiation serves the fp64 lockstep body
+// and the folded spectrum method, the float one the mixed-precision body.
 
-// The per-iteration scalar steps of the Davidson loop, shared verbatim by
-// the per-fragment and batched drivers so the two paths are bit-identical
-// by construction. Templated over the real type: the double instantiation
-// is operation-for-operation the original code (the shims above forward
-// to the same level-1 calls), and the float instantiation serves the
-// mixed-precision lockstep driver.
-
-// Residuals R = HX - X diag(eps); returns the max column norm.
 template <typename Real>
 double residual_block(const Matrix<std::complex<Real>>& X,
                       const Matrix<std::complex<Real>>& HX,
@@ -261,31 +254,6 @@ double residual_block(const Matrix<std::complex<Real>>& X,
   return max_res;
 }
 
-// Preconditioned correction block T from residuals R.
-template <typename Real>
-void correction_block(const GVectors& basis, bool precondition,
-                      const Matrix<std::complex<Real>>& X,
-                      const Matrix<std::complex<Real>>& R,
-                      Matrix<std::complex<Real>>& T) {
-  const int ng = X.rows(), nb = X.cols();
-  for (int j = 0; j < nb; ++j) {
-    if (precondition) {
-      precondition_tpa(basis, band_kinetic(basis, X.col(j)), R.col(j),
-                       T.col(j));
-    } else {
-      std::copy(R.col(j), R.col(j) + ng, T.col(j));
-    }
-  }
-}
-
-// New search space [X | accepted corrections]: corrections are
-// Gram-Schmidt-appended one at a time; columns that are (numerically)
-// linearly dependent are dropped, and the total is capped at Vn.cols()
-// (== min(2nb, ng)) so the subspace can never exceed the full basis
-// (small fragments can have very few plane waves). Returns the accepted
-// column count; T is consumed. The dependence threshold scales with the
-// precision: 1e-8 for double, 1e-4 for float (a float correction with a
-// smaller surviving norm is rounding noise, not a direction).
 template <typename Real>
 int expand_search_space(const Matrix<std::complex<Real>>& X,
                         Matrix<std::complex<Real>>& T,
@@ -311,86 +279,28 @@ int expand_search_space(const Matrix<std::complex<Real>>& X,
   return cols;
 }
 
-}  // namespace
-
-EigensolverResult solve_all_band(const Hamiltonian& h, MatC& psi,
-                                 const EigensolverOptions& opt,
-                                 EigenWorkspace& ws) {
-  const GVectors& basis = h.basis();
-  const int ng = basis.count();
-  const int nb = psi.cols();
-  assert(psi.rows() == ng);
-  assert(nb <= ng);
-
-  // Reserve every slot at its per-solve maximum up front so later
-  // (smaller) resizes can never grow storage mid-iteration.
-  const int vmax = std::min(2 * nb, ng);
-  ws.reserve(ng, nb, /*all_band=*/true);
-
-  orthonormalize_cholesky(psi, ws.scratch());
-
-  EigensolverResult result;
-  MatC& X = ws.mat(kX, ng, nb);
-  MatC& HX = ws.mat(kHX, ng, nb);
-  MatC& R = ws.mat(kR, ng, nb);
-  MatC& T = ws.mat(kT, ng, nb);
-  MatC* V = &ws.mat(kV, ng, nb);  // current Ritz block (cols grow/shrink)
-  std::copy(psi.data(), psi.data() + psi.size(), V->data());
-  MatC& HV = ws.mat(kHV, ng, nb);
-  h.apply(*V, HV);
-
-  const auto rayleigh_ritz = [&]() {
-    const int dim = V->cols();
-    MatC& G = ws.mat(kG, dim, dim);
-    gemm(Op::kConjTrans, Op::kNone, cd(1, 0), *V, HV, cd(0, 0), G);
-    EighView eg = eigh(G, ws.scratch());
-    // Keep the lowest nb Ritz vectors.
-    MatC& Y = ws.mat(kY, dim, nb);
-    for (int j = 0; j < nb; ++j)
-      for (int i = 0; i < dim; ++i) Y(i, j) = (*eg.eigenvectors)(i, j);
-    gemm(Op::kNone, Op::kNone, cd(1, 0), *V, Y, cd(0, 0), X);
-    gemm(Op::kNone, Op::kNone, cd(1, 0), HV, Y, cd(0, 0), HX);
-    result.eigenvalues.assign(eg.eigenvalues->begin(),
-                              eg.eigenvalues->begin() + nb);
-  };
-
-  for (int iter = 0; iter < opt.max_iterations; ++iter) {
-    TraceSpan sweep("davidson.sweep", TraceCat::kSolver, 1);
-    result.iterations = iter + 1;
-
-    // Rayleigh-Ritz in span(V).
-    rayleigh_ritz();
-
-    result.max_residual = residual_block(X, HX, result.eigenvalues, R);
-    if (result.max_residual < opt.residual_tol) {
-      result.converged = true;
-      std::copy(X.data(), X.data() + X.size(), psi.data());
-      return result;
-    }
-
-    correction_block(basis, opt.precondition, X, R, T);
-    MatC& Vn = ws.mat(kVn, ng, vmax);
-    const int cols = expand_search_space(X, T, Vn);
-    if (cols == nb) {
-      // No useful corrections left: the block is as converged as the
-      // basis allows.
-      result.converged = true;
-      std::copy(X.data(), X.data() + X.size(), psi.data());
-      return result;
-    }
-    V = &ws.mat(kV, ng, cols);
-    for (int j = 0; j < cols; ++j)
-      std::copy(Vn.col(j), Vn.col(j) + ng, V->col(j));
-    h.apply(*V, HV);
-  }
-
-  // Not converged within budget: return the best current Ritz vectors.
-  rayleigh_ritz();
-  std::copy(X.data(), X.data() + X.size(), psi.data());
-  return result;
-}
+template double residual_block<double>(const MatC&, const MatC&,
+                                       const std::vector<double>&, MatC&);
+template int expand_search_space<double>(const MatC&, MatC&, MatC&);
 
 namespace {
+
+// Preconditioned correction block T from residuals R.
+template <typename Real>
+void correction_block(const GVectors& basis, bool precondition,
+                      const Matrix<std::complex<Real>>& X,
+                      const Matrix<std::complex<Real>>& R,
+                      Matrix<std::complex<Real>>& T) {
+  const int ng = X.rows(), nb = X.cols();
+  for (int j = 0; j < nb; ++j) {
+    if (precondition) {
+      precondition_tpa(basis, band_kinetic(basis, X.col(j)), R.col(j),
+                       T.col(j));
+    } else {
+      std::copy(R.col(j), R.col(j) + ng, T.col(j));
+    }
+  }
+}
 
 // Per-member bookkeeping of the lockstep driver. Trivially destructible
 // (pointers and scalars only) so it can live in the workspace's grow-only
@@ -464,7 +374,7 @@ std::vector<EigensolverResult> solve_all_band_batched(
   // too and the guess rounds once into the fp32 Ritz block).
   parallel_for(k_members, lanes(), [&](int i, int /*worker*/) {
     Member& m = mem[i];
-    m.ws->reserve(m.ng, m.nb, /*all_band=*/true);
+    m.ws->reserve(m.ng, m.nb, /*block=*/true);
     if constexpr (kF32) m.ws->reserve_mats<float>(m.ng, m.nb);
     orthonormalize_cholesky(*m.psi, m.ws->scratch());
     Mat& V = m.ws->mat<Real>(kV, m.ng, m.nb);
@@ -588,7 +498,7 @@ std::vector<EigensolverResult> solve_all_band_batched(
   }
 
   // Budget exhausted: return the best current Ritz vectors for whoever is
-  // left (same final rotation the per-fragment driver performs).
+  // left (one final rotation).
   if (!active.empty()) {
     rayleigh_ritz(active);
     parallel_for(static_cast<int>(active.size()), lanes(),
@@ -608,19 +518,13 @@ template std::vector<EigensolverResult> solve_all_band_batched<float>(
     const std::vector<FragmentSolve>&, const EigensolverOptions&,
     BatchWorkspace&, int, const std::function<int()>&);
 
-EigensolverResult solve_all_band(const Hamiltonian& h, MatC& psi,
-                                 const EigensolverOptions& opt) {
-  EigenWorkspace ws;
-  return solve_all_band(h, psi, opt, ws);
-}
-
 EigensolverResult solve_band_by_band(const Hamiltonian& h, MatC& psi,
                                      const EigensolverOptions& opt,
                                      EigenWorkspace& ws) {
   const GVectors& basis = h.basis();
   const int ng = basis.count();
   const int nb = psi.cols();
-  ws.reserve(ng, nb, /*all_band=*/false);
+  ws.reserve(ng, nb, /*block=*/false);
   orthonormalize_gram_schmidt(psi);
 
   EigensolverResult result;

@@ -1,12 +1,15 @@
 // Iterative eigensolvers for the fragment Schroedinger equation.
 //
-// Two solver families mirror the paper's Sec. IV optimization study:
-//  - solve_all_band: blocked solver working on all wavefunctions
-//    simultaneously; orthogonalization via overlap matrix + Cholesky and
-//    nonlocal projection via BLAS-3 (the optimized PEtot_F).
+// The paper's Sec. IV optimization study compares two schemes:
+//  - solve_all_band_batched: the blocked Davidson working on all
+//    wavefunctions simultaneously; orthogonalization via overlap matrix +
+//    Cholesky and nonlocal projection via BLAS-3 (the optimized PEtot_F).
+//    It is the one all-band body: LS3DF fragment batches, the direct SCF
+//    (dft/scf) and single-Hamiltonian solves all run it, the latter two
+//    as one-member batches.
 //  - solve_band_by_band: conjugate gradient one band at a time with
 //    Gram-Schmidt orthogonalization against lower bands (the original
-//    PEtot scheme; BLAS-2 dominated).
+//    PEtot scheme; BLAS-2 dominated), kept as the paper's baseline.
 // Both use the Teter-Payne-Allan kinetic preconditioner standard in
 // planewave codes [Payne et al., Rev. Mod. Phys. 64, 1045 (1992)].
 //
@@ -33,9 +36,9 @@
 //
 // Members converge independently: a converged member drops out of the
 // lockstep batch and the remaining members keep iterating, so every
-// member executes exactly the arithmetic the per-fragment solver would —
-// results are bit-identical to solve_all_band for any batch width and
-// worker count; batching only changes scheduling and cache behaviour.
+// member executes exactly the arithmetic of its own one-member batch —
+// results are invariant under batch width and worker count (bit for
+// bit); batching only changes scheduling and cache behaviour.
 //
 // This driver is also the seam a GPU backend slots into: the contiguous
 // grid stack, the fused GEMM work grid, and the per-batch workspace
@@ -142,9 +145,9 @@ class EigenWorkspace {
 
   // Grow every slot to the extents a fragment of (ng, nb) can ever need,
   // so solves of any fragment at or below those extents never allocate.
-  // all_band additionally reserves the double block-solver matrix slots
+  // block additionally reserves the double block-solver matrix slots
   // (the band-by-band solver only uses the vector slots).
-  void reserve(int ng, int nb, bool all_band = true);
+  void reserve(int ng, int nb, bool block = true);
   // Same for the Real-precision block-solver matrix slots alone.
   template <typename Real>
   void reserve_mats(int ng, int nb);
@@ -228,43 +231,59 @@ void orthonormalize_gram_schmidt(MatC& X);
 // approximate eigenvectors, returns subspace eigenvalues ascending.
 std::vector<double> subspace_rotate(const Hamiltonian& h, MatC& X);
 
-// Blocked Davidson with TPA preconditioning. psi holds the initial guess
-// (columns need not be orthonormal) and is replaced by the lowest
-// psi.cols() eigenvector approximations. With a workspace, all block
-// temporaries live in (and persist through) the caller's arena.
-EigensolverResult solve_all_band(const Hamiltonian& h, MatC& psi,
-                                 const EigensolverOptions& opt,
-                                 EigenWorkspace& ws);
-EigensolverResult solve_all_band(const Hamiltonian& h, MatC& psi,
-                                 const EigensolverOptions& opt = {});
-
 // One member of a batched fragment solve.
 struct FragmentSolve {
   const Hamiltonian* h = nullptr;
   MatC* psi = nullptr;  // initial guess in, eigenvector approximations out
 };
 
-// Batched all-band solver: runs every member's Davidson iteration in
-// lockstep (see the architecture block above). All members must share the
-// FFT grid shape (same size class). live_lanes, when set, is re-read at
-// every sweep boundary and overrides n_workers for that sweep (the lane-
-// donation hook; see the architecture block).
+// Blocked Davidson with TPA preconditioning, run for every member in
+// lockstep (see the architecture block above). Each psi holds its
+// member's initial guess (columns need not be orthonormal) and is
+// replaced by the lowest psi.cols() eigenvector approximations; all block
+// temporaries live in (and persist through) the caller's workspace. All
+// members must share the FFT grid shape (same size class). live_lanes,
+// when set, is re-read at every sweep boundary and overrides n_workers
+// for that sweep (the lane-donation hook; see the architecture block).
 //
-// Real = double: results[i] is bit-identical to
-// solve_all_band(*frags[i].h, *frags[i].psi, opt) for any batch width,
-// n_workers, and live_lanes schedule.
+// Real = double: results[i] is bit-identical to the one-member batch
+// {frags[i]} for any batch width, n_workers, and live_lanes schedule.
 // Real = float (the mixed-precision path; see the architecture block):
 // takes the same double-precision psi blocks — the guess is
 // orthonormalized in double, rounded once into the fp32 slots, iterated
 // in fp32, and the result rounded back into psi. NOT bit-identical to
-// solve_all_band: the effective residual tolerance is floored at 2e-5
-// and eigenvalues carry fp32 subspace accuracy. Its results are still
-// invariant under batch width, n_workers and live_lanes.
+// the double instantiation: the effective residual tolerance is floored
+// at 2e-5 and eigenvalues carry fp32 subspace accuracy. Its results are
+// still invariant under batch width, n_workers and live_lanes.
 template <typename Real = double>
 std::vector<EigensolverResult> solve_all_band_batched(
     const std::vector<FragmentSolve>& frags, const EigensolverOptions& opt,
     BatchWorkspace& ws, int n_workers = 1,
     const std::function<int()>& live_lanes = {});
+
+// Two per-member scalar steps of the Davidson sweep, shared with the
+// folded spectrum method (dft/fsm), which runs the same block iteration
+// on (H - eps_ref)^2.
+//
+// Residuals R = HX - X diag(evals); returns the max column norm.
+template <typename Real>
+double residual_block(const Matrix<std::complex<Real>>& X,
+                      const Matrix<std::complex<Real>>& HX,
+                      const std::vector<double>& evals,
+                      Matrix<std::complex<Real>>& R);
+// New search space [X | accepted corrections] in Vn: corrections are
+// Gram-Schmidt-appended one at a time (two projection passes);
+// (numerically) dependent columns are dropped, and the total is capped at
+// Vn.cols() (== min(2nb, ng)) so the subspace can never exceed the full
+// basis (small fragments can have very few plane waves). Returns the
+// accepted column count; T is consumed. The dependence threshold scales
+// with the precision: 1e-8 for double, 1e-4 for float (a float
+// correction with a smaller surviving norm is rounding noise, not a
+// direction).
+template <typename Real>
+int expand_search_space(const Matrix<std::complex<Real>>& X,
+                        Matrix<std::complex<Real>>& T,
+                        Matrix<std::complex<Real>>& Vn);
 
 // Band-by-band preconditioned CG.
 EigensolverResult solve_band_by_band(const Hamiltonian& h, MatC& psi,

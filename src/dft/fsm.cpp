@@ -54,12 +54,8 @@ FsmResult folded_spectrum(const Hamiltonian& h, const FsmOptions& opt) {
     result.folded_values.assign(eg.eigenvalues.begin(),
                                 eg.eigenvalues.begin() + nb);
 
-    MatC R = AX;
-    for (int j = 0; j < nb; ++j)
-      zaxpy(ng, cd(-result.folded_values[j], 0.0), X.col(j), R.col(j));
-    double max_res = 0;
-    for (int j = 0; j < nb; ++j)
-      max_res = std::max(max_res, dznrm2(ng, R.col(j)));
+    MatC R(ng, nb);
+    const double max_res = residual_block(X, AX, result.folded_values, R);
     if (max_res < opt.residual_tol || iter == opt.max_iterations - 1) {
       result.converged = max_res < opt.residual_tol;
       V = std::move(X);
@@ -78,23 +74,9 @@ FsmResult folded_spectrum(const Hamiltonian& h, const FsmOptions& opt) {
       }
     }
     // Expand with independent corrections only, capped at the basis size
-    // (same robust scheme as solve_all_band).
+    // (the Davidson step of the all-band solver).
     MatC Vn(ng, std::min(2 * nb, ng));
-    for (int j = 0; j < nb; ++j) std::copy(X.col(j), X.col(j) + ng, Vn.col(j));
-    int cols = nb;
-    for (int j = 0; j < nb && cols < Vn.cols(); ++j) {
-      cd* t = T.col(j);
-      for (int pass = 0; pass < 2; ++pass)
-        for (int k = 0; k < cols; ++k) {
-          const cd proj = zdotc(ng, Vn.col(k), t);
-          zaxpy(ng, -proj, Vn.col(k), t);
-        }
-      const double nrm = dznrm2(ng, t);
-      if (nrm < 1e-8) continue;
-      zscal(ng, cd(1.0 / nrm, 0.0), t);
-      std::copy(t, t + ng, Vn.col(cols));
-      ++cols;
-    }
+    const int cols = expand_search_space(X, T, Vn);
     if (cols == nb) {
       V = std::move(X);
       break;

@@ -146,23 +146,8 @@ void Hamiltonian::apply_local(const cd* in, cd* out) const {
 }
 
 void Hamiltonian::apply(const MatC& psi, MatC& hpsi) const {
-  const int ng = basis_->count(), nb = psi.cols();
-  assert(psi.rows() == ng);
-  hpsi.reshape(ng, nb);  // every element is written below; skip zero-fill
-  // Local potential: per-band FFTs.
-  for (int j = 0; j < nb; ++j) apply_local(psi.col(j), hpsi.col(j));
-  // Kinetic: diagonal in q-space.
-  for (int j = 0; j < nb; ++j) {
-    cd* h = hpsi.col(j);
-    const cd* p = psi.col(j);
-    for (int g = 0; g < ng; ++g) h[g] += 0.5 * basis_->g2(g) * p[g];
-  }
-  // Nonlocal: BLAS-3 over the whole block.
-  nl_->apply_all_bands(psi, hpsi);
-  if (flops_) {
-    flops_->add(4ull * ng * nb);  // kinetic
-    flops_->add(2 * FlopCounter::zgemm(nl_->num_projectors(), nb, ng));
-  }
+  apply_item_.assign(1, {this, &psi, &hpsi});
+  apply_batched(apply_item_, apply_ws_);
 }
 
 template <typename Real>
@@ -232,14 +217,14 @@ void Hamiltonian::apply_batched(const std::vector<ApplyItemT<Real>>& items,
     const int j = u - off[t];
     C* h = it.hpsi->col(j);
     basis.gather(stack + u * gsize, h);
-    // Kinetic: diagonal in q-space (same expression as apply()).
+    // Kinetic: diagonal in q-space.
     const C* p = it.psi->col(j);
     for (int g = 0; g < basis.count(); ++g) h[g] += Real(0.5) * g2[g] * p[g];
   });
 
   // Nonlocal, batched: P_t = B_t^H psi_t, scale rows by the KB strengths,
-  // hpsi_t += B_t P_t — the two GEMMs of NonlocalKB::apply_all_bands
-  // fused across members.
+  // hpsi_t += B_t P_t — two BLAS-3 GEMMs fused across members (the
+  // all-band form of NonlocalKB::apply_one_band).
   std::vector<GemmBatchItemT<Real>>& overlap_items =
       ws.arena<Real>().overlap_items;
   std::vector<GemmBatchItemT<Real>>& accum_items =
@@ -274,8 +259,9 @@ void Hamiltonian::apply_batched(const std::vector<ApplyItemT<Real>>& items,
                  n_workers);
   }
 
-  // Flop accounting mirrors apply() per member (the counter tracks
-  // operations, not operand width).
+  // Flop accounting per member: nb local applies (two pruned FFTs and the
+  // V_loc multiply each), the kinetic term and the two nonlocal GEMMs
+  // (the counter tracks operations, not operand width).
   for (int t = 0; t < k_members; ++t) {
     const Item& it = items[t];
     if (!it.h->flops_) continue;

@@ -3,7 +3,7 @@
 // real space via FFTs — the standard planewave-code structure shared by
 // PEtot, PARATEC and Qbox (Sec. IV).
 //
-// Every wavefunction FFT here — the local apply (apply, apply_band and
+// Every wavefunction FFT here — the local apply (apply_band and
 // apply_batched in both precisions), density/density_into and
 // kinetic_energy_density — is G-sphere pruned: it runs only the 1D lines
 // the basis' line table (GVectors::fft_lines) names, skipping x-lines on
@@ -14,13 +14,16 @@
 // (FlopCounter::fft3d_lines).
 //
 // Both application paths of the paper's optimization study are provided:
-//   apply()       all bands at once (BLAS-3 nonlocal, batched FFTs)
-//   apply_band()  one band at a time (BLAS-2 nonlocal), the original
-//                 PEtot band-by-band scheme
+//   apply_batched()  all bands of a stack of Hamiltonians at once (BLAS-3
+//                    nonlocal, one many-transform FFT sweep); apply() is
+//                    the one-item call on this instance
+//   apply_band()     one band at a time (BLAS-2 nonlocal), the original
+//                    PEtot band-by-band scheme
 //
 // Thread safety: apply/apply_band/density/density_into/
-// kinetic_energy_density all reuse the internal FFT scratch (work_), so
-// one Hamiltonian instance must not be driven from two threads at once.
+// kinetic_energy_density all reuse internal scratch (the FFT grid work_,
+// the apply and density arenas), so one Hamiltonian instance must not be
+// driven from two threads at once.
 // The LS3DF engine guarantees this by owning one Hamiltonian per
 // fragment and running each fragment on a single worker lane.
 #pragma once
@@ -107,7 +110,9 @@ class Hamiltonian {
 
   void set_local_potential(const FieldR& v);
 
-  // hpsi = H psi for all columns (allocates hpsi to match psi).
+  // hpsi = H psi for all columns (reshapes hpsi to match psi): the one-
+  // item apply_batched on this instance, through its own grow-only
+  // arena, so repeated applies of a block width reuse warm buffers.
   void apply(const MatC& psi, MatC& hpsi) const;
   // hpsi = H psi for a single band.
   void apply_band(const std::complex<double>* psi,
@@ -136,14 +141,15 @@ class Hamiltonian {
   // backend slots into: the grid stack and the fused GEMM grid are the
   // device-friendly units.
   //
-  // Real = double: per-band arithmetic is exactly apply()'s, so a batched
-  // call is bit-identical to the member-by-member loop for any n_workers
-  // — batching only changes scheduling and cache behaviour.
+  // Real = double: per-band arithmetic does not depend on the other
+  // members, so a batched call is bit-identical to one-item calls
+  // (apply()) member by member for any n_workers — batching only changes
+  // scheduling and cache behaviour.
   // Real = float: the same sweep on single-precision FFT plans, GEMM
   // cores and grid stack, reading each member's fp32 mirrors (V_loc,
   // |G|^2, KB projectors and strengths), which are built up front,
   // serially, so the parallel body never races a lazy build. The engine
-  // of the mixed-precision Davidson; NOT bit-identical to apply().
+  // of the mixed-precision Davidson; NOT bit-identical to the double one.
   template <typename Real = double>
   static void apply_batched(const std::vector<ApplyItemT<Real>>& items,
                             ApplyBatchWorkspace& ws, int n_workers = 1);
@@ -209,6 +215,9 @@ class Hamiltonian {
   // grid per occupied band). Like work_, shares the instance's
   // one-thread-at-a-time contract.
   mutable std::vector<std::complex<double>> density_stack_;
+  // apply()'s one-item list and grow-only arena (same contract).
+  mutable std::vector<ApplyItemT<double>> apply_item_;
+  mutable ApplyBatchWorkspace apply_ws_;
   // Single-precision mirrors for apply_batched<float> (see
   // ensure_f32_mirrors). Lazily built; V_loc's copy is invalidated by
   // set_local_potential so fp64-only runs never pay for them.

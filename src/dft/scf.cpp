@@ -108,6 +108,8 @@ ScfResult run_scf(Hamiltonian& h, const FieldR& vion, const FieldR& v_start,
   result.occupations = fill_occupations(electrons, n_bands);
 
   MatC psi = random_wavefunctions(h.basis(), n_bands, opt.seed);
+  const std::vector<FragmentSolve> solve{{&h, &psi}};
+  BatchWorkspace ws;
   PotentialMixer mixer(opt.mix_alpha);
 
   FieldR v_in = v_start;
@@ -115,9 +117,8 @@ ScfResult run_scf(Hamiltonian& h, const FieldR& vion, const FieldR& v_start,
     result.iterations = iter + 1;
     h.set_local_potential(v_in);
 
-    EigensolverResult eig = opt.all_band
-                                ? solve_all_band(h, psi, opt.eig)
-                                : solve_band_by_band(h, psi, opt.eig);
+    const EigensolverResult eig =
+        solve_all_band_batched<double>(solve, opt.eig, ws)[0];
     result.eigenvalues = eig.eigenvalues;
     if (opt.smearing > 0.0)
       result.occupations =

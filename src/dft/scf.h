@@ -2,7 +2,9 @@
 // the paper compares LS3DF against (stand-alone PEtot / PARATEC class).
 // The loop structure matches Fig. 2 with a single "fragment" spanning the
 // entire cell: V_in -> solve bands -> rho -> V_out -> mix -> repeat, with
-// convergence measured by  int |V_out - V_in| d3r  (Fig. 6 metric).
+// convergence measured by  int |V_out - V_in| d3r  (Fig. 6 metric). The
+// bands are solved by the all-band Davidson (solve_all_band_batched) as a
+// one-member batch, the same body the LS3DF fragments run.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +28,6 @@ struct ScfOptions {
   double mix_alpha = 0.6;
   EigensolverOptions eig{/*max_iterations=*/12, /*residual_tol=*/1e-6,
                          /*precondition=*/true};
-  bool all_band = true;       // false = band-by-band CG (original scheme)
   std::uint64_t seed = 12345;
   bool compute_energy = true;
   // Gaussian occupation smearing width (Ha). 0 keeps integer occupations

@@ -224,16 +224,6 @@ NonlocalKB::NonlocalKB(const Structure& s, const GVectors& basis)
   assert(col == n_proj);
 }
 
-void NonlocalKB::apply_all_bands(const MatC& psi, MatC& out) const {
-  const int n_proj = projectors_.cols();
-  if (n_proj == 0) return;
-  // P = B^H psi  (n_proj x n_bands), then out += B (D P).
-  MatC P = overlap(projectors_, psi);
-  for (int j = 0; j < P.cols(); ++j)
-    for (int p = 0; p < n_proj; ++p) P(p, j) *= strengths_[p];
-  gemm(Op::kNone, Op::kNone, cd(1, 0), projectors_, P, cd(1, 0), out);
-}
-
 void NonlocalKB::apply_one_band(const cd* psi, cd* out) const {
   const int n_proj = projectors_.cols();
   if (n_proj == 0) return;

@@ -74,8 +74,10 @@ void build_initial_density_sharded(const Structure& s, DistFft3D& fft,
 // Separable Kleinman-Bylander nonlocal operator in a plane-wave basis:
 //   V_NL = sum_p |beta_p> D_p <beta_p|,
 // with beta_p(G) = f_l(G) exp(-i G . R_a) and D_p folded with 1/volume so
-// the operator is size-consistent. Applied with BLAS-3 (all bands at once)
-// or BLAS-2 (one band) to support the Sec. IV optimization comparison.
+// the operator is size-consistent. Applied with BLAS-2 one band at a time
+// here; the BLAS-3 all-band form is the pair of batched GEMMs in
+// Hamiltonian::apply_batched, which reads projectors() and strengths().
+// The two support the Sec. IV optimization comparison.
 class NonlocalKB {
  public:
   NonlocalKB(const Structure& s, const GVectors& basis);
@@ -84,8 +86,6 @@ class NonlocalKB {
   const MatC& projectors() const { return projectors_; }
   const std::vector<double>& strengths() const { return strengths_; }
 
-  // out += V_NL * psi for all columns of psi (BLAS-3 path).
-  void apply_all_bands(const MatC& psi, MatC& out) const;
   // out += V_NL * psi for a single band (BLAS-2 path).
   void apply_one_band(const std::complex<double>* psi,
                       std::complex<double>* out) const;

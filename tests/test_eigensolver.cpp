@@ -1,7 +1,9 @@
 // Eigensolver tests: free-electron analytic limits, agreement between the
 // all-band (BLAS-3) and band-by-band (BLAS-2) solvers and a dense-matrix
-// reference diagonalization, orthonormalization schemes, and Hamiltonian
-// invariants (Hermiticity, kinetic energy, density normalization).
+// reference diagonalization, orthonormalization schemes, width invariance
+// of the batched solver and apply (width K against K width-1 calls), and
+// Hamiltonian invariants (Hermiticity, kinetic energy, density
+// normalization).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,6 +37,13 @@ std::vector<double> dense_eigenvalues(const Hamiltonian& h, int n_lowest) {
 
 Structure empty_box(double L) { return Structure(Lattice::cubic(L)); }
 
+// The all-band Davidson on one Hamiltonian: a one-member batch.
+EigensolverResult solve_one(const Hamiltonian& h, MatC& psi,
+                            const EigensolverOptions& opt) {
+  BatchWorkspace ws;
+  return solve_all_band_batched<double>({{&h, &psi}}, opt, ws)[0];
+}
+
 TEST(Hamiltonian, FreeElectronEigenvalues) {
   // No atoms: H = -1/2 nabla^2; eigenvalues are 0.5 |G|^2.
   Structure s = empty_box(6.0);
@@ -46,7 +55,7 @@ TEST(Hamiltonian, FreeElectronEigenvalues) {
   std::sort(expected.begin(), expected.end());
 
   MatC psi = random_wavefunctions(gv, 6, 1);
-  EigensolverResult r = solve_all_band(h, psi, {40, 1e-9, true});
+  EigensolverResult r = solve_one(h, psi, {40, 1e-9, true});
   for (int j = 0; j < 6; ++j)
     EXPECT_NEAR(r.eigenvalues[j], expected[j], 1e-7) << "band " << j;
 }
@@ -87,13 +96,13 @@ TEST(Hamiltonian, ConstantPotentialShiftsSpectrum) {
   GVectors gv(s.lattice(), {10, 10, 10}, 1.5);
   Hamiltonian h(s, gv);
   MatC psi = random_wavefunctions(gv, 4, 2);
-  EigensolverResult r0 = solve_all_band(h, psi, {40, 1e-9, true});
+  EigensolverResult r0 = solve_one(h, psi, {40, 1e-9, true});
 
   FieldR v(gv.grid_shape());
   v.fill(0.37);
   h.set_local_potential(v);
   MatC psi2 = random_wavefunctions(gv, 4, 2);
-  EigensolverResult r1 = solve_all_band(h, psi2, {40, 1e-9, true});
+  EigensolverResult r1 = solve_one(h, psi2, {40, 1e-9, true});
   for (int j = 0; j < 4; ++j)
     EXPECT_NEAR(r1.eigenvalues[j] - r0.eigenvalues[j], 0.37, 1e-7);
 }
@@ -246,7 +255,7 @@ TEST(DefaultFftGrid, HoldsDensityFrequencies) {
 class SolverAgreement : public ::testing::TestWithParam<bool> {};
 
 TEST_P(SolverAgreement, MatchesDenseDiagonalization) {
-  const bool all_band = GetParam();
+  const bool blocked = GetParam();
   Structure s = build_zincblende(Species::kZn, Species::kTe, 8.0, {1, 1, 1});
   GVectors gv(s.lattice(), {10, 10, 10}, 1.2);
   Hamiltonian h(s, gv);
@@ -256,12 +265,12 @@ TEST_P(SolverAgreement, MatchesDenseDiagonalization) {
   auto exact = dense_eigenvalues(h, nb);
 
   MatC psi = random_wavefunctions(gv, nb, 42);
-  EigensolverOptions opt{all_band ? 60 : 40, 1e-8, true};
-  EigensolverResult r = all_band ? solve_all_band(h, psi, opt)
-                                 : solve_band_by_band(h, psi, opt);
+  EigensolverOptions opt{blocked ? 60 : 40, 1e-8, true};
+  EigensolverResult r = blocked ? solve_one(h, psi, opt)
+                                : solve_band_by_band(h, psi, opt);
   for (int j = 0; j < nb; ++j)
     EXPECT_NEAR(r.eigenvalues[j], exact[j], 2e-5)
-        << (all_band ? "all-band" : "band-by-band") << " band " << j;
+        << (blocked ? "all-band" : "band-by-band") << " band " << j;
 
   // Output bands orthonormal.
   MatC S = overlap(psi, psi);
@@ -342,9 +351,9 @@ TEST(SubspaceRotate, SortsAndPreservesSpan) {
 }
 
 TEST(BatchedSolver, BitIdenticalToPerFragmentSolves) {
-  // The tentpole contract: solve_all_band_batched over K same-shape
-  // Hamiltonians returns exactly what K independent solve_all_band calls
-  // return — eigenvalues and wavefunctions alike, for any worker count.
+  // The lockstep contract: solve_all_band_batched over K same-shape
+  // Hamiltonians returns exactly what K one-member batches return —
+  // eigenvalues and wavefunctions alike, for any worker count.
   // Members get different atomic configurations and different local
   // potentials so the lockstep really exercises per-member state,
   // including different convergence trajectories.
@@ -367,7 +376,7 @@ TEST(BatchedSolver, BitIdenticalToPerFragmentSolves) {
   const EigensolverOptions opt{12, 1e-7, true};
   std::vector<EigensolverResult> refs;
   for (int t = 0; t < 3; ++t)
-    refs.push_back(solve_all_band(*hams[t], psis_ref[t], opt));
+    refs.push_back(solve_one(*hams[t], psis_ref[t], opt));
 
   for (int workers : {1, 4}) {
     std::vector<MatC> psis = psis_bat;
@@ -390,26 +399,6 @@ TEST(BatchedSolver, BitIdenticalToPerFragmentSolves) {
               << "member " << t << " workers=" << workers;
     }
   }
-}
-
-TEST(BatchedSolver, WidthOneMatchesSolo) {
-  // Degenerate batch: a single member must follow the identical path.
-  Structure s = build_zincblende(Species::kZn, Species::kTe, 8.0, {1, 1, 1});
-  GVectors gv(s.lattice(), {10, 10, 10}, 1.2);
-  Hamiltonian h(s, gv);
-  MatC p_ref = random_wavefunctions(gv, 4, 77);
-  MatC p_bat = p_ref;
-  EigensolverOptions opt{20, 1e-8, true};
-  EigensolverResult ref = solve_all_band(h, p_ref, opt);
-  BatchWorkspace ws;
-  std::vector<FragmentSolve> frags{{&h, &p_bat}};
-  std::vector<EigensolverResult> rs = solve_all_band_batched(frags, opt, ws);
-  ASSERT_EQ(rs[0].eigenvalues.size(), ref.eigenvalues.size());
-  for (std::size_t j = 0; j < ref.eigenvalues.size(); ++j)
-    ASSERT_EQ(rs[0].eigenvalues[j], ref.eigenvalues[j]);
-  for (int j = 0; j < 4; ++j)
-    for (int g = 0; g < p_ref.rows(); ++g)
-      ASSERT_EQ(p_bat(g, j), p_ref(g, j));
 }
 
 TEST(BatchedSolver, SteadyStateAllocatesNothing) {
@@ -457,6 +446,7 @@ TEST(BatchedSolver, SteadyStateAllocatesNothing) {
 }
 
 TEST(BatchedHamiltonianApply, BitIdenticalToApply) {
+  // K items in one batched call against K one-item calls (apply()).
   const Lattice lat = Lattice::cubic(8.0);
   const Vec3i grid{10, 10, 10};
   std::vector<std::unique_ptr<Hamiltonian>> hams;
@@ -496,9 +486,9 @@ TEST(Preconditioner, SpeedsUpConvergence) {
   Hamiltonian h(s, gv);
 
   MatC psi1 = random_wavefunctions(gv, 4, 5);
-  EigensolverResult with = solve_all_band(h, psi1, {100, 1e-7, true});
+  EigensolverResult with = solve_one(h, psi1, {100, 1e-7, true});
   MatC psi2 = random_wavefunctions(gv, 4, 5);
-  EigensolverResult without = solve_all_band(h, psi2, {100, 1e-7, false});
+  EigensolverResult without = solve_one(h, psi2, {100, 1e-7, false});
   EXPECT_TRUE(with.converged);
   // Preconditioning should never need more iterations (usually far fewer).
   EXPECT_LE(with.iterations, without.iterations);

@@ -261,12 +261,16 @@ TEST_F(Ls3dfAccuracy, OccupiedSpectrumAgreesRelatively) {
   GVectors basis(s_->lattice(), solver_->global_grid(), lo_->ecut);
   Hamiltonian h(*s_, basis);
 
+  const EigensolverOptions opt{60, 1e-8, true};
+  BatchWorkspace ws;
   h.set_local_potential(result_->v_eff);
   MatC p1 = random_wavefunctions(basis, 6, 5);
-  auto e1 = solve_all_band(h, p1, {60, 1e-8, true});
+  const EigensolverResult e1 =
+      solve_all_band_batched<double>({{&h, &p1}}, opt, ws)[0];
   h.set_local_potential(direct_->v_eff);
   MatC p2 = random_wavefunctions(basis, 6, 5);
-  auto e2 = solve_all_band(h, p2, {60, 1e-8, true});
+  const EigensolverResult e2 =
+      solve_all_band_batched<double>({{&h, &p2}}, opt, ws)[0];
 
   const int homo = 2;  // 6 electrons -> 3 occupied bands
   for (int j = 0; j <= homo; ++j) {

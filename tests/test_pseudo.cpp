@@ -151,6 +151,14 @@ class KbFixture : public ::testing::Test {
     return psi;
   }
 
+  // V_NL psi, one apply_one_band per column.
+  MatC apply_columns(const MatC& psi) const {
+    MatC out(psi.rows(), psi.cols());
+    for (int j = 0; j < psi.cols(); ++j)
+      kb_.apply_one_band(psi.col(j), out.col(j));
+    return out;
+  }
+
   Structure s_;
   GVectors gv_;
   NonlocalKB kb_;
@@ -162,34 +170,34 @@ TEST_F(KbFixture, ProjectorCount) {
 }
 
 TEST_F(KbFixture, AllBandsMatchesOneBand) {
+  // The BLAS-3 all-band form Hamiltonian::apply_batched runs, B (D B^H psi)
+  // over projectors() and strengths(), against the BLAS-2 one-band path.
   MatC psi = random_bands(5, 77);
+  MatC P = overlap(kb_.projectors(), psi);
+  for (int j = 0; j < P.cols(); ++j)
+    for (int p = 0; p < P.rows(); ++p) P(p, j) *= kb_.strengths()[p];
   MatC out3(gv_.count(), 5);
-  kb_.apply_all_bands(psi, out3);
-  for (int j = 0; j < 5; ++j) {
-    std::vector<cd> out2(gv_.count(), cd(0, 0));
-    kb_.apply_one_band(psi.col(j), out2.data());
+  gemm(Op::kNone, Op::kNone, cd(1, 0), kb_.projectors(), P, cd(0, 0), out3);
+  const MatC out2 = apply_columns(psi);
+  for (int j = 0; j < 5; ++j)
     for (int g = 0; g < gv_.count(); ++g)
-      EXPECT_LT(std::abs(out3(g, j) - out2[g]), 1e-11);
-  }
+      EXPECT_LT(std::abs(out3(g, j) - out2(g, j)), 1e-11);
 }
 
 TEST_F(KbFixture, OperatorIsHermitian) {
   MatC psi = random_bands(2, 5);
-  MatC va(gv_.count(), 2), vb(gv_.count(), 2);
-  kb_.apply_all_bands(psi, va);
+  const MatC va = apply_columns(psi);
   // <psi_0 | V psi_1> == conj(<psi_1 | V psi_0>).
   const cd a01 = zdotc(gv_.count(), psi.col(0), va.col(1));
   const cd a10 = zdotc(gv_.count(), psi.col(1), va.col(0));
   EXPECT_LT(std::abs(a01 - std::conj(a10)), 1e-10);
-  (void)vb;
 }
 
 TEST_F(KbFixture, EnergyMatchesExpectationValue) {
   MatC psi = random_bands(3, 12);
   std::vector<double> occ{2.0, 2.0, 1.0};
   const double e = kb_.energy(psi, occ);
-  MatC vpsi(gv_.count(), 3);
-  kb_.apply_all_bands(psi, vpsi);
+  const MatC vpsi = apply_columns(psi);
   double expect = 0;
   for (int j = 0; j < 3; ++j)
     expect += occ[j] * zdotc(gv_.count(), psi.col(j), vpsi.col(j)).real();
@@ -216,7 +224,7 @@ TEST(NonlocalKB, HydrogenHasNoProjectors) {
   MatC psi(gv.count(), 1);
   psi(0, 0) = 1.0;
   MatC out(gv.count(), 1);
-  kb.apply_all_bands(psi, out);
+  kb.apply_one_band(psi.col(0), out.col(0));
   for (int g = 0; g < gv.count(); ++g)
     EXPECT_EQ(out(g, 0), cd(0, 0));
 }

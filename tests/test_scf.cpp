@@ -172,21 +172,6 @@ TEST(Scf, BandEnergyIdentityAtConvergence) {
   EXPECT_NEAR(band_sum, expect, 5e-4 * std::abs(expect) + 5e-4);
 }
 
-TEST(Scf, BandByBandMatchesAllBand) {
-  Structure s = h2_cell();
-  ScfOptions opt = tiny_options();
-  opt.l1_tol = 1e-5;
-  ScfResult a = run_scf(s, opt);
-  opt.all_band = false;
-  opt.eig.max_iterations = 6;  // CG steps per band per SCF step
-  ScfResult b = run_scf(s, opt);
-  ASSERT_TRUE(a.converged);
-  ASSERT_TRUE(b.converged);
-  EXPECT_NEAR(a.energy.total, b.energy.total,
-              2e-4 * std::abs(a.energy.total) + 2e-4);
-  EXPECT_NEAR(a.eigenvalues[0], b.eigenvalues[0], 5e-4);
-}
-
 TEST(Scf, SeedIndependenceOfConvergedEnergy) {
   Structure s = h2_cell();
   ScfOptions opt = tiny_options();
