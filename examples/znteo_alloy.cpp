@@ -57,9 +57,9 @@ int main() {
   const int n_occ = static_cast<int>(s.num_electrons() / 2);
   MatC psi = random_wavefunctions(basis, n_occ + 1, 3);
   BatchWorkspace ws;
-  const std::vector<EigensolverResult> coarse =
-      solve_all_band_batched<double>({{&h, &psi}}, {25, 1e-5, true}, ws);
-  const double homo = coarse[0].eigenvalues[n_occ - 1];
+  const EigensolverResult coarse =
+      solve_all_band_batched<double>({{&h, &psi}}, {25, 1e-5, true}, ws)[0];
+  const double homo = coarse.eigenvalues[n_occ - 1];
 
   FsmOptions fopt;
   fopt.eps_ref = homo + 0.01;
