@@ -13,18 +13,16 @@ DistFft3D::DistFft3D(Vec3i shape, ShardComm& comm)
   assert(n <= shape.x);
   slab_.resize(n);
   pencil_.resize(n);
-  scratch_.resize(n);
-  // Rank-local mode (SPMD transport): only the local rank's slab,
-  // pencil block and line scratch are allocated — every rank-indexed
-  // access runs inside each_rank, which under SPMD executes the local
-  // rank only. Non-resident slots stay empty (size 0 for probes).
+  // Rank-local mode (SPMD transport): only the local rank's slab and
+  // pencil block are allocated — every rank-indexed access runs inside
+  // each_rank, which under SPMD executes the local rank only.
+  // Non-resident slots stay empty (size 0 for probes).
   for (int r = 0; r < n; ++r) {
     if (local_ >= 0 && r != local_) continue;
     slab_[r].resize(static_cast<std::size_t>(x1(r) - x0(r)) * shape_.y *
                     shape_.z);
     pencil_[r].resize(static_cast<std::size_t>(y1(r) - y0(r)) * shape_.z *
                       shape_.x);
-    scratch_[r].resize(std::max(shape_.y, 1));
   }
 }
 
@@ -124,16 +122,10 @@ void DistFft3D::forward(const ShardedFieldR& in) {
       for (int iy = 0; iy < ny; ++iy)
         fz.forward(s.data() + (static_cast<std::size_t>(ixl) * ny + iy) * nz);
     const Fft1D& fy = fft1d_plan(ny);
-    cplx* buf = scratch_[r].data();
     for (int ixl = 0; ixl < lx; ++ixl)
-      for (int iz = 0; iz < nz; ++iz) {
-        cplx* base = s.data() + static_cast<std::size_t>(ixl) * ny * nz + iz;
-        for (int iy = 0; iy < ny; ++iy)
-          buf[iy] = base[static_cast<std::size_t>(iy) * nz];
-        fy.forward(buf);
-        for (int iy = 0; iy < ny; ++iy)
-          base[static_cast<std::size_t>(iy) * nz] = buf[iy];
-      }
+      for (int iz = 0; iz < nz; ++iz)
+        fy.forward(s.data() + static_cast<std::size_t>(ixl) * ny * nz + iz,
+                   nz);
   });
   transpose_to_pencils();
   // x lines: contiguous pencil rows.
@@ -162,16 +154,10 @@ void DistFft3D::inverse(ShardedFieldR& out) {
     std::vector<cplx>& s = slab_[r];
     const int lx = x1(r) - x0(r);
     const Fft1D& fy = fft1d_plan(ny);
-    cplx* buf = scratch_[r].data();
     for (int ixl = 0; ixl < lx; ++ixl)
-      for (int iz = 0; iz < nz; ++iz) {
-        cplx* base = s.data() + static_cast<std::size_t>(ixl) * ny * nz + iz;
-        for (int iy = 0; iy < ny; ++iy)
-          buf[iy] = base[static_cast<std::size_t>(iy) * nz];
-        fy.inverse(buf);
-        for (int iy = 0; iy < ny; ++iy)
-          base[static_cast<std::size_t>(iy) * nz] = buf[iy];
-      }
+      for (int iz = 0; iz < nz; ++iz)
+        fy.inverse(s.data() + static_cast<std::size_t>(ixl) * ny * nz + iz,
+                   nz);
     const Fft1D& fz = fft1d_plan(nz);
     for (int ixl = 0; ixl < lx; ++ixl)
       for (int iy = 0; iy < ny; ++iy)

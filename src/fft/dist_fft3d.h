@@ -8,7 +8,8 @@
 //
 //   1. local 2D:   each rank transforms its slab along z then y — both
 //                  axes are complete inside an x-slab. Line transforms
-//                  run through the thread-local 1D plan cache
+//                  run in place (y lines through the 1D plan's strided
+//                  entry) via the thread-local 1D plan cache
 //                  (fft/plan_cache.h), identical arithmetic to the dense
 //                  Fft3D's z/y passes.
 //   2. transpose:  one ShardComm::all_to_all pencil transpose: block
@@ -27,11 +28,11 @@
 // G-space pointwise kernels (the Poisson solve, the initial density)
 // therefore apply to the pencils with dense-path bits.
 //
-// All rank buffers (slab scratch, pencils, line scratch) are sized once
-// at construction and never reallocated; the all_to_all mailboxes grow
-// only on the first exchange (probed via ShardComm::allocations()). Per
-// rank the footprint is ~3x global/N complex values — no step touches
-// the full grid. Storage follows the ShardComm's mode: under an SPMD
+// All rank buffers (the complex slab and the pencil block) are sized
+// once at construction and never reallocated; the all_to_all mailboxes
+// grow only on the first exchange (probed via ShardComm::allocations()).
+// Per rank the footprint is ~2x global/N complex values plus the rank's
+// ~global/N of mailboxes — no step touches the full grid. Storage follows the ShardComm's mode: under an SPMD
 // transport (comm.local_rank() >= 0) only the local rank's buffers are
 // allocated, so the whole-transform resident footprint really is
 // ~global/N per process; the in-process backends keep all N ranks'
@@ -90,9 +91,8 @@ class DistFft3D {
     return pencil_[r].data();
   }
   std::size_t pencil_size(int r) const { return pencil_[r].size(); }
-  // Per-rank scratch extents (complex elements) for footprint probes.
+  // Per-rank slab extent (complex elements) for footprint probes.
   std::size_t slab_size(int r) const { return slab_[r].size(); }
-  std::size_t scratch_size(int r) const { return scratch_[r].size(); }
 
   // Wall seconds spent in the transpose (pack + unpack) phases since the
   // last call — the feed of the phase.genpot_transpose_s histogram.
@@ -115,7 +115,6 @@ class DistFft3D {
   int local_ = -1;
   std::vector<std::vector<cplx>> slab_;     // per-rank complex x-slab
   std::vector<std::vector<cplx>> pencil_;   // per-rank y-pencil block
-  std::vector<std::vector<cplx>> scratch_;  // per-rank strided-y gather
   double transpose_s_ = 0;
 };
 

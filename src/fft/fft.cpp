@@ -1,8 +1,8 @@
 #include "fft/fft.h"
 
-#include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "common/constants.h"
 
@@ -22,55 +22,23 @@ std::vector<int> smooth_factors(int n) {
   return f;
 }
 
-int next_pow2(int n) {
-  int m = 1;
-  while (m < n) m <<= 1;
-  return m;
-}
-
-// Iterative radix-2 in-place FFT for power-of-two m (used by Bluestein).
-template <typename Real>
-void fft_pow2(std::complex<Real>* a, int m, int sign) {
-  using Cplx = std::complex<Real>;
-  // Bit-reversal permutation.
-  for (int i = 1, j = 0; i < m; ++i) {
-    int bit = m >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(a[i], a[j]);
-  }
-  for (int len = 2; len <= m; len <<= 1) {
-    const double ang = sign * units::kTwoPi / len;
-    const Cplx wl(static_cast<Real>(std::cos(ang)),
-                  static_cast<Real>(std::sin(ang)));
-    for (int i = 0; i < m; i += len) {
-      Cplx w(1, 0);
-      for (int k = 0; k < len / 2; ++k) {
-        const Cplx u = a[i + k];
-        const Cplx v = a[i + k + len / 2] * w;
-        a[i + k] = u + v;
-        a[i + k + len / 2] = u - v;
-        w *= wl;
-      }
-    }
-  }
-}
-
 // One radix-P stage over `blocks` consecutive length-len blocks: the
 // butterfly sum of fft.h's bit contract, in explicit real arithmetic.
-// Reads src, writes dst (which may alias src: each column is loaded
-// before any of its outputs is stored). tw holds P*len twiddles in
-// (k2, k1, r) order.
+// Reads the contiguous src, writes dst[k * ostride] (dst may alias src:
+// each column is loaded before any of its outputs is stored). tw holds
+// P*len twiddles in (k2, k1, r) order.
 template <int P, typename Real>
-void combine(const std::complex<Real>* src, std::complex<Real>* dst, int len,
-             int blocks, const std::complex<Real>* tw) {
+void combine(const std::complex<Real>* src, std::complex<Real>* dst,
+             std::ptrdiff_t ostride, int len, int blocks,
+             const std::complex<Real>* tw) {
   const int m = len / P;
   const Real* in = reinterpret_cast<const Real*>(src);
   Real* out = reinterpret_cast<Real*>(dst);
   const Real* w0 = reinterpret_cast<const Real*>(tw);
+  const std::ptrdiff_t os = 2 * ostride;
   for (int b = 0; b < blocks; ++b) {
     const Real* bi = in + 2 * static_cast<std::ptrdiff_t>(b) * len;
-    Real* bo = out + 2 * static_cast<std::ptrdiff_t>(b) * len;
+    Real* bo = out + os * b * len;
     const Real* w = w0;
     for (int k2 = 0; k2 < m; ++k2) {
       Real cr[P], ci[P], tr[P], ti[P];
@@ -90,8 +58,8 @@ void combine(const std::complex<Real>* src, std::complex<Real>* dst, int len,
         ti[k1] = ai;
       }
       for (int k1 = 0; k1 < P; ++k1) {
-        bo[2 * (k1 * m + k2)] = tr[k1];
-        bo[2 * (k1 * m + k2) + 1] = ti[k1];
+        bo[os * (k1 * m + k2)] = tr[k1];
+        bo[os * (k1 * m + k2) + 1] = ti[k1];
       }
     }
   }
@@ -101,6 +69,7 @@ void combine(const std::complex<Real>* src, std::complex<Real>* dst, int len,
 
 template <typename Real>
 bool BasicFft1D<Real>::is_smooth(int n) {
+  if (n < 1) return false;
   for (int p : {2, 3, 5, 7})
     while (n % p == 0) n /= p;
   return n == 1;
@@ -119,130 +88,76 @@ int BasicFft1D<Real>::good_fft_size(int n) {
 
 template <typename Real>
 BasicFft1D<Real>::BasicFft1D(int n) : n_(n) {
-  assert(n >= 1);
-  smooth_ = is_smooth(n);
-  if (smooth_) {
-    const std::vector<int> factors = smooth_factors(n);
-    work_.resize(n);
-    // Leaf gather: output position k = sum_l r_l * (n_l / f_l) reads
-    // input index sum_l r_l * (f_0 * ... * f_{l-1}).
-    gather_.resize(n);
-    for (int k = 0; k < n; ++k) {
-      int rem = k, len = n, stride = 1, in = 0;
-      for (int p : factors) {
-        const int m = len / p;
-        in += (rem / m) * stride;
-        rem %= m;
-        stride *= p;
-        len = m;
-      }
-      gather_[k] = in;
+  if (!is_smooth(n))
+    throw std::invalid_argument("BasicFft1D: length " + std::to_string(n) +
+                                " is not a positive 2-3-5-7-smooth integer");
+  const std::vector<int> factors = smooth_factors(n);
+  work_.resize(n);
+  // Leaf gather: output position k = sum_l r_l * (n_l / f_l) reads
+  // input index sum_l r_l * (f_0 * ... * f_{l-1}).
+  gather_.resize(n);
+  for (int k = 0; k < n; ++k) {
+    int rem = k, len = n, stride = 1, in = 0;
+    for (int p : factors) {
+      const int m = len / p;
+      in += (rem / m) * stride;
+      rem %= m;
+      stride *= p;
+      len = m;
     }
-    std::vector<Cplx> roots(n);  // e^{-2 pi i k / n}, k = 0..n-1
-    for (int k = 0; k < n; ++k) {
-      const double ang = -units::kTwoPi * k / n;
-      roots[k] = Cplx(static_cast<Real>(std::cos(ang)),
-                      static_cast<Real>(std::sin(ang)));
-    }
-    int len = 1;
-    for (auto f = factors.rbegin(); f != factors.rend(); ++f) {
-      const int p = *f, m = len;
-      len *= p;
-      stages_.push_back(Stage{p, len, tw_[0].size()});
-      const int scale = n / len;
-      for (int k2 = 0; k2 < m; ++k2)
-        for (int k1 = 0; k1 < p; ++k1)
-          for (int r = 0; r < p; ++r) {
-            const long e = (static_cast<long>(r) * (k1 * m + k2)) % len;
-            tw_[0].push_back(roots[static_cast<std::size_t>(e) * scale]);
-            tw_[1].push_back(
-                roots[static_cast<std::size_t>(e == 0 ? 0 : len - e) * scale]);
-          }
-    }
-  } else {
-    bs_m_ = next_pow2(2 * n - 1);
-    bs_chirp_.resize(n);
-    for (int k = 0; k < n; ++k) {
-      // k^2 mod 2n keeps the argument bounded for large k.
-      const long k2 = (static_cast<long>(k) * k) % (2L * n);
-      const double ang = units::kPi * static_cast<double>(k2) / n;
-      bs_chirp_[k] = Cplx(static_cast<Real>(std::cos(ang)),
-                          static_cast<Real>(std::sin(ang)));
-    }
-    std::vector<Cplx> kernel(bs_m_, Cplx(0, 0));
-    kernel[0] = bs_chirp_[0];
-    for (int k = 1; k < n; ++k) {
-      kernel[k] = bs_chirp_[k];
-      kernel[bs_m_ - k] = bs_chirp_[k];
-    }
-    fft_pow2(kernel.data(), bs_m_, -1);
-    bs_kernel_fft_ = std::move(kernel);
-    bs_work_.resize(bs_m_);
+    gather_[k] = in;
+  }
+  std::vector<Cplx> roots(n);  // e^{-2 pi i k / n}, k = 0..n-1
+  for (int k = 0; k < n; ++k) {
+    const double ang = -units::kTwoPi * k / n;
+    roots[k] = Cplx(static_cast<Real>(std::cos(ang)),
+                    static_cast<Real>(std::sin(ang)));
+  }
+  int len = 1;
+  for (auto f = factors.rbegin(); f != factors.rend(); ++f) {
+    const int p = *f, m = len;
+    len *= p;
+    stages_.push_back(Stage{p, len, tw_[0].size()});
+    const int scale = n / len;
+    for (int k2 = 0; k2 < m; ++k2)
+      for (int k1 = 0; k1 < p; ++k1)
+        for (int r = 0; r < p; ++r) {
+          const long e = (static_cast<long>(r) * (k1 * m + k2)) % len;
+          tw_[0].push_back(roots[static_cast<std::size_t>(e) * scale]);
+          tw_[1].push_back(
+              roots[static_cast<std::size_t>(e == 0 ? 0 : len - e) * scale]);
+        }
   }
 }
 
 template <typename Real>
-void BasicFft1D<Real>::inverse(Cplx* data) const {
-  transform(data, +1);
+void BasicFft1D<Real>::inverse(Cplx* data, std::ptrdiff_t stride) const {
+  transform(data, stride, +1);
   const Real s = static_cast<Real>(1) / static_cast<Real>(n_);
-  for (int i = 0; i < n_; ++i) data[i] *= s;
+  for (int i = 0; i < n_; ++i) data[i * stride] *= s;
 }
 
 template <typename Real>
-void BasicFft1D<Real>::transform(Cplx* data, int sign) const {
+void BasicFft1D<Real>::transform(Cplx* data, std::ptrdiff_t stride,
+                                 int sign) const {
   if (n_ == 1) return;
-  if (smooth_) {
-    transform_smooth(data, sign);
-  } else {
-    transform_bluestein(data, sign);
-  }
-}
-
-template <typename Real>
-void BasicFft1D<Real>::transform_smooth(Cplx* data, int sign) const {
   Cplx* work = work_.data();
-  for (int k = 0; k < n_; ++k) work[k] = data[gather_[k]];
+  for (int k = 0; k < n_; ++k) work[k] = data[gather_[k] * stride];
   const Cplx* tw = tw_[sign > 0 ? 1 : 0].data();
   for (std::size_t s = 0; s < stages_.size(); ++s) {
     const Stage& st = stages_[s];
-    // The last (whole-length) stage writes the result straight out.
-    Cplx* dst = s + 1 == stages_.size() ? data : work;
+    // The last (whole-length) stage writes the result straight out
+    // through the stride.
+    const bool last = s + 1 == stages_.size();
+    Cplx* dst = last ? data : work;
+    const std::ptrdiff_t os = last ? stride : 1;
     const int blocks = n_ / st.len;
     switch (st.p) {
-      case 2: combine<2>(work, dst, st.len, blocks, tw + st.tw); break;
-      case 3: combine<3>(work, dst, st.len, blocks, tw + st.tw); break;
-      case 5: combine<5>(work, dst, st.len, blocks, tw + st.tw); break;
-      default: combine<7>(work, dst, st.len, blocks, tw + st.tw); break;
+      case 2: combine<2>(work, dst, os, st.len, blocks, tw + st.tw); break;
+      case 3: combine<3>(work, dst, os, st.len, blocks, tw + st.tw); break;
+      case 5: combine<5>(work, dst, os, st.len, blocks, tw + st.tw); break;
+      default: combine<7>(work, dst, os, st.len, blocks, tw + st.tw); break;
     }
-  }
-}
-
-template <typename Real>
-void BasicFft1D<Real>::transform_bluestein(Cplx* data, int sign) const {
-  const int n = n_, m = bs_m_;
-  std::vector<Cplx>& a = bs_work_;
-  std::fill(a.begin(), a.end(), Cplx(0, 0));
-  for (int k = 0; k < n; ++k) {
-    const Cplx c = sign < 0 ? std::conj(bs_chirp_[k]) : bs_chirp_[k];
-    a[k] = data[k] * c;
-  }
-  fft_pow2(a.data(), m, -1);
-  if (sign < 0) {
-    for (int i = 0; i < m; ++i) a[i] *= bs_kernel_fft_[i];
-  } else {
-    // Kernel for sign=+1 is the conjugate chirp; its FFT is related to the
-    // stored one by conjugating around the transform. Recompute on the fly
-    // is avoided by: FFT(conj(g)) = conj(reverse(FFT(g))).
-    for (int i = 0; i < m; ++i) {
-      const int j = i == 0 ? 0 : m - i;
-      a[i] *= std::conj(bs_kernel_fft_[j]);
-    }
-  }
-  fft_pow2(a.data(), m, +1);
-  const Real s = static_cast<Real>(1) / static_cast<Real>(m);
-  for (int k = 0; k < n; ++k) {
-    const Cplx c = sign < 0 ? std::conj(bs_chirp_[k]) : bs_chirp_[k];
-    data[k] = a[k] * s * c;
   }
 }
 

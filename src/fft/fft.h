@@ -1,23 +1,30 @@
-// One-dimensional complex FFT of arbitrary length.
+// One-dimensional complex FFT of a smooth length.
 //
-// Smooth lengths (factors 2, 3, 5, 7) use a table-driven mixed-radix
-// Cooley-Tukey transform; lengths with larger prime factors fall back to
-// Bluestein's chirp-z algorithm. The plane-wave engine always chooses
-// smooth grid sizes (see good_fft_size), but the general path keeps the
-// transform correct for any size and is exercised by the property tests.
+// Lengths must factor entirely into 2, 3, 5 and 7: the transform is a
+// table-driven mixed-radix Cooley-Tukey plan, and the constructor throws
+// std::invalid_argument for any other length (or n < 1). The plane-wave
+// engine only ever chooses smooth grid sizes (good_fft_size, the
+// fragment solver's smooth buffers), and Ls3dfOptions rejects a
+// non-smooth points_per_cell or division up front.
 //
 // Conventions: forward transform uses exp(-2*pi*i*j*k/n) with no scaling;
 // the inverse uses exp(+2*pi*i*j*k/n) and scales by 1/n, so
 // inverse(forward(x)) == x.
 //
-// == The smooth plan ==
+// Strided lines: forward/inverse transform the n elements data[j*stride],
+// j < n, in place. The leaf gather reads through the stride and the last
+// stage writes through it, so a y- or x-line of a 3D grid is transformed
+// where it lies, with no staging copy, and with the same bits as the
+// contiguous transform of a copy of that line.
+//
+// == The plan ==
 //
 // With the ascending prime factors f_0 <= f_1 <= ... <= f_{L-1} of n,
 // level l is a set of n / n_l independent length-n_l sub-transforms,
 // n_l = f_l * ... * f_{L-1} (n_0 = n). The constructor builds:
 //   - the leaf gather: the digit reversal over the ascending factors,
-//     work[k] = data[gather_[k]], which places every length-1 leaf
-//     where its sub-transform expects it;
+//     work[k] = data[gather_[k] * stride], which places every length-1
+//     leaf where its sub-transform expects it;
 //   - one stage per level, run bottom-up (l = L-1 first), each with its
 //     twiddles precomputed for both signs.
 // A stage of radix p on a block of length n_l = p*m computes, for every
@@ -39,12 +46,13 @@
 // The transform is templated over the real type: BasicFft1D<double> is
 // the engine's bit-exact reference path, BasicFft1D<float> the
 // single-precision transform behind the float instantiation of the
-// lockstep Davidson (dft/eigensolver.h). Twiddle and chirp tables are
-// always computed in double and rounded once to the storage type, so the
-// float transform carries no accumulated table error.
+// lockstep Davidson (dft/eigensolver.h). Twiddle tables are always
+// computed in double and rounded once to the storage type, so the float
+// transform carries no accumulated table error.
 //
-// Transforms reuse internal scratch buffers, so one instance must not be
-// transformed from two threads at once (see fft/plan_cache.h).
+// Transforms reuse the plan's one scratch line (work_), so one instance
+// must not be transformed from two threads at once (see
+// fft/plan_cache.h).
 #pragma once
 
 #include <complex>
@@ -61,29 +69,31 @@ class BasicFft1D {
  public:
   using Cplx = std::complex<Real>;
 
+  // Throws std::invalid_argument unless n >= 1 and is_smooth(n).
   explicit BasicFft1D(int n);
 
   int size() const { return n_; }
 
-  // In-place transforms on a contiguous array of length size().
-  void forward(Cplx* data) const { transform(data, -1); }
-  void inverse(Cplx* data) const;
+  // In-place transforms of the size() elements data[j * stride].
+  void forward(Cplx* data, std::ptrdiff_t stride = 1) const {
+    transform(data, stride, -1);
+  }
+  void inverse(Cplx* data, std::ptrdiff_t stride = 1) const;
 
   void forward(std::vector<Cplx>& data) const { forward(data.data()); }
   void inverse(std::vector<Cplx>& data) const { inverse(data.data()); }
 
-  // True if n factors entirely into {2,3,5,7} (fast path, no Bluestein).
+  // True if n >= 1 factors entirely into {2,3,5,7}: the lengths a plan
+  // takes.
   static bool is_smooth(int n);
   // Smallest m >= n whose prime factors are all in {2,3,5}; such sizes
   // keep the FFT cost low and divide evenly for fragment grids.
   static int good_fft_size(int n);
 
  private:
-  void transform(Cplx* data, int sign) const;
-  void transform_smooth(Cplx* data, int sign) const;
-  void transform_bluestein(Cplx* data, int sign) const;
+  void transform(Cplx* data, std::ptrdiff_t stride, int sign) const;
 
-  // One combine level of the smooth plan (see the header comment).
+  // One combine level of the plan (see the header comment).
   struct Stage {
     int p;            // radix
     int len;          // sub-transform length n_l = p * m
@@ -91,17 +101,10 @@ class BasicFft1D {
   };
 
   int n_ = 0;
-  bool smooth_ = true;
-  std::vector<int> gather_;       // leaf order: work_[k] = data[gather_[k]]
+  std::vector<int> gather_;  // leaf order: work_[k] = data[gather_[k] * stride]
   std::vector<Stage> stages_;     // bottom-up (shortest sub-transform first)
   std::vector<Cplx> tw_[2];       // twiddles for sign -1 [0] and +1 [1]
   mutable std::vector<Cplx> work_;  // scratch for the stages (size n)
-
-  // Bluestein state (only populated when !smooth_).
-  int bs_m_ = 0;                   // power-of-two convolution length
-  std::vector<Cplx> bs_chirp_;     // b_k = exp(+i pi k^2 / n)
-  std::vector<Cplx> bs_kernel_fft_;  // FFT of zero-padded chirp kernel
-  mutable std::vector<Cplx> bs_work_;  // convolution scratch (size bs_m_)
 };
 
 using Fft1D = BasicFft1D<double>;

@@ -1,7 +1,6 @@
 #include "fft/fft3d.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "fft/plan_cache.h"
 #include "parallel/thread_pool.h"
@@ -13,10 +12,7 @@ BasicFft3D<Real>::BasicFft3D(Vec3i shape)
     : shape_(shape),
       fx_(shape.x),
       fy_(shape.y),
-      fz_(shape.z),
-      scratch_(std::max(shape.x, shape.y)) {
-  assert(shape.x >= 1 && shape.y >= 1 && shape.z >= 1);
-}
+      fz_(shape.z) {}
 
 template <typename Real>
 void BasicFft3D<Real>::transform_z(Cplx* data, bool inv) const {
@@ -37,37 +33,31 @@ void BasicFft3D<Real>::transform_y(Cplx* data, bool inv,
                                    const std::vector<int>* z) const {
   const int n1 = shape_.x, n2 = shape_.y, n3 = shape_.z;
   // Axis y: stride n3 within each x-slab; only the planes in `z` if given.
-  std::vector<Cplx>& buf = scratch_;
   const int nz = z ? static_cast<int>(z->size()) : n3;
   for (int ix = 0; ix < n1; ++ix)
     for (int k = 0; k < nz; ++k) {
       const int iz = z ? (*z)[k] : k;
       Cplx* base = data + static_cast<std::size_t>(ix) * n2 * n3 + iz;
-      for (int iy = 0; iy < n2; ++iy) buf[iy] = base[static_cast<std::size_t>(iy) * n3];
       if (inv)
-        fy_.inverse(buf.data());
+        fy_.inverse(base, n3);
       else
-        fy_.forward(buf.data());
-      for (int iy = 0; iy < n2; ++iy) base[static_cast<std::size_t>(iy) * n3] = buf[iy];
+        fy_.forward(base, n3);
     }
 }
 
 template <typename Real>
 void BasicFft3D<Real>::transform_x(Cplx* data, bool inv,
                                    const std::vector<int>* yz) const {
-  const int n1 = shape_.x, n2 = shape_.y, n3 = shape_.z;
+  const int n2 = shape_.y, n3 = shape_.z;
   // Axis x: stride n2*n3; only the (iy,iz) columns in `yz` if given.
-  std::vector<Cplx>& buf = scratch_;
-  const std::size_t sx = static_cast<std::size_t>(n2) * n3;
+  const std::ptrdiff_t sx = static_cast<std::ptrdiff_t>(n2) * n3;
   const int ncol = yz ? static_cast<int>(yz->size()) : n2 * n3;
   for (int k = 0; k < ncol; ++k) {
     Cplx* base = data + (yz ? (*yz)[k] : k);
-    for (int ix = 0; ix < n1; ++ix) buf[ix] = base[ix * sx];
     if (inv)
-      fx_.inverse(buf.data());
+      fx_.inverse(base, sx);
     else
-      fx_.forward(buf.data());
-    for (int ix = 0; ix < n1; ++ix) base[ix * sx] = buf[ix];
+      fx_.forward(base, sx);
   }
 }
 
@@ -107,8 +97,8 @@ void BasicFft3D<Real>::transform_many(Cplx* stack, int count,
     for (int g = 0; g < count; ++g) run(*this, g);
     return;
   }
-  // Each lane transforms through its own thread-local plan so the
-  // strided-axis scratch is never shared between concurrent grids; the
+  // Each lane transforms through its own thread-local plan so the 1D
+  // plans' scratch lines are never shared between concurrent grids; the
   // cache lookup happens once per lane, not once per grid.
   std::vector<const BasicFft3D*> lane_plan(std::min(n_workers, count),
                                            nullptr);

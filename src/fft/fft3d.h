@@ -38,10 +38,15 @@
 // float instantiation of the lockstep Davidson (fft_plan<float>, the
 // mixed-precision path). Both share the axis-order contract.
 //
-// Thread safety: transforms reuse internal scratch (no allocation per
-// call), so concurrent transform() calls on one instance race. Use one
-// instance per thread — the per-thread plan cache (fft/plan_cache.h)
-// exists for exactly this.
+// Every line is transformed in place through its 1D plan's strided
+// entry (fft/fft.h); a 3D plan holds no buffer of its own, and the
+// constructor throws std::invalid_argument unless every extent is a
+// smooth length.
+//
+// Thread safety: the only scratch is each 1D plan's work_ line (no
+// allocation per call), so concurrent transform() calls on one instance
+// race. Use one instance per thread — the per-thread plan cache
+// (fft/plan_cache.h) exists for exactly this.
 #pragma once
 
 #include <memory>
@@ -117,7 +122,6 @@ class BasicFft3D {
 
   Vec3i shape_;
   BasicFft1D<Real> fx_, fy_, fz_;
-  mutable std::vector<Cplx> scratch_;  // strided-axis gather buffer
 };
 
 using Fft3D = BasicFft3D<double>;

@@ -1,15 +1,15 @@
 // Per-instance, per-thread cache of FFT plans keyed by grid shape.
 //
 // Planning (factorization, the leaf gather order, one twiddle table per
-// radix stage and sign, Bluestein kernels; see fft/fft.h) is cheap but
+// radix stage and sign; see fft/fft.h) is cheap but
 // not free, and the LS3DF pipeline transforms the same handful of
 // shapes — the global grid every GENPOT/mixing step, one shape per
 // fragment size class — thousands of times per run. The cache makes a
 // plan once per (thread, shape) and keeps it warm across SCF
 // iterations, exactly like the eigensolver arenas.
 //
-// Plans are cached per *thread* on purpose: Fft3D transforms use
-// internal scratch, so a shared instance would race. They are cached
+// Plans are cached per *thread* on purpose: Fft3D transforms use their
+// 1D plans' scratch lines, so a shared instance would race. They are cached
 // per FftPlanCache *instance* so that solver instances own their plan
 // state (the SolverService prerequisite — no cross-tenant global
 // state): each Ls3dfSolver carries its own cache and installs it in

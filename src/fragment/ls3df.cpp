@@ -165,6 +165,14 @@ const Ls3dfOptions& validated(const Ls3dfOptions& opt) {
     if (opt.division[i] < 1 || opt.division[i] == 2)
       reject("division must have m_i == 1 or m_i >= 3 per axis");
   if (opt.points_per_cell < 4) reject("points_per_cell must be >= 4");
+  // The FFT takes only 2-3-5-7-smooth lengths. With p and every m_i
+  // smooth, the global grid m_i * p is smooth, and so is every fragment
+  // extent: smooth_uniform_buffer falls back to b = 0 (extents p, 2p).
+  for (int i = 0; i < 3; ++i)
+    if (!Fft1D::is_smooth(opt.division[i]))
+      reject("division must have 2-3-5-7-smooth m_i");
+  if (!Fft1D::is_smooth(opt.points_per_cell))
+    reject("points_per_cell must be 2-3-5-7-smooth");
   // A non-positive or non-finite cutoff leaves the wavefunction basis
   // empty: no G = 0 and no pruned-FFT lines.
   if (!std::isfinite(opt.ecut) || opt.ecut <= 0)
@@ -828,7 +836,7 @@ bool Ls3dfSolver::fragment_touches_planes(int f, int x_begin,
 std::size_t Ls3dfSolver::shard_rank_footprint(int r) const {
   const ShardState& s = *shards_;
   // Double-equivalents held by rank r across the persistent sharded
-  // state: real field slabs, the FFT's complex slab/pencil/line scratch,
+  // state: real field slabs, the FFT's complex slab and pencil block,
   // and the transport lanes destined for r. Every term is proportional
   // to global/N — the sharded pipeline's memory contract. Under SPMD a
   // process holds only its own rank's state, so only the local rank's
@@ -842,8 +850,7 @@ std::size_t Ls3dfSolver::shard_rank_footprint(int r) const {
   const ShardedFieldR* fields[] = {&s.vion, &s.vh,   &s.vxc,
                                    &s.rho,  &s.v_in, &s.v_out};
   for (const ShardedFieldR* f : fields) doubles += f->slab(r).size();
-  doubles += 2 * (s.fft.slab_size(r) + s.fft.pencil_size(r) +
-                  s.fft.scratch_size(r));
+  doubles += 2 * (s.fft.slab_size(r) + s.fft.pencil_size(r));
   doubles += 2 * s.comm.rank_box_elements(r);
   if (s.spmd) doubles += s.spmd->halo.size();
   return doubles;

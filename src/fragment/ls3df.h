@@ -145,8 +145,11 @@ struct Ls3dfProgress {
 };
 
 struct Ls3dfOptions {
-  Vec3i division{2, 2, 2};   // m1 x m2 x m3 cell grid
-  int points_per_cell = 10;  // global grid points per cell edge
+  // m1 x m2 x m3 cell grid; each m_i is 1 or >= 3 and 2-3-5-7-smooth.
+  Vec3i division{2, 2, 2};
+  // Global grid points per cell edge; >= 4 and 2-3-5-7-smooth, so the
+  // global grid m_i * p and every fragment grid are FFT lengths.
+  int points_per_cell = 10;
   int buffer_points = 5;     // max buffer thickness (grid points per side)
   double ecut = 1.2;         // fragment wavefunction cutoff (Ha)
 

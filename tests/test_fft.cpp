@@ -1,13 +1,16 @@
 // FFT tests: analytic DFTs, round trips, Parseval, linearity, shift
-// theorem, smooth and non-smooth (Bluestein) sizes, and the 3D transform
-// on the grid shapes the DFT engine uses (including the paper's 40^3 and
-// 32^3 per-cell grids), and the G-sphere-pruned transforms against the
-// full ones bit for bit.
+// theorem over 2-3-5-7-smooth sizes, rejection of every other length,
+// the plan's bits against a recursive oracle, strided in-place lines
+// against contiguous copies bit for bit, the 3D transform on the grid
+// shapes the DFT engine uses (including the paper's 40^3 and 32^3
+// per-cell grids), and the G-sphere-pruned transforms against the full
+// ones bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "common/constants.h"
@@ -48,6 +51,23 @@ double max_err(const std::vector<cplx>& a, const std::vector<cplx>& b) {
   return m;
 }
 
+template <typename Real>
+std::vector<std::complex<Real>> random_block(std::size_t n,
+                                             std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::complex<Real>> x(n);
+  for (auto& v : x)
+    v = std::complex<Real>(static_cast<Real>(rng.uniform(-1, 1)),
+                           static_cast<Real>(rng.uniform(-1, 1)));
+  return x;
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
 class Fft1DSizes : public ::testing::TestWithParam<int> {};
 
 TEST_P(Fft1DSizes, MatchesReferenceDft) {
@@ -82,14 +102,25 @@ TEST_P(Fft1DSizes, ParsevalHolds) {
   EXPECT_NEAR(freq_energy / n, time_energy, 1e-9 * n);
 }
 
-// Sizes: powers of 2, multiples of 3/5/7, the paper's grid sizes (40, 32),
-// primes (Bluestein path: 11, 13, 17, 31, 97), and awkward composites.
+// Sizes: powers of 2, multiples of 3/5/7, the paper's grid sizes (40, 32)
+// and longer mixed composites.
 INSTANTIATE_TEST_SUITE_P(AllSizes, Fft1DSizes,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12,
                                            15, 16, 20, 21, 24, 25, 27, 30, 32,
-                                           35, 36, 40, 48, 60, 64, 11, 13, 17,
-                                           19, 23, 31, 97, 22, 26, 33, 39, 55,
-                                           77, 100, 120, 128));
+                                           35, 36, 40, 48, 60, 64, 100, 120,
+                                           128));
+
+// Lengths with a prime factor above 7 (primes and composites) and
+// non-positive lengths have no plan: the constructor throws, in both
+// precisions and from the 3D plan too.
+TEST(Fft1D, RejectsNonSmoothLength) {
+  for (int n : {0, -4, 11, 13, 17, 19, 23, 31, 97, 22, 26, 33, 39, 55, 77}) {
+    EXPECT_THROW(Fft1D{n}, std::invalid_argument) << "n = " << n;
+    EXPECT_THROW(Fft1DF{n}, std::invalid_argument) << "n = " << n;
+  }
+  EXPECT_THROW(Fft3D(Vec3i{8, 11, 8}), std::invalid_argument);
+  EXPECT_THROW(Fft3DF(Vec3i{8, 8, 0}), std::invalid_argument);
+}
 
 TEST(Fft1D, DeltaTransformsToConstant) {
   const int n = 24;
@@ -171,6 +202,8 @@ TEST(Fft1D, SmoothnessDetection) {
   EXPECT_FALSE(Fft1D::is_smooth(11));
   EXPECT_FALSE(Fft1D::is_smooth(2 * 13));
   EXPECT_FALSE(Fft1D::is_smooth(97));
+  EXPECT_FALSE(Fft1D::is_smooth(0));
+  EXPECT_FALSE(Fft1D::is_smooth(-8));
 }
 
 TEST(Fft1D, GoodFftSize) {
@@ -305,6 +338,49 @@ TEST(Fft1D, BitIdenticalToRecursiveOracleFp64) {
 
 TEST(Fft1D, BitIdenticalToRecursiveOracleFp32) {
   expect_bits_match_recursive_oracle<float>();
+}
+
+// A strided in-place transform of the n elements x[j * stride] has the
+// bits of copy -> contiguous transform -> copy back, and leaves every
+// slot between the line's elements untouched. Every 7-smooth n <= 128
+// plus two long multi-factor lengths, both signs, strides 1, 2, n + 3.
+template <typename Real>
+void expect_strided_matches_contiguous() {
+  using Cplx = std::complex<Real>;
+  std::vector<int> sizes;
+  for (int n = 1; n <= 128; ++n)
+    if (BasicFft1D<Real>::is_smooth(n)) sizes.push_back(n);
+  sizes.push_back(210);
+  sizes.push_back(360);
+  for (int n : sizes) {
+    const BasicFft1D<Real> plan(n);
+    for (std::ptrdiff_t stride : {std::ptrdiff_t{1}, std::ptrdiff_t{2},
+                                  static_cast<std::ptrdiff_t>(n) + 3}) {
+      const std::size_t span = static_cast<std::size_t>(n * stride);
+      const std::vector<Cplx> x = random_block<Real>(span, 2000 + n);
+      for (bool inv : {false, true}) {
+        std::vector<Cplx> strided = x, ref = x, line(n);
+        if (inv)
+          plan.inverse(strided.data(), stride);
+        else
+          plan.forward(strided.data(), stride);
+        for (int j = 0; j < n; ++j) line[j] = ref[j * stride];
+        if (inv)
+          plan.inverse(line.data());
+        else
+          plan.forward(line.data());
+        for (int j = 0; j < n; ++j) ref[j * stride] = line[j];
+        EXPECT_TRUE(same_bits(strided, ref))
+            << (inv ? "inverse" : "forward") << " n = " << n
+            << " stride = " << stride;
+      }
+    }
+  }
+}
+
+TEST(Fft1D, StridedMatchesContiguous) {
+  expect_strided_matches_contiguous<double>();
+  expect_strided_matches_contiguous<float>();
 }
 
 TEST(Fft3D, RoundTrip) {
@@ -462,23 +538,6 @@ GVectors sphere_basis(Vec3i shape, double ecut = 1.2) {
                   shape, ecut);
 }
 
-template <typename Real>
-std::vector<std::complex<Real>> random_block(std::size_t n,
-                                             std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::complex<Real>> x(n);
-  for (auto& v : x)
-    v = std::complex<Real>(static_cast<Real>(rng.uniform(-1, 1)),
-                           static_cast<Real>(rng.uniform(-1, 1)));
-  return x;
-}
-
-template <typename T>
-bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
-}
-
 // Pruned inverse == full inverse over the whole grid (scattered input);
 // pruned forward == full forward on the sphere points (dense input).
 template <typename Real>
@@ -509,10 +568,10 @@ void check_pruned_matches_full(Vec3i shape) {
   EXPECT_TRUE(same_bits(c_full, c_pruned)) << "forward " << shape;
 }
 
-// Alloy fragment grids (smooth), 7-smooth 21, Bluestein 11, and the
-// sheet's size class.
-const Vec3i kPrunedShapes[] = {{16, 8, 8},  {24, 8, 8},   {11, 11, 11},
-                               {21, 11, 5}, {16, 14, 14}, {22, 14, 14}};
+// Alloy fragment grids, odd 7-smooth axes (15, 21, 9, 5) and
+// non-cubic boxes, and the sheet's 9/14-point fragment extents.
+const Vec3i kPrunedShapes[] = {{16, 8, 8}, {24, 8, 8},   {15, 15, 15},
+                               {21, 9, 5}, {16, 14, 14}, {20, 14, 14}};
 
 TEST(Fft3DPruned, MatchesFullTransformFp64) {
   for (const Vec3i& shape : kPrunedShapes)

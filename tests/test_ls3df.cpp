@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "atoms/builders.h"
@@ -100,8 +101,10 @@ TEST(Ls3df, RejectsInvalidOptionsAtConstruction) {
       {"division 1x2x1", [](Ls3dfOptions& o) { o.division = {1, 2, 1}; }},
       {"division 0x1x1", [](Ls3dfOptions& o) { o.division = {0, 1, 1}; }},
       {"division -3x1x1", [](Ls3dfOptions& o) { o.division = {-3, 1, 1}; }},
+      {"division 11x1x1", [](Ls3dfOptions& o) { o.division = {11, 1, 1}; }},
       {"points_per_cell 0", [](Ls3dfOptions& o) { o.points_per_cell = 0; }},
       {"points_per_cell 3", [](Ls3dfOptions& o) { o.points_per_cell = 3; }},
+      {"points_per_cell 11", [](Ls3dfOptions& o) { o.points_per_cell = 11; }},
       {"batch_width 0", [](Ls3dfOptions& o) { o.batch_width = 0; }},
       {"batch_width -1", [](Ls3dfOptions& o) { o.batch_width = -1; }},
       {"n_shards -1", [](Ls3dfOptions& o) { o.n_shards = -1; }},
@@ -156,6 +159,25 @@ TEST(Ls3df, RejectsInvalidOptionsAtConstruction) {
     c.set(lo);
     EXPECT_THROW(Ls3dfSolver(s, lo), std::invalid_argument) << c.what;
   }
+  // The FFT takes only 2-3-5-7-smooth lengths, so a non-smooth grid is
+  // rejected naming the option that set it; 7 is smooth.
+  const auto message = [&](const std::function<void(Ls3dfOptions&)>& set) {
+    Ls3dfOptions lo = chain_options();
+    set(lo);
+    try {
+      Ls3dfSolver solver(s, lo);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_NE(message([](Ls3dfOptions& o) { o.points_per_cell = 11; })
+                .find("points_per_cell"),
+            std::string::npos);
+  EXPECT_NE(message([](Ls3dfOptions& o) { o.division = {11, 1, 1}; })
+                .find("division"),
+            std::string::npos);
+  EXPECT_EQ(message([](Ls3dfOptions& o) { o.points_per_cell = 7; }), "");
   // The boundary values themselves are valid.
   Ls3dfOptions lo = chain_options();
   lo.points_per_cell = 4;

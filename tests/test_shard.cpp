@@ -130,7 +130,9 @@ TEST(ShardedField, RankLocalModeHoldsOnlyTheLocalSlab) {
       EXPECT_EQ(f.slab_elements(r),
                 static_cast<std::size_t>(f.x1(r) - f.x0(r)) * shape.y *
                     shape.z);
-      if (r != local) EXPECT_THROW(f.slab(r), std::logic_error);
+      if (r != local) {
+        EXPECT_THROW(f.slab(r), std::logic_error);
+      }
     }
     // from_dense restricts the same dense source to the resident slab.
     f.from_dense(dense);
