@@ -107,61 +107,61 @@ void DistFft3D::transpose_to_slabs() {
   transpose_s_ += t.seconds();
 }
 
+// Rank r's slab passes, the dense Fft3D's z and y line sets restricted
+// to the slab (forward z then y, inverse y then z), and its pencil pass,
+// the x lines as contiguous pencil rows. Lines run in tiles through the
+// calling thread's 1D plans, with the dense path's per-line bits.
+void DistFft3D::slab_lines(int r, bool inv) {
+  const int ny = shape_.y, nz = shape_.z, lx = x1(r) - x0(r);
+  cplx* s = slab_[r].data();
+  const auto z_pass = [&] {
+    fft1d_plan(nz).transform_lines(inv, lx * ny, 1, [&](int row) {
+      return s + static_cast<std::size_t>(row) * nz;
+    });
+  };
+  const auto y_pass = [&] {
+    fft1d_plan(ny).transform_lines(inv, lx * nz, nz, [&](int i) {
+      return s + static_cast<std::size_t>(i / nz) * ny * nz + i % nz;
+    });
+  };
+  if (inv) {
+    y_pass();
+    z_pass();
+  } else {
+    z_pass();
+    y_pass();
+  }
+}
+
+void DistFft3D::pencil_lines(int r, bool inv) {
+  const int nx = shape_.x;
+  cplx* p = pencil_[r].data();
+  fft1d_plan(nx).transform_lines(
+      inv, (y1(r) - y0(r)) * shape_.z, 1,
+      [&](int row) { return p + static_cast<std::size_t>(row) * nx; });
+}
+
 void DistFft3D::forward(const ShardedFieldR& in) {
   assert(in.global_shape() == shape_ && in.n_shards() == n_shards());
-  const int nz = shape_.z, ny = shape_.y;
-  // Local 2D pass: load, then z and y lines (dense Fft3D's first two
-  // axes restricted to the slab — identical per-line arithmetic).
+  // Local 2D pass: load, then z and y lines.
   comm_.each_rank([&](int r) {
     const FieldR& f = in.slab(r);
     std::vector<cplx>& s = slab_[r];
     for (std::size_t i = 0; i < s.size(); ++i) s[i] = cplx(f[i], 0.0);
-    const int lx = x1(r) - x0(r);
-    const Fft1D& fz = fft1d_plan(nz);
-    for (int ixl = 0; ixl < lx; ++ixl)
-      for (int iy = 0; iy < ny; ++iy)
-        fz.forward(s.data() + (static_cast<std::size_t>(ixl) * ny + iy) * nz);
-    const Fft1D& fy = fft1d_plan(ny);
-    for (int ixl = 0; ixl < lx; ++ixl)
-      for (int iz = 0; iz < nz; ++iz)
-        fy.forward(s.data() + static_cast<std::size_t>(ixl) * ny * nz + iz,
-                   nz);
+    slab_lines(r, false);
   });
   transpose_to_pencils();
-  // x lines: contiguous pencil rows.
-  comm_.each_rank([&](int r) {
-    const int rows = (y1(r) - y0(r)) * nz;
-    const Fft1D& fx = fft1d_plan(shape_.x);
-    cplx* p = pencil_[r].data();
-    for (int row = 0; row < rows; ++row)
-      fx.forward(p + static_cast<std::size_t>(row) * shape_.x);
-  });
+  comm_.each_rank([&](int r) { pencil_lines(r, false); });
 }
 
 void DistFft3D::inverse(ShardedFieldR& out) {
   assert(out.global_shape() == shape_ && out.n_shards() == n_shards());
-  const int nz = shape_.z, ny = shape_.y;
   // Dense inverse order is x, y, z — x on the pencils first.
-  comm_.each_rank([&](int r) {
-    const int rows = (y1(r) - y0(r)) * nz;
-    const Fft1D& fx = fft1d_plan(shape_.x);
-    cplx* p = pencil_[r].data();
-    for (int row = 0; row < rows; ++row)
-      fx.inverse(p + static_cast<std::size_t>(row) * shape_.x);
-  });
+  comm_.each_rank([&](int r) { pencil_lines(r, true); });
   transpose_to_slabs();
   comm_.each_rank([&](int r) {
-    std::vector<cplx>& s = slab_[r];
-    const int lx = x1(r) - x0(r);
-    const Fft1D& fy = fft1d_plan(ny);
-    for (int ixl = 0; ixl < lx; ++ixl)
-      for (int iz = 0; iz < nz; ++iz)
-        fy.inverse(s.data() + static_cast<std::size_t>(ixl) * ny * nz + iz,
-                   nz);
-    const Fft1D& fz = fft1d_plan(nz);
-    for (int ixl = 0; ixl < lx; ++ixl)
-      for (int iy = 0; iy < ny; ++iy)
-        fz.inverse(s.data() + (static_cast<std::size_t>(ixl) * ny + iy) * nz);
+    slab_lines(r, true);
+    const std::vector<cplx>& s = slab_[r];
     FieldR& f = out.slab(r);
     for (std::size_t i = 0; i < s.size(); ++i) f[i] = s[i].real();
   });

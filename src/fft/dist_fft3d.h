@@ -7,11 +7,10 @@
 // [x0(r), x1(r)), grid/sharded_field.h layout). One forward transform:
 //
 //   1. local 2D:   each rank transforms its slab along z then y — both
-//                  axes are complete inside an x-slab. Line transforms
-//                  run in place (y lines through the 1D plan's strided
-//                  entry) via the thread-local 1D plan cache
-//                  (fft/plan_cache.h), identical arithmetic to the dense
-//                  Fft3D's z/y passes.
+//                  axes are complete inside an x-slab. Lines run in
+//                  place, in tiles through the thread-local 1D plans'
+//                  transform_lines (fft/plan_cache.h, fft/fft.h), with
+//                  the per-line bits of the dense Fft3D's z/y passes.
 //   2. transpose:  one ShardComm::all_to_all pencil transpose: block
 //                  (src -> dst) carries src's x planes of dst's y range.
 //                  After it, rank r owns y-pencils: global y in
@@ -105,6 +104,8 @@ class DistFft3D {
  private:
   void transpose_to_pencils();
   void transpose_to_slabs();
+  void slab_lines(int r, bool inv);
+  void pencil_lines(int r, bool inv);
 
   Vec3i shape_;
   ShardComm& comm_;

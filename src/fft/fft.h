@@ -12,10 +12,23 @@
 // inverse(forward(x)) == x.
 //
 // Strided lines: forward/inverse transform the n elements data[j*stride],
-// j < n, in place. The leaf gather reads through the stride and the last
-// stage writes through it, so a y- or x-line of a 3D grid is transformed
-// where it lies, with no staging copy, and with the same bits as the
-// contiguous transform of a copy of that line.
+// j < n, in place. The leaf gather reads through the stride and the
+// scatter writes through it, so a y- or x-line of a 3D grid is
+// transformed where it lies, with the same bits as the contiguous
+// transform of a copy of that line.
+//
+// Tiles: transform_lines runs many lines of one stride, kTile (8) at a
+// time. The leaf gather loads a tile into a structure-of-arrays work
+// buffer, a real plane and an imaginary plane of n * kTile values each,
+// element k of lane t at k * kTile + t. Every butterfly then runs once
+// per lane in an innermost unit-stride lane loop, so each twiddle is
+// loaded once per tile and the lane loop vectorizes. A short tile of
+// two or more lines pads its unused lanes with zeros, which are computed
+// and dropped; a single line runs the one-lane instantiation of the same
+// kernel, which is also the single-line forward/inverse. Lanes never
+// mix, so a line's bits do not depend on its tile, its lane or its
+// neighbours. Two such tiles ping-pong through the stages, so a plan
+// holds 4 * n * kTile reals of scratch (10 KiB at n = 40 in double).
 //
 // == The plan ==
 //
@@ -30,9 +43,10 @@
 // A stage of radix p on a block of length n_l = p*m computes, for every
 // k2 < m and k1 < p, with k = k1*m + k2 and col_r = block[r*m + k2],
 //   X[k] = sum_{r=0..p-1} col_r * w^{r*k},  w = exp(sign*2*pi*i/n_l).
-// The twiddle w^{r*k} is stored per (k2, k1, r) as the double-computed
-// root e^{-2 pi i e/n} with e = (r*k mod n_l) * (n / n_l), flipped to
-// n - e for sign +1 (e != 0).
+// The twiddle w^{r*k} is the double-computed root e^{-2 pi i e/n} with
+// e = (r*k mod n_l) * (n / n_l), flipped to n - e for sign +1 (e != 0).
+// The table stores it per (k2, k1, r) for the nontrivial terms only:
+// r >= 1 and k >= 1 (see the fold below).
 //
 // Bit contract: every output is the sum above started from (0, 0) with
 // the p products added in ascending r (the r = 0 term included), each
@@ -41,7 +55,23 @@
 // over the same root table (test_fft keeps one as the oracle), which the
 // plan matches bit for bit on finite input in both precisions. There is
 // no NaN-recovery branch: non-finite input propagates as plain IEEE
-// arithmetic.
+// arithmetic. The inverse's 1/n is one multiply per component in the
+// scatter, as the oracle applies it after the transform.
+//
+// The unity fold: the product by the exact root w = roots[0] = (1, -0)
+// is replaced by the plain term, re += a.re, im += a.im, and the kernel
+// starts each output as 0 + col_0 (the r = 0 term). That covers exactly
+// the terms with r*k = 0 (mod n_l): the radix p of a stage is the
+// smallest prime factor of n_l, so 0 < r < p gives gcd(r, n_l) = 1, and
+// r*k = 0 (mod n_l) forces k = 0. The fold keeps the bits on finite
+// input: the exact product is a.re*1 - a.im*(-0) = a.re (and a.re*(-0) +
+// a.im*1 = a.im) except that a zero a.re may come out with either sign.
+// A signed zero only matters when added to a zero. The accumulator
+// starts at +0, and in round-to-nearest a sum is -0 only when both
+// operands are -0, so the accumulator is never -0, and adding +0 or -0
+// to it gives the same bits. The explicit "0 +" is what keeps a leading
+// -0 term from making the accumulator -0; test_fft pins it against the
+// recursive oracle with signed-zero inputs.
 //
 // The transform is templated over the real type: BasicFft1D<double> is
 // the engine's bit-exact reference path, BasicFft1D<float> the
@@ -50,8 +80,8 @@
 // computed in double and rounded once to the storage type, so the float
 // transform carries no accumulated table error.
 //
-// Transforms reuse the plan's one scratch line (work_), so one instance
-// must not be transformed from two threads at once (see
+// Transforms reuse the plan's work buffer (no allocation per call), so
+// one instance must not be transformed from two threads at once (see
 // fft/plan_cache.h).
 #pragma once
 
@@ -69,6 +99,9 @@ class BasicFft1D {
  public:
   using Cplx = std::complex<Real>;
 
+  // Lines per tile of transform_lines (see the header comment).
+  static constexpr int kTile = 8;
+
   // Throws std::invalid_argument unless n >= 1 and is_smooth(n).
   explicit BasicFft1D(int n);
 
@@ -76,12 +109,28 @@ class BasicFft1D {
 
   // In-place transforms of the size() elements data[j * stride].
   void forward(Cplx* data, std::ptrdiff_t stride = 1) const {
-    transform(data, stride, -1);
+    transform(&data, 1, stride, -1);
   }
-  void inverse(Cplx* data, std::ptrdiff_t stride = 1) const;
+  void inverse(Cplx* data, std::ptrdiff_t stride = 1) const {
+    transform(&data, 1, stride, +1);
+  }
 
   void forward(std::vector<Cplx>& data) const { forward(data.data()); }
   void inverse(std::vector<Cplx>& data) const { inverse(data.data()); }
+
+  // In-place transforms of the `count` lines line_at(i), i < count, each
+  // at `stride`, in tiles of kTile lines: every line gets the bits of
+  // forward/inverse(line_at(i), stride). Lines must not overlap.
+  template <typename LineAt>
+  void transform_lines(bool inv, int count, std::ptrdiff_t stride,
+                       const LineAt& line_at) const {
+    Cplx* tile[kTile];
+    for (int i0 = 0; i0 < count; i0 += kTile) {
+      const int c = count - i0 < kTile ? count - i0 : kTile;
+      for (int t = 0; t < c; ++t) tile[t] = line_at(i0 + t);
+      transform(tile, c, stride, inv ? +1 : -1);
+    }
+  }
 
   // True if n >= 1 factors entirely into {2,3,5,7}: the lengths a plan
   // takes.
@@ -91,20 +140,25 @@ class BasicFft1D {
   static int good_fft_size(int n);
 
  private:
-  void transform(Cplx* data, std::ptrdiff_t stride, int sign) const;
+  // Transforms the 1 <= count <= kTile lines lines[t] at `stride`.
+  void transform(Cplx* const* lines, int count, std::ptrdiff_t stride,
+                 int sign) const;
+  template <int Lanes>
+  void run(Cplx* const* lines, int count, std::ptrdiff_t stride,
+           int sign) const;
 
   // One combine level of the plan (see the header comment).
   struct Stage {
     int p;            // radix
     int len;          // sub-transform length n_l = p * m
-    std::size_t tw;   // offset of this stage's p * len twiddles
+    std::size_t tw;   // offset of this stage's nontrivial twiddles
   };
 
   int n_ = 0;
-  std::vector<int> gather_;  // leaf order: work_[k] = data[gather_[k] * stride]
+  std::vector<int> gather_;  // leaf order: work[k] = data[gather_[k] * stride]
   std::vector<Stage> stages_;     // bottom-up (shortest sub-transform first)
   std::vector<Cplx> tw_[2];       // twiddles for sign -1 [0] and +1 [1]
-  mutable std::vector<Cplx> work_;  // scratch for the stages (size n)
+  mutable std::vector<Real> work_;  // two SoA tiles, 4 * n * kTile reals
 };
 
 using Fft1D = BasicFft1D<double>;

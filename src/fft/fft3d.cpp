@@ -16,49 +16,34 @@ BasicFft3D<Real>::BasicFft3D(Vec3i shape)
 
 template <typename Real>
 void BasicFft3D<Real>::transform_z(Cplx* data, bool inv) const {
-  const int n1 = shape_.x, n2 = shape_.y, n3 = shape_.z;
-  // Axis z: contiguous rows.
-  for (int ix = 0; ix < n1; ++ix)
-    for (int iy = 0; iy < n2; ++iy) {
-      Cplx* row = data + (static_cast<std::size_t>(ix) * n2 + iy) * n3;
-      if (inv)
-        fz_.inverse(row);
-      else
-        fz_.forward(row);
-    }
+  // Axis z: the n1 * n2 contiguous rows.
+  const int n3 = shape_.z;
+  fz_.transform_lines(inv, shape_.x * shape_.y, 1, [&](int row) {
+    return data + static_cast<std::size_t>(row) * n3;
+  });
 }
 
 template <typename Real>
 void BasicFft3D<Real>::transform_y(Cplx* data, bool inv,
                                    const std::vector<int>* z) const {
-  const int n1 = shape_.x, n2 = shape_.y, n3 = shape_.z;
-  // Axis y: stride n3 within each x-slab; only the planes in `z` if given.
+  const int n2 = shape_.y, n3 = shape_.z;
+  // Axis y: stride n3 within each x-slab; only the planes in `z` if
+  // given. Line i = (ix, k) runs across the x-slabs, so tiles stay full.
   const int nz = z ? static_cast<int>(z->size()) : n3;
-  for (int ix = 0; ix < n1; ++ix)
-    for (int k = 0; k < nz; ++k) {
-      const int iz = z ? (*z)[k] : k;
-      Cplx* base = data + static_cast<std::size_t>(ix) * n2 * n3 + iz;
-      if (inv)
-        fy_.inverse(base, n3);
-      else
-        fy_.forward(base, n3);
-    }
+  fy_.transform_lines(inv, shape_.x * nz, n3, [&](int i) {
+    const int ix = i / nz, k = i % nz;
+    return data + static_cast<std::size_t>(ix) * n2 * n3 + (z ? (*z)[k] : k);
+  });
 }
 
 template <typename Real>
 void BasicFft3D<Real>::transform_x(Cplx* data, bool inv,
                                    const std::vector<int>* yz) const {
-  const int n2 = shape_.y, n3 = shape_.z;
   // Axis x: stride n2*n3; only the (iy,iz) columns in `yz` if given.
-  const std::ptrdiff_t sx = static_cast<std::ptrdiff_t>(n2) * n3;
-  const int ncol = yz ? static_cast<int>(yz->size()) : n2 * n3;
-  for (int k = 0; k < ncol; ++k) {
-    Cplx* base = data + (yz ? (*yz)[k] : k);
-    if (inv)
-      fx_.inverse(base, sx);
-    else
-      fx_.forward(base, sx);
-  }
+  const std::ptrdiff_t sx = static_cast<std::ptrdiff_t>(shape_.y) * shape_.z;
+  const int ncol = yz ? static_cast<int>(yz->size()) : shape_.y * shape_.z;
+  fx_.transform_lines(inv, ncol, sx,
+                      [&](int k) { return data + (yz ? (*yz)[k] : k); });
 }
 
 template <typename Real>
@@ -98,7 +83,7 @@ void BasicFft3D<Real>::transform_many(Cplx* stack, int count,
     return;
   }
   // Each lane transforms through its own thread-local plan so the 1D
-  // plans' scratch lines are never shared between concurrent grids; the
+  // plans' work buffers are never shared between concurrent grids; the
   // cache lookup happens once per lane, not once per grid.
   std::vector<const BasicFft3D*> lane_plan(std::min(n_workers, count),
                                            nullptr);

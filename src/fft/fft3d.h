@@ -38,15 +38,20 @@
 // float instantiation of the lockstep Davidson (fft_plan<float>, the
 // mixed-precision path). Both share the axis-order contract.
 //
-// Every line is transformed in place through its 1D plan's strided
-// entry (fft/fft.h); a 3D plan holds no buffer of its own, and the
+// Every line is transformed in place, in tiles of BasicFft1D::kTile
+// lines through its 1D plan's transform_lines (fft/fft.h): z-rows, then
+// y-lines numbered (ix, iz) across the x-slabs, then x-columns (for a
+// pruned transform, the FftLines lists), so a tile stays full across
+// slab boundaries. A line's bits do not depend on its tile, so the
+// tiling is invisible. A 3D plan holds no buffer of its own, and the
 // constructor throws std::invalid_argument unless every extent is a
 // smooth length.
 //
-// Thread safety: the only scratch is each 1D plan's work_ line (no
-// allocation per call), so concurrent transform() calls on one instance
-// race. Use one instance per thread — the per-thread plan cache
-// (fft/plan_cache.h) exists for exactly this.
+// Thread safety: the only scratch is each 1D plan's tile work buffer
+// (4 * n * kTile reals, sized at construction, no allocation per call),
+// so concurrent transform() calls on one instance race. Use one
+// instance per thread — the per-thread plan cache (fft/plan_cache.h)
+// exists for exactly this.
 #pragma once
 
 #include <memory>

@@ -9,7 +9,7 @@
 // iterations, exactly like the eigensolver arenas.
 //
 // Plans are cached per *thread* on purpose: Fft3D transforms use their
-// 1D plans' scratch lines, so a shared instance would race. They are cached
+// 1D plans' tile work buffers, so a shared instance would race. They are cached
 // per FftPlanCache *instance* so that solver instances own their plan
 // state (the SolverService prerequisite — no cross-tenant global
 // state): each Ls3dfSolver carries its own cache and installs it in

@@ -146,7 +146,9 @@ struct Ls3dfProgress {
 
 struct Ls3dfOptions {
   // m1 x m2 x m3 cell grid; each m_i is 1 or >= 3 and 2-3-5-7-smooth.
-  Vec3i division{2, 2, 2};
+  // The default is the smallest non-degenerate division, the paper's
+  // 3 x 3 x 3.
+  Vec3i division{3, 3, 3};
   // Global grid points per cell edge; >= 4 and 2-3-5-7-smooth, so the
   // global grid m_i * p and every fragment grid are FFT lengths.
   int points_per_cell = 10;

@@ -1,7 +1,8 @@
 // FFT tests: analytic DFTs, round trips, Parseval, linearity, shift
 // theorem over 2-3-5-7-smooth sizes, rejection of every other length,
-// the plan's bits against a recursive oracle, strided in-place lines
-// against contiguous copies bit for bit, the 3D transform on the grid
+// the plan's bits against a recursive oracle (signed-zero inputs
+// included), strided in-place lines against contiguous copies and tiles
+// of lines against single-line calls bit for bit, the 3D transform on the grid
 // shapes the DFT engine uses (including the paper's 40^3 and 32^3
 // per-cell grids), and the G-sphere-pruned transforms against the full
 // ones bit for bit.
@@ -300,35 +301,63 @@ class RecursiveFftOracle {
   std::vector<Cplx> work_;
 };
 
-// Every 7-smooth n <= 128 plus two long multi-factor lengths, both signs:
-// the table-driven plan reproduces the recursive transform bit for bit.
+// Every 7-smooth n <= 128 plus two long multi-factor lengths.
 template <typename Real>
-void expect_bits_match_recursive_oracle() {
-  using Cplx = std::complex<Real>;
+std::vector<int> smooth_test_sizes() {
   std::vector<int> sizes;
   for (int n = 1; n <= 128; ++n)
     if (BasicFft1D<Real>::is_smooth(n)) sizes.push_back(n);
   sizes.push_back(210);
   sizes.push_back(360);
-  for (int n : sizes) {
+  return sizes;
+}
+
+// Signed-zero inputs: every real and imaginary part is +0 or -0, and
+// with `spike` one entry is a random nonzero, so exact zeros meet the
+// unity fold (fft.h) in every stage.
+template <typename Real>
+std::vector<std::complex<Real>> signed_zero_signal(int n, bool spike,
+                                                   std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::complex<Real>> x(n);
+  for (auto& v : x)
+    v = std::complex<Real>(rng.uniform(-1, 1) < 0 ? Real(-0.0) : Real(0),
+                           rng.uniform(-1, 1) < 0 ? Real(-0.0) : Real(0));
+  if (spike)
+    x[n / 3] = std::complex<Real>(static_cast<Real>(rng.uniform(-1, 1)),
+                                  static_cast<Real>(rng.uniform(-1, 1)));
+  return x;
+}
+
+// Every test size, both signs: the table-driven plan reproduces the
+// recursive transform bit for bit, on random input and on signed-zero
+// input (which pins the unity fold's "0 +").
+template <typename Real>
+void expect_bits_match_recursive_oracle() {
+  using Cplx = std::complex<Real>;
+  for (int n : smooth_test_sizes<Real>()) {
     Rng rng(1000 + n);
-    std::vector<Cplx> x(n);
-    for (auto& v : x)
+    std::vector<Cplx> random(n);
+    for (auto& v : random)
       v = Cplx(static_cast<Real>(rng.uniform(-1, 1)),
                static_cast<Real>(rng.uniform(-1, 1)));
     BasicFft1D<Real> plan(n);
     RecursiveFftOracle<Real> oracle(n);
-    std::vector<Cplx> fast = x, ref = x;
-    plan.forward(fast.data());
-    oracle.forward(ref.data());
-    EXPECT_EQ(std::memcmp(fast.data(), ref.data(), n * sizeof(Cplx)), 0)
-        << "forward n = " << n;
-    fast = x;
-    ref = x;
-    plan.inverse(fast.data());
-    oracle.inverse(ref.data());
-    EXPECT_EQ(std::memcmp(fast.data(), ref.data(), n * sizeof(Cplx)), 0)
-        << "inverse n = " << n;
+    for (const std::vector<Cplx>& x :
+         {random, signed_zero_signal<Real>(n, false, 3000 + n),
+          signed_zero_signal<Real>(n, true, 4000 + n)}) {
+      std::vector<Cplx> fast = x, ref = x;
+      plan.forward(fast.data());
+      oracle.forward(ref.data());
+      EXPECT_EQ(std::memcmp(fast.data(), ref.data(), n * sizeof(Cplx)), 0)
+          << "forward n = " << n;
+      fast = x;
+      ref = x;
+      plan.inverse(fast.data());
+      oracle.inverse(ref.data());
+      EXPECT_EQ(std::memcmp(fast.data(), ref.data(), n * sizeof(Cplx)), 0)
+          << "inverse n = " << n;
+    }
   }
 }
 
@@ -347,12 +376,7 @@ TEST(Fft1D, BitIdenticalToRecursiveOracleFp32) {
 template <typename Real>
 void expect_strided_matches_contiguous() {
   using Cplx = std::complex<Real>;
-  std::vector<int> sizes;
-  for (int n = 1; n <= 128; ++n)
-    if (BasicFft1D<Real>::is_smooth(n)) sizes.push_back(n);
-  sizes.push_back(210);
-  sizes.push_back(360);
-  for (int n : sizes) {
+  for (int n : smooth_test_sizes<Real>()) {
     const BasicFft1D<Real> plan(n);
     for (std::ptrdiff_t stride : {std::ptrdiff_t{1}, std::ptrdiff_t{2},
                                   static_cast<std::ptrdiff_t>(n) + 3}) {
@@ -381,6 +405,55 @@ void expect_strided_matches_contiguous() {
 TEST(Fft1D, StridedMatchesContiguous) {
   expect_strided_matches_contiguous<double>();
   expect_strided_matches_contiguous<float>();
+}
+
+// A tile of `count` lines through transform_lines has, line for line,
+// the bits of single-line calls, and leaves every slot between the lines'
+// elements untouched. Every test size, every count 1..kTile, strides 1,
+// 2 and n + 3, both signs. Lines sit in adjacent columns when the stride
+// leaves room (the 3D y- and x-pass shape), else one after another.
+template <typename Real>
+void expect_tile_matches_single_line() {
+  using Cplx = std::complex<Real>;
+  constexpr int kTile = BasicFft1D<Real>::kTile;
+  for (int n : smooth_test_sizes<Real>()) {
+    const BasicFft1D<Real> plan(n);
+    for (std::ptrdiff_t stride : {std::ptrdiff_t{1}, std::ptrdiff_t{2},
+                                  static_cast<std::ptrdiff_t>(n) + 3}) {
+      for (int count = 1; count <= kTile; ++count) {
+        const std::ptrdiff_t line_gap = stride >= count ? 1 : n * stride;
+        const std::size_t span =
+            static_cast<std::size_t>((count - 1) * line_gap + n * stride);
+        std::vector<Cplx> x = random_block<Real>(span, 5000 + n + count);
+        // Signed zeros in the first line, so the fold meets them in a
+        // tile lane as well.
+        const std::vector<Cplx> z = signed_zero_signal<Real>(n, true, n);
+        for (int j = 0; j < n; ++j) x[j * stride] = z[j];
+        for (bool inv : {false, true}) {
+          std::vector<Cplx> tile = x, ref = x;
+          plan.transform_lines(inv, count, stride, [&](int t) {
+            return tile.data() + t * line_gap;
+          });
+          for (int t = 0; t < count; ++t)
+            if (inv)
+              plan.inverse(ref.data() + t * line_gap, stride);
+            else
+              plan.forward(ref.data() + t * line_gap, stride);
+          EXPECT_TRUE(same_bits(tile, ref))
+              << (inv ? "inverse" : "forward") << " n = " << n
+              << " stride = " << stride << " count = " << count;
+        }
+      }
+    }
+  }
+}
+
+TEST(Fft1D, TileMatchesSingleLineFp64) {
+  expect_tile_matches_single_line<double>();
+}
+
+TEST(Fft1D, TileMatchesSingleLineFp32) {
+  expect_tile_matches_single_line<float>();
 }
 
 TEST(Fft3D, RoundTrip) {

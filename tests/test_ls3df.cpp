@@ -195,6 +195,8 @@ TEST(Ls3df, RejectsInvalidOptionsAtConstruction) {
   lo.precision = Precision::kMixed;
   lo.promote_factor = 1;
   EXPECT_NO_THROW(Ls3dfSolver(s, lo));
+  // So are the defaults.
+  EXPECT_NO_THROW(Ls3dfSolver(s, Ls3dfOptions{}));
 }
 
 TEST(Ls3df, SingleFragmentLimitIsExactlyDirectDft) {
