@@ -53,6 +53,7 @@
 #include "fft/dist_fft3d.h"
 #include "fft/fft.h"
 #include "fft/fft3d.h"
+#include "fft/fft_kernel.h"
 #include "fragment/ls3df.h"
 #include "grid/gvectors.h"
 #include "grid/sharded_field.h"
@@ -139,55 +140,88 @@ void BM_Fft1D(benchmark::State& state) {
   Rng rng(4);
   std::vector<cplx> x(n);
   for (auto& v : x) v = cplx(rng.uniform(-1, 1), rng.uniform(-1, 1));
+  // A round trip per iteration: repeated forwards alone overflow to inf
+  // within a few hundred calls, and the loop would then time non-finite
+  // arithmetic.
   for (auto _ : state) {
     plan.forward(x);
+    plan.inverse(x);
     benchmark::DoNotOptimize(x.data());
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  state.SetItemsProcessed(state.iterations() * 2 * n);
   state.counters["Gflop/s"] = benchmark::Counter(
-      5.0 * n * std::log2(n) * state.iterations() / 1e9,
+      2 * 5.0 * n * std::log2(n) * state.iterations() / 1e9,
       benchmark::Counter::kIsRate);
 }
 // 32 and 40: the paper's per-cell grid lines.
 BENCHMARK(BM_Fft1D)->Arg(32)->Arg(40)->Arg(64)->Arg(128);
 
+// A plan built with the AVX2 or the portable tile kernel (fft/fft.h,
+// "ISA dispatch"); null, with the benchmark skipped, where the CPU lacks
+// AVX2.
+template <typename Plan, typename Arg>
+std::unique_ptr<Plan> kernel_plan(benchmark::State& state, bool avx2,
+                                  const Arg& arg) {
+  if (avx2 && !fft_detail::avx2_kernel_available()) {
+    state.SkipWithError("this CPU has no AVX2");
+    return nullptr;
+  }
+  std::unique_ptr<fft_detail::ScopedPortableKernel> portable;
+  if (!avx2) portable = std::make_unique<fft_detail::ScopedPortableKernel>();
+  return std::make_unique<Plan>(arg);
+}
+
 // One full tile of BasicFft1D::kTile adjacent lines at stride n, the
-// shape of a y- or x-pass tile of a 3D transform.
-void BM_Fft1DTile(benchmark::State& state) {
+// shape of a y- or x-pass tile of a 3D transform, on either kernel; a
+// round trip per iteration, as in BM_Fft1D.
+void BM_Fft1DTile(benchmark::State& state, bool avx2) {
   const int n = static_cast<int>(state.range(0));
   constexpr int kTile = Fft1D::kTile;
-  Fft1D plan(n);
+  const auto owned = kernel_plan<Fft1D>(state, avx2, n);
+  if (!owned) return;
+  const Fft1D& plan = *owned;
   Rng rng(4);
   std::vector<cplx> x(static_cast<std::size_t>(n) * n);
   for (auto& v : x) v = cplx(rng.uniform(-1, 1), rng.uniform(-1, 1));
   for (auto _ : state) {
-    plan.transform_lines(false, kTile, n, [&](int t) { return x.data() + t; });
+    for (bool inv : {false, true})
+      plan.transform_lines(inv, kTile, n,
+                           [&](int t) { return x.data() + t; });
     benchmark::DoNotOptimize(x.data());
   }
-  state.SetItemsProcessed(state.iterations() * n * kTile);
+  state.SetItemsProcessed(state.iterations() * 2 * n * kTile);
   state.counters["Gflop/s"] = benchmark::Counter(
-      5.0 * n * std::log2(n) * kTile * state.iterations() / 1e9,
+      2 * 5.0 * n * std::log2(n) * kTile * state.iterations() / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Fft1DTile)->Arg(8)->Arg(16)->Arg(24)->Arg(32);
+BENCHMARK_CAPTURE(BM_Fft1DTile, portable, false)
+    ->Arg(8)->Arg(16)->Arg(24)->Arg(32);
+BENCHMARK_CAPTURE(BM_Fft1DTile, avx2, true)->Arg(8)->Arg(16)->Arg(24)->Arg(32);
 
-void BM_Fft3D(benchmark::State& state) {
+// A forward + inverse round trip of an n^3 grid per iteration (as in
+// BM_Fft1D), on either kernel.
+void BM_Fft3D(benchmark::State& state, bool avx2) {
   const int n = static_cast<int>(state.range(0));
-  Fft3D plan({n, n, n});
+  const auto owned = kernel_plan<Fft3D>(state, avx2, Vec3i{n, n, n});
+  if (!owned) return;
+  const Fft3D& plan = *owned;
   Rng rng(5);
   std::vector<cplx> x(plan.size());
   for (auto& v : x) v = cplx(rng.uniform(-1, 1), rng.uniform(-1, 1));
   for (auto _ : state) {
     plan.forward(x.data());
+    plan.inverse(x.data());
     benchmark::DoNotOptimize(x.data());
   }
-  state.SetItemsProcessed(state.iterations() * plan.size());
+  state.SetItemsProcessed(state.iterations() * 2 * plan.size());
   const double size = static_cast<double>(plan.size());
   state.counters["Gflop/s"] = benchmark::Counter(
-      5.0 * size * std::log2(size) * state.iterations() / 1e9,
+      2 * 5.0 * size * std::log2(size) * state.iterations() / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Fft3D)->Arg(16)->Arg(24)->Arg(32)->Arg(40);
+BENCHMARK_CAPTURE(BM_Fft3D, portable, false)
+    ->Arg(16)->Arg(24)->Arg(32)->Arg(40);
+BENCHMARK_CAPTURE(BM_Fft3D, avx2, true)->Arg(16)->Arg(24)->Arg(32)->Arg(40);
 
 // The Rayleigh-Ritz eigensolve (cyclic Jacobi) at subspace dimensions
 // the Davidson loops produce.

@@ -80,6 +80,38 @@
 // computed in double and rounded once to the storage type, so the float
 // transform carries no accumulated table error.
 //
+// == ISA dispatch ==
+//
+// The tile kernel (the leaf gather, the stages and the scatter of one
+// tile; fft/fft_kernel.h) is compiled twice: in fft.cpp with the
+// project's flags (the portable SSE2 path on x86-64), and in fft_avx2.cpp
+// with -mavx2 -ffp-contract=off -fno-tree-slp-vectorize, set on that one
+// source in CMakeLists.txt. The AVX2 copy runs the same lane loop four
+// doubles (eight floats) per vector instead of two (four); a tile takes
+// 0.5-0.65 of the portable time. The two extra flags keep the bits
+// whatever else a build enables: -ffp-contract=off forbids fusing a
+// multiply and an add into an FMA (one rounding instead of two; -mavx2
+// alone enables no FMA, a global -march may), and -fno-tree-slp-vectorize
+// stops GCC's straight-line vectorizer, which with FMA available turns
+// the complex products into vfmaddsub even with contraction off. Each
+// lane then evaluates exactly the sums of the bit contract above, so
+// both copies give the same bits, which test_fft checks with memcmp.
+//
+// Linkage: the kernel templates sit in an anonymous namespace, so each
+// TU keeps its own copy, and the AVX2 TU defines nothing but its two
+// entry points (double and float). Were an inline function or template
+// instantiated there with weak linkage, the linker could keep that AVX2
+// copy for the portable callers too, and a CPU without AVX2 would fault
+// on it. tools/check_fft_objects.sh (a CI step) checks the objects: no
+// FMA in either, no ymm register in fft.cpp's, no weak or other extra
+// symbol in fft_avx2.cpp's.
+//
+// The choice is made once per plan: the constructor asks the CPU
+// (__builtin_cpu_supports("avx2")) and stores a pointer to one kernel,
+// which every transform calls. There is no option or environment
+// variable; only tests and benches force the portable kernel, through
+// fft_detail::ScopedPortableKernel (fft/fft_kernel.h).
+//
 // Transforms reuse the plan's work buffer (no allocation per call), so
 // one instance must not be transformed from two threads at once (see
 // fft/plan_cache.h).
@@ -94,18 +126,41 @@ namespace ls3df {
 using cplx = std::complex<double>;
 using cplxf = std::complex<float>;
 
+namespace fft_detail {
+
+// Lines per tile of transform_lines (see the header comment).
+constexpr int kTile = 8;
+
+// One combine level of a plan (see the header comment).
+struct Stage {
+  int p;            // radix
+  int len;          // sub-transform length n_l = p * m
+  std::size_t tw;   // offset of this stage's nontrivial twiddles
+};
+
+// One call of the tile kernel (fft/fft_kernel.h), and the kernel itself.
+template <typename Real>
+struct TileJob;
+template <typename Real>
+using TileKernel = void (*)(const TileJob<Real>&);
+
+}  // namespace fft_detail
+
 template <typename Real>
 class BasicFft1D {
  public:
   using Cplx = std::complex<Real>;
 
-  // Lines per tile of transform_lines (see the header comment).
-  static constexpr int kTile = 8;
+  static constexpr int kTile = fft_detail::kTile;
 
   // Throws std::invalid_argument unless n >= 1 and is_smooth(n).
   explicit BasicFft1D(int n);
 
   int size() const { return n_; }
+
+  // The tile kernel this plan runs: "avx2" or "portable" (see "ISA
+  // dispatch" above).
+  const char* kernel_isa() const;
 
   // In-place transforms of the size() elements data[j * stride].
   void forward(Cplx* data, std::ptrdiff_t stride = 1) const {
@@ -143,20 +198,11 @@ class BasicFft1D {
   // Transforms the 1 <= count <= kTile lines lines[t] at `stride`.
   void transform(Cplx* const* lines, int count, std::ptrdiff_t stride,
                  int sign) const;
-  template <int Lanes>
-  void run(Cplx* const* lines, int count, std::ptrdiff_t stride,
-           int sign) const;
-
-  // One combine level of the plan (see the header comment).
-  struct Stage {
-    int p;            // radix
-    int len;          // sub-transform length n_l = p * m
-    std::size_t tw;   // offset of this stage's nontrivial twiddles
-  };
 
   int n_ = 0;
+  fft_detail::TileKernel<Real> kernel_;  // chosen once (ISA dispatch)
   std::vector<int> gather_;  // leaf order: work[k] = data[gather_[k] * stride]
-  std::vector<Stage> stages_;     // bottom-up (shortest sub-transform first)
+  std::vector<fft_detail::Stage> stages_;  // bottom-up (shortest first)
   std::vector<Cplx> tw_[2];       // twiddles for sign -1 [0] and +1 [1]
   mutable std::vector<Real> work_;  // two SoA tiles, 4 * n * kTile reals
 };

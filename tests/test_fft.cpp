@@ -5,20 +5,31 @@
 // of lines against single-line calls bit for bit, the 3D transform on the grid
 // shapes the DFT engine uses (including the paper's 40^3 and 32^3
 // per-cell grids), and the G-sphere-pruned transforms against the full
-// ones bit for bit.
+// ones bit for bit. The bit checks run once per tile kernel (portable
+// and AVX2; fft.h, "ISA dispatch"): the dense, pruned, many-grid and
+// distributed 3D transforms against the oracle applied line by line, and
+// the two kernels against each other.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <stdexcept>
 #include <vector>
 
 #include "common/constants.h"
 #include "common/rng.h"
+#include "fft/dist_fft3d.h"
 #include "fft/fft.h"
 #include "fft/fft3d.h"
+#include "fft/fft_kernel.h"
+#include "fft/plan_cache.h"
 #include "grid/gvectors.h"
+#include "grid/sharded_field.h"
+#include "obs/context.h"
+#include "parallel/shard_comm.h"
 
 namespace ls3df {
 namespace {
@@ -329,6 +340,55 @@ std::vector<std::complex<Real>> signed_zero_signal(int n, bool spike,
   return x;
 }
 
+// --- Tile kernel paths (fft.h, "ISA dispatch") ------------------------
+
+// Plans built while a KernelScope is alive run the named tile kernel:
+// "portable" through fft_detail::ScopedPortableKernel, "avx2" by default
+// (on a CPU with AVX2). A fresh plan cache is installed for the scope, so
+// the plans the many-grid sweep and DistFft3D take from the cache, on any
+// pool lane, are built inside it too.
+class KernelScope {
+ public:
+  explicit KernelScope(const std::string& isa) {
+    if (isa == "portable")
+      force_ = std::make_unique<fft_detail::ScopedPortableKernel>();
+  }
+
+ private:
+  std::unique_ptr<fft_detail::ScopedPortableKernel> force_;
+  FftPlanCache plans_;
+  ObsContextScope ctx_{ObsContext{nullptr, nullptr, &plans_, 0}};
+};
+
+constexpr const char* kAvx2Missing =
+    "this CPU has no AVX2 (or the build has no AVX2 kernel): only the "
+    "portable tile kernel runs here";
+
+// A test run once per kernel path, the plans of its body built in that
+// path's KernelScope. The AVX2 run is skipped where the CPU lacks AVX2.
+class KernelPath : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == "avx2" && !fft_detail::avx2_kernel_available())
+      GTEST_SKIP() << kAvx2Missing;
+    scope_ = std::make_unique<KernelScope>(GetParam());
+    ASSERT_EQ(std::string(Fft1D(12).kernel_isa()), GetParam());
+    ASSERT_EQ(std::string(Fft1DF(12).kernel_isa()), GetParam());
+  }
+
+ private:
+  std::unique_ptr<KernelScope> scope_;
+};
+
+class Fft1DKernel : public KernelPath {};
+class DistFft3DKernel : public KernelPath {};
+class Fft3DPruned : public KernelPath {};
+
+const auto kKernelPaths = ::testing::Values("portable", "avx2");
+const auto kKernelName = [](const ::testing::TestParamInfo<std::string>& i) {
+  return i.param;
+};
+
 // Every test size, both signs: the table-driven plan reproduces the
 // recursive transform bit for bit, on random input and on signed-zero
 // input (which pins the unity fold's "0 +").
@@ -361,11 +421,11 @@ void expect_bits_match_recursive_oracle() {
   }
 }
 
-TEST(Fft1D, BitIdenticalToRecursiveOracleFp64) {
+TEST_P(Fft1DKernel, BitIdenticalToRecursiveOracleFp64) {
   expect_bits_match_recursive_oracle<double>();
 }
 
-TEST(Fft1D, BitIdenticalToRecursiveOracleFp32) {
+TEST_P(Fft1DKernel, BitIdenticalToRecursiveOracleFp32) {
   expect_bits_match_recursive_oracle<float>();
 }
 
@@ -402,22 +462,24 @@ void expect_strided_matches_contiguous() {
   }
 }
 
-TEST(Fft1D, StridedMatchesContiguous) {
+TEST_P(Fft1DKernel, StridedMatchesContiguous) {
   expect_strided_matches_contiguous<double>();
   expect_strided_matches_contiguous<float>();
 }
 
 // A tile of `count` lines through transform_lines has, line for line,
-// the bits of single-line calls, and leaves every slot between the lines'
-// elements untouched. Every test size, every count 1..kTile, strides 1,
-// 2 and n + 3, both signs. Lines sit in adjacent columns when the stride
-// leaves room (the 3D y- and x-pass shape), else one after another.
+// the bits of single-line calls and of the recursive oracle, and leaves
+// every slot between the lines' elements untouched. Every test size,
+// every count 1..kTile, strides 1, 2 and n + 3, both signs. Lines sit in
+// adjacent columns when the stride leaves room (the 3D y- and x-pass
+// shape, whose full tiles move whole rows), else one after another.
 template <typename Real>
 void expect_tile_matches_single_line() {
   using Cplx = std::complex<Real>;
   constexpr int kTile = BasicFft1D<Real>::kTile;
   for (int n : smooth_test_sizes<Real>()) {
     const BasicFft1D<Real> plan(n);
+    RecursiveFftOracle<Real> oracle(n);
     for (std::ptrdiff_t stride : {std::ptrdiff_t{1}, std::ptrdiff_t{2},
                                   static_cast<std::ptrdiff_t>(n) + 3}) {
       for (int count = 1; count <= kTile; ++count) {
@@ -442,19 +504,36 @@ void expect_tile_matches_single_line() {
           EXPECT_TRUE(same_bits(tile, ref))
               << (inv ? "inverse" : "forward") << " n = " << n
               << " stride = " << stride << " count = " << count;
+          for (int t = 0; t < count; ++t) {
+            std::vector<Cplx> got(n), want(n);
+            for (int j = 0; j < n; ++j) {
+              got[j] = tile[t * line_gap + j * stride];
+              want[j] = x[t * line_gap + j * stride];
+            }
+            if (inv)
+              oracle.inverse(want.data());
+            else
+              oracle.forward(want.data());
+            EXPECT_TRUE(same_bits(got, want))
+                << "oracle, " << (inv ? "inverse" : "forward") << " n = " << n
+                << " stride = " << stride << " count = " << count
+                << " line = " << t;
+          }
         }
       }
     }
   }
 }
 
-TEST(Fft1D, TileMatchesSingleLineFp64) {
+TEST_P(Fft1DKernel, TileMatchesSingleLineFp64) {
   expect_tile_matches_single_line<double>();
 }
 
-TEST(Fft1D, TileMatchesSingleLineFp32) {
+TEST_P(Fft1DKernel, TileMatchesSingleLineFp32) {
   expect_tile_matches_single_line<float>();
 }
+
+INSTANTIATE_TEST_SUITE_P(Kernel, Fft1DKernel, kKernelPaths, kKernelName);
 
 TEST(Fft3D, RoundTrip) {
   const Vec3i shape{8, 6, 10};
@@ -601,6 +680,112 @@ TEST(Fft3DMany, BitIdenticalToSingleTransforms) {
   }
 }
 
+// --- 3D transforms against the line oracle ------------------------------
+
+// The 3D transform in fft3d.h's axis order (forward z, y, x; inverse x,
+// y, z) with every line through RecursiveFftOracle: the bits each 3D
+// entry must reproduce on either kernel.
+template <typename Real>
+void oracle_3d(std::complex<Real>* a, Vec3i s, bool inv) {
+  const std::ptrdiff_t n23 = static_cast<std::ptrdiff_t>(s.y) * s.z;
+  // The n_lines lines of length n at `stride` starting at a + start(i).
+  const auto pass = [&](int n, std::ptrdiff_t stride, int n_lines,
+                        const auto& start) {
+    RecursiveFftOracle<Real> oracle(n);
+    std::vector<std::complex<Real>> line(n);
+    for (int i = 0; i < n_lines; ++i) {
+      std::complex<Real>* p = a + start(i);
+      for (int j = 0; j < n; ++j) line[j] = p[j * stride];
+      if (inv)
+        oracle.inverse(line.data());
+      else
+        oracle.forward(line.data());
+      for (int j = 0; j < n; ++j) p[j * stride] = line[j];
+    }
+  };
+  const auto z = [&] {
+    pass(s.z, 1, s.x * s.y, [&](int i) { return std::ptrdiff_t{i} * s.z; });
+  };
+  const auto y = [&] {
+    pass(s.y, s.z, s.x * s.z,
+         [&](int i) { return (i / s.z) * n23 + i % s.z; });
+  };
+  const auto x = [&] {
+    pass(s.x, n23, s.y * s.z, [](int i) { return std::ptrdiff_t{i}; });
+  };
+  if (inv) {
+    x();
+    y();
+    z();
+  } else {
+    z();
+    y();
+    x();
+  }
+}
+
+// Random input with signed zeros along the first z-row, so the unity
+// fold meets them in every pass.
+template <typename Real>
+std::vector<std::complex<Real>> grid_signal(Vec3i shape, std::uint64_t seed) {
+  std::vector<std::complex<Real>> x = random_block<Real>(
+      static_cast<std::size_t>(shape.x) * shape.y * shape.z, seed);
+  const auto z = signed_zero_signal<Real>(shape.z, false, seed);
+  for (int j = 0; j < shape.z; ++j) x[j] = z[j];
+  return x;
+}
+
+// DistFft3D (in-process shards): the pencils hold the oracle's forward
+// transform of the real input, and the inverse returns the real parts of
+// the oracle's inverse of it, bit for bit.
+TEST_P(DistFft3DKernel, BitIdenticalToLineOracle) {
+  const Vec3i shape{12, 8, 6};
+  FieldR real_in(shape);
+  Rng rng(81);
+  for (std::size_t i = 0; i < real_in.size(); ++i)
+    real_in[i] = rng.uniform(-1, 1);
+  std::vector<cplx> fwd(real_in.size());
+  for (std::size_t i = 0; i < fwd.size(); ++i) fwd[i] = cplx(real_in[i], 0);
+  oracle_3d(fwd.data(), shape, false);
+  std::vector<cplx> back = fwd;
+  oracle_3d(back.data(), shape, true);
+  for (int shards : {1, 2}) {
+    for (int workers : {1, 2}) {
+      ShardComm comm(shards, workers);
+      DistFft3D fft(shape, comm);
+      ShardedFieldR in(shape, shards);
+      in.from_dense(real_in);
+      fft.forward(in);
+      std::vector<cplx> got, want;
+      for (int r = 0; r < shards; ++r) {
+        const cplx* p = fft.pencil(r);
+        for (int iy = fft.y0(r); iy < fft.y1(r); ++iy)
+          for (int iz = 0; iz < shape.z; ++iz)
+            for (int ix = 0; ix < shape.x; ++ix) {
+              got.push_back(*p++);
+              want.push_back(
+                  fwd[(static_cast<std::size_t>(ix) * shape.y + iy) *
+                          shape.z + iz]);
+            }
+      }
+      EXPECT_TRUE(same_bits(got, want))
+          << "forward shards " << shards << " workers " << workers;
+      ShardedFieldR out(shape, shards);
+      fft.inverse(out);
+      const FieldR dense = out.to_dense();
+      std::vector<double> re_got(dense.size()), re_want(dense.size());
+      for (std::size_t i = 0; i < dense.size(); ++i) {
+        re_got[i] = dense[i];
+        re_want[i] = back[i].real();
+      }
+      EXPECT_TRUE(same_bits(re_got, re_want))
+          << "inverse shards " << shards << " workers " << workers;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernel, DistFft3DKernel, kKernelPaths, kKernelName);
+
 // --- G-sphere-pruned transforms ---------------------------------------
 
 // A wavefunction basis on `shape` with 1 bohr grid spacing and a cutoff
@@ -612,7 +797,8 @@ GVectors sphere_basis(Vec3i shape, double ecut = 1.2) {
 }
 
 // Pruned inverse == full inverse over the whole grid (scattered input);
-// pruned forward == full forward on the sphere points (dense input).
+// pruned forward == full forward on the sphere points (dense input); and
+// the full transforms have the line oracle's bits.
 template <typename Real>
 void check_pruned_matches_full(Vec3i shape) {
   using C = std::complex<Real>;
@@ -626,48 +812,81 @@ void check_pruned_matches_full(Vec3i shape) {
   const auto coeff = random_block<Real>(gv.count(), 31);
   std::vector<C> full(plan.size());
   gv.scatter(coeff.data(), full.data());
-  std::vector<C> pruned = full;
+  std::vector<C> pruned = full, oracle = full;
   plan.inverse(full.data());
   plan.inverse(pruned.data(), lines);
+  oracle_3d(oracle.data(), shape, true);
   EXPECT_TRUE(same_bits(full, pruned)) << "inverse " << shape;
+  EXPECT_TRUE(same_bits(full, oracle)) << "oracle, inverse " << shape;
 
-  full = random_block<Real>(plan.size(), 37);
-  pruned = full;
+  full = grid_signal<Real>(shape, 37);
+  pruned = oracle = full;
   plan.forward(full.data());
   plan.forward(pruned.data(), lines);
+  oracle_3d(oracle.data(), shape, false);
   std::vector<C> c_full(gv.count()), c_pruned(gv.count());
   gv.gather(full.data(), c_full.data());
   gv.gather(pruned.data(), c_pruned.data());
   EXPECT_TRUE(same_bits(c_full, c_pruned)) << "forward " << shape;
+  EXPECT_TRUE(same_bits(full, oracle)) << "oracle, forward " << shape;
 }
 
 // Alloy fragment grids, odd 7-smooth axes (15, 21, 9, 5) and
-// non-cubic boxes, and the sheet's 9/14-point fragment extents.
-const Vec3i kPrunedShapes[] = {{16, 8, 8}, {24, 8, 8},   {15, 15, 15},
-                               {21, 9, 5}, {16, 14, 14}, {20, 14, 14}};
+// non-cubic boxes, the sheet's 9/14-point fragment extents, and a cube
+// whose x pass runs full tiles at a 4 KiB (2^k) stride.
+const Vec3i kPrunedShapes[] = {{16, 8, 8},   {24, 8, 8},   {15, 15, 15},
+                               {21, 9, 5},   {16, 14, 14}, {20, 14, 14},
+                               {16, 16, 16}};
 
-TEST(Fft3DPruned, MatchesFullTransformFp64) {
+TEST_P(Fft3DPruned, MatchesFullTransformFp64) {
   for (const Vec3i& shape : kPrunedShapes)
     check_pruned_matches_full<double>(shape);
 }
 
-TEST(Fft3DPruned, MatchesFullTransformFp32) {
+TEST_P(Fft3DPruned, MatchesFullTransformFp32) {
   for (const Vec3i& shape : kPrunedShapes)
     check_pruned_matches_full<float>(shape);
 }
 
-TEST(Fft3DPruned, ManySweepBitIdenticalToSerial) {
+// Grid by grid, a stack of serial pruned inverses (of sphere-scattered
+// input) has the line oracle's bits, and its serial pruned forwards
+// have them on each grid's sphere points.
+template <typename Real>
+void expect_serial_pruned_match_oracle(
+    Vec3i shape, const std::vector<const GVectors*>& gv,
+    const std::vector<std::complex<Real>>& input,
+    const std::vector<std::complex<Real>>& inverse,
+    const std::vector<std::complex<Real>>& forward) {
+  using C = std::complex<Real>;
+  const std::size_t size = inverse.size() / gv.size();
+  std::vector<C> want = input;
+  for (std::size_t g = 0; g < gv.size(); ++g)
+    oracle_3d(want.data() + g * size, shape, true);
+  EXPECT_TRUE(same_bits(inverse, want)) << "oracle, inverse";
+  for (std::size_t g = 0; g < gv.size(); ++g) {
+    oracle_3d(want.data() + g * size, shape, false);
+    std::vector<C> c_got(gv[g]->count()), c_want(gv[g]->count());
+    gv[g]->gather(forward.data() + g * size, c_got.data());
+    gv[g]->gather(want.data() + g * size, c_want.data());
+    EXPECT_TRUE(same_bits(c_got, c_want)) << "oracle, forward grid " << g;
+  }
+}
+
+TEST_P(Fft3DPruned, ManySweepBitIdenticalToSerial) {
   // Two spheres on one grid shape, alternating grid by grid: the sweep
-  // must prune each grid with its own table, for any worker count.
+  // must prune each grid with its own table, for any worker count, and
+  // the serial transforms it matches have the line oracle's bits.
   const Vec3i shape{16, 14, 14};
   const GVectors small = sphere_basis(shape, 0.8), big = sphere_basis(shape);
   ASSERT_NE(small.fft_lines().yz, big.fft_lines().yz);
   Fft3D plan(shape);
   const int count = 7;
   std::vector<const FftLines*> lines(count);
+  std::vector<const GVectors*> spheres(count);
   std::vector<cplx> stack0(plan.size() * count);
   for (int g = 0; g < count; ++g) {
     const GVectors& gv = g % 2 ? big : small;
+    spheres[g] = &gv;
     lines[g] = &gv.fft_lines();
     const auto coeff = random_block<double>(gv.count(), 50 + g);
     gv.scatter(coeff.data(), stack0.data() + g * plan.size());
@@ -678,6 +897,8 @@ TEST(Fft3DPruned, ManySweepBitIdenticalToSerial) {
   std::vector<cplx> serial_fwd = serial;
   for (int g = 0; g < count; ++g)
     plan.forward(serial_fwd.data() + g * plan.size(), *lines[g]);
+  expect_serial_pruned_match_oracle(shape, spheres, stack0, serial,
+                                    serial_fwd);
   for (int workers : {1, 2, 4}) {
     std::vector<cplx> many = stack0;
     plan.inverse_many(many.data(), count, lines.data(), workers);
@@ -696,6 +917,8 @@ TEST(Fft3DPruned, ManySweepBitIdenticalToSerial) {
   std::vector<cplxf> serial_fwd_f = serial_f;
   for (int g = 0; g < count; ++g)
     plan_f.forward(serial_fwd_f.data() + g * plan_f.size(), *lines[g]);
+  expect_serial_pruned_match_oracle(shape, spheres, stack_f, serial_f,
+                                    serial_fwd_f);
   for (int workers : {1, 2, 4}) {
     std::vector<cplxf> many = stack_f;
     plan_f.inverse_many(many.data(), count, lines.data(), workers);
@@ -705,6 +928,84 @@ TEST(Fft3DPruned, ManySweepBitIdenticalToSerial) {
     EXPECT_TRUE(same_bits(many, serial_fwd_f))
         << "fp32 forward workers=" << workers;
   }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernel, Fft3DPruned, kKernelPaths, kKernelName);
+
+
+// The two kernels against each other, bit for bit: single lines and
+// tiles of 1..kTile lines at strides 1, 2 and n + 3 (adjacent columns
+// where the stride leaves room), random input with a signed-zero first
+// line, then the dense and pruned 3D transforms.
+template <typename Real>
+void expect_avx2_matches_portable() {
+  using Cplx = std::complex<Real>;
+  constexpr int kTile = BasicFft1D<Real>::kTile;
+  const auto build = [](const char* isa, auto make) {
+    KernelScope scope(isa);
+    return make();
+  };
+  for (int n : smooth_test_sizes<Real>()) {
+    const auto make = [n] { return std::make_unique<BasicFft1D<Real>>(n); };
+    const auto portable = build("portable", make), avx2 = build("avx2", make);
+    ASSERT_STREQ(portable->kernel_isa(), "portable");
+    ASSERT_STREQ(avx2->kernel_isa(), "avx2");
+    for (std::ptrdiff_t stride : {std::ptrdiff_t{1}, std::ptrdiff_t{2},
+                                  static_cast<std::ptrdiff_t>(n) + 3}) {
+      for (int count = 1; count <= kTile; ++count) {
+        const std::ptrdiff_t line_gap = stride >= count ? 1 : n * stride;
+        std::vector<Cplx> x = random_block<Real>(
+            static_cast<std::size_t>((count - 1) * line_gap + n * stride),
+            6000 + n + count);
+        const std::vector<Cplx> z = signed_zero_signal<Real>(n, true, n);
+        for (int j = 0; j < n; ++j) x[j * stride] = z[j];
+        for (bool inv : {false, true}) {
+          std::vector<Cplx> a = x, b = x;
+          portable->transform_lines(inv, count, stride, [&](int t) {
+            return a.data() + t * line_gap;
+          });
+          avx2->transform_lines(inv, count, stride, [&](int t) {
+            return b.data() + t * line_gap;
+          });
+          EXPECT_TRUE(same_bits(a, b))
+              << (inv ? "inverse" : "forward") << " n = " << n
+              << " stride = " << stride << " count = " << count;
+        }
+      }
+    }
+  }
+  for (const Vec3i& shape : kPrunedShapes) {
+    const auto make = [shape] {
+      return std::make_unique<BasicFft3D<Real>>(shape);
+    };
+    const auto portable = build("portable", make), avx2 = build("avx2", make);
+    const GVectors gv = sphere_basis(shape);
+    const FftLines& lines = gv.fft_lines();
+    const auto x = grid_signal<Real>(shape, 91);
+    for (bool inv : {false, true}) {
+      auto a = x, b = x, pa = x, pb = x;
+      if (inv) {
+        portable->inverse(a.data());
+        avx2->inverse(b.data());
+        portable->inverse(pa.data(), lines);
+        avx2->inverse(pb.data(), lines);
+      } else {
+        portable->forward(a.data());
+        avx2->forward(b.data());
+        portable->forward(pa.data(), lines);
+        avx2->forward(pb.data(), lines);
+      }
+      EXPECT_TRUE(same_bits(a, b)) << (inv ? "inverse " : "forward ") << shape;
+      EXPECT_TRUE(same_bits(pa, pb))
+          << "pruned " << (inv ? "inverse " : "forward ") << shape;
+    }
+  }
+}
+
+TEST(FftKernels, Avx2BitIdenticalToPortable) {
+  if (!fft_detail::avx2_kernel_available()) GTEST_SKIP() << kAvx2Missing;
+  expect_avx2_matches_portable<double>();
+  expect_avx2_matches_portable<float>();
 }
 
 }  // namespace
