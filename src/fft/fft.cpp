@@ -120,12 +120,19 @@ void BasicFft1D<Real>::transform(Cplx* const* lines, int count,
       stride});
 }
 
-template <typename Real>
-const char* BasicFft1D<Real>::kernel_isa() const {
-  return kernel_ == fft_detail::tile_kernel<Real> ? "portable" : "avx2";
-}
-
 template class BasicFft1D<double>;
 template class BasicFft1D<float>;
+
+namespace fft_detail {
+
+template <typename Real>
+const char* kernel_isa(const BasicFft1D<Real>& plan) {
+  return plan.kernel_ == tile_kernel<Real> ? "portable" : "avx2";
+}
+
+template const char* kernel_isa(const BasicFft1D<double>& plan);
+template const char* kernel_isa(const BasicFft1D<float>& plan);
+
+}  // namespace fft_detail
 
 }  // namespace ls3df

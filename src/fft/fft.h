@@ -88,7 +88,7 @@
 // with -mavx2 -ffp-contract=off -fno-tree-slp-vectorize, set on that one
 // source in CMakeLists.txt. The AVX2 copy runs the same lane loop four
 // doubles (eight floats) per vector instead of two (four); a tile takes
-// 0.5-0.65 of the portable time. The two extra flags keep the bits
+// 0.55-0.7 of the portable time. The two extra flags keep the bits
 // whatever else a build enables: -ffp-contract=off forbids fusing a
 // multiply and an add into an FMA (one rounding instead of two; -mavx2
 // alone enables no FMA, a global -march may), and -fno-tree-slp-vectorize
@@ -147,6 +147,15 @@ using TileKernel = void (*)(const TileJob<Real>&);
 }  // namespace fft_detail
 
 template <typename Real>
+class BasicFft1D;
+
+namespace fft_detail {
+// Test hook, declared here for the friend below (fft/fft_kernel.h).
+template <typename Real>
+const char* kernel_isa(const BasicFft1D<Real>& plan);
+}  // namespace fft_detail
+
+template <typename Real>
 class BasicFft1D {
  public:
   using Cplx = std::complex<Real>;
@@ -157,10 +166,6 @@ class BasicFft1D {
   explicit BasicFft1D(int n);
 
   int size() const { return n_; }
-
-  // The tile kernel this plan runs: "avx2" or "portable" (see "ISA
-  // dispatch" above).
-  const char* kernel_isa() const;
 
   // In-place transforms of the size() elements data[j * stride].
   void forward(Cplx* data, std::ptrdiff_t stride = 1) const {
@@ -198,6 +203,8 @@ class BasicFft1D {
   // Transforms the 1 <= count <= kTile lines lines[t] at `stride`.
   void transform(Cplx* const* lines, int count, std::ptrdiff_t stride,
                  int sign) const;
+
+  friend const char* fft_detail::kernel_isa<Real>(const BasicFft1D& plan);
 
   int n_ = 0;
   fft_detail::TileKernel<Real> kernel_;  // chosen once (ISA dispatch)

@@ -5,6 +5,12 @@
 // without it. BasicFft1D calls them only where avx2_kernel_available().
 #include "fft/fft_kernel.h"
 
+// Without the flags this would be a second portable copy that every
+// "avx2" plan, test and bench silently ran.
+#if defined(__x86_64__) && !defined(__AVX2__)
+#error "fft_avx2.cpp must be compiled with -mavx2 (see CMakeLists.txt)"
+#endif
+
 namespace ls3df {
 namespace fft_detail {
 

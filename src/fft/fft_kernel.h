@@ -40,8 +40,15 @@ struct TileJob {
 void tile_kernel_avx2(const TileJob<double>& job);
 void tile_kernel_avx2(const TileJob<float>& job);
 
-// True if the CPU runs AVX2 and this build compiled the AVX2 kernel.
+// True if the CPU runs AVX2. On x86-64 every build compiles the AVX2
+// kernel (fft_avx2.cpp fails to compile without -mavx2); elsewhere there
+// is none and this is false.
 bool avx2_kernel_available();
+
+// The tile kernel `plan` runs: "avx2" or "portable" (fft.h, "ISA
+// dispatch"). For tests.
+template <typename Real>
+const char* kernel_isa(const BasicFft1D<Real>& plan);
 
 // Test and bench hook: every plan constructed while an instance is alive,
 // on any thread, runs the portable kernel. Plans built earlier, cached
@@ -129,40 +136,17 @@ void combine(const Real* sr, const Real* si, Real* dr, Real* di, int len,
 }
 
 // How row k of a tile (element k of every lane) moves between the lines
-// and the planes. All three move the same values, so the choice never
-// changes a bit:
-//   kAdjacent  a full tile of adjacent columns, lines[t] = lines[0] + t
-//              (the y and x passes of a 3D transform): the row is one
-//              contiguous run, split or merged by a vectorized loop (kept
-//              a loop for the vectorizer, as the lane loop of butterfly);
-//   kPairs     any other full tile: two lanes per move, one complex value
-//              from each of two lines as a vector of two reals;
-//   kSingle    a short tile or a single line: lane by lane, the gather
-//              zeroing the spare lanes.
-enum class RowMove { kAdjacent, kPairs, kSingle };
-
-template <int Lanes, typename Real>
-RowMove row_move(const TileJob<Real>& job) {
-  if (Lanes == 1 || job.count != Lanes) return RowMove::kSingle;
-  for (int t = 1; t < Lanes; ++t)
-    if (job.lines[t] != job.lines[0] + t) return RowMove::kPairs;
-  return RowMove::kAdjacent;
-}
+// and the planes. A full tile moves two lanes at a time, one complex
+// value from each of two lines as a vector of two reals; a short tile or
+// a single line moves lane by lane, the gather zeroing the spare lanes.
+// Both move the same values, so the choice never changes a bit.
 
 // Loads the element at real offset j of every line into (kr, ki).
 template <int Lanes, typename Real>
-void gather_row(const TileJob<Real>& job, RowMove move, std::ptrdiff_t j,
+void gather_row(const TileJob<Real>& job, bool full, std::ptrdiff_t j,
                 Real* __restrict kr, Real* __restrict ki) {
   typedef Real Pair __attribute__((vector_size(2 * sizeof(Real))));
-  if (move == RowMove::kAdjacent) {
-    const Real* __restrict x = reinterpret_cast<const Real*>(job.lines[0]) + j;
-#pragma GCC ivdep
-#pragma GCC unroll 1
-    for (int t = 0; t < Lanes; ++t) {
-      kr[t] = x[2 * t];
-      ki[t] = x[2 * t + 1];
-    }
-  } else if (move == RowMove::kPairs) {
+  if (full) {
     for (int t = 0; t < Lanes; t += 2) {
       Pair a, b;
       __builtin_memcpy(&a, reinterpret_cast<const Real*>(job.lines[t]) + j,
@@ -187,28 +171,11 @@ void gather_row(const TileJob<Real>& job, RowMove move, std::ptrdiff_t j,
 
 // Stores (kr, ki), times s if `scale`, to the real offset j of every line.
 template <int Lanes, typename Real>
-void scatter_row(const TileJob<Real>& job, RowMove move, std::ptrdiff_t j,
+void scatter_row(const TileJob<Real>& job, bool full, std::ptrdiff_t j,
                  const Real* __restrict kr, const Real* __restrict ki,
                  bool scale, Real s) {
   typedef Real Pair __attribute__((vector_size(2 * sizeof(Real))));
-  if (move == RowMove::kAdjacent) {
-    Real* __restrict x = reinterpret_cast<Real*>(job.lines[0]) + j;
-    if (scale) {
-#pragma GCC ivdep
-#pragma GCC unroll 1
-      for (int t = 0; t < Lanes; ++t) {
-        x[2 * t] = kr[t] * s;
-        x[2 * t + 1] = ki[t] * s;
-      }
-    } else {
-#pragma GCC ivdep
-#pragma GCC unroll 1
-      for (int t = 0; t < Lanes; ++t) {
-        x[2 * t] = kr[t];
-        x[2 * t + 1] = ki[t];
-      }
-    }
-  } else if (move == RowMove::kPairs) {
+  if (full) {
     for (int t = 0; t < Lanes; t += 2) {
       Pair re, im;
       __builtin_memcpy(&re, kr + t, sizeof re);
@@ -235,7 +202,7 @@ void scatter_row(const TileJob<Real>& job, RowMove move, std::ptrdiff_t j,
 
 // The whole tile: leaf gather, stages, scatter. Line t's element j is
 // the real pair at reinterpret_cast<Real*>(lines[t]) + 2 * j * stride.
-// Gather and scatter go row by row (see RowMove). Row order also suits a
+// Gather and scatter go row by row (see gather_row). Row order also suits a
 // power-of-two stride, which maps every row of a line to one L1 set:
 // line by line, each cache line shared by neighbouring lanes was evicted
 // before the next lane came back to it.
@@ -245,14 +212,14 @@ void run(const TileJob<Real>& job) {
   if (n == 1) return;  // the inverse's 1/n is 1
   const std::ptrdiff_t step = 2 * job.stride;
   const std::size_t plane = static_cast<std::size_t>(n) * Lanes;
-  const RowMove move = row_move<Lanes>(job);
+  const bool full = Lanes > 1 && job.count == Lanes;
   Real* cr = job.work;
   Real* ci = cr + plane;
   Real* nr = ci + plane;
   Real* ni = nr + plane;
   // Leaf gather through the stride.
   for (int k = 0; k < n; ++k)
-    gather_row<Lanes>(job, move, job.gather[k] * step, cr + k * Lanes,
+    gather_row<Lanes>(job, full, job.gather[k] * step, cr + k * Lanes,
                       ci + k * Lanes);
   for (int l = 0; l < job.n_stages; ++l) {
     const Stage& st = job.stages[l];
@@ -274,7 +241,7 @@ void run(const TileJob<Real>& job) {
   // Scatter through the stride; the inverse applies its 1/n here.
   const Real s = static_cast<Real>(1) / static_cast<Real>(n);
   for (int k = 0; k < n; ++k)
-    scatter_row<Lanes>(job, move, k * step, cr + k * Lanes, ci + k * Lanes,
+    scatter_row<Lanes>(job, full, k * step, cr + k * Lanes, ci + k * Lanes,
                        job.inverse, s);
 }
 

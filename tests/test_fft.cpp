@@ -361,8 +361,8 @@ class KernelScope {
 };
 
 constexpr const char* kAvx2Missing =
-    "this CPU has no AVX2 (or the build has no AVX2 kernel): only the "
-    "portable tile kernel runs here";
+    "this is not an x86-64 CPU with AVX2: only the portable tile kernel "
+    "runs here";
 
 // A test run once per kernel path, the plans of its body built in that
 // path's KernelScope. The AVX2 run is skipped where the CPU lacks AVX2.
@@ -372,8 +372,8 @@ class KernelPath : public ::testing::TestWithParam<std::string> {
     if (GetParam() == "avx2" && !fft_detail::avx2_kernel_available())
       GTEST_SKIP() << kAvx2Missing;
     scope_ = std::make_unique<KernelScope>(GetParam());
-    ASSERT_EQ(std::string(Fft1D(12).kernel_isa()), GetParam());
-    ASSERT_EQ(std::string(Fft1DF(12).kernel_isa()), GetParam());
+    ASSERT_EQ(std::string(fft_detail::kernel_isa(Fft1D(12))), GetParam());
+    ASSERT_EQ(std::string(fft_detail::kernel_isa(Fft1DF(12))), GetParam());
   }
 
  private:
@@ -472,7 +472,7 @@ TEST_P(Fft1DKernel, StridedMatchesContiguous) {
 // every slot between the lines' elements untouched. Every test size,
 // every count 1..kTile, strides 1, 2 and n + 3, both signs. Lines sit in
 // adjacent columns when the stride leaves room (the 3D y- and x-pass
-// shape, whose full tiles move whole rows), else one after another.
+// shape), else one after another.
 template <typename Real>
 void expect_tile_matches_single_line() {
   using Cplx = std::complex<Real>;
@@ -948,8 +948,8 @@ void expect_avx2_matches_portable() {
   for (int n : smooth_test_sizes<Real>()) {
     const auto make = [n] { return std::make_unique<BasicFft1D<Real>>(n); };
     const auto portable = build("portable", make), avx2 = build("avx2", make);
-    ASSERT_STREQ(portable->kernel_isa(), "portable");
-    ASSERT_STREQ(avx2->kernel_isa(), "avx2");
+    ASSERT_STREQ(fft_detail::kernel_isa(*portable), "portable");
+    ASSERT_STREQ(fft_detail::kernel_isa(*avx2), "avx2");
     for (std::ptrdiff_t stride : {std::ptrdiff_t{1}, std::ptrdiff_t{2},
                                   static_cast<std::ptrdiff_t>(n) + 3}) {
       for (int count = 1; count <= kTile; ++count) {
