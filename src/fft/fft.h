@@ -88,7 +88,7 @@
 // with -mavx2 -ffp-contract=off -fno-tree-slp-vectorize, set on that one
 // source in CMakeLists.txt. The AVX2 copy runs the same lane loop four
 // doubles (eight floats) per vector instead of two (four); a tile takes
-// 0.55-0.7 of the portable time. The two extra flags keep the bits
+// 0.6-0.7 of the portable time. The two extra flags keep the bits
 // whatever else a build enables: -ffp-contract=off forbids fusing a
 // multiply and an add into an FMA (one rounding instead of two; -mavx2
 // alone enables no FMA, a global -march may), and -fno-tree-slp-vectorize
