@@ -422,36 +422,38 @@ inline std::uint64_t fnv1a(const MatC& m) {
 // --- recorded bits: begin (tools/record_golden rewrites this block) ---
 
 inline const Reference& h2_chain3_reference() {
-  static const Reference r{"h2_chain3",
-                           2,
-                           {0x1.a877229215927p+6, 0x1.1aacd78c0a8d5p+5},
-                           0x1.879fa52564bp-6,
-                           -0x1.1c37b29b5228ep+1,
-                           0x6aa94fb4625b2042ull,
-                           0x193235bba61dc85eull};
+  static const Reference r{
+      "h2_chain3",
+      2,
+      {0x1.a877229215927p+6, 0x1.1aacd78c0a8d5p+5},
+      0x1.879fa52564bp-6,
+      -0x1.1c37b29b5228ep+1,
+      0x6aa94fb4625b2042ull,
+      0x193235bba61dc85eull};
   return r;
 }
 
 inline const Reference& h2_chain4_reference() {
-  static const Reference r{"h2_chain4",
-                           2,
-                           {0x1.1b11190620d31p+7, 0x1.7388f06f126dbp+5},
-                           0x1.13d3ddea50dp-5,
-                           -0x1.7b491c6219196p+1,
-                           0x518fb7e4d0a1fa8dull,
-                           0x4abe25d719263284ull};
+  static const Reference r{
+      "h2_chain4",
+      2,
+      {0x1.1b11190620d31p+7, 0x1.7388f06f126dbp+5},
+      0x1.13d3ddea50dp-5,
+      -0x1.7b491c6219196p+1,
+      0x518fb7e4d0a1fa8dull,
+      0x4abe25d719263284ull};
   return r;
 }
 
 inline const Reference& fig6_reference() {
-  static const Reference r{"fig6_alloy",
-                           3,
-                           {0x1.11701f0abf777p+11, 0x1.9429ac7971453p+12,
-                            0x1.72b96ccf25684p+11},
-                           0x1.3d94cd8f33ap-2,
-                           -0x1.a6369cdbba1fbp+3,
-                           0x199c583145d02067ull,
-                           0x968f3047068f2425ull};
+  static const Reference r{
+      "fig6_alloy",
+      3,
+      {0x1.11701f0abf777p+11, 0x1.9429ac7971453p+12, 0x1.72b96ccf25684p+11},
+      0x1.3d94cd8f33ap-2,
+      -0x1.a6369cdbba1fbp+3,
+      0x199c583145d02067ull,
+      0x968f3047068f2425ull};
   return r;
 }
 
@@ -470,14 +472,14 @@ inline const Reference& h2_chain3_mixed_reference() {
 }
 
 inline const Reference& fig6_mixed_reference() {
-  static const Reference r{"fig6_mixed",
-                           3,
-                           {0x1.116e2f818f4c4p+11, 0x1.9425c71aa01f1p+12,
-                            0x1.72c06494e861ap+11},
-                           0x1.40d4741d6714p-2,
-                           -0x1.a62b1455a77f7p+3,
-                           0x7c8ddf0a5d808e5dull,
-                           0x88d8af8255affc97ull};
+  static const Reference r{
+      "fig6_mixed",
+      3,
+      {0x1.116e2f818f4c4p+11, 0x1.9425c71aa01f1p+12, 0x1.72c06494e861ap+11},
+      0x1.40d4741d6714p-2,
+      -0x1.a62b1455a77f7p+3,
+      0x7c8ddf0a5d808e5dull,
+      0x88d8af8255affc97ull};
   return r;
 }
 
@@ -497,11 +499,12 @@ inline const DirectReference& h2_direct_scf_reference() {
 }
 
 inline const FsmReference& h2_fsm_reference() {
-  static const FsmReference r{"h2_fsm",
-                              52,
-                              {-0x1.1ef31d1077042p-4, 0x1.61c0d04321dd8p-3},
-                              {0x1.41a41bd0fa7bep-8, 0x1.e8d54f923184dp-6},
-                              0x81d85fd7f184646aull};
+  static const FsmReference r{
+      "h2_fsm",
+      52,
+      {-0x1.1ef31d1077042p-4, 0x1.61c0d04321dd8p-3},
+      {0x1.41a41bd0fa7bep-8, 0x1.e8d54f923184dp-6},
+      0x81d85fd7f184646aull};
   return r;
 }
 
