@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -12,112 +13,208 @@ namespace ls3df {
 namespace {
 using cd = std::complex<double>;
 
-// One Jacobi rotation zeroing A(p,q). For a Hermitian matrix the 2x2 block
-// [a_pp, a_pq; conj(a_pq), a_qq] is diagonalized by a complex rotation
-// R = [c, s; -conj(s), c] with real c.
-struct JacobiRot {
-  double c;
-  cd s;
-};
-
-JacobiRot compute_rotation(double app, double aqq, cd apq) {
-  const double absapq = std::abs(apq);
-  if (absapq == 0.0) return {1.0, cd(0, 0)};
-  const cd phase = apq / absapq;
-  const double tau = (aqq - app) / (2.0 * absapq);
-  // tan(theta) root with smaller magnitude for stability.
-  const double t = (tau >= 0 ? 1.0 : -1.0) /
-                   (std::abs(tau) + std::sqrt(1.0 + tau * tau));
-  const double c = 1.0 / std::sqrt(1.0 + t * t);
-  return {c, phase * (t * c)};
+// Complex products in plain real arithmetic: std::complex's operator*
+// carries a NaN-recovery branch that keeps the loops below scalar.
+inline cd mul(cd a, cd b) {
+  return {a.real() * b.real() - a.imag() * b.imag(),
+          a.real() * b.imag() + a.imag() * b.real()};
+}
+inline cd mulc(cd a, cd b) {  // conj(a) * b
+  return {a.real() * b.real() + a.imag() * b.imag(),
+          a.real() * b.imag() - a.imag() * b.real()};
 }
 
-// The rotation loops: over n entries at the given stride (in complex
-// elements), [x, y] <- [c x - conj(u) y, u x + c y]. Written in real
-// arithmetic with exactly the operands and order std::complex uses for
-// `c * x - std::conj(u) * y` and `u * x + c * y` (real-times-complex
-// scales each part; a complex product is (ar*br - ai*bi, ar*bi + ai*br)),
-// so the bits are those of the complex expressions for finite data while
-// the loop carries no NaN-recovery branch.
-void rotate_pair(cd* x, cd* y, int n, std::ptrdiff_t stride, double c,
-                 cd u) {
-  double* xp = reinterpret_cast<double*>(x);
-  double* yp = reinterpret_cast<double*>(y);
-  const double ur = u.real(), ui = u.imag(), vi = -ui;  // conj(u) = (ur, vi)
-  for (int k = 0; k < n; ++k) {
-    const std::ptrdiff_t i = 2 * stride * k;
-    const double xr = xp[i], xi = xp[i + 1], yr = yp[i], yi = yp[i + 1];
-    xp[i] = xr * c - (ur * yr - vi * yi);
-    xp[i + 1] = xi * c - (ur * yi + vi * yr);
-    yp[i] = (ur * xr - ui * xi) + yr * c;
-    yp[i + 1] = (ur * xi + ui * xr) + yi * c;
+// Householder reduction of the Hermitian matrix held in M's lower
+// triangle to a real symmetric tridiagonal, Q^H A Q = T (LAPACK zhetd2,
+// lower): Q = H(0) H(1) ... H(n-2) with H(i) = I - tau_i v_i v_i^H acting
+// on rows i+1.., v_i = [1; M(i+2.., i)]. Each reflector is chosen, as in
+// zlarfg, to leave a real subdiagonal beta. On return d and e hold T's
+// diagonal and subdiagonal, tau the reflector scalars, and M's strictly
+// sub-subdiagonal part the reflector tails; p is an n-vector of scratch.
+void tridiagonalize(MatC& M, double* d, double* e, cd* tau, cd* p) {
+  const int n = M.rows();
+  for (int i = 0; i + 1 < n; ++i) {
+    const int m = n - i - 1;  // reflector length
+    cd* v = &M(i + 1, i);
+    double xnorm2 = 0;
+    for (int k = 1; k < m; ++k) xnorm2 += std::norm(v[k]);
+    const double ar = v[0].real(), ai = v[0].imag();
+    d[i] = M(i, i).real();
+    if (xnorm2 == 0 && ai == 0) {  // already reduced: H(i) = I
+      tau[i] = 0;
+      e[i] = ar;
+      continue;
+    }
+    const double beta = -std::copysign(std::sqrt(ar * ar + ai * ai + xnorm2),
+                                       ar);
+    const cd t((beta - ar) / beta, -ai / beta);
+    const cd scale = 1.0 / (v[0] - beta);
+    for (int k = 1; k < m; ++k) v[k] = mul(scale, v[k]);
+    v[0] = 1.0;
+    tau[i] = t;
+    e[i] = beta;
+
+    // p = tau A22 v from A22's lower triangle (zhemv); A22 is the
+    // trailing block at rows/cols i+1.., its column jj starting at a.
+    // Only the real part of its diagonal is read.
+    std::fill(p, p + m, cd{});
+    for (int jj = 0; jj < m; ++jj) {
+      const cd* a = &M(i + 1, i + 1 + jj);
+      const cd t1 = mul(t, v[jj]);
+      cd upper{};  // row jj of the upper triangle times v
+      for (int kk = jj + 1; kk < m; ++kk) {
+        p[kk] += mul(t1, a[kk]);
+        upper += mulc(a[kk], v[kk]);
+      }
+      p[jj] += t1 * a[jj].real() + mul(t, upper);
+    }
+    // p += alpha v with alpha = -tau (p^H v) / 2, then
+    // A22 -= v p^H + p v^H (zher2, lower triangle, real diagonal).
+    cd pv{};
+    for (int k = 0; k < m; ++k) pv += mulc(p[k], v[k]);
+    const cd alpha = -0.5 * mul(t, pv);
+    for (int k = 0; k < m; ++k) p[k] += mul(alpha, v[k]);
+    for (int jj = 0; jj < m; ++jj) {
+      cd* a = &M(i + 1, i + 1 + jj);
+      const cd pj = std::conj(p[jj]), vj = std::conj(v[jj]);
+      a[jj] = a[jj].real() - 2 * mul(v[jj], pj).real();
+      for (int kk = jj + 1; kk < m; ++kk)
+        a[kk] -= mul(v[kk], pj) + mul(p[kk], vj);
+    }
+  }
+  if (n > 0) d[n - 1] = M(n - 1, n - 1).real();
+}
+
+// Implicit-shift QL on the symmetric tridiagonal (d, e), e[i] coupling
+// d[i] and d[i+1]: d becomes the (unsorted) eigenvalues and the columns
+// of the n x n rotation product Z, which must start as the identity,
+// the eigenvectors of T. Throws if an eigenvalue needs more than 60
+// iterations (never seen: QL converges cubically).
+void tridiagonal_ql(int n, double* d, double* e, MatR& Z) {
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  if (n > 0) e[n - 1] = 0;
+  for (int l = 0; l < n; ++l) {
+    for (int iter = 0;; ++iter) {
+      int m = l;
+      for (; m + 1 < n; ++m) {
+        const double dd = std::abs(d[m]) + std::abs(d[m + 1]);
+        if (std::abs(e[m]) <= kEps * dd) break;
+      }
+      if (m == l) break;
+      if (iter == 60)
+        throw std::runtime_error("eigh: tridiagonal QL did not converge");
+      // Wilkinson-style shift from the leading 2x2 block, then chase the
+      // bulge from m - 1 up to l with plane rotations.
+      double g = (d[l + 1] - d[l]) / (2 * e[l]);
+      double r = std::hypot(g, 1.0);
+      g = d[m] - d[l] + e[l] / (g + std::copysign(r, g));
+      double s = 1, c = 1, p = 0;
+      int i = m - 1;
+      for (; i >= l; --i) {
+        const double f = s * e[i], b = c * e[i];
+        r = std::hypot(f, g);
+        e[i + 1] = r;
+        if (r == 0) {  // underflow: split the block here and retry
+          d[i + 1] -= p;
+          e[m] = 0;
+          break;
+        }
+        s = f / r;
+        c = g / r;
+        g = d[i + 1] - p;
+        r = (d[i] - g) * s + 2 * c * b;
+        p = s * r;
+        d[i + 1] = g + p;
+        g = c * r - b;
+        double* zi = Z.col(i);
+        double* zi1 = Z.col(i + 1);
+        for (int k = 0; k < n; ++k) {
+          const double x = zi[k], y = zi1[k];
+          zi1[k] = s * x + c * y;
+          zi[k] = c * x - s * y;
+        }
+      }
+      if (r == 0 && i >= l) continue;
+      d[l] -= p;
+      e[l] = g;
+      e[m] = 0;
+    }
   }
 }
 
-// Jacobi eigendecomposition into caller-provided storage. Shared by the
-// allocating and arena-backed entry points so both produce bit-identical
-// results. M/V/evecs are fully overwritten; no input state survives.
-void eigh_core(const MatC& A, MatC& M, MatC& V, std::vector<int>& order,
+// Hermitian eigendecomposition into caller-provided storage, shared by
+// the allocating and arena-backed entry points so both give the same
+// bits. M (n x n+2) takes the working copy of A plus the tau and scratch
+// columns, Z (n x n+2) the tridiagonal's rotations plus d and e; both
+// are fully overwritten.
+void eigh_into(const MatC& A, MatC& M, MatR& Z, std::vector<int>& order,
                std::vector<double>& evals, MatC& evecs) {
   const int n = A.rows();
   assert(A.cols() == n);
-  M.reshape(n, n);
-  // Symmetrize from the lower triangle.
-  for (int j = 0; j < n; ++j) {
-    M(j, j) = cd(A(j, j).real(), 0.0);
-    for (int i = j + 1; i < n; ++i) {
-      M(i, j) = A(i, j);
-      M(j, i) = std::conj(A(i, j));
-    }
-  }
-  V.reshape(n, n);
-  for (int j = 0; j < n; ++j) {
-    cd* vj = V.col(j);
-    std::fill(vj, vj + n, cd{});
-    vj[j] = cd(1.0, 0.0);
-  }
-
-  auto off_norm = [&]() {
-    double s = 0;
-    for (int j = 0; j < n; ++j)
-      for (int i = j + 1; i < n; ++i) s += std::norm(M(i, j));
-    return std::sqrt(2.0 * s);
-  };
-
-  const int max_sweeps = 60;
-  double scale = 0;
+  M.reshape(n, n + 2);
   for (int j = 0; j < n; ++j)
-    for (int i = 0; i < n; ++i) scale = std::max(scale, std::abs(M(i, j)));
-  const double tol = 1e-14 * std::max(scale, 1.0);
+    std::copy(A.col(j) + j, A.col(j) + n, M.col(j) + j);
+  Z.reshape(n, n + 2);
+  double* d = Z.col(n);
+  double* e = Z.col(n + 1);
+  cd* tau = M.col(n);
+  tridiagonalize(M, d, e, tau, M.col(n + 1));
 
-  for (int sweep = 0; sweep < max_sweeps && off_norm() > tol * n; ++sweep) {
-    for (int p = 0; p < n - 1; ++p) {
-      for (int q = p + 1; q < n; ++q) {
-        const cd apq = M(p, q);
-        if (std::abs(apq) <= tol * 1e-2) continue;
-        const auto [c, s] =
-            compute_rotation(M(p, p).real(), M(q, q).real(), apq);
-        // Apply R^H M R where R mixes columns/rows p and q: columns
-        // [p, q] <- [c p - conj(s) q, s p + c q], then rows
-        // [p, q] <- [c p - s q, conj(s) p + c q]; V accumulates R.
-        rotate_pair(M.col(p), M.col(q), n, 1, c, s);
-        rotate_pair(&M(p, 0), &M(q, 0), n, n, c, std::conj(s));
-        rotate_pair(V.col(p), V.col(q), n, 1, c, s);
-      }
-    }
+  for (int j = 0; j < n; ++j) {
+    double* zj = Z.col(j);
+    std::fill(zj, zj + n, 0.0);
+    zj[j] = 1.0;
   }
+  tridiagonal_ql(n, d, e, Z);
 
-  // Sort ascending by eigenvalue.
+  // Ascending, ties in index order.
   order.resize(n);
   std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](int a, int b) { return M(a, a).real() < M(b, b).real(); });
-
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    return d[a] < d[b] || (d[a] == d[b] && a < b);
+  });
   evals.resize(n);
   evecs.reshape(n, n);
   for (int j = 0; j < n; ++j) {
-    evals[j] = M(order[j], order[j]).real();
-    for (int i = 0; i < n; ++i) evecs(i, j) = V(i, order[j]);
+    evals[j] = d[order[j]];
+    const double* z = Z.col(order[j]);
+    cd* vj = evecs.col(j);
+    for (int k = 0; k < n; ++k) vj[k] = z[k];
+  }
+
+  // Back-transform V = Q Z = H(0) (H(1) (... H(n-2) Z)).
+  for (int i = n - 2; i >= 0; --i) {
+    if (tau[i] == cd{}) continue;
+    const int m = n - i - 1;
+    cd* v = &M(i + 1, i);
+    v[0] = 1.0;
+    for (int j = 0; j < n; ++j) {
+      cd* x = evecs.col(j) + i + 1;
+      cd vx{};
+      for (int k = 0; k < m; ++k) vx += mulc(v[k], x[k]);
+      const cd w = mul(tau[i], vx);
+      for (int k = 0; k < m; ++k) x[k] -= mul(w, v[k]);
+    }
+  }
+
+  // Phase convention: each eigenvector's largest-magnitude component
+  // (lowest index on ties) is real and positive.
+  for (int j = 0; j < n; ++j) {
+    cd* vj = evecs.col(j);
+    int kmax = 0;
+    double big = -1;
+    for (int k = 0; k < n; ++k) {
+      const double a = std::norm(vj[k]);
+      if (a > big) {
+        big = a;
+        kmax = k;
+      }
+    }
+    const double mag = std::abs(vj[kmax]);
+    if (mag == 0) continue;
+    const cd phase(vj[kmax].real() / mag, -vj[kmax].imag() / mag);
+    for (int k = 0; k < n; ++k) vj[k] = mul(phase, vj[k]);
+    vj[kmax] = mag;
   }
 }
 
@@ -180,44 +277,42 @@ std::vector<int>& EigenScratch::ivec(int n) {
   return ivec_;
 }
 
+MatR& EigenScratch::rmat(int rows, int cols) {
+  const std::size_t need = static_cast<std::size_t>(rows) * cols;
+  if (need > rmat_peak_) {
+    rmat_peak_ = need;
+    ++allocs_;
+  }
+  rmat_.reshape(rows, cols);
+  return rmat_;
+}
+
 void EigenScratch::reserve(int dim) {
   for (int slot = 0; slot < kSlots; ++slot) mat(slot, dim, dim);
+  mat(kM, dim, dim + 2);
+  rmat(dim, dim + 2);
   dvec(dim);
   ivec(dim);
 }
 
 EighResult eigh(const MatC& A) {
-  MatC M, V;
+  MatC M;
+  MatR Z;
   std::vector<int> order;
   EighResult result;
-  eigh_core(A, M, V, order, result.eigenvalues, result.eigenvectors);
+  eigh_into(A, M, Z, order, result.eigenvalues, result.eigenvectors);
   return result;
 }
 
 EighView eigh(const MatC& A, EigenScratch& ws) {
   const int n = A.rows();
-  MatC& M = ws.mat(EigenScratch::kM, n, n);
-  MatC& V = ws.mat(EigenScratch::kV, n, n);
+  MatC& M = ws.mat(EigenScratch::kM, n, n + 2);
   MatC& evecs = ws.mat(EigenScratch::kEvecs, n, n);
+  MatR& Z = ws.rmat(n, n + 2);
   std::vector<int>& order = ws.ivec(n);
   std::vector<double>& evals = ws.dvec(n);
-  eigh_core(A, M, V, order, evals, evecs);
+  eigh_into(A, M, Z, order, evals, evecs);
   return EighView{&evals, &evecs};
-}
-
-EighResultReal eigh(const MatR& A) {
-  const int n = A.rows();
-  MatC Ac(n, n);
-  for (int j = 0; j < n; ++j)
-    for (int i = 0; i < n; ++i) Ac(i, j) = cd(A(i, j), 0.0);
-  EighResult r = eigh(Ac);
-  EighResultReal out;
-  out.eigenvalues = std::move(r.eigenvalues);
-  out.eigenvectors.resize(n, n);
-  for (int j = 0; j < n; ++j)
-    for (int i = 0; i < n; ++i)
-      out.eigenvectors(i, j) = r.eigenvectors(i, j).real();
-  return out;
 }
 
 MatC cholesky(const MatC& A) {

@@ -1,7 +1,10 @@
-// Dense Hermitian eigensolver (cyclic Jacobi with threshold sweeps) and
-// Cholesky-based utilities. Sizes here are subspace dimensions (number of
-// bands, <= a few hundred), where Jacobi's O(n^3) per sweep is perfectly
-// adequate and its accuracy/robustness are excellent.
+// Dense Hermitian eigensolver and Cholesky-based utilities. Sizes here
+// are subspace dimensions (the Rayleigh-Ritz matrices of the Davidson
+// solver, up to 2 nb <= ~100 rows). eigh() reduces A to a real symmetric
+// tridiagonal by Householder reflectors (LAPACK zhetd2), diagonalizes
+// that by implicit-shift QL and back-transforms the eigenvectors: O(n^3)
+// once, where the cyclic Jacobi it replaced paid O(n^3) per sweep over
+// ~6 sweeps, and with rounding errors of order n eps ||A||.
 #pragma once
 
 #include <complex>
@@ -17,7 +20,10 @@ struct EighResult {
 };
 
 // Full eigendecomposition of a Hermitian matrix (only the lower triangle
-// and diagonal are required to be meaningful; the matrix is symmetrized).
+// and the real part of the diagonal are read). Eigenvalues ascend, ties
+// in a fixed order; each eigenvector's largest-magnitude component
+// (lowest index on ties) is real and positive, so the vectors do not
+// depend on the solver's sign or phase choices.
 EighResult eigh(const MatC& A);
 
 // Grow-only scratch arena for the dense solvers below. The Rayleigh-Ritz
@@ -29,12 +35,13 @@ EighResult eigh(const MatC& A);
 // EigenWorkspace so the two probes compose.
 class EigenScratch {
  public:
-  static constexpr int kSlots = 6;  // M, V, evecs, S, L, caller slot
+  static constexpr int kSlots = 5;  // M, evecs, S, L, caller slot
 
   // Slot ids for the arena-backed entry points and their callers.
-  static constexpr int kM = 0, kV = 1, kEvecs = 2, kS = 3, kL = 4, kA = 5;
+  static constexpr int kM = 0, kEvecs = 1, kS = 2, kL = 3, kA = 4;
 
   MatC& mat(int slot, int rows, int cols);
+  MatR& rmat(int rows, int cols);  // eigh's real rotations
   std::vector<double>& dvec(int n);
   std::vector<int>& ivec(int n);
 
@@ -47,28 +54,23 @@ class EigenScratch {
  private:
   MatC mats_[kSlots];
   std::size_t mat_peak_[kSlots] = {};
+  MatR rmat_;
+  std::size_t rmat_peak_ = 0;
   std::vector<double> dvec_;
   std::vector<int> ivec_;
   std::size_t dvec_peak_ = 0, ivec_peak_ = 0;
   long allocs_ = 0;
 };
 
-// Arena-backed eigendecomposition: identical arithmetic to eigh(), but
-// every temporary and both outputs live in (and persist through) the
-// caller's scratch arena. The returned views alias scratch storage and
+// Arena-backed eigendecomposition: the same arithmetic and bits as
+// eigh(), but every temporary and both outputs live in (and persist
+// through) the caller's scratch arena. The returned views alias scratch storage and
 // stay valid until the next arena-backed call on the same scratch.
 struct EighView {
   const std::vector<double>* eigenvalues;  // ascending, n entries
   const MatC* eigenvectors;                // n x n
 };
 EighView eigh(const MatC& A, EigenScratch& ws);
-
-// Real symmetric convenience wrapper.
-struct EighResultReal {
-  std::vector<double> eigenvalues;
-  MatR eigenvectors;
-};
-EighResultReal eigh(const MatR& A);
 
 // Cholesky factorization A = L * L^H of a Hermitian positive-definite
 // matrix; returns lower-triangular L. Throws std::runtime_error if A is
