@@ -425,11 +425,11 @@ inline const Reference& h2_chain3_reference() {
   static const Reference r{
       "h2_chain3",
       2,
-      {0x1.a877229215927p+6, 0x1.1aacd78c0a8d5p+5},
-      0x1.879fa52564bp-6,
-      -0x1.1c37b29b5228ep+1,
-      0x6aa94fb4625b2042ull,
-      0x193235bba61dc85eull};
+      {0x1.a877229215942p+6, 0x1.1aacd78c0a95ap+5},
+      0x1.879fa5255fbp-6,
+      -0x1.1c37b29b5228bp+1,
+      0x9880cd84e638a6b6ull,
+      0x5c7c389dc0f43872ull};
   return r;
 }
 
@@ -437,11 +437,11 @@ inline const Reference& h2_chain4_reference() {
   static const Reference r{
       "h2_chain4",
       2,
-      {0x1.1b11190620d31p+7, 0x1.7388f06f126dbp+5},
-      0x1.13d3ddea50dp-5,
+      {0x1.1b11190620d48p+7, 0x1.7388f06f1285dp+5},
+      0x1.13d3ddea4eep-5,
       -0x1.7b491c6219196p+1,
-      0x518fb7e4d0a1fa8dull,
-      0x4abe25d719263284ull};
+      0x71ae8a4f078ababaull,
+      0xb00186ac4aa466e7ull};
   return r;
 }
 
@@ -449,11 +449,11 @@ inline const Reference& fig6_reference() {
   static const Reference r{
       "fig6_alloy",
       3,
-      {0x1.11701f0abf777p+11, 0x1.9429ac7971453p+12, 0x1.72b96ccf25684p+11},
-      0x1.3d94cd8f33ap-2,
-      -0x1.a6369cdbba1fbp+3,
-      0x199c583145d02067ull,
-      0x968f3047068f2425ull};
+      {0x1.11701f0abf792p+11, 0x1.9429ac79714b7p+12, 0x1.72b96ccf253f8p+11},
+      0x1.3d94cd8f3814p-2,
+      -0x1.a6369cdbbacep+3,
+      0xd75d06cf2a53e39aull,
+      0x4393d0773b7fa53full};
   return r;
 }
 
@@ -461,13 +461,13 @@ inline const Reference& h2_chain3_mixed_reference() {
   static const Reference r{
       "h2_chain3_mixed",
       9,
-      {0x1.a6011783eebbdp+6, 0x1.15ad25c3882afp+5, 0x1.fc25bb70c9cbcp+1,
-       0x1.96631cb8d9cdbp+0, 0x1.d13acb77a9ee6p-3, 0x1.1f7d89eacd073p-5,
-       0x1.a626935e1c6dep-7, 0x1.17dfb4e9b0488p-8, 0x1.1fcbc7dc9f36p-11},
-      0x1.82ae5a549e8p-6,
-      -0x1.1eced2d60fdbcp+1,
-      0x4ac8133ec27ad625ull,
-      0xdb4e0267990ab703ull};
+      {0x1.a601171473626p+6, 0x1.15ad212d993cep+5, 0x1.fc238e5677112p+1,
+       0x1.9661cc699d896p+0, 0x1.d13b9e5da3233p-3, 0x1.1f71b0d7e2f07p-5,
+       0x1.a731f10f4245fp-7, 0x1.17db6b101031cp-8, 0x1.1f7aaaae510eap-11},
+      0x1.82ae5971341p-6,
+      -0x1.1eced2d6a6876p+1,
+      0xba6b369290ad8f4aull,
+      0xadae761547973ef3ull};
   return r;
 }
 
@@ -475,11 +475,11 @@ inline const Reference& fig6_mixed_reference() {
   static const Reference r{
       "fig6_mixed",
       3,
-      {0x1.116e2f818f4c4p+11, 0x1.9425c71aa01f1p+12, 0x1.72c06494e861ap+11},
-      0x1.40d4741d6714p-2,
-      -0x1.a62b1455a77f7p+3,
-      0x7c8ddf0a5d808e5dull,
-      0x88d8af8255affc97ull};
+      {0x1.116e2cb287db5p+11, 0x1.9425be88fd955p+12, 0x1.72c0332e37c4ep+11},
+      0x1.40d850d5fa0cp-2,
+      -0x1.a62bc5027bb8p+3,
+      0x1bfa26068d292d2bull,
+      0x4b0ad4b28be96bceull};
   return r;
 }
 
@@ -487,14 +487,14 @@ inline const DirectReference& h2_direct_scf_reference() {
   static const DirectReference r{
       "h2_direct_scf",
       8,
-      {0x1.1950486c3fd1ep+6, 0x1.d029c45369f4ep+3, 0x1.9512a43472882p+1,
-       0x1.9fc336393da9ap-1, 0x1.aa0a31d509f91p-6, 0x1.5007fa2583a98p-7,
-       0x1.1d537d6db7062p-13, 0x1.cb5b3e080624ep-19},
-      -0x1.71649b255f067p-1,
-      {-0x1.426d75c71fccap-2, 0x1.1aaf326191e3dp-5, 0x1.cc02128f271e2p-4,
-       0x1.2ee41c100cf5p-3, 0x1.2ee41c100cf68p-3},
-      0x660d1008408c9ee0ull,
-      0xccee952b55da1ba9ull};
+      {0x1.1950486c3fd0bp+6, 0x1.d029c45369f0ap+3, 0x1.9512a43472835p+1,
+       0x1.9fc336393d088p-1, 0x1.aa0a31d51b89p-6, 0x1.5007fa25d126ep-7,
+       0x1.1d537d6f163d7p-13, 0x1.cb5b3dd2eb852p-19},
+      -0x1.71649b255f063p-1,
+      {-0x1.426d75c71fcc3p-2, 0x1.1aaf326191e34p-5, 0x1.cc02128f271dbp-4,
+       0x1.2ee41c100cf4ap-3, 0x1.2ee41c100cf6p-3},
+      0xe3d29e4007212fa2ull,
+      0x1d8fc6956d28bae1ull};
   return r;
 }
 
@@ -502,9 +502,9 @@ inline const FsmReference& h2_fsm_reference() {
   static const FsmReference r{
       "h2_fsm",
       52,
-      {-0x1.1ef31d1077042p-4, 0x1.61c0d04321dd8p-3},
-      {0x1.41a41bd0fa7bep-8, 0x1.e8d54f923184dp-6},
-      0x81d85fd7f184646aull};
+      {-0x1.1ef31d1076fedp-4, 0x1.61c0d04321d9bp-3},
+      {0x1.41a41bd0fa7p-8, 0x1.e8d54f92317a4p-6},
+      0x54bb96663f5b51e9ull};
   return r;
 }
 
