@@ -326,8 +326,8 @@ INSTANTIATE_TEST_SUITE_P(Sizes, EighSizes, ::testing::Values(1, 2, 3, 5, 8,
                                                              13, 21, 40));
 
 // Test-only oracle: a cyclic Jacobi eigensolver written with
-// std::complex expressions, rotated to a 1e-14 off-diagonal threshold
-// (the library's eigh before the Householder + QL solver replaced it).
+// std::complex expressions, rotated to a 1e-14 off-diagonal threshold;
+// an algorithm independent of the library's Householder + QL eigh.
 EighResult eigh_complex_oracle(const MatC& A) {
   const int n = A.rows();
   MatC M(n, n), V = MatC::identity(n);
