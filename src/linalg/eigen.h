@@ -22,7 +22,9 @@ struct EighResult {
 // and the real part of the diagonal are read). Eigenvalues ascend, ties
 // in a fixed order; each eigenvector's largest-magnitude component
 // (lowest index on ties) is real and positive, so the vectors do not
-// depend on the solver's sign or phase choices.
+// depend on the solver's sign or phase choices. Throws
+// std::runtime_error if the QL iteration does not converge, as on a
+// non-finite A.
 EighResult eigh(const MatC& A);
 
 // Grow-only scratch arena for the dense solvers below. The Rayleigh-Ritz
@@ -61,9 +63,9 @@ class EigenScratch {
   long allocs_ = 0;
 };
 
-// Arena-backed eigendecomposition: the same arithmetic and bits as
-// eigh(), but every temporary and both outputs live in (and persist
-// through) the caller's scratch arena. The returned views alias scratch storage and
+// Arena-backed eigendecomposition: identical arithmetic to eigh(), but
+// every temporary and both outputs live in (and persist through) the
+// caller's scratch arena. The returned views alias scratch storage and
 // stay valid until the next arena-backed call on the same scratch.
 struct EighView {
   const std::vector<double>* eigenvalues;  // ascending, n entries

@@ -551,6 +551,14 @@ TEST(Eigh, PhaseConvention) {
   }
 }
 
+TEST(Eigh, NonFiniteInputThrows) {
+  for (double bad : {std::nan(""), HUGE_VAL}) {
+    MatC A = hermitian_from(random_matc(6, 6, 77));
+    A(3, 1) = bad;
+    EXPECT_THROW(eigh(A), std::runtime_error);
+  }
+}
+
 TEST(Eigh, DiagonalMatrix) {
   MatC H(3, 3);
   H(0, 0) = 3.0;

@@ -8,8 +8,9 @@
 // with), and rewrites the block between the "recorded bits" markers of
 // the given file. The physics tier lies outside that block and is never
 // touched. Exit status 0 on success, 1 on a usage or file error.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
