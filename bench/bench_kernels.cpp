@@ -376,6 +376,8 @@ struct FftSphereManyFixture {
 };
 
 // Batched vs looped GEMM on a stack of same-shape fragment overlaps.
+// Timed on the wall clock, as BM_FftMany is: the pool workers' time is
+// not the calling thread's CPU time.
 void BM_GemmBatched(benchmark::State& state) {
   GemmBatchFixture fx;
   const int workers = static_cast<int>(state.range(0));
@@ -386,7 +388,7 @@ void BM_GemmBatched(benchmark::State& state) {
   state.counters["Gflop/s"] = benchmark::Counter(
       fx.flops() * state.iterations() / 1e9, benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_GemmBatched)->Arg(1)->Arg(4);
+BENCHMARK(BM_GemmBatched)->Arg(1)->Arg(4)->UseRealTime();
 
 // The many-grid sweep: a forward + inverse round trip of the whole stack
 // per iteration (as in BM_Fft3D), so the data stay finite however long
@@ -410,7 +412,8 @@ void BM_FftMany(benchmark::State& state) {
 BENCHMARK(BM_FftMany)->Arg(1)->Arg(4)->UseRealTime();
 
 // Distributed (slab + pencil-transpose) FFT vs the dense transform on
-// the paper-scale 40^3 global grid.
+// the paper-scale 40^3 global grid. The round trip runs its ranks on pool
+// workers, so it is timed on the wall clock.
 struct DistFftFixture {
   static constexpr int kN = 40, kShards = 4;
   Vec3i shape{kN, kN, kN};
@@ -450,7 +453,7 @@ void BM_DistFft3DRoundTrip(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * fx.dense.size());
 }
-BENCHMARK(BM_DistFft3DRoundTrip);
+BENCHMARK(BM_DistFft3DRoundTrip)->UseRealTime();
 
 void BM_OrthonormalizeCholesky(benchmark::State& state) {
   MatC X0 = random_matc(1200, 48, 9);

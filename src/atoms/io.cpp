@@ -136,12 +136,4 @@ void write_cube(std::ostream& os, const Structure& s, const FieldR& field,
   if (col % 6 != 0) os << "\n";
 }
 
-bool write_cube_file(const std::string& path, const Structure& s,
-                     const FieldR& field, const std::string& title) {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_cube(out, s, field, title);
-  return static_cast<bool>(out);
-}
-
 }  // namespace ls3df

@@ -29,8 +29,5 @@ Structure read_xyz_file(const std::string& path);
 // format specifies).
 void write_cube(std::ostream& os, const Structure& s, const FieldR& field,
                 const std::string& title = "ls3df field");
-bool write_cube_file(const std::string& path, const Structure& s,
-                     const FieldR& field,
-                     const std::string& title = "ls3df field");
 
 }  // namespace ls3df

@@ -27,9 +27,6 @@ class Structure {
   void add_atom(Species s, const Vec3d& cart) {
     atoms_.push_back({s, cart});
   }
-  void add_atom_frac(Species s, const Vec3d& frac) {
-    atoms_.push_back({s, lattice_.cartesian(frac)});
-  }
 
   int size() const { return static_cast<int>(atoms_.size()); }
   const Atom& atom(int i) const { return atoms_[i]; }

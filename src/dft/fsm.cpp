@@ -5,7 +5,7 @@
 #include <numeric>
 
 #include "dft/eigensolver.h"
-#include "fft/plan_cache.h"
+#include "fft/fft3d.h"
 #include "linalg/blas.h"
 #include "linalg/eigen.h"
 
@@ -112,7 +112,7 @@ FieldR band_density(const Hamiltonian& h, const cd* band) {
   const GVectors& basis = h.basis();
   FieldC work(basis.grid_shape());
   basis.scatter(band, work);
-  const Fft3D& fft = fft_plan(basis.grid_shape());
+  const Fft3D fft(basis.grid_shape());
   fft.inverse(work.data(), basis.fft_lines());
   FieldR rho(basis.grid_shape());
   double total = 0;
@@ -165,7 +165,7 @@ double inverse_participation_ratio(const Hamiltonian& h, const cd* band) {
   const GVectors& basis = h.basis();
   FieldC work(basis.grid_shape());
   basis.scatter(band, work);
-  const Fft3D& fft = fft_plan(basis.grid_shape());
+  const Fft3D fft(basis.grid_shape());
   fft.inverse(work.data(), basis.fft_lines());
   double sum2 = 0, sum4 = 0;
   for (std::size_t i = 0; i < work.size(); ++i) {

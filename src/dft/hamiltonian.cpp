@@ -5,7 +5,6 @@
 #include <type_traits>
 
 #include "common/constants.h"
-#include "fft/plan_cache.h"
 #include "linalg/blas.h"
 #include "parallel/thread_pool.h"
 
@@ -100,7 +99,8 @@ void Hamiltonian::set_local_potential(const FieldR& v) {
 }
 
 void Hamiltonian::ensure_f32_mirrors() const {
-  if (g2_f32_.empty()) {
+  if (!fft_f32_) {
+    fft_f32_ = std::make_unique<Fft3DF>(basis_->grid_shape());
     const int ng = basis_->count();
     g2_f32_.resize(ng);
     for (int g = 0; g < ng; ++g)
@@ -126,11 +126,11 @@ void Hamiltonian::ensure_f32_mirrors() const {
 template <typename Real>
 Hamiltonian::Operands<Real> Hamiltonian::operands() const {
   if constexpr (std::is_same_v<Real, double>) {
-    return {vloc_.data(), basis_->g2_data(), &nl_->projectors(),
+    return {&fft_, vloc_.data(), basis_->g2_data(), &nl_->projectors(),
             nl_->strengths().data()};
   } else {
-    return {vloc_f32_.data(), g2_f32_.data(), &projectors_f32_,
-            strengths_f32_.data()};
+    return {fft_f32_.get(), vloc_f32_.data(), g2_f32_.data(),
+            &projectors_f32_, strengths_f32_.data()};
   }
 }
 
@@ -201,7 +201,9 @@ void Hamiltonian::apply_batched(const std::vector<ApplyItemT<Real>>& items,
     const Item& it = items[t];
     it.h->basis().scatter(it.psi->col(u - off[t]), stack + u * gsize);
   });
-  const BasicFft3D<Real>& plan = fft_plan<Real>(shape);
+  // Every member shares the grid shape, so the first one's plan serves
+  // the whole stack, on every lane (fft/fft3d.h, "Thread safety").
+  const BasicFft3D<Real>& plan = *items[0].h->template operands<Real>().fft;
   plan.inverse_many(stack, total, grid_lines.data(), n_workers);
   parallel_for(total, n_workers, [&](int u, int /*worker*/) {
     const Real* vloc = items[member_of[u]].h->template operands<Real>().vloc;

@@ -21,11 +21,13 @@
 //                    PEtot band-by-band scheme
 //
 // Thread safety: apply/apply_band/density/density_into/
-// kinetic_energy_density all reuse internal scratch (the FFT grid work_,
+// kinetic_energy_density all reuse internal scratch (the grid work_ and
 // the apply and density arenas), so one Hamiltonian instance must not be
 // driven from two threads at once.
 // The LS3DF engine guarantees this by owning one Hamiltonian per
-// fragment and running each fragment on a single worker lane.
+// fragment and running each fragment on a single worker lane. The FFT
+// plans are immutable (fft/fft3d.h), so the lanes of one apply_batched
+// or density_into sweep all transform through the same plan.
 #pragma once
 
 #include <deque>
@@ -145,11 +147,12 @@ class Hamiltonian {
   // members, so a batched call is bit-identical to one-item calls
   // (apply()) member by member for any n_workers — batching only changes
   // scheduling and cache behaviour.
-  // Real = float: the same sweep on single-precision FFT plans, GEMM
-  // cores and grid stack, reading each member's fp32 mirrors (V_loc,
-  // |G|^2, KB projectors and strengths), which are built up front,
-  // serially, so the parallel body never races a lazy build. The engine
-  // of the mixed-precision Davidson; NOT bit-identical to the double one.
+  // Real = float: the same sweep on a single-precision FFT plan, GEMM
+  // cores and grid stack, reading each member's fp32 mirrors (an Fft3DF
+  // plan, V_loc, |G|^2, KB projectors and strengths), which are built
+  // up front, serially, so the parallel body never races a lazy build.
+  // The engine of the mixed-precision Davidson; NOT bit-identical to the
+  // double one.
   template <typename Real = double>
   static void apply_batched(const std::vector<ApplyItemT<Real>>& items,
                             ApplyBatchWorkspace& ws, int n_workers = 1);
@@ -187,15 +190,17 @@ class Hamiltonian {
                    std::complex<double>* out) const;
 
   // Build the single-precision mirrors apply_batched<float> reads: V_loc
-  // is re-rounded whenever set_local_potential() replaces it; |G|^2 and
-  // the KB projectors/strengths are immutable after construction and
-  // rounded once. Serial-only — callers invoke it before fanning out.
+  // is re-rounded whenever set_local_potential() replaces it; the Fft3DF
+  // plan, |G|^2 and the KB projectors/strengths are immutable after
+  // construction and built once. Serial-only — callers invoke it before
+  // fanning out.
   void ensure_f32_mirrors() const;
 
   // The operands apply_batched<Real> reads: this Hamiltonian's own data
   // for double, its fp32 mirrors for float (built by ensure_f32_mirrors).
   template <typename Real>
   struct Operands {
+    const BasicFft3D<Real>* fft;
     const Real* vloc;
     const Real* g2;
     const Matrix<std::complex<Real>>* projectors;
@@ -221,6 +226,7 @@ class Hamiltonian {
   // Single-precision mirrors for apply_batched<float> (see
   // ensure_f32_mirrors). Lazily built; V_loc's copy is invalidated by
   // set_local_potential so fp64-only runs never pay for them.
+  mutable std::unique_ptr<Fft3DF> fft_f32_;
   mutable std::vector<float> vloc_f32_;
   mutable bool vloc_f32_valid_ = false;
   mutable std::vector<float> g2_f32_;

@@ -3,12 +3,16 @@
 #include <cassert>
 
 #include "common/timer.h"
-#include "fft/plan_cache.h"
 
 namespace ls3df {
 
 DistFft3D::DistFft3D(Vec3i shape, ShardComm& comm)
-    : shape_(shape), comm_(comm), local_(comm.local_rank()) {
+    : shape_(shape),
+      comm_(comm),
+      fx_(shape.x),
+      fy_(shape.y),
+      fz_(shape.z),
+      local_(comm.local_rank()) {
   const int n = n_shards();
   assert(n <= shape.x);
   slab_.resize(n);
@@ -110,17 +114,17 @@ void DistFft3D::transpose_to_slabs() {
 // Rank r's slab passes, the dense Fft3D's z and y line sets restricted
 // to the slab (forward z then y, inverse y then z), and its pencil pass,
 // the x lines as contiguous pencil rows. Lines run in tiles through the
-// calling thread's 1D plans, with the dense path's per-line bits.
+// transform's 1D plans, with the dense path's per-line bits.
 void DistFft3D::slab_lines(int r, bool inv) {
   const int ny = shape_.y, nz = shape_.z, lx = x1(r) - x0(r);
   cplx* s = slab_[r].data();
   const auto z_pass = [&] {
-    fft1d_plan(nz).transform_lines(inv, lx * ny, 1, [&](int row) {
+    fz_.transform_lines(inv, lx * ny, 1, [&](int row) {
       return s + static_cast<std::size_t>(row) * nz;
     });
   };
   const auto y_pass = [&] {
-    fft1d_plan(ny).transform_lines(inv, lx * nz, nz, [&](int i) {
+    fy_.transform_lines(inv, lx * nz, nz, [&](int i) {
       return s + static_cast<std::size_t>(i / nz) * ny * nz + i % nz;
     });
   };
@@ -136,7 +140,7 @@ void DistFft3D::slab_lines(int r, bool inv) {
 void DistFft3D::pencil_lines(int r, bool inv) {
   const int nx = shape_.x;
   cplx* p = pencil_[r].data();
-  fft1d_plan(nx).transform_lines(
+  fx_.transform_lines(
       inv, (y1(r) - y0(r)) * shape_.z, 1,
       [&](int row) { return p + static_cast<std::size_t>(row) * nx; });
 }

@@ -8,9 +8,9 @@
 //
 //   1. local 2D:   each rank transforms its slab along z then y — both
 //                  axes are complete inside an x-slab. Lines run in
-//                  place, in tiles through the thread-local 1D plans'
-//                  transform_lines (fft/plan_cache.h, fft/fft.h), with
-//                  the per-line bits of the dense Fft3D's z/y passes.
+//                  place, in tiles through the transform's own 1D plans'
+//                  transform_lines (fft/fft.h), with the per-line bits
+//                  of the dense Fft3D's z/y passes.
 //   2. transpose:  one ShardComm::all_to_all pencil transpose: block
 //                  (src -> dst) carries src's x planes of dst's y range.
 //                  After it, rank r owns y-pencils: global y in
@@ -27,6 +27,9 @@
 // G-space pointwise kernels (the Poisson solve, the initial density)
 // therefore apply to the pencils with dense-path bits.
 //
+// The three 1D plans (x, y and z) are built at construction and shared
+// by every rank: plans are immutable (fft/fft.h, "Thread safety"), so
+// the ranks' concurrent each_rank bodies transform through them at once.
 // All rank buffers (the complex slab and the pencil block) are sized
 // once at construction and never reallocated; the all_to_all mailboxes
 // grow only on the first exchange (probed via ShardComm::allocations()).
@@ -109,6 +112,7 @@ class DistFft3D {
 
   Vec3i shape_;
   ShardComm& comm_;
+  Fft1D fx_, fy_, fz_;
   // comm.local_rank() at construction: -1 allocates every rank's
   // buffers (dense-per-process); >= 0 allocates only that rank's (SPMD
   // rank-local mode — non-resident slots are empty vectors, so the

@@ -73,7 +73,6 @@ BasicFft1D<Real>::BasicFft1D(int n)
   if (portable_forced == 0 && fft_detail::avx2_kernel_available())
     kernel_ = fft_detail::tile_kernel_avx2;
   const std::vector<int> factors = smooth_factors(n);
-  work_.resize(4 * static_cast<std::size_t>(n) * kTile);
   // Leaf gather: output position k = sum_l r_l * (n_l / f_l) reads
   // input index sum_l r_l * (f_0 * ... * f_{l-1}).
   gather_.resize(n);
@@ -114,9 +113,13 @@ BasicFft1D<Real>::BasicFft1D(int n)
 template <typename Real>
 void BasicFft1D<Real>::transform(Cplx* const* lines, int count,
                                  std::ptrdiff_t stride, int sign) const {
+  // The calling thread's two SoA tiles (fft.h, "Thread safety").
+  thread_local std::vector<Real> work;
+  const std::size_t need = 4 * static_cast<std::size_t>(n_) * kTile;
+  if (work.size() < need) work.resize(need);
   kernel_(fft_detail::TileJob<Real>{
       n_, gather_.data(), stages_.data(), static_cast<int>(stages_.size()),
-      tw_[sign > 0 ? 1 : 0].data(), sign > 0, work_.data(), lines, count,
+      tw_[sign > 0 ? 1 : 0].data(), sign > 0, work.data(), lines, count,
       stride});
 }
 

@@ -27,8 +27,9 @@
 // and dropped; a single line runs the one-lane instantiation of the same
 // kernel, which is also the single-line forward/inverse. Lanes never
 // mix, so a line's bits do not depend on its tile, its lane or its
-// neighbours. Two such tiles ping-pong through the stages, so a plan
-// holds 4 * n * kTile reals of scratch (10 KiB at n = 40 in double).
+// neighbours. Two such tiles ping-pong through the stages, so a
+// transform needs 4 * n * kTile reals of scratch (10 KiB at n = 40 in
+// double), which the plan does not hold (see "Thread safety").
 //
 // == The plan ==
 //
@@ -112,9 +113,16 @@
 // variable; only tests and benches force the portable kernel, through
 // fft_detail::ScopedPortableKernel (fft/fft_kernel.h).
 //
-// Transforms reuse the plan's work buffer (no allocation per call), so
-// one instance must not be transformed from two threads at once (see
-// fft/plan_cache.h).
+// == Thread safety ==
+//
+// A plan is immutable after construction: any number of threads may
+// transform through one instance at once. The tile scratch lives in one
+// grow-only thread_local buffer per Real type, sized on a thread's first
+// transform of a longer length and reused after that (no allocation per
+// call). The buffer is live only inside one transform() call, which runs
+// the kernel to completion on the calling thread and never waits on the
+// thread pool, so no other task can run on that thread in between and
+// re-enter it.
 #pragma once
 
 #include <complex>
@@ -211,7 +219,6 @@ class BasicFft1D {
   std::vector<int> gather_;  // leaf order: work[k] = data[gather_[k] * stride]
   std::vector<fft_detail::Stage> stages_;  // bottom-up (shortest first)
   std::vector<Cplx> tw_[2];       // twiddles for sign -1 [0] and +1 [1]
-  mutable std::vector<Real> work_;  // two SoA tiles, 4 * n * kTile reals
 };
 
 using Fft1D = BasicFft1D<double>;

@@ -1,8 +1,5 @@
 #include "fft/fft3d.h"
 
-#include <algorithm>
-
-#include "fft/plan_cache.h"
 #include "parallel/thread_pool.h"
 
 namespace ls3df {
@@ -73,24 +70,9 @@ template <typename Real>
 void BasicFft3D<Real>::transform_many(Cplx* stack, int count,
                                       const FftLines* const* lines, bool inv,
                                       int n_workers) const {
-  if (count <= 0) return;
-  const auto run = [&](const BasicFft3D& plan, int g) {
-    plan.transform(stack + static_cast<std::size_t>(g) * size(), inv,
-                   lines ? lines[g] : nullptr);
-  };
-  if (n_workers <= 1 || count == 1) {
-    for (int g = 0; g < count; ++g) run(*this, g);
-    return;
-  }
-  // Each lane transforms through its own thread-local plan so the 1D
-  // plans' work buffers are never shared between concurrent grids; the
-  // cache lookup happens once per lane, not once per grid.
-  std::vector<const BasicFft3D*> lane_plan(std::min(n_workers, count),
-                                           nullptr);
-  parallel_for(count, n_workers, [&](int g, int worker) {
-    const BasicFft3D*& plan = lane_plan[worker];
-    if (!plan) plan = &fft_plan<Real>(shape_);
-    run(*plan, g);
+  parallel_for(count, n_workers, [&](int g, int /*worker*/) {
+    transform(stack + static_cast<std::size_t>(g) * size(), inv,
+              lines ? lines[g] : nullptr);
   });
 }
 

@@ -35,8 +35,8 @@
 // Like the 1D planner, the 3D transform is templated over the real type:
 // BasicFft3D<double> (alias Fft3D) is the bit-exact engine path,
 // BasicFft3D<float> (alias Fft3DF) the single-precision plan behind the
-// float instantiation of the lockstep Davidson (fft_plan<float>, the
-// mixed-precision path). Both share the axis-order contract.
+// float instantiation of the lockstep Davidson (the mixed-precision
+// path). Both share the axis-order contract.
 //
 // Every line is transformed in place, in tiles of BasicFft1D::kTile
 // lines through its 1D plan's transform_lines (fft/fft.h): z-rows, then
@@ -47,14 +47,12 @@
 // constructor throws std::invalid_argument unless every extent is a
 // smooth length.
 //
-// Thread safety: the only scratch is each 1D plan's tile work buffer
-// (4 * n * kTile reals, sized at construction, no allocation per call),
-// so concurrent transform() calls on one instance race. Use one
-// instance per thread — the per-thread plan cache (fft/plan_cache.h)
-// exists for exactly this.
+// Thread safety: a 3D plan is as immutable as its 1D plans (fft/fft.h,
+// "Thread safety"), so any number of threads may transform distinct
+// grids through one instance at once. Code that transforms owns its
+// plans.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "common/vec3.h"
@@ -98,11 +96,9 @@ class BasicFft3D {
   // Many-transform sweep over a contiguous stack of `count` grids of this
   // shape (stack[g * size() .. (g+1) * size())). Transforms are
   // independent, so the sweep fans out over min(n_workers, count) lanes
-  // of the shared pool; each lane transforms through its *own*
-  // thread-local cached plan (fft/plan_cache.h), so no scratch is shared
-  // and each grid's arithmetic is exactly what a serial forward()/
-  // inverse() call would produce — results are bit-identical for any
-  // n_workers.
+  // of the shared pool, every lane through this plan; each grid's
+  // arithmetic is exactly what a serial forward()/inverse() call would
+  // produce, so results are bit-identical for any n_workers.
   void forward_many(Cplx* stack, int count, int n_workers = 1) const;
   void inverse_many(Cplx* stack, int count, int n_workers = 1) const;
 

@@ -51,8 +51,8 @@ template <typename Real>
 const char* kernel_isa(const BasicFft1D<Real>& plan);
 
 // Test and bench hook: every plan constructed while an instance is alive,
-// on any thread, runs the portable kernel. Plans built earlier, cached
-// ones included (fft/plan_cache.h), keep their kernel.
+// on any thread, runs the portable kernel. Plans built earlier keep
+// their kernel, so a plan's owner must be built inside the scope too.
 class ScopedPortableKernel {
  public:
   ScopedPortableKernel();

@@ -1206,15 +1206,14 @@ Ls3dfResult Ls3dfSolver::solve() {
 }
 
 // The observability context this solver installs around every entry
-// point: its own trace recorder (user-supplied), metrics registry and
-// FFT plan cache, plus the rank every span/metric should attribute to.
+// point: its own trace recorder (user-supplied) and metrics registry,
+// plus the rank every span/metric should attribute to.
 // Per-instance routing is what makes concurrent solvers in one process
 // (the SolverService direction) observable without cross-talk.
 ObsContext Ls3dfSolver::obs_ctx() const {
   ObsContext ctx;
   ctx.trace = opt_.trace;
   ctx.metrics = &metrics_;
-  ctx.plans = &plan_cache_;
   ctx.rank = shards_ ? std::max(shards_->comm.local_rank(), 0) : 0;
   return ctx;
 }
@@ -1268,8 +1267,6 @@ void Ls3dfSolver::finalize_observability(Ls3dfResult& result) {
                static_cast<double>(donated_lane_events()));
   metrics_.set("solver.overlap_fraction", result.overlap_fraction);
   metrics_.set("solver.fp64_promoted", fp64_promoted_ ? 1.0 : 0.0);
-  metrics_.set("fft.thread_plan_count",
-               static_cast<double>(plan_cache_.thread_plan_count()));
   Transport& t = shards_->comm.transport();
   metrics_.set("transport.respawn_events",
                static_cast<double>(t.respawn_events()));

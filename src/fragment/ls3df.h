@@ -94,7 +94,6 @@
 #include "dft/energy.h"
 #include "dft/mixing.h"
 #include "dft/scf.h"
-#include "fft/plan_cache.h"
 #include "fragment/decomposition.h"
 #include "obs/context.h"
 #include "obs/metrics.h"
@@ -318,7 +317,6 @@ class Ls3dfSolver {
   const FragmentDecomposition& decomposition() const { return decomp_; }
   int num_fragments() const { return decomp_.size(); }
   Vec3i global_grid() const { return global_grid_; }
-  const FieldR& ionic_potential() const { return vion_; }
 
   // Full outer SCF loop.
   Ls3dfResult solve();
@@ -499,8 +497,8 @@ class Ls3dfSolver {
   // --- observability internals (obs/) ----------------------------------
   // The context every public entry point installs on its thread (and
   // the pool propagates to every lane working for this solver): the
-  // options' trace recorder, this instance's metrics registry and FFT
-  // plan cache, and the local SPMD rank (0 otherwise).
+  // options' trace recorder, this instance's metrics registry, and the
+  // local SPMD rank (0 otherwise).
   ObsContext obs_ctx() const;
   // End-of-iteration bookkeeping of the solve loop: pushes the
   // per-iteration metrics series (residual, band energy, wall), counts
@@ -560,13 +558,10 @@ class Ls3dfSolver {
   // Pending restore state between resume() and the solve loop that
   // consumes it (null outside a resume).
   std::unique_ptr<ResumeState> resume_;
-  // Per-instance observability and plan state (the SolverService
-  // prerequisite: nothing this solver accumulates is global). The
-  // registry is mutable because const phase bodies (genpot_sharded)
-  // record into it; the plan cache is mutable because const phases
-  // create plans on first use.
+  // Per-instance observability state (the SolverService prerequisite:
+  // nothing this solver accumulates is global). The registry is mutable
+  // because const phase bodies (genpot_sharded) record into it.
   mutable MetricsRegistry metrics_;
-  mutable FftPlanCache plan_cache_;
 };
 
 }  // namespace ls3df

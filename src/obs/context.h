@@ -18,10 +18,6 @@
 //            counters/histograms recorded from deep call sites
 //            (collectives, checkpoints) without plumbing a pointer
 //            through every signature.
-//   plans    the solver's per-instance FFT plan cache (fft/
-//            plan_cache.h). Null routes to the process-default cache —
-//            bit-identical single-instance behavior — so free functions
-//            like fft_plan() keep their signatures.
 //   rank     the shard rank on whose behalf this thread is currently
 //            executing (Chrome-trace pid). ShardComm::each_rank
 //            installs it per simulated rank; SPMD drivers set it once
@@ -38,12 +34,10 @@ namespace ls3df {
 
 class TraceRecorder;
 class MetricsRegistry;
-class FftPlanCache;
 
 struct ObsContext {
   TraceRecorder* trace = nullptr;
   MetricsRegistry* metrics = nullptr;
-  FftPlanCache* plans = nullptr;
   int rank = 0;
 };
 

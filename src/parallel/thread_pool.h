@@ -49,9 +49,9 @@
 // Observability rides the queue: every enqueue (run_batch, post)
 // captures the submitting thread's ObsContext (obs/context.h) by value,
 // and the executing lane re-installs it around the task. Since TaskGraph
-// successors are posted from executing tasks, a solver's trace recorder,
-// metrics registry, and plan cache follow its work across lanes without
-// any of the kernels knowing. The inline fast paths (size-1 run_batch,
+// successors are posted from executing tasks, a solver's trace recorder
+// and metrics registry follow its work across lanes without any of the
+// kernels knowing. The inline fast paths (size-1 run_batch,
 // lanes <= 1 parallel_for) run on the submitting thread, where the
 // context is already installed.
 #pragma once

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "common/constants.h"
-#include "fft/plan_cache.h"
+#include "fft/fft3d.h"
 #include "grid/gvectors.h"
 
 namespace ls3df {
@@ -11,7 +11,7 @@ namespace ls3df {
 HartreeResult solve_poisson(const FieldR& rho, const Lattice& lat) {
   const Vec3i shape = rho.shape();
   const Vec3d b = lat.reciprocal();
-  const Fft3D& fft = fft_plan(shape);
+  const Fft3D fft(shape);
 
   FieldC work(shape);
   for (std::size_t i = 0; i < rho.size(); ++i)

@@ -5,7 +5,7 @@
 
 #include "common/constants.h"
 #include "fft/dist_fft3d.h"
-#include "fft/plan_cache.h"
+#include "fft/fft3d.h"
 #include "grid/sharded_field.h"
 #include "linalg/blas.h"
 
@@ -74,7 +74,7 @@ FieldR build_local_potential(const Structure& s, Vec3i shape) {
     }
   }
 
-  const Fft3D& fft = fft_plan(shape);
+  const Fft3D fft(shape);
   fft.inverse(vg.raw());
   // The inverse FFT convention includes 1/N; V(G) was defined as Fourier
   // *coefficients*, so multiply back by N.
@@ -122,7 +122,7 @@ FieldR build_initial_density(const Structure& s, Vec3i shape) {
       }
     }
   }
-  const Fft3D& fft = fft_plan(shape);
+  const Fft3D fft(shape);
   fft.inverse(rg.raw());
   const double n = static_cast<double>(rg.size());
   FieldR rho(shape);

@@ -9,8 +9,8 @@
 // the service owns policy, not mechanism:
 //
 //   warm instances   Ls3dfSolver construction is the expensive part
-//                    (fragment Hamiltonians, transports, FFT plan
-//                    caches, workspace arenas). Instances whose job
+//                    (fragment Hamiltonians and their FFT plans,
+//                    transports, workspace arenas). Instances whose job
 //                    finished are parked in an idle pool (at most
 //                    kMaxWarmInstances, oldest evicted first) keyed by
 //                    an exact (structure + structural options) key; a

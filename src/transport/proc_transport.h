@@ -93,7 +93,6 @@ class ProcTransport : public Transport {
   // so the generous default can never fire on a healthy node;
   // tests shrink it to sub-second to exercise the timeout latch.
   void set_phase_deadline(double seconds) { deadline_s_ = seconds; }
-  double phase_deadline() const { return deadline_s_; }
   // Replace rank's worker process: kill + reap whatever is left of the
   // old one, fork a replacement whose protocol cursor starts at the
   // current seq (it never re-executes the command its predecessor died

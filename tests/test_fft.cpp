@@ -7,8 +7,9 @@
 // per-cell grids), and the G-sphere-pruned transforms against the full
 // ones bit for bit. The bit checks run once per tile kernel (portable
 // and AVX2; fft.h, "ISA dispatch"): the dense, pruned, many-grid and
-// distributed 3D transforms against the oracle applied line by line, and
-// the two kernels against each other.
+// distributed 3D transforms against the oracle applied line by line,
+// the two kernels against each other, and one plan shared by concurrent
+// threads against serial transforms.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,6 +18,7 @@
 #include <memory>
 #include <string>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/constants.h"
@@ -25,10 +27,8 @@
 #include "fft/fft.h"
 #include "fft/fft3d.h"
 #include "fft/fft_kernel.h"
-#include "fft/plan_cache.h"
 #include "grid/gvectors.h"
 #include "grid/sharded_field.h"
-#include "obs/context.h"
 #include "parallel/shard_comm.h"
 
 namespace ls3df {
@@ -344,9 +344,9 @@ std::vector<std::complex<Real>> signed_zero_signal(int n, bool spike,
 
 // Plans built while a KernelScope is alive run the named tile kernel:
 // "portable" through fft_detail::ScopedPortableKernel, "avx2" by default
-// (on a CPU with AVX2). A fresh plan cache is installed for the scope, so
-// the plans the many-grid sweep and DistFft3D take from the cache, on any
-// pool lane, are built inside it too.
+// (on a CPU with AVX2). The many-grid sweep and DistFft3D transform only
+// through plans their owner built, so building the owner inside the
+// scope puts every pool lane on that kernel too.
 class KernelScope {
  public:
   explicit KernelScope(const std::string& isa) {
@@ -356,8 +356,6 @@ class KernelScope {
 
  private:
   std::unique_ptr<fft_detail::ScopedPortableKernel> force_;
-  FftPlanCache plans_;
-  ObsContextScope ctx_{ObsContext{nullptr, nullptr, &plans_, 0}};
 };
 
 constexpr const char* kAvx2Missing =
@@ -652,8 +650,8 @@ TEST(Fft3D, MatchesSeparable1DTransforms) {
 
 TEST(Fft3DMany, BitIdenticalToSingleTransforms) {
   // The many-transform sweep of the batched fragment path must reproduce
-  // per-grid transforms exactly, for any worker count (each lane
-  // transforms through its own thread-local plan).
+  // per-grid transforms exactly, for any worker count (every lane
+  // transforms through the one plan).
   const Vec3i shape{6, 4, 5};
   Fft3D plan(shape);
   const int count = 7;
@@ -931,6 +929,79 @@ TEST_P(Fft3DPruned, ManySweepBitIdenticalToSerial) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernel, Fft3DPruned, kKernelPaths, kKernelName);
+
+// One shared-plan thread's input: kTile + 3 lines of the 1D plan's
+// length back to back (a full tile and a short one), a dense grid, and a
+// sphere-scattered grid.
+struct SharedPlanInput {
+  std::vector<cplx> lines, grid, sphere;
+};
+
+// Every result, in order, of the transforms a shared-plan thread runs:
+// the 1D lines forward then inverse, the dense grid forward then
+// inverse, and the sphere grid pruned inverse then pruned forward.
+std::vector<std::vector<cplx>> shared_plan_transforms(
+    const Fft1D& plan_1d, const Fft3D& plan_3d, const FftLines& lines,
+    const SharedPlanInput& in) {
+  std::vector<std::vector<cplx>> out;
+  const int n = plan_1d.size();
+  std::vector<cplx> v = in.lines;
+  for (bool inv : {false, true}) {
+    plan_1d.transform_lines(inv, static_cast<int>(v.size()) / n, 1,
+                            [&](int i) { return v.data() + i * n; });
+    out.push_back(v);
+  }
+  v = in.grid;
+  plan_3d.forward(v.data());
+  out.push_back(v);
+  plan_3d.inverse(v.data());
+  out.push_back(v);
+  v = in.sphere;
+  plan_3d.inverse(v.data(), lines);
+  out.push_back(v);
+  plan_3d.forward(v.data(), lines);
+  out.push_back(v);
+  return out;
+}
+
+class SharedPlan : public KernelPath {};
+
+TEST_P(SharedPlan, ConcurrentThreadsMatchSerialTransforms) {
+  // Plans hold no scratch (fft.h, "Thread safety"): four threads
+  // transforming distinct data through one const plan at once, round
+  // after round, get the bits of the same transforms run serially.
+  constexpr int kThreads = 4, kRounds = 24, kLength = 20;
+  const Vec3i shape{16, 14, 14};
+  const GVectors gv = sphere_basis(shape);
+  const Fft1D plan_1d(kLength);
+  const Fft3D plan_3d(shape);
+  std::vector<SharedPlanInput> in(kThreads);
+  std::vector<std::vector<std::vector<cplx>>> want(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    in[t].lines = random_signal(kLength * (Fft1D::kTile + 3), 300 + t);
+    in[t].grid = random_signal(static_cast<int>(plan_3d.size()), 310 + t);
+    in[t].sphere.assign(plan_3d.size(), cplx(0, 0));
+    gv.scatter(random_signal(gv.count(), 320 + t).data(),
+               in[t].sphere.data());
+    want[t] = shared_plan_transforms(plan_1d, plan_3d, gv.fft_lines(), in[t]);
+  }
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        const auto got =
+            shared_plan_transforms(plan_1d, plan_3d, gv.fft_lines(), in[t]);
+        for (std::size_t k = 0; k < got.size(); ++k)
+          if (!same_bits(got[k], want[t][k])) ++mismatches[t];
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t)
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernel, SharedPlan, kKernelPaths, kKernelName);
 
 
 // The two kernels against each other, bit for bit: single lines and

@@ -15,7 +15,7 @@
 #include "dft/mixing.h"
 #include "dft/scf.h"
 #include "fft/dist_fft3d.h"
-#include "fft/plan_cache.h"
+#include "fft/fft3d.h"
 #include "grid/gvectors.h"
 #include "grid/lattice.h"
 #include "grid/sharded_field.h"
@@ -250,7 +250,7 @@ TEST(DistFft3D, ForwardAndInverseBitIdenticalToDense) {
   FieldC dense(shape);
   for (std::size_t i = 0; i < real_in.size(); ++i)
     dense[i] = cplx(real_in[i], 0.0);
-  const Fft3D& plan = fft_plan(shape);
+  const Fft3D plan(shape);
   plan.forward(dense.raw());
   FieldC dense_back = dense;
   plan.inverse(dense_back.raw());
