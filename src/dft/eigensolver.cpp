@@ -62,10 +62,10 @@ double band_kinetic(const GVectors& basis, const std::complex<Real>* psi) {
   return e;
 }
 
-// Mat slots of the all-band solver (V/HV/Vn sized up to ng x 2nb, the
-// rest ng x nb or smaller).
-constexpr int kV = 0, kHV = 1, kX = 2, kHX = 3, kR = 4, kT = 5, kVn = 6,
-              kG = 7, kY = 8;
+// Mat slots of the all-band solver (V/HV sized up to ng x 2nb, the rest
+// ng x nb or smaller). W/HW carry the columns of one batched apply.
+constexpr int kV = 0, kHV = 1, kX = 2, kHX = 3, kR = 4, kT = 5, kW = 6,
+              kHW = 7, kG = 8, kY = 9;
 // Vec slots of the band-by-band solver.
 constexpr int kHpsi = 0, kRes = 1, kDir = 2, kHDir = 3, kPrevDir = 4;
 
@@ -106,11 +106,14 @@ void EigenWorkspace::reserve_mats(int ng, int nb) {
   const int vmax = std::min(2 * nb, ng);
   mat<Real>(kV, ng, vmax);
   mat<Real>(kHV, ng, vmax);
-  mat<Real>(kVn, ng, vmax);
   mat<Real>(kX, ng, nb);
   mat<Real>(kHX, ng, nb);
   mat<Real>(kR, ng, nb);
   mat<Real>(kT, ng, nb);
+  // The apply block: nb columns for the starting H psi, at most
+  // vmax - nb <= nb corrections per sweep after that.
+  mat<Real>(kW, ng, nb);
+  mat<Real>(kHW, ng, nb);
   mat<Real>(kG, vmax, vmax);
   mat<Real>(kY, vmax, nb);
 }
@@ -381,19 +384,38 @@ std::vector<EigensolverResult> solve_all_band_batched(
     std::copy(m.psi->data(), m.psi->data() + m.psi->size(), V.data());
   });
 
-  // One batched H application serves every active member. Each member
-  // keeps its original workspace slot even after earlier members
-  // converge out of the item list, so per-slot arena peaks never
-  // regress.
-  const auto batched_apply = [&](const std::vector<int>& who) {
+  // One batched H application serves every active member: H maps V's
+  // columns [first, cols) into HV's, through the W/HW slots. first is 0
+  // for the starting block and nb in a sweep, where HV's first nb
+  // columns already hold HX. Each member keeps its original workspace
+  // slot even after earlier members converge out of the item list, so
+  // per-slot arena peaks never regress.
+  const auto batched_apply = [&](const std::vector<int>& who,
+                                 bool corrections_only) {
+    const auto first = [&](const Member& m) {
+      return corrections_only ? m.nb : 0;
+    };
+    const int n_who = static_cast<int>(who.size());
+    parallel_for(n_who, lanes(), [&](int a, int /*worker*/) {
+      Member& m = mem[who[a]];
+      const Mat& V = m.ws->mat<Real>(kV, m.ng, m.cols);
+      Mat& W = m.ws->mat<Real>(kW, m.ng, m.cols - first(m));
+      std::copy(V.col(first(m)), V.col(0) + V.size(), W.data());
+    });
     std::vector<Hamiltonian::ApplyItemT<Real>>& items = lists.apply_items;
     items.clear();
     for (int i : who) {
       Member& m = mem[i];
-      items.push_back({m.h, &m.ws->mat<Real>(kV, m.ng, m.cols),
-                       &m.ws->mat<Real>(kHV, m.ng, m.cols), i});
+      items.push_back({m.h, &m.ws->mat<Real>(kW, m.ng, m.cols - first(m)),
+                       &m.ws->mat<Real>(kHW, m.ng, m.cols - first(m)), i});
     }
     Hamiltonian::apply_batched(items, ws.apply(), lanes());
+    parallel_for(n_who, lanes(), [&](int a, int /*worker*/) {
+      Member& m = mem[who[a]];
+      const Mat& HW = m.ws->mat<Real>(kHW, m.ng, m.cols - first(m));
+      Mat& HV = m.ws->mat<Real>(kHV, m.ng, m.cols);
+      std::copy(HW.data(), HW.data() + HW.size(), HV.col(first(m)));
+    });
   };
 
   // Rayleigh-Ritz across the active members: the subspace projection and
@@ -421,7 +443,7 @@ std::vector<EigensolverResult> solve_all_band_batched(
                      const MatCF& Gf = m.ws->mat<float>(kG, dim, dim);
                      std::copy(Gf.data(), Gf.data() + Gf.size(), G.data());
                    }
-                   EighView eg = eigh(G, m.ws->scratch());
+                   EighView eg = eigh_lowest(G, m.nb, m.ws->scratch());
                    Mat& Y = m.ws->mat<Real>(kY, dim, m.nb);
                    for (int j = 0; j < m.nb; ++j)
                      for (int i2 = 0; i2 < dim; ++i2)
@@ -445,7 +467,8 @@ std::vector<EigensolverResult> solve_all_band_batched(
     gemm_batched(Op::kNone, Op::kNone, C(1, 0), hx_items, C(0, 0), lanes());
   };
 
-  batched_apply(active);
+  // The only full apply: every call starts from an exact H psi.
+  batched_apply(active, /*corrections_only=*/false);
 
   for (int iter = 0; iter < opt.max_iterations && !active.empty(); ++iter) {
     TraceSpan sweep(kF32 ? "davidson.sweep.f32" : "davidson.sweep",
@@ -455,7 +478,9 @@ std::vector<EigensolverResult> solve_all_band_batched(
     rayleigh_ritz(active);
 
     // Per-member tail: residuals, convergence, preconditioning, search-
-    // space expansion. Members are independent, so this fans out.
+    // space expansion straight into V. Members are independent, so this
+    // fans out. X sits unchanged in V's first nb columns, so its
+    // H-image is the HX the Ritz rotation just formed.
     parallel_for(static_cast<int>(active.size()), lanes(),
                  [&](int a, int /*worker*/) {
                    Member& m = mem[active[a]];
@@ -473,18 +498,17 @@ std::vector<EigensolverResult> solve_all_band_batched(
                    }
                    Mat& T = m.ws->mat<Real>(kT, m.ng, m.nb);
                    correction_block(m.h->basis(), opt.precondition, X, R, T);
-                   Mat& Vn = m.ws->mat<Real>(kVn, m.ng, m.vmax);
-                   const int cols = expand_search_space(X, T, Vn);
+                   Mat& V = m.ws->mat<Real>(kV, m.ng, m.vmax);
+                   const int cols = expand_search_space(X, T, V);
                    if (cols == m.nb) {
                      res.converged = true;
                      store_psi(X, *m.psi);
                      m.done = true;
                      return;
                    }
-                   Mat& V = m.ws->mat<Real>(kV, m.ng, cols);
-                   for (int j = 0; j < cols; ++j)
-                     std::copy(Vn.col(j), Vn.col(j) + m.ng, V.col(j));
                    m.cols = cols;
+                   Mat& HV = m.ws->mat<Real>(kHV, m.ng, cols);
+                   std::copy(HX.data(), HX.data() + HX.size(), HV.data());
                  });
 
     // Converged members drop out; the rest advance in lockstep (swap, not
@@ -494,7 +518,8 @@ std::vector<EigensolverResult> solve_all_band_batched(
     for (int i : active)
       if (!mem[i].done) still.push_back(i);
     active.swap(still);
-    if (!active.empty()) batched_apply(active);
+    // H on the accepted corrections only.
+    if (!active.empty()) batched_apply(active, /*corrections_only=*/true);
   }
 
   // Budget exhausted: return the best current Ritz vectors for whoever is

@@ -20,19 +20,34 @@
 // kernels. Fragments in the same size class share identical (ng, nb)
 // shapes, so solve_all_band_batched() runs K of them in lockstep:
 //
-//   one batched H application      Hamiltonian::apply_batched — every
-//                                  band of every member scattered into a
+//   one batched H application      Hamiltonian::apply_batched on the
+//   per sweep, on the new          accepted corrections W of every
+//   corrections only               member — each band scattered into a
 //                                  contiguous grid stack, one G-sphere-
 //                                  pruned inverse/forward many-transform
 //                                  sweep (Fft3D::forward_many), one fused
 //                                  nonlocal GEMM grid (gemm_batched);
 //   K small Rayleigh-Ritz solves   subspace G = V^H HV and the Ritz
-//                                  rotations run as batched GEMMs; the
-//                                  dense eigh of each (<= 2nb)^2 subspace
-//                                  matrix stays per member, arena-backed;
+//                                  rotations X = V Y, HX = HV Y run as
+//                                  batched GEMMs; the dense eigh of each
+//                                  (<= 2nb)^2 subspace matrix stays per
+//                                  member, arena-backed, back-transforming
+//                                  only the nb vectors Y keeps
+//                                  (eigh_lowest);
 //   per-member scalar steps        residuals, TPA preconditioning and
 //                                  search-space expansion fan out over
 //                                  members.
+//
+// The next search space is V = [X | W], and X's H-image is the HX the
+// Ritz rotation has just formed, so HV = [HX | H W] costs one apply of
+// the corrections alone: at most nb columns per sweep, not 2 nb. Each
+// call starts with one full apply of the orthonormalized guess, so it
+// begins from an exact H psi; after that HX carries the rounding of
+// its GEMMs from sweep to sweep. That drift is measured, not refreshed:
+// at convergence the reported max_residual matches a fresh
+// |H psi - eps psi| within the bounds of test_eigensolver's
+// BatchedSolver.ReportedResidualMatchesFreshApply (1e-6 relative in
+// fp64, 1% in fp32).
 //
 // Members converge independently: a converged member drops out of the
 // lockstep batch and the remaining members keep iterating, so every
@@ -124,7 +139,7 @@ struct EigensolverResult {
 // lane (and therefore which arena) a fragment lands on.
 class EigenWorkspace {
  public:
-  static constexpr int kMatSlots = 9;  // kV..kY in eigensolver.cpp
+  static constexpr int kMatSlots = 10;  // kV..kY in eigensolver.cpp
   static constexpr int kVecSlots = 5;  // kHpsi..kPrevDir
 
   // Slot `slot` of the Real-precision block arena resized to rows x cols
@@ -148,7 +163,12 @@ class EigenWorkspace {
   // block additionally reserves the double block-solver matrix slots
   // (the band-by-band solver only uses the vector slots).
   void reserve(int ng, int nb, bool block = true);
-  // Same for the Real-precision block-solver matrix slots alone.
+  // Same for the Real-precision block-solver matrix slots alone: the
+  // search space V and its H-image HV (ng x min(2nb, ng)); the Ritz block
+  // X, HX, residuals R and corrections T (ng x nb); the apply block W and
+  // its image HW (ng x nb: the starting guess once, then at most nb
+  // accepted corrections per sweep); the subspace matrix G and the Ritz
+  // rotation Y.
   template <typename Real>
   void reserve_mats(int ng, int nb);
 

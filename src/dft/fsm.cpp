@@ -81,12 +81,16 @@ FsmResult folded_spectrum(const Hamiltonian& h, const FsmOptions& opt) {
       V = std::move(X);
       break;
     }
-    MatC Vt(ng, cols);
-    for (int j = 0; j < cols; ++j)
-      std::copy(Vn.col(j), Vn.col(j) + ng, Vt.col(j));
-    V = std::move(Vt);
-    AV.resize(ng, V.cols());
-    apply_folded(h, opt.eps_ref, V, AV);
+    // V = [X | W]; X's folded image is the AX just formed, so the
+    // operator runs on the accepted corrections W alone.
+    Vn.reshape(ng, cols);
+    V = std::move(Vn);
+    MatC W(ng, cols - nb), AW;
+    std::copy(V.col(nb), V.col(0) + V.size(), W.data());
+    apply_folded(h, opt.eps_ref, W, AW);
+    AV.reshape(ng, cols);
+    std::copy(AX.data(), AX.data() + AX.size(), AV.data());
+    std::copy(AW.data(), AW.data() + AW.size(), AV.col(nb));
   }
 
   // Diagonalize H within the converged window subspace so the returned

@@ -143,14 +143,19 @@ void tridiagonal_ql(int n, double* d, double* e, MatR& Z) {
 }
 
 // Hermitian eigendecomposition into caller-provided storage, shared by
-// the allocating and arena-backed entry points so both give the same
-// bits. M (n x n+2) takes the working copy of A plus the tau and scratch
-// columns, Z (n x n+2) the tridiagonal's rotations plus d and e; both
-// are fully overwritten.
-void eigh_into(const MatC& A, MatC& M, MatR& Z, std::vector<int>& order,
-               std::vector<double>& evals, MatC& evecs) {
+// every entry point so all give the same bits: all n eigenvalues, and
+// the eigenvectors of the lowest k (evecs is n x k). M (n x n+2) takes
+// the working copy of A plus the tau and scratch columns, Z (n x n+2)
+// the tridiagonal's rotations plus d and e; both are fully overwritten.
+// The QL rotations run on all n columns of Z; the back-transform and the
+// phase fix act on each eigenvector alone, so an eigenvector's bits do
+// not depend on k.
+void eigh_into(const MatC& A, int k, MatC& M, MatR& Z,
+               std::vector<int>& order, std::vector<double>& evals,
+               MatC& evecs) {
   const int n = A.rows();
   assert(A.cols() == n);
+  assert(k >= 0 && k <= n);
   M.reshape(n, n + 2);
   for (int j = 0; j < n; ++j)
     std::copy(A.col(j) + j, A.col(j) + n, M.col(j) + j);
@@ -174,9 +179,9 @@ void eigh_into(const MatC& A, MatC& M, MatR& Z, std::vector<int>& order,
     return d[a] < d[b] || (d[a] == d[b] && a < b);
   });
   evals.resize(n);
-  evecs.reshape(n, n);
-  for (int j = 0; j < n; ++j) {
-    evals[j] = d[order[j]];
+  for (int j = 0; j < n; ++j) evals[j] = d[order[j]];
+  evecs.reshape(n, k);
+  for (int j = 0; j < k; ++j) {
     const double* z = Z.col(order[j]);
     cd* vj = evecs.col(j);
     for (int k = 0; k < n; ++k) vj[k] = z[k];
@@ -188,7 +193,7 @@ void eigh_into(const MatC& A, MatC& M, MatR& Z, std::vector<int>& order,
     const int m = n - i - 1;
     cd* v = &M(i + 1, i);
     v[0] = 1.0;
-    for (int j = 0; j < n; ++j) {
+    for (int j = 0; j < k; ++j) {
       cd* x = evecs.col(j) + i + 1;
       cd vx{};
       for (int k = 0; k < m; ++k) vx += mulc(v[k], x[k]);
@@ -199,7 +204,7 @@ void eigh_into(const MatC& A, MatC& M, MatR& Z, std::vector<int>& order,
 
   // Phase convention: each eigenvector's largest-magnitude component
   // (lowest index on ties) is real and positive.
-  for (int j = 0; j < n; ++j) {
+  for (int j = 0; j < k; ++j) {
     cd* vj = evecs.col(j);
     int kmax = 0;
     double big = -1;
@@ -300,18 +305,23 @@ EighResult eigh(const MatC& A) {
   MatR Z;
   std::vector<int> order;
   EighResult result;
-  eigh_into(A, M, Z, order, result.eigenvalues, result.eigenvectors);
+  eigh_into(A, A.rows(), M, Z, order, result.eigenvalues,
+            result.eigenvectors);
   return result;
 }
 
 EighView eigh(const MatC& A, EigenScratch& ws) {
+  return eigh_lowest(A, A.rows(), ws);
+}
+
+EighView eigh_lowest(const MatC& A, int k, EigenScratch& ws) {
   const int n = A.rows();
   MatC& M = ws.mat(EigenScratch::kM, n, n + 2);
-  MatC& evecs = ws.mat(EigenScratch::kEvecs, n, n);
+  MatC& evecs = ws.mat(EigenScratch::kEvecs, n, k);
   MatR& Z = ws.rmat(n, n + 2);
   std::vector<int>& order = ws.ivec(n);
   std::vector<double>& evals = ws.dvec(n);
-  eigh_into(A, M, Z, order, evals, evecs);
+  eigh_into(A, k, M, Z, order, evals, evecs);
   return EighView{&evals, &evecs};
 }
 

@@ -69,9 +69,17 @@ class EigenScratch {
 // stay valid until the next arena-backed call on the same scratch.
 struct EighView {
   const std::vector<double>* eigenvalues;  // ascending, n entries
-  const MatC* eigenvectors;                // n x n
+  const MatC* eigenvectors;                // n x n, or n x k (eigh_lowest)
 };
 EighView eigh(const MatC& A, EigenScratch& ws);
+
+// Arena-backed, with only the eigenvectors of the k lowest eigenvalues
+// (0 <= k <= n): every eigenvalue, and the n x k block whose columns are
+// bit-identical to the first k of eigh(). The reduction and the QL
+// rotations still run on all n; the back-transform, about 8 n^2 real
+// flops per vector, runs on the k alone. Rayleigh-Ritz takes the lowest
+// nb of its 2 nb pairs this way.
+EighView eigh_lowest(const MatC& A, int k, EigenScratch& ws);
 
 // Cholesky factorization A = L * L^H of a Hermitian positive-definite
 // matrix; returns lower-triangular L. Throws std::runtime_error if A is

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -201,6 +202,32 @@ TEST(EighArena, MatchesAllocatingEigh) {
   }
 }
 
+TEST(EighArena, LowestKBitIdenticalToFullEigh) {
+  // eigh_lowest back-transforms and phase-fixes only k eigenvectors; each
+  // one's arithmetic does not depend on the others, so the n x k block
+  // must be byte for byte the first k columns of the full eigh, and the
+  // eigenvalues all n of them.
+  EigenScratch ws;
+  for (int n : {1, 2, 5, 16, 33, 48}) {
+    const MatC A = hermitian_from(random_matc(n, n, 11 * n));
+    const EighResult full = eigh(A);
+    for (int k : {0, 1, n / 2, n}) {
+      const EighView low = eigh_lowest(A, k, ws);
+      ASSERT_EQ(static_cast<int>(low.eigenvalues->size()), n);
+      ASSERT_EQ(low.eigenvectors->rows(), n);
+      ASSERT_EQ(low.eigenvectors->cols(), k);
+      EXPECT_EQ(std::memcmp(low.eigenvalues->data(), full.eigenvalues.data(),
+                            sizeof(double) * n),
+                0)
+          << "n=" << n << " k=" << k;
+      EXPECT_EQ(std::memcmp(low.eigenvectors->data(),
+                            full.eigenvectors.data(), sizeof(cd) * n * k),
+                0)
+          << "n=" << n << " k=" << k;
+    }
+  }
+}
+
 TEST(EighArena, SteadyStateAllocatesNothing) {
   EigenScratch ws;
   ws.reserve(16);
@@ -212,6 +239,7 @@ TEST(EighArena, SteadyStateAllocatesNothing) {
       for (int j = 0; j < n; ++j)
         for (int i = 0; i < j; ++i) A(i, j) = std::conj(A(j, i));
       eigh(A, ws);
+      eigh_lowest(A, n / 2, ws);
     }
   EXPECT_EQ(ws.allocations(), after_reserve);
 }
