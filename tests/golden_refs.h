@@ -425,11 +425,11 @@ inline const Reference& h2_chain3_reference() {
   static const Reference r{
       "h2_chain3",
       2,
-      {0x1.a877229215942p+6, 0x1.1aacd78c0a95ap+5},
-      0x1.879fa5255fbp-6,
-      -0x1.1c37b29b5228bp+1,
-      0x9880cd84e638a6b6ull,
-      0x5c7c389dc0f43872ull};
+      {0x1.a877229215944p+6, 0x1.1aacd78c0a93bp+5},
+      0x1.879fa5255f8p-6,
+      -0x1.1c37b29b5228cp+1,
+      0xbbcf8da1d3f21f98ull,
+      0x87031b4a7a6397adull};
   return r;
 }
 
@@ -437,11 +437,11 @@ inline const Reference& h2_chain4_reference() {
   static const Reference r{
       "h2_chain4",
       2,
-      {0x1.1b11190620d48p+7, 0x1.7388f06f1285dp+5},
-      0x1.13d3ddea4eep-5,
-      -0x1.7b491c6219196p+1,
-      0x71ae8a4f078ababaull,
-      0xb00186ac4aa466e7ull};
+      {0x1.1b11190620d49p+7, 0x1.7388f06f12832p+5},
+      0x1.13d3ddea4e7p-5,
+      -0x1.7b491c6219198p+1,
+      0xce6b5ffb987d601cull,
+      0xe59cc6ad15ded3e1ull};
   return r;
 }
 
@@ -449,11 +449,11 @@ inline const Reference& fig6_reference() {
   static const Reference r{
       "fig6_alloy",
       3,
-      {0x1.11701f0abf792p+11, 0x1.9429ac79714b7p+12, 0x1.72b96ccf253f8p+11},
-      0x1.3d94cd8f3814p-2,
-      -0x1.a6369cdbbacep+3,
-      0xd75d06cf2a53e39aull,
-      0x4393d0773b7fa53full};
+      {0x1.11701f0abf78ep+11, 0x1.9429ac79714bcp+12, 0x1.72b96ccf25421p+11},
+      0x1.3d94cd8f388p-2,
+      -0x1.a6369cdbbabe2p+3,
+      0x3e08b1de17e1ecdfull,
+      0xd3aec80507e1d6cbull};
   return r;
 }
 
@@ -461,13 +461,13 @@ inline const Reference& h2_chain3_mixed_reference() {
   static const Reference r{
       "h2_chain3_mixed",
       9,
-      {0x1.a601171473626p+6, 0x1.15ad212d993cep+5, 0x1.fc238e5677112p+1,
-       0x1.9661cc699d896p+0, 0x1.d13b9e5da3233p-3, 0x1.1f71b0d7e2f07p-5,
-       0x1.a731f10f4245fp-7, 0x1.17db6b101031cp-8, 0x1.1f7aaaae510eap-11},
-      0x1.82ae5971341p-6,
-      -0x1.1eced2d6a6876p+1,
-      0xba6b369290ad8f4aull,
-      0xadae761547973ef3ull};
+      {0x1.a601176d08599p+6, 0x1.15ad1b7455cf7p+5, 0x1.fc1fd2cb0597ap+1,
+       0x1.965e6c43f40c8p+0, 0x1.d12a132c628c6p-3, 0x1.1eb0e3116a90ep-5,
+       0x1.a097e0ba68691p-7, 0x1.139c40101b57fp-8, 0x1.20848ce8bc981p-11},
+      0x1.82ae58ba299p-6,
+      -0x1.1eced2d5762cap+1,
+      0xa5f30f531cb6fee9ull,
+      0xbb767ecfacb2b459ull};
   return r;
 }
 
@@ -475,11 +475,11 @@ inline const Reference& fig6_mixed_reference() {
   static const Reference r{
       "fig6_mixed",
       3,
-      {0x1.116e2cb287db5p+11, 0x1.9425be88fd955p+12, 0x1.72c0332e37c4ep+11},
-      0x1.40d850d5fa0cp-2,
-      -0x1.a62bc5027bb8p+3,
-      0x1bfa26068d292d2bull,
-      0x4b0ad4b28be96bceull};
+      {0x1.116e2dfd4e3e3p+11, 0x1.9425bcf054b95p+12, 0x1.72c02f834248p+11},
+      0x1.40d6e7444fa4p-2,
+      -0x1.a62bd9af7049cp+3,
+      0x3d1d01790faa1af1ull,
+      0x9fad95f9787153d5ull};
   return r;
 }
 
@@ -487,14 +487,14 @@ inline const DirectReference& h2_direct_scf_reference() {
   static const DirectReference r{
       "h2_direct_scf",
       8,
-      {0x1.1950486c3fd0bp+6, 0x1.d029c45369f0ap+3, 0x1.9512a43472835p+1,
-       0x1.9fc336393d088p-1, 0x1.aa0a31d51b89p-6, 0x1.5007fa25d126ep-7,
-       0x1.1d537d6f163d7p-13, 0x1.cb5b3dd2eb852p-19},
-      -0x1.71649b255f063p-1,
-      {-0x1.426d75c71fcc3p-2, 0x1.1aaf326191e34p-5, 0x1.cc02128f271dbp-4,
-       0x1.2ee41c100cf4ap-3, 0x1.2ee41c100cf6p-3},
-      0xe3d29e4007212fa2ull,
-      0x1d8fc6956d28bae1ull};
+      {0x1.1950486c3fd0bp+6, 0x1.d029c45369effp+3, 0x1.9512a43472804p+1,
+       0x1.9fc336393d1ap-1, 0x1.aa0a31d51b9bdp-6, 0x1.5007fa25d45e3p-7,
+       0x1.1d537d6d935c3p-13, 0x1.cb5b3dbf47ae1p-19},
+      -0x1.71649b255f065p-1,
+      {-0x1.426d75c71fcc9p-2, 0x1.1aaf326191e2ep-5, 0x1.cc02128f271dcp-4,
+       0x1.2ee41c100cf54p-3, 0x1.2ee41c100cf61p-3},
+      0xa5d1685a77031cc9ull,
+      0x89e06c63edc99c9ull};
   return r;
 }
 
@@ -502,9 +502,9 @@ inline const FsmReference& h2_fsm_reference() {
   static const FsmReference r{
       "h2_fsm",
       52,
-      {-0x1.1ef31d1076fedp-4, 0x1.61c0d04321d9bp-3},
-      {0x1.41a41bd0fa7p-8, 0x1.e8d54f92317a4p-6},
-      0x54bb96663f5b51e9ull};
+      {-0x1.1ef31d1076fedp-4, 0x1.61c0d04321da7p-3},
+      {0x1.41a41bd0fa7p-8, 0x1.e8d54f92317c6p-6},
+      0xca821240f0dacad5ull};
   return r;
 }
 
