@@ -40,10 +40,10 @@
 //
 // The next search space is V = [X | W], and X's H-image is the HX the
 // Ritz rotation has just formed, so HV = [HX | H W] costs one apply of
-// the corrections alone: at most nb columns per sweep, not 2 nb. Each
-// call starts with one full apply of the orthonormalized guess, so it
-// begins from an exact H psi; after that HX carries the rounding of
-// its GEMMs from sweep to sweep. That drift is measured, not refreshed:
+// the corrections alone, at most nb columns per sweep. Each call starts
+// with one full apply of the orthonormalized guess, so it begins from an
+// exact H psi; after that HX carries the rounding of its GEMMs from
+// sweep to sweep. That drift is measured, not refreshed:
 // at convergence the reported max_residual matches a fresh
 // |H psi - eps psi| within the bounds of test_eigensolver's
 // BatchedSolver.ReportedResidualMatchesFreshApply (1e-6 relative in

@@ -567,8 +567,9 @@ void Ls3dfSolver::reset_state() {
 
 void Ls3dfSolver::prepare_batch_workspaces() {
   // One persistent workspace per batch, presized to the batch's solve
-  // extents (including the apply stack at the maximum Ritz-block width)
-  // so the steady state allocates nothing.
+  // extents (including the apply stack at the widest apply, the nb
+  // columns of the starting block; a sweep applies at most nb
+  // corrections) so the steady state allocates nothing.
   while (batch_workspaces_.size() < batches_.size())
     batch_workspaces_.push_back(std::make_unique<BatchWorkspace>());
   for (std::size_t b = 0; b < batches_.size(); ++b) {
@@ -577,12 +578,10 @@ void Ls3dfSolver::prepare_batch_workspaces() {
     int i = 0;
     for (int f : batches_[b].members) {
       const FragmentContext& ctx = *contexts_[f];
-      const int ng = ctx.h->basis().count();
-      const int vmax = std::min(2 * ctx.n_bands, ng);
-      bw.member(i).reserve(ng, ctx.n_bands);
+      bw.member(i).reserve(ctx.h->basis().count(), ctx.n_bands);
       const Vec3i g = ctx.h->basis().grid_shape();
-      stack += static_cast<std::size_t>(vmax) * g.x * g.y * g.z;
-      bw.apply().proj(i, ctx.h->nonlocal().num_projectors(), vmax);
+      stack += static_cast<std::size_t>(ctx.n_bands) * g.x * g.y * g.z;
+      bw.apply().proj(i, ctx.h->nonlocal().num_projectors(), ctx.n_bands);
       ++i;
     }
     bw.apply().grid_stack(stack);

@@ -144,18 +144,18 @@ void tridiagonal_ql(int n, double* d, double* e, MatR& Z) {
 
 // Hermitian eigendecomposition into caller-provided storage, shared by
 // every entry point so all give the same bits: all n eigenvalues, and
-// the eigenvectors of the lowest k (evecs is n x k). M (n x n+2) takes
-// the working copy of A plus the tau and scratch columns, Z (n x n+2)
-// the tridiagonal's rotations plus d and e; both are fully overwritten.
-// The QL rotations run on all n columns of Z; the back-transform and the
-// phase fix act on each eigenvector alone, so an eigenvector's bits do
-// not depend on k.
-void eigh_into(const MatC& A, int k, MatC& M, MatR& Z,
+// the eigenvectors of the lowest nvec (evecs is n x nvec). M (n x n+2)
+// takes the working copy of A plus the tau and scratch columns, Z
+// (n x n+2) the tridiagonal's rotations plus d and e; both are fully
+// overwritten. The QL rotations run on all n columns of Z; the
+// back-transform and the phase fix act on each eigenvector alone, so an
+// eigenvector's bits do not depend on nvec.
+void eigh_into(const MatC& A, int nvec, MatC& M, MatR& Z,
                std::vector<int>& order, std::vector<double>& evals,
                MatC& evecs) {
   const int n = A.rows();
   assert(A.cols() == n);
-  assert(k >= 0 && k <= n);
+  assert(nvec >= 0 && nvec <= n);
   M.reshape(n, n + 2);
   for (int j = 0; j < n; ++j)
     std::copy(A.col(j) + j, A.col(j) + n, M.col(j) + j);
@@ -180,8 +180,8 @@ void eigh_into(const MatC& A, int k, MatC& M, MatR& Z,
   });
   evals.resize(n);
   for (int j = 0; j < n; ++j) evals[j] = d[order[j]];
-  evecs.reshape(n, k);
-  for (int j = 0; j < k; ++j) {
+  evecs.reshape(n, nvec);
+  for (int j = 0; j < nvec; ++j) {
     const double* z = Z.col(order[j]);
     cd* vj = evecs.col(j);
     for (int k = 0; k < n; ++k) vj[k] = z[k];
@@ -193,7 +193,7 @@ void eigh_into(const MatC& A, int k, MatC& M, MatR& Z,
     const int m = n - i - 1;
     cd* v = &M(i + 1, i);
     v[0] = 1.0;
-    for (int j = 0; j < k; ++j) {
+    for (int j = 0; j < nvec; ++j) {
       cd* x = evecs.col(j) + i + 1;
       cd vx{};
       for (int k = 0; k < m; ++k) vx += mulc(v[k], x[k]);
@@ -204,7 +204,7 @@ void eigh_into(const MatC& A, int k, MatC& M, MatR& Z,
 
   // Phase convention: each eigenvector's largest-magnitude component
   // (lowest index on ties) is real and positive.
-  for (int j = 0; j < k; ++j) {
+  for (int j = 0; j < nvec; ++j) {
     cd* vj = evecs.col(j);
     int kmax = 0;
     double big = -1;

@@ -503,8 +503,8 @@ TEST(BatchedSolver, SweepAppliesHOnlyToCorrections) {
   // it applies, so the total counts column applies: nb for the starting
   // H psi, then one per accepted correction. Far from convergence
   // (tolerance 0, few sweeps, ng >> 2 nb) every correction is accepted,
-  // so the count is nb (1 + sweeps). A body that re-applied H to X as
-  // well would charge nb (1 + 2 sweeps).
+  // so the count is nb (1 + sweeps); applying H to X as well would
+  // charge nb (1 + 2 sweeps).
   Structure s = build_zincblende(Species::kZn, Species::kTe, 8.0, {1, 1, 1});
   GVectors gv(s.lattice(), {10, 10, 10}, 1.2);
   Hamiltonian h(s, gv);
