@@ -1,9 +1,10 @@
 // Eigensolver tests: free-electron analytic limits, agreement between the
 // all-band (BLAS-3) and band-by-band (BLAS-2) solvers and a dense-matrix
 // reference diagonalization, orthonormalization schemes, width invariance
-// of the batched solver and apply (width K against K width-1 calls), and
-// Hamiltonian invariants (Hermiticity, kinetic energy, density
-// normalization).
+// of the batched solver and apply (width K against K width-1 calls), the
+// corrections-only sweep (its column applies and its reported residual
+// against a fresh apply), and Hamiltonian invariants (Hermiticity,
+// kinetic energy, density normalization).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -502,7 +503,7 @@ TEST(BatchedSolver, SweepAppliesHOnlyToCorrections) {
   // The Hamiltonian's FlopCounter charges the same flops for every column
   // it applies, so the total counts column applies: nb for the starting
   // H psi, then one per accepted correction. Far from convergence
-  // (tolerance 0, few sweeps, ng >> 2 nb) every correction is accepted,
+  // (tolerance 0, few sweeps, ng > 2 nb) every correction is accepted,
   // so the count is nb (1 + sweeps); applying H to X as well would
   // charge nb (1 + 2 sweeps).
   Structure s = build_zincblende(Species::kZn, Species::kTe, 8.0, {1, 1, 1});
