@@ -34,6 +34,7 @@
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -44,6 +45,7 @@
 #include <algorithm>
 
 #include "atoms/builders.h"
+#include "checkpoint/snapshot.h"
 #include "common/flops.h"
 #include "common/rng.h"
 #include "common/timer.h"
@@ -517,6 +519,19 @@ void BM_OrthonormalizeGramSchmidt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OrthonormalizeGramSchmidt);
+
+// Snapshot record checksum over one 310 KB buffer, about the payload of
+// a perfbench sheet snapshot.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<unsigned char> buf(310 * 1024);
+  Rng rng(11);
+  for (unsigned char& b : buf)
+    b = static_cast<unsigned char>(rng.uniform_int(0, 256));
+  for (auto _ : state) benchmark::DoNotOptimize(crc32(buf.data(), buf.size()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32);
 
 // ---------------------------------------------------------------------------
 // Machine-readable kernel summary.

@@ -17,7 +17,7 @@
 //                     dead-worker check cannot see.
 //   truncate_record_at  Model a torn snapshot write that survived a
 //                     crash: record #j keeps only its first b bytes and
-//                     the fsync is lost. The reader classifies the
+//                     the flush is lost. The reader classifies the
 //                     damage; the previous-generation fallback routes
 //                     around it.
 //

@@ -1,5 +1,6 @@
 #include "checkpoint/snapshot.h"
 
+#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -50,19 +51,33 @@ std::uint64_t get_u64(const unsigned char* p) {
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed) {
-  static const auto table = [] {
-    std::vector<std::uint32_t> t(256);
+  // Slicing-by-8: t[0] is the bytewise table; t[k][i] advances t[k-1][i]
+  // by one more zero byte, so one step folds 8 input bytes through 8
+  // independent lookups. Same polynomial and values as the bytewise loop.
+  static const auto t = [] {
+    std::vector<std::array<std::uint32_t, 256>> tab(8);
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k)
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
+      tab[0][i] = c;
     }
-    return t;
+    for (std::uint32_t i = 0; i < 256; ++i)
+      for (int k = 1; k < 8; ++k)
+        tab[k][i] = tab[0][tab[k - 1][i] & 0xFF] ^ (tab[k - 1][i] >> 8);
+    return tab;
   }();
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
   const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    // Little-endian assembly of the two words, independent of host order.
+    const std::uint32_t lo = c ^ get_u32(p);
+    const std::uint32_t hi = get_u32(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -155,9 +170,11 @@ void SnapshotWriter::commit() {
     if (rec.write_bytes < rec.payload.size()) torn_written = true;
   }
 
-  // Under a simulated torn write the fsync is exactly what the modeled
-  // crash lost, so skip it; the rename still lands (the journal made it,
-  // the data did not) and the reader must classify the damage.
+  // Under a simulated torn write the flush is what the modeled crash
+  // lost, so skip it; the rename still lands (the rename made it, the
+  // data did not) and the reader must classify the damage. There is no
+  // fsync: the rename publishes a whole generation to any process that
+  // crashes, but the data is not durable across a power loss.
   if (!write_failed && !torn_ && std::fflush(f) != 0) write_failed = true;
   if (std::fclose(f) != 0) write_failed = true;
   if (write_failed) {
@@ -329,20 +346,25 @@ void Fingerprint::mix_double(double v) {
 
 void write_sharded_field(SnapshotWriter* w, const std::string& name,
                          const ShardedField3D<double>& f, ShardComm& comm) {
-  // One slab in flight at a time: rank r's slab crosses the transport
-  // (gather_one posts counts[r] = slab size, 0 elsewhere), lands in the
-  // shared table, and becomes its own record. The writer never holds
-  // more than one slab of staging — the "no dense grid" contract. The
-  // slab access happens inside the fill, which runs only on the owning
-  // rank — under SPMD the other ranks hold no slab to read, and only
-  // the rank with a writer records the gathered payload.
+  // One record per slab. A process that holds every slab (any transport
+  // that is not SPMD) records each straight from its storage. Under SPMD
+  // rank r's slab crosses the transport through gather_one (counts[r] =
+  // slab size, 0 elsewhere), one slab in flight at a time, so no rank
+  // stages more than one slab; the fill runs only on the owning rank,
+  // and only the rank with a writer records the gathered payload. Both
+  // routes write the same bytes.
   for (int r = 0; r < f.n_shards(); ++r) {
+    const std::string record = name + "/slab" + std::to_string(r);
     const std::size_t n = f.slab_elements(r);
+    if (comm.local_rank() < 0) {
+      if (w) w->add_f64(record, f.slab(r).data(), n);
+      continue;
+    }
     const ShardComm::GatherView view =
         comm.gather_one(r, n, [&](double* block) {
           std::memcpy(block, f.slab(r).data(), n * sizeof(double));
         });
-    if (w) w->add_f64(name + "/slab" + std::to_string(r), view.data(), n);
+    if (w) w->add_f64(record, view.data(), n);
   }
 }
 

@@ -29,11 +29,14 @@
 // == Atomicity + generations ==
 //
 // SnapshotWriter::commit() never exposes a partial file:
-//   1. write everything to "<path>.tmp", fsync, close;
+//   1. write everything to "<path>.tmp", flush, close;
 //   2. rotate the previous snapshot: rename("<path>", "<path>.1");
 //   3. rename("<path>.tmp", "<path>").
 // rename(2) is atomic on POSIX, so readers see the old generation or the
-// new one, never a mix. The one-deep generation chain is the corruption
+// new one, never a mix: a new generation appears whole to a process that
+// crashes. Nothing calls fsync, so a generation is not durable across a
+// power loss (the OS may not yet have written its data when the rename
+// reaches the disk). The one-deep generation chain is the corruption
 // fallback: open_snapshot_with_fallback() tries "<path>" and falls back
 // to "<path>.1" when the newest generation is damaged (e.g. the torn
 // write a FaultPlan injects), trading one redone outer iteration for a
@@ -41,19 +44,20 @@
 //
 // == Shard-record routing ==
 //
-// Every distributed field is stored as one record
-// per rank ("<name>/slab<r>"), routed through the Transport seam one
-// slab at a time (ShardComm::gather_one): the writer's staging buffer
-// holds at most one slab, so no rank — and no writer — materializes the
-// dense grid. Restore is the mirror image: each slab record lands
-// directly in the owning rank's storage. Under an SPMD transport
-// (threads, MPI) the same gather_one collectives run on every rank but
-// only rank 0 holds a SnapshotWriter and records the gathered payloads
-// — the snapshot file is byte-identical to the one a dense-per-process
-// run with the same shard count writes, so snapshots are portable
-// across transports. Resume under SPMD has every rank open the same
-// file and restore only its resident slabs (plus its owned fragments'
-// wavefunctions).
+// Every distributed field is stored as one record per rank
+// ("<name>/slab<r>"). When the transport is not SPMD the process holds
+// every slab, and each record is added straight from the slab's storage:
+// no collective, no staging copy. Under an SPMD transport (threads, MPI)
+// each slab crosses the Transport seam one at a time
+// (ShardComm::gather_one): every rank runs the same collectives, only
+// rank 0 holds a SnapshotWriter and records the gathered payloads, and
+// with one slab in flight no rank materializes the dense grid. Restore
+// is the mirror image: each slab record lands directly in the owning
+// rank's storage. Both routes write the same bytes — the snapshot file
+// is byte-identical for every transport with the same shard count, so
+// snapshots are portable across transports. Resume under SPMD has every
+// rank open the same file and restore only its resident slabs (plus its
+// owned fragments' wavefunctions).
 #pragma once
 
 #include <cstddef>
@@ -114,7 +118,7 @@ class SnapshotError : public std::runtime_error {
 // Records are buffered on add() and written by commit(); a writer that
 // is destroyed uncommitted leaves no trace on disk. The optional
 // FaultPlan models a torn write that survived a crash (header intact,
-// payload short, fsync lost) — the reader must classify it, the
+// payload short, flush lost) — the reader must classify it, the
 // fallback opener must route around it.
 class SnapshotWriter {
  public:
@@ -128,8 +132,9 @@ class SnapshotWriter {
   void add_u64(const std::string& name, const std::uint64_t* data,
                std::size_t count);
 
-  // Write tmp + fsync, rotate <path> -> <path>.1, rename tmp into
-  // place. Throws SnapshotError(kIo) on any filesystem failure.
+  // Write and flush tmp, rotate <path> -> <path>.1, rename tmp into
+  // place (whole to a crashing process, not durable across power loss:
+  // no fsync). Throws SnapshotError(kIo) on any filesystem failure.
   void commit();
 
   // Total record payload buffered so far (checkpoint-size metrics; the
@@ -151,7 +156,7 @@ class SnapshotWriter {
   std::uint64_t fingerprint_;
   FaultPlan* fault_;
   std::vector<Record> records_;
-  bool torn_ = false;  // a fault truncated a record: drop the fsync too
+  bool torn_ = false;  // a fault truncated a record: drop the flush too
   bool committed_ = false;
 };
 
@@ -219,10 +224,11 @@ class Fingerprint {
 };
 
 // --- shard-record routing (see the architecture block) ----------------
-// Write/read one record per rank ("<name>/slab<r>"), one slab in flight
-// at a time through the communicator's transport. `w` may be null on
-// ranks that do not own the snapshot file (SPMD: only rank 0 writes) —
-// every rank must still make the call, because each slab crosses the
+// Write/read one record per rank ("<name>/slab<r>"). Without SPMD the
+// records come straight from the resident slabs; under SPMD one slab at
+// a time crosses the communicator's transport. `w` may be null on ranks
+// that do not own the snapshot file (SPMD: only rank 0 writes) — every
+// rank must still make the call, because each slab crosses the
 // transport as a collective.
 void write_sharded_field(SnapshotWriter* w, const std::string& name,
                          const ShardedField3D<double>& f, ShardComm& comm);

@@ -69,13 +69,8 @@ FieldR PotentialMixer::mix(const FieldR& v_in, const FieldR& v_out) {
 
   // Residual Gram matrix via the plane-blocked reduction — the canonical
   // deterministic dot shared with the sharded mixer.
-  std::vector<double> gram(static_cast<std::size_t>(m) * m);
-  for (int i = 0; i < m; ++i)
-    for (int j = 0; j < m; ++j)
-      gram[static_cast<std::size_t>(i) * m + j] =
-          plane_dot(r_history_[i], r_history_[j]);
-
-  const std::vector<double> c = diis_coefficients(gram, m);
+  const std::vector<double> c =
+      diis_coefficients(plane_gram(r_history_), m);
   if (c.empty()) {
     // Degenerate history: fall back to linear mixing and drop history.
     v_history_.clear();
@@ -128,13 +123,9 @@ ShardedFieldR ShardedPotentialMixer::mix(const ShardedFieldR& v_in,
   const int m = push_history(v_history_, r_history_, v_in, residual);
   if (m == 1) return linear_step();
 
-  std::vector<double> gram(static_cast<std::size_t>(m) * m);
-  for (int i = 0; i < m; ++i)
-    for (int j = 0; j < m; ++j)
-      gram[static_cast<std::size_t>(i) * m + j] =
-          plane_dot(r_history_[i], r_history_[j], comm_);
-
-  const std::vector<double> c = diis_coefficients(gram, m);
+  // One all_gather for the whole Gram matrix.
+  const std::vector<double> c =
+      diis_coefficients(plane_gram(r_history_, comm_), m);
   if (c.empty()) {
     v_history_.clear();
     r_history_.clear();

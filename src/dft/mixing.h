@@ -8,10 +8,12 @@
 // (dft/scf.h) and the LS3DF driver both run this one scheme.
 //
 // Two drivers share the arithmetic: PotentialMixer on the dense global
-// grid, and ShardedPotentialMixer on x-slabs (grid/sharded_field.h). All
-// DIIS inner products use the plane-blocked reduction (plane_dot), so the
-// two mixers are bit-identical for any shard count — the Gram matrix, the
-// coefficient solve, and every pointwise update see the same bits.
+// grid, and ShardedPotentialMixer on x-slabs (grid/sharded_field.h). The
+// DIIS Gram matrix comes from the plane-blocked reduction (plane_gram), so
+// the two mixers are bit-identical for any shard count — the Gram matrix,
+// the coefficient solve, and every pointwise update see the same bits.
+// The sharded mixer pays one collective per Gram matrix, not one per
+// dot: all m(m+1)/2 entries' per-plane partials share one all_gather.
 #pragma once
 
 #include <vector>
@@ -40,9 +42,9 @@ class PotentialMixer {
 
 // The sharded twin: identical arithmetic and identical bits, with every
 // field living as x-slabs over `comm`. History is stored per-shard
-// (global/N per rank per slot), DIIS dots are plane-blocked all_gather
-// reductions, and every update is slab-local — mixing runs shard-locally
-// end to end. Under an SPMD transport the history slots inherit the
+// (global/N per rank per slot), the DIIS Gram matrix is one plane-blocked
+// all_gather reduction, and every update is slab-local — mixing runs
+// shard-locally end to end. Under an SPMD transport the history slots inherit the
 // inputs' rank-local storage (one resident slab per rank), so the DIIS
 // stack also costs ~global/N per rank.
 class ShardedPotentialMixer {

@@ -45,10 +45,12 @@
 // which no slab decomposition can reproduce bitwise. The canonical
 // deterministic reduction is therefore *plane-blocked*: one partial per
 // global x plane (each plane lives wholly inside one shard), partials
-// combined in plane order. plane_sum/plane_dot/plane_l1 below compute it
-// for dense fields, and the sharded overloads reproduce the identical
+// combined in plane order. plane_sum/plane_l1/plane_gram below compute
+// it for dense fields, and the sharded overloads reproduce the identical
 // bits via a ShardComm all_gather of the per-plane partials — for any
-// shard count, a single shard included.
+// shard count, a single shard included. plane_gram packs every entry of
+// a Gram matrix into that one all_gather, so the DIIS mixer pays one
+// collective per matrix instead of one per dot.
 #pragma once
 
 #include <cassert>
@@ -216,15 +218,21 @@ using ShardedFieldC = ShardedField3D<std::complex<double>>;
 // plane, then summed in plane order. The dense and sharded overloads
 // produce bit-identical results for any shard count.
 double plane_sum(const FieldR& f);
-double plane_dot(const FieldR& a, const FieldR& b);
 // Sum_i |a_i - b_i| (multiply by the point volume for the SCF metric).
 double plane_l1(const FieldR& a, const FieldR& b);
+// Gram matrix of m >= 1 fields, m x m row-major: entry (i, j) is the
+// plane-blocked dot of fields i and j. Only the m(m+1)/2 entries with
+// i <= j are reduced; each is mirrored across the diagonal, which is
+// exact because a*b == b*a in IEEE arithmetic.
+std::vector<double> plane_gram(const std::vector<FieldR>& fields);
 
 double plane_sum(const ShardedFieldR& f, ShardComm& comm);
-double plane_dot(const ShardedFieldR& a, const ShardedFieldR& b,
-                 ShardComm& comm);
 double plane_l1(const ShardedFieldR& a, const ShardedFieldR& b,
                 ShardComm& comm);
+// The sharded Gram matrix: all m(m+1)/2 per-plane partials cross the
+// transport in ONE all_gather, so the call costs one collective.
+std::vector<double> plane_gram(const std::vector<ShardedFieldR>& fields,
+                               ShardComm& comm);
 
 // Rebuild the dense field on every rank through the transport, one slab
 // of allgatherv staging at a time (so the transient exchange footprint

@@ -41,8 +41,9 @@ enum Cmd : std::uint32_t {
 
 // Short spin, then sleep: correct on oversubscribed single-core nodes
 // (the common CI box), cheap on idle workers.
+constexpr int kSpinsBeforeSleep = 256;
 inline void backoff(int& spins) {
-  if (++spins < 256) return;
+  if (++spins < kSpinsBeforeSleep) return;
   timespec ts{0, spins < 2048 ? 20'000 : 200'000};
   nanosleep(&ts, nullptr);
 }
@@ -278,7 +279,10 @@ void ProcTransport::run_command(std::uint32_t cmd) {
     int spins = 0;
     while (hdr_->done[r].load(std::memory_order_acquire) != s) {
       backoff(spins);
-      if ((spins & 1023) == 0) check_alive();
+      // Every sleeping round polls for a dead worker: waitpid(WNOHANG)
+      // costs ~1 us against a >= 20 us sleep, and a SIGKILLed worker
+      // is noticed within about one sleep.
+      if (spins >= kSpinsBeforeSleep) check_alive();
       if ((spins & 63) == 0 && monotonic_seconds() > deadline) {
         // Alive but unresponsive (wedged / stalled): latch a timeout so
         // every later collective fails fast instead of wedging the

@@ -26,7 +26,8 @@
 // thread pool: ShardComm's phase model is unchanged, only the exchange
 // crosses process boundaries. Workers die with the transport; if one
 // dies early (crash, OOM-kill), the parent's completion wait detects it
-// via waitpid(WNOHANG) and throws instead of hanging.
+// via waitpid(WNOHANG), polled on every sleeping backoff round, and
+// throws within about one sleep instead of hanging.
 //
 // == Fault tolerance ==
 //

@@ -82,10 +82,47 @@ double generation_tag(const SnapshotReader& r) {
   return payload[0];
 }
 
+// Bitwise CRC-32 (IEEE, reflected 0xEDB88320): the definition crc32's
+// table-driven loop must reproduce.
+std::uint32_t reference_crc32(const unsigned char* p, std::size_t n,
+                              std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k)
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
 TEST(Snapshot, Crc32KnownAnswer) {
   // The IEEE 802.3 check value for the ASCII digits "123456789".
   EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(crc32("", 0), 0u);
+
+  // Every length 0..199 at every alignment 0..8 against the bitwise
+  // definition (covers the 8-byte body and each tail length).
+  std::vector<unsigned char> buf(220);
+  std::uint32_t x = 12345;
+  for (unsigned char& b : buf) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<unsigned char>(x >> 16);
+  }
+  for (std::size_t off = 0; off <= 8; ++off)
+    for (std::size_t len = 0; len < 200; ++len)
+      ASSERT_EQ(crc32(buf.data() + off, len),
+                reference_crc32(buf.data() + off, len))
+          << "offset " << off << " length " << len;
+
+  // Chaining: the seed continues a running CRC, so
+  // crc32(b, crc32(a)) == crc32(a || b) for every split point.
+  for (std::size_t na = 0; na <= 40; ++na)
+    for (std::size_t nb : {0, 1, 7, 8, 9, 63}) {
+      const unsigned char* a = buf.data() + 3;
+      ASSERT_EQ(crc32(a + na, nb, crc32(a, na)),
+                reference_crc32(a, na + nb))
+          << na << " + " << nb;
+    }
 }
 
 TEST(Snapshot, RoundTripAndGenerationRotation) {
@@ -530,6 +567,32 @@ TEST(CheckpointResume, ShardedKillAndResumeIsBitIdentical) {
   Ls3dfSolver resumer(s, cont);
   expect_bitwise_equal(resumer.resume(path), ref);
   remove_snapshot(path);
+}
+
+// Without SPMD the process holds every slab, so a snapshot adds its
+// slab records straight from storage: checkpointing every iteration
+// moves no byte through the transport's gathers.
+TEST(CheckpointResume, CheckpointsAddNoGatherTrafficWithoutSpmd) {
+  const std::string path = tmp_path("gather_bytes.snap");
+  Structure s = h2_chain(3);
+  for (TransportKind kind : {TransportKind::kInProc, TransportKind::kProc}) {
+    Ls3dfOptions lo = small_options();
+    lo.n_shards = 2;
+    lo.transport = kind;
+    const Ls3dfResult plain = Ls3dfSolver(s, lo).solve();
+
+    remove_snapshot(path);
+    lo.checkpoint.path = path;
+    lo.checkpoint.every = 1;
+    const Ls3dfResult ck = Ls3dfSolver(s, lo).solve();
+    ASSERT_EQ(ck.metrics.counters.at("checkpoint.writes"), plain.iterations)
+        << "transport " << static_cast<int>(kind);
+    EXPECT_EQ(ck.metrics.counters.at("transport.allgather_bytes"),
+              plain.metrics.counters.at("transport.allgather_bytes"))
+        << "transport " << static_cast<int>(kind);
+    expect_bitwise_equal(ck, plain);
+    remove_snapshot(path);
+  }
 }
 
 // The full crash-recovery story on the process-backed transport: a

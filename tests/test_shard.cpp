@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -19,6 +20,8 @@
 #include "grid/gvectors.h"
 #include "grid/lattice.h"
 #include "grid/sharded_field.h"
+#include "obs/context.h"
+#include "obs/metrics.h"
 #include "parallel/shard_comm.h"
 #include "poisson/sharded_poisson.h"
 #include "transport/thread_transport.h"
@@ -224,7 +227,6 @@ TEST(PlaneReductions, ShardedMatchesDenseBitwise) {
   const FieldR a = random_field(shape, 41);
   const FieldR b = random_field(shape, 42);
   const double sum_d = plane_sum(a);
-  const double dot_d = plane_dot(a, b);
   const double l1_d = plane_l1(a, b);
   for (int n : {1, 2, 3, 4}) {
     for (int workers : {1, 4}) {
@@ -233,8 +235,84 @@ TEST(PlaneReductions, ShardedMatchesDenseBitwise) {
       sa.from_dense(a);
       sb.from_dense(b);
       EXPECT_EQ(plane_sum(sa, comm), sum_d) << n << "x" << workers;
-      EXPECT_EQ(plane_dot(sa, sb, comm), dot_d) << n << "x" << workers;
       EXPECT_EQ(plane_l1(sa, sb, comm), l1_d) << n << "x" << workers;
+    }
+  }
+}
+
+// The plane-blocked dot written out: one flat-order partial per x plane,
+// partials summed in plane order.
+double reference_plane_dot(const FieldR& a, const FieldR& b) {
+  const Vec3i shape = a.shape();
+  const std::size_t plane = static_cast<std::size_t>(shape.y) * shape.z;
+  std::vector<double> partials(shape.x);
+  for (int ix = 0; ix < shape.x; ++ix) {
+    double acc = 0;
+    for (std::size_t k = 0; k < plane; ++k)
+      acc += a[ix * plane + k] * b[ix * plane + k];
+    partials[ix] = acc;
+  }
+  double acc = 0;
+  for (const double p : partials) acc += p;
+  return acc;
+}
+
+TEST(PlaneReductions, GramIsOneCollectiveAndMatchesPlaneLoopBitwise) {
+  const Vec3i shape{12, 5, 4};
+  std::vector<FieldR> dense;
+  for (int i = 0; i < 6; ++i) dense.push_back(random_field(shape, 43 + i));
+  for (int m = 1; m <= 6; ++m) {
+    const std::vector<FieldR> fields(dense.begin(), dense.begin() + m);
+    // Every (i, j) entry computed on its own, (j, i) included, so the
+    // memcmp below also pins the mirrored lower triangle.
+    std::vector<double> want(static_cast<std::size_t>(m) * m);
+    for (int i = 0; i < m; ++i)
+      for (int j = 0; j < m; ++j)
+        want[static_cast<std::size_t>(i) * m + j] =
+            reference_plane_dot(fields[i], fields[j]);
+    for (int i = 0; i < m; ++i)
+      for (int j = 0; j < i; ++j)
+        ASSERT_EQ(std::memcmp(&want[static_cast<std::size_t>(i) * m + j],
+                              &want[static_cast<std::size_t>(j) * m + i],
+                              sizeof(double)),
+                  0)
+            << "a.b != b.a at m=" << m << " (" << i << ", " << j << ")";
+    const std::vector<double> got_dense = plane_gram(fields);
+    ASSERT_EQ(got_dense.size(), want.size());
+    EXPECT_EQ(std::memcmp(got_dense.data(), want.data(),
+                          want.size() * sizeof(double)),
+              0)
+        << "dense m=" << m;
+
+    for (int n : {1, 2, 3, 4}) {
+      for (int workers : {1, 4}) {
+        ShardComm comm(n, workers);
+        std::vector<ShardedFieldR> sharded;
+        for (const FieldR& f : fields) {
+          sharded.emplace_back(shape, n);
+          sharded.back().from_dense(f);
+        }
+        MetricsRegistry metrics;
+        std::vector<double> got;
+        {
+          ObsContext ctx;
+          ctx.metrics = &metrics;
+          ObsContextScope scope(ctx);
+          got = plane_gram(sharded, comm);
+        }
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(double)),
+                  0)
+            << "m=" << m << " shards=" << n << " workers=" << workers;
+        // Exactly one collective: one wait sample, carrying one partial
+        // per plane and upper-triangle entry.
+        const MetricsSnapshot snap = metrics.snapshot();
+        EXPECT_EQ(snap.histograms.at("transport.phase_wait_s").count, 1u);
+        EXPECT_EQ(snap.counters.at("transport.allgather_bytes"),
+                  static_cast<double>(shape.x * (m * (m + 1) / 2) *
+                                      sizeof(double)));
+      }
     }
   }
 }
@@ -366,28 +444,35 @@ TEST(ShardedPoisson, EffectivePotentialBitIdenticalToDense) {
 
 TEST(ShardedMixer, BitIdenticalToDense) {
   const Vec3i shape{10, 6, 4};
-  // Dense reference trajectory over several iterations (enough history
-  // for a real DIIS solve).
+  // Dense reference trajectory, long enough for the history to pass
+  // kDiisHistory and start evicting its oldest pair.
+  constexpr int kIterations = 10;
+  static_assert(kIterations > kDiisHistory + 1);
   PotentialMixer dense_mixer(0.6);
   std::vector<FieldR> dense_next;
   FieldR v_in = random_field(shape, 91);
-  for (int it = 0; it < 4; ++it) {
+  for (int it = 0; it < kIterations; ++it) {
     const FieldR v_out = random_field(shape, 92 + it);
     v_in = dense_mixer.mix(v_in, v_out);
     dense_next.push_back(v_in);
   }
-  for (int n : {1, 2, 4}) {
-    ShardComm comm(n, 2);
-    ShardedPotentialMixer mixer(0.6, comm);
-    ShardedFieldR sv(shape, n);
-    sv.from_dense(random_field(shape, 91));
-    for (int it = 0; it < 4; ++it) {
-      ShardedFieldR svo(shape, n);
-      svo.from_dense(random_field(shape, 92 + it));
-      sv = mixer.mix(sv, svo);
-      const FieldR got = sv.to_dense();
-      for (std::size_t i = 0; i < got.size(); ++i)
-        ASSERT_EQ(got[i], dense_next[it][i]) << "it=" << it << " shards=" << n;
+  for (TransportKind kind : {TransportKind::kInProc, TransportKind::kProc}) {
+    for (int n : {1, 2, 4}) {
+      ShardComm comm(n, 2, kind);
+      ShardedPotentialMixer mixer(0.6, comm);
+      ShardedFieldR sv(shape, n);
+      sv.from_dense(random_field(shape, 91));
+      for (int it = 0; it < kIterations; ++it) {
+        ShardedFieldR svo(shape, n);
+        svo.from_dense(random_field(shape, 92 + it));
+        sv = mixer.mix(sv, svo);
+        const FieldR got = sv.to_dense();
+        ASSERT_EQ(std::memcmp(got.data(), dense_next[it].data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << "it=" << it << " shards=" << n
+            << " transport=" << static_cast<int>(kind);
+      }
     }
   }
 }

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/timer.h"
 #include "parallel/shard_comm.h"
 #include "transport/proc_transport.h"
 #include "transport/thread_transport.h"
@@ -367,7 +368,11 @@ TEST(ProcTransport, WorkerCrashIsDetectedNotHung) {
   t.barrier();  // workers are up
   ASSERT_GT(t.worker_pid(1), 0);
   t.kill_worker_for_test(1);
+  // Every sleeping backoff round polls the workers, so the death
+  // surfaces within a few sleeps of the next collective.
+  Timer detect;
   EXPECT_THROW(t.barrier(), std::runtime_error);
+  EXPECT_LT(detect.seconds(), 0.020);
   // Latched: later collectives fail fast without touching the protocol.
   EXPECT_THROW(t.alltoallv(), std::runtime_error);
   // Destruction after a crash must still reap cleanly (no hang): covered
